@@ -26,10 +26,6 @@ class EmptyDomainBatch(ValueError):
     pass
 
 
-class NonFinite(ValueError):
-    pass
-
-
 class DomainAdversary:
     """One two-layer discriminator per interaction class.
 
@@ -122,13 +118,8 @@ class DomainAdversary:
 def cada_total_loss(supervised: Tensor, domain: Tensor, lam_adv: float) -> Tensor:
     """Eq.-style combination: supervised loss plus lam_adv times the domain
     loss.  The reversal inside the domain term turns the single backward
-    pass into the min-max update."""
-    if not (
-        np.all(np.isfinite(supervised.data))
-        and np.all(np.isfinite(domain.data))
-        and math.isfinite(lam_adv)
-    ):
-        raise NonFinite("loss terms must be finite")
+    pass into the min-max update.  Finiteness is the caller's check, on the
+    combined loss."""
     return supervised + domain * lam_adv
 
 

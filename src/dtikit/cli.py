@@ -41,6 +41,7 @@ from .train import (
     MissingCheckpoint,
     NumericFailure,
     build_model,
+    encode_pairs,
     evaluate,
     meta_shot_curve,
     screen,
@@ -130,7 +131,6 @@ def _rebuild(cfg: RunConfig, blob: bytes):
             feature_dim=enc_cfg.fused_dim,
             qk_dim=enc_cfg.gau_qk_dim,
             uniform_attention=cfg.uniform_attention,
-            restrict_softmax=cfg.restrict_softmax,
             alpha=cfg.focal_alpha,
             gamma=cfg.focal_gamma,
         )
@@ -372,24 +372,19 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     _, encoder, _ = _rebuild(cfg, blob)
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
 
-    entries = []
     with T.no_grad():
-        for i in idxs:
-            rec = records[i]
-            out = encoder.forward(
-                feat.drugs[rec.smiles], feat.proteins[rec.sequence],
-                training=False, head=None,
-            )
-            true_len = min(
-                feat.proteins[rec.sequence][1], feat.proteins[rec.sequence][0].shape[0]
-            )
-            entries.append(
-                {
-                    "drug_id": rec.drug_id,
-                    "protein_id": rec.protein_id,
-                    "levels": _attention_summary(out.attention, true_len),
-                }
-            )
+        outputs = encode_pairs(encoder, feat, records, idxs, None)
+    entries = []
+    for i, out in zip(idxs, outputs):
+        rec = records[i]
+        ids, true_len = feat.proteins[rec.sequence]
+        entries.append(
+            {
+                "drug_id": rec.drug_id,
+                "protein_id": rec.protein_id,
+                "levels": _attention_summary(out.attention, min(true_len, ids.shape[0])),
+            }
+        )
     payload = json.dumps(entries, indent=1, sort_keys=True) + "\n"
     Path(args.out).write_text(payload)
     _say(f"export-attention: {len(entries)} records -> {args.out}")

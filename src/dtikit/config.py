@@ -15,20 +15,17 @@ because each step already averages a full episode.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .encoder import EncoderConfig
+from .encoder import ConfigError, EncoderConfig
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 STAGES = ("vanilla", "cada", "meta", "regress")
 
 PRESETS = ("paper", "small")
-
-
-class ConfigError(ValueError):
-    """Malformed, mistyped, or out-of-range configuration."""
 
 
 # dotted key -> (RunConfig attribute, type)
@@ -49,10 +46,8 @@ SCHEMA = {
     "loss.focal_alpha": ("focal_alpha", float),
     "loss.focal_gamma": ("focal_gamma", float),
     "proto.uniform_attention": ("uniform_attention", bool),
-    "proto.restrict_softmax": ("restrict_softmax", bool),
     "model.preset": ("model_preset", str),
     "model.max_seq_len": ("max_seq_len", int),
-    "model.max_atoms": ("max_atoms", int),
     "model.use_gau": ("use_gau", bool),
 }
 
@@ -84,18 +79,14 @@ class RunConfig:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     uniform_attention: bool = False
-    restrict_softmax: bool = True
     model_preset: str = "paper"
     max_seq_len: int = 0  # 0 keeps the preset's value
-    max_atoms: int = 0
     use_gau: bool = True
 
     def encoder_config(self) -> EncoderConfig:
         overrides = {"use_gau": self.use_gau}
         if self.max_seq_len:
             overrides["max_seq_len"] = self.max_seq_len
-        if self.max_atoms:
-            overrides["max_atoms"] = self.max_atoms
         if self.model_preset == "small":
             return EncoderConfig.small(**overrides)
         return EncoderConfig(**overrides)
@@ -134,6 +125,8 @@ def _coerce(key: str, value, want: type):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
         return float(value)
     if want is str:
         if not isinstance(value, str):
@@ -206,7 +199,7 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.model_preset not in PRESETS:
         raise ConfigError(f"model.preset must be one of {PRESETS}, got {cfg.model_preset!r}")
-    if cfg.max_seq_len < 0 or cfg.max_atoms < 0:
+    if cfg.max_seq_len < 0:
         raise ConfigError("model dimensions cannot be negative")
 
 

@@ -53,7 +53,7 @@ ATOM_FEAT_DIM = (
 
 
 class ConfigError(ValueError):
-    pass
+    """Malformed, mistyped, or out-of-range configuration."""
 
 
 def atom_features(graph: MolecularGraph) -> np.ndarray:
@@ -94,7 +94,6 @@ class EncoderConfig:
     n_filters: int = 128
     kernel_sizes: tuple[int, ...] = (3, 6, 9)
     max_seq_len: int = 1200
-    max_atoms: int = 290
     attn_heads: int = 2
     joint_dim: int = 2304
     joint_pool: int = 3
@@ -129,7 +128,6 @@ class EncoderConfig:
             n_filters=12,
             kernel_sizes=(3, 6, 9),
             max_seq_len=48,
-            max_atoms=64,
             attn_heads=2,
             joint_dim=24,
             joint_pool=3,
@@ -166,26 +164,17 @@ class _BatchNorm:
 
     The towers run one molecule or sequence at a time, so the statistics are
     always per-sample, and evaluation must normalize exactly the way training
-    did or the downstream attention sees a different function.  Evaluation
-    therefore also uses the sample's own row statistics; the running buffers
-    only accumulate a train-time summary and never replace them.
+    did or the downstream attention sees a different function.  Both
+    therefore use the sample's own row statistics, and the layer keeps no
+    running state: only the learned scale and shift.
     """
 
     def __init__(self, store: ParameterStore, path: str, dim: int):
         self.gamma = store.parameter(f"{path}/gamma", np.ones(dim))
         self.beta = store.parameter(f"{path}/beta", np.zeros(dim))
-        self.mean = store.buffer(f"{path}/mean", np.zeros(dim))
-        self.var = store.buffer(f"{path}/var", np.ones(dim))
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if training:
-            return T.batch_stat_norm(
-                x, self.gamma, self.beta, self.mean.data, self.var.data, True
-            )
-        # throwaway buffer copies: same normalization, no state mutation
-        return T.batch_stat_norm(
-            x, self.gamma, self.beta, self.mean.data.copy(), self.var.data.copy(), True
-        )
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.batch_stat_norm(x, self.gamma, self.beta)
 
 
 class _Linear:
@@ -306,7 +295,7 @@ class DTIEncoder:
 
     # -- towers ------------------------------------------------------------
 
-    def protein_levels(self, ids: np.ndarray, true_length: int, training: bool):
+    def protein_levels(self, ids: np.ndarray, true_length: int):
         """Run the residue tower.  Returns one (features, real_count) pair per
         level; `real_count` is how many leading rows trace back to actual
         residues rather than padding."""
@@ -316,22 +305,22 @@ class DTIEncoder:
         real = min(true_length, ids.shape[0])
         levels = []
         for spec in self.p_levels:
-            ex = spec["ex_bn"](T.relu(spec["ex"](x)), training)
+            ex = spec["ex_bn"](T.relu(spec["ex"](x)))
             x = T.maxpool1d(ex, 2)
             real = -(-real // 2)
-            out = spec["out_bn"](T.relu(spec["out"](x)), training)
+            out = spec["out_bn"](T.relu(spec["out"](x)))
             levels.append((out, real))
         return levels
 
-    def drug_levels(self, feats: np.ndarray, adj_norm: np.ndarray, training: bool):
+    def drug_levels(self, feats: np.ndarray, adj_norm: np.ndarray):
         adj = Tensor(adj_norm, requires_grad=False)
         h = Tensor(feats, requires_grad=False)
         for lin in self.d_stem:
             h = T.relu(lin(h))
         levels = []
         for spec in self.d_levels:
-            h = spec["ex_bn"](T.relu(T.matmul(adj, spec["ex"](h))), training)
-            out = spec["out_bn"](T.relu(T.matmul(adj, spec["out"](h))), training)
+            h = spec["ex_bn"](T.relu(T.matmul(adj, spec["ex"](h))))
+            out = spec["out_bn"](T.relu(T.matmul(adj, spec["out"](h))))
             levels.append(out)
         return levels
 
@@ -410,15 +399,14 @@ class DTIEncoder:
         self,
         drug: tuple[np.ndarray, np.ndarray],
         protein: tuple[np.ndarray, int],
-        training: bool = False,
         head: str | None = "classify",
     ) -> InteractionOutput:
         """End-to-end pass for one drug/protein pair.
 
         `drug` is (atom_features, normalized_adjacency); `protein` is
         (token ids, true residue count)."""
-        d_levels = self.drug_levels(drug[0], drug[1], training)
-        p_levels = self.protein_levels(protein[0], protein[1], training)
+        d_levels = self.drug_levels(drug[0], drug[1])
+        p_levels = self.protein_levels(protein[0], protein[1])
         return self.interact(d_levels, p_levels, head=head)
 
     def interact(self, d_levels, p_levels, head: str | None = "classify"):

@@ -104,16 +104,14 @@ def dynamic_prototypes(
     support: Tensor,
     support_labels: np.ndarray,
     attention: PrototypeAttention,
-    restrict_softmax: bool = True,
 ) -> PrototypeSet:
     """Collapse the supports into one prototype per class for every query
     block.
 
-    With `restrict_softmax` the weights are normalised inside each class, so
-    a prototype is a convex combination of its own class's supports.  The
-    alternative normalises over all 2k supports and divides by the class
-    size; it rescales the prototypes without turning them, so cosine scores
-    downstream are unchanged.
+    The weights are normalised inside each class, so a prototype is a
+    convex combination of its own class's supports.  Normalising over all
+    2k supports instead would only rescale each prototype, which the cosine
+    scores downstream ignore.
     """
     labels = np.asarray(support_labels)
     if labels.shape[0] != support.data.shape[0]:
@@ -135,20 +133,12 @@ def dynamic_prototypes(
         raw_scores.append(scores.data.copy())
         weight_row = np.zeros(labels.shape[0])
         pair = []
-        if restrict_softmax:
-            for idx in class_idx:
-                s_c = T.reshape(T.index_select(scores, 0, idx), (1, idx.size))
-                w = T.softmax(s_c, axis=1)
-                members = T.index_select(support, 0, idx)
-                pair.append(T.reshape(T.matmul(w, members), (support.data.shape[1],)))
-                weight_row[idx] = w.data[0]
-        else:
-            w_all = T.softmax(T.reshape(scores, (1, labels.shape[0])), axis=1)
-            for idx in class_idx:
-                w_c = T.index_select(w_all, 1, idx) * (1.0 / idx.size)
-                members = T.index_select(support, 0, idx)
-                pair.append(T.reshape(T.matmul(w_c, members), (support.data.shape[1],)))
-                weight_row[idx] = w_all.data[0, idx]
+        for idx in class_idx:
+            s_c = T.reshape(T.index_select(scores, 0, idx), (1, idx.size))
+            w = T.softmax(s_c, axis=1)
+            members = T.index_select(support, 0, idx)
+            pair.append(T.reshape(T.matmul(w, members), (support.data.shape[1],)))
+            weight_row[idx] = w.data[0]
         prototypes.append((pair[0], pair[1]))
         used_weights.append(weight_row)
     return PrototypeSet(
@@ -197,14 +187,12 @@ class PrototypeHead:
         feature_dim: int,
         qk_dim: int,
         uniform_attention: bool = False,
-        restrict_softmax: bool = True,
         alpha: float = DEFAULT_ALPHA,
         gamma: float = DEFAULT_GAMMA,
     ):
         self.attention = PrototypeAttention(
             store, rng, feature_dim, qk_dim, uniform=uniform_attention
         )
-        self.restrict_softmax = restrict_softmax
         self.alpha = alpha
         self.gamma = gamma
 
@@ -215,9 +203,7 @@ class PrototypeHead:
         queries: list[Tensor],
     ) -> tuple[list[Tensor], PrototypeSet]:
         blocks = [expand_concat(support, q) for q in queries]
-        protos = dynamic_prototypes(
-            blocks, support, support_labels, self.attention, self.restrict_softmax
-        )
+        protos = dynamic_prototypes(blocks, support, support_labels, self.attention)
         probs = [
             cosine_classify(pair, q) for pair, q in zip(protos.prototypes, queries)
         ]

@@ -1,15 +1,17 @@
 """Parameter registry, Adam, and binary checkpoints.
 
 A ParameterStore owns every learnable array of a model under a slash
-"path" name, plus non-trainable buffers (normalization running stats).
-Checkpoints serialize all entries, trainable or not, as float64 in a
-little-endian binary layout:
+"path" name; the model keeps no other state.  Checkpoints serialize every
+entry as float64 in a little-endian binary layout:
 
     magic b"DTK1" | u32 version | u32 entry count |
     per entry: u32 path length | path utf-8 | u8 trainable flag |
                u32 rank | u64 * rank dims | f64 * n values
 
-Round-trips are bit-exact, which the determinism guarantees lean on.
+The flag byte is always written as 1 and ignored on read; it stays so the
+layout, and checkpoints written when non-trainable entries still existed,
+remain readable.  Round-trips are bit-exact, which the determinism
+guarantees lean on.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class ParameterStore:
     def __init__(self):
-        self._entries: dict[str, tuple[Tensor, bool]] = {}
+        self._entries: dict[str, Tensor] = {}
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self._adam_t = 0
@@ -44,19 +46,11 @@ class ParameterStore:
         if path in self._entries:
             raise KeyError(f"duplicate parameter path {path!r}")
         t = Tensor(np.asarray(init), requires_grad=True)
-        self._entries[path] = (t, True)
-        return t
-
-    def buffer(self, path: str, init: np.ndarray) -> Tensor:
-        """Register a non-trainable array (saved, never touched by Adam)."""
-        if path in self._entries:
-            raise KeyError(f"duplicate parameter path {path!r}")
-        t = Tensor(np.asarray(init), requires_grad=False)
-        self._entries[path] = (t, False)
+        self._entries[path] = t
         return t
 
     def __getitem__(self, path: str) -> Tensor:
-        return self._entries[path][0]
+        return self._entries[path]
 
     def __contains__(self, path: str) -> bool:
         return path in self._entries
@@ -65,15 +59,14 @@ class ParameterStore:
         return list(self._entries)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
-        return [(p, t) for p, (t, tr) in self._entries.items() if tr]
+        return list(self._entries.items())
 
     def n_values(self) -> int:
-        return sum(t.data.size for t, _ in self._entries.values())
+        return sum(t.data.size for t in self._entries.values())
 
     def zero_grad(self) -> None:
-        for _, (t, tr) in self._entries.items():
-            if tr:
-                t.grad = None
+        for t in self._entries.values():
+            t.grad = None
 
     def adam_step(
         self,
@@ -108,12 +101,12 @@ class ParameterStore:
 
     def save_bytes(self) -> bytes:
         chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(self._entries))]
-        for path, (tensor, trainable) in self._entries.items():
+        for path, tensor in self._entries.items():
             raw = path.encode("utf-8")
             arr = np.asarray(tensor.data, dtype="<f8", order="C")
             chunks.append(struct.pack("<I", len(raw)))
             chunks.append(raw)
-            chunks.append(struct.pack("<BI", int(trainable), arr.ndim))
+            chunks.append(struct.pack("<BI", 1, arr.ndim))
             chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             chunks.append(arr.tobytes())
         return b"".join(chunks)
@@ -131,7 +124,7 @@ class ParameterStore:
         """
         entries = read_checkpoint(blob)
         loaded = []
-        for path, (tensor, _) in self._entries.items():
+        for path, tensor in self._entries.items():
             if path in entries:
                 arr = entries[path]
                 if arr.shape != tensor.data.shape:

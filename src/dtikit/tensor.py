@@ -608,51 +608,30 @@ def embedding_lookup(table, ids) -> Tensor:
     return _make(table.data[idx], (table,), backward)
 
 
-def batch_stat_norm(
-    x,
-    gamma,
-    beta,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Per-feature statistics normalization of x[N, C].
+def batch_stat_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Per-feature normalization of x[N, C] by its own rows' statistics.
 
-    Training mode normalizes by the current rows' statistics and folds them
-    into the running buffers in place; eval mode normalizes by the running
-    buffers so a single row is well defined.
+    There is no running state: every call, in training and in evaluation
+    alike, standardizes over the rows it is given (a single row maps to
+    beta).
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.data.ndim != 2 or gamma.data.shape != (x.data.shape[1],):
         raise ShapeMismatch(f"batch_stat_norm: x {x.data.shape}, gamma {gamma.data.shape}")
-    if training:
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mu = running_mean
-        var = running_var
+    mu = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu[None, :]) * inv[None, :]
     out = xhat * gamma.data[None, :] + beta.data[None, :]
-    N = x.data.shape[0]
 
     def backward(g):
         _accum(gamma, (g * xhat).sum(axis=0))
         _accum(beta, g.sum(axis=0))
         if not x.requires_grad:
             return
-        if training:
-            gm = g.mean(axis=0)
-            gxm = (g * xhat).mean(axis=0)
-            dx = (gamma.data * inv)[None, :] * (g - gm[None, :] - xhat * gxm[None, :])
-        else:
-            dx = g * (gamma.data * inv)[None, :]
+        gm = g.mean(axis=0)
+        gxm = (g * xhat).mean(axis=0)
+        dx = (gamma.data * inv)[None, :] * (g - gm[None, :] - xhat * gxm[None, :])
         _accum(x, dx)
 
     return _make(out, (x, gamma, beta), backward)

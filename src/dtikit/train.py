@@ -87,23 +87,22 @@ class Featurizer:
         return cls(drugs=drugs, proteins=proteins)
 
 
-def _tower_cache(encoder, feat, records, idxs, training):
-    """Run each unique molecule and sequence through its tower once."""
+def encode_pairs(encoder, feat, records, idxs, head):
+    """Forward outputs for records[i], i in idxs, in order.
+
+    Every unique molecule and sequence runs through its tower once, all
+    towers before any joint stage; each record then runs the joint stage on
+    the shared tower outputs.  The results equal per-record
+    `encoder.forward`, because the towers see one entity at a time.
+    """
     d_cache = {}
     p_cache = {}
     for i in idxs:
         rec = records[i]
         if rec.smiles not in d_cache:
-            feats, adj = feat.drugs[rec.smiles]
-            d_cache[rec.smiles] = encoder.drug_levels(feats, adj, training)
+            d_cache[rec.smiles] = encoder.drug_levels(*feat.drugs[rec.smiles])
         if rec.sequence not in p_cache:
-            ids, true_len = feat.proteins[rec.sequence]
-            p_cache[rec.sequence] = encoder.protein_levels(ids, true_len, training)
-    return d_cache, p_cache
-
-
-def _batch_outputs(encoder, feat, records, idxs, training, head):
-    d_cache, p_cache = _tower_cache(encoder, feat, records, idxs, training)
+            p_cache[rec.sequence] = encoder.protein_levels(*feat.proteins[rec.sequence])
     return [
         encoder.interact(d_cache[records[i].smiles], p_cache[records[i].sequence], head=head)
         for i in idxs
@@ -115,7 +114,7 @@ def predict(encoder, feat, records, idxs, head="classify") -> np.ndarray:
     values for the regression head."""
     out = np.empty(len(idxs))
     with T.no_grad():
-        outputs = _batch_outputs(encoder, feat, records, idxs, False, head)
+        outputs = encode_pairs(encoder, feat, records, idxs, head)
     for j, o in enumerate(outputs):
         if head == "classify":
             out[j] = float(T.sigmoid_values(o.logit.data[0]))
@@ -284,7 +283,7 @@ def train_supervised(
         total = 0.0
         seen = 0
         for batch in _batches(order, cfg.batch_size):
-            outputs = _batch_outputs(encoder, feat, records, batch, True, head)
+            outputs = encode_pairs(encoder, feat, records, batch, head)
             losses = [_record_loss(o, records[i], head) for o, i in zip(outputs, batch)]
             loss = _check_finite(T.tmean(T.concat(losses)))
             loss.backward()
@@ -358,12 +357,12 @@ def train_adversarial(
                 tgt_pos += 1
 
             lam = lambda_schedule(step, total_steps, cfg.lambda_adv, cfg.warmup_fraction)
-            src_out = _batch_outputs(encoder, feat, records, batch, True, "classify")
+            src_out = encode_pairs(encoder, feat, records, batch, "classify")
             losses = [
                 _record_loss(o, records[i], "classify") for o, i in zip(src_out, batch)
             ]
             supervised = T.tmean(T.concat(losses))
-            tgt_out = _batch_outputs(encoder, feat, records, tgt_batch, True, "classify")
+            tgt_out = encode_pairs(encoder, feat, records, tgt_batch, "classify")
 
             src_probs = np.stack(
                 [class_probabilities(float(o.logit.data[0])) for o in src_out]
@@ -400,14 +399,8 @@ def train_adversarial(
 # -- episodic stage -----------------------------------------------------------
 
 
-def _episode_features(encoder, feat, records, episode: Episode, training: bool):
-    idxs = list(episode.support) + list(episode.query)
-    d_cache, p_cache = _tower_cache(encoder, feat, records, idxs, training)
-    fused = {}
-    for i in idxs:
-        rec = records[i]
-        out = encoder.interact(d_cache[rec.smiles], p_cache[rec.sequence], head=None)
-        fused[i] = out.fused
+def _episode_features(encoder, feat, records, episode: Episode):
+    fused = _fused_cache(encoder, feat, records, list(episode.support) + list(episode.query))
     support = T.concat(
         [T.reshape(fused[i], (1, fused[i].data.shape[0])) for i in episode.support]
     )
@@ -462,7 +455,6 @@ def train_meta(
         feature_dim=cfg.encoder_config().fused_dim,
         qk_dim=cfg.encoder_config().gau_qk_dim,
         uniform_attention=cfg.uniform_attention,
-        restrict_softmax=cfg.restrict_softmax,
         alpha=cfg.focal_alpha,
         gamma=cfg.focal_gamma,
     )
@@ -490,7 +482,7 @@ def train_meta(
                 records, tid, pools[tid], cfg.k_shot, cfg.k_query, rng
             )
             support, s_labels, queries, q_labels = _episode_features(
-                encoder, feat, records, episode, True
+                encoder, feat, records, episode
             )
             loss, positive = head.episode_loss(support, s_labels, queries, q_labels)
             loss = _check_finite(loss)
@@ -518,15 +510,9 @@ def train_meta(
 
 
 def _fused_cache(encoder, feat, records, idxs) -> dict[int, Tensor]:
-    """Evaluation-mode fused vector per record, each entity encoded once."""
-    cache = {}
-    with T.no_grad():
-        d_cache, p_cache = _tower_cache(encoder, feat, records, idxs, False)
-        for i in idxs:
-            rec = records[i]
-            out = encoder.interact(d_cache[rec.smiles], p_cache[rec.sequence], head=None)
-            cache[i] = out.fused
-    return cache
+    """Fused vector per record, each entity encoded once."""
+    outputs = encode_pairs(encoder, feat, records, idxs, None)
+    return {i: o.fused for i, o in zip(idxs, outputs)}
 
 
 def _score_episode(head, fused, records, support_idx, query_idx):
@@ -569,10 +555,10 @@ def meta_shot_curve(
         raise ValueError("no target-test task can host a full episode")
     task_ids = sorted(pools)
     idxs = sorted({i for pool in pools.values() for i in pool})
-    fused = _fused_cache(encoder, feat, records, idxs)
 
     per_run = {k: [] for k in shots}
     with T.no_grad():
+        fused = _fused_cache(encoder, feat, records, idxs)
         for run in range(n_runs):
             rng = substream(eval_seed, f"meta.eval.{run}")
             collected = {k: ([], []) for k in shots}

@@ -154,20 +154,10 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         [rng.normal(size=(vocab, m))],
     )
 
-    def bn_train(x, g, b):
-        out = T.batch_stat_norm(x, g, b, np.zeros(m), np.ones(m), training=True)
-        return _weighted(out, w_nm)
-
-    rmean = rng.normal(size=m)
-    rvar = rng.uniform(0.5, 2.0, size=m)
-
-    def bn_eval(x, g, b):
-        out = T.batch_stat_norm(x, g, b, rmean, rvar, training=False)
-        return _weighted(out, w_nm)
-
-    bn_args = [rng.normal(size=(n, m)), rng.uniform(0.5, 1.5, size=m), rng.normal(size=m)]
-    cases["batch_stat_norm_train"] = (bn_train, [a.copy() for a in bn_args])
-    cases["batch_stat_norm_eval"] = (bn_eval, [a.copy() for a in bn_args])
+    cases["batch_stat_norm"] = (
+        lambda x, g, b: _weighted(T.batch_stat_norm(x, g, b), w_nm),
+        [rng.normal(size=(n, m)), rng.uniform(0.5, 1.5, size=m), rng.normal(size=m)],
+    )
 
     scale = float(rng.uniform(0.5, 2.0))
     cases["grad_reverse"] = (

@@ -70,7 +70,6 @@ TINY_ENCODER = dict(
     n_filters=5,
     kernel_sizes=(3, 5, 7),
     max_seq_len=16,
-    max_atoms=16,
     attn_heads=2,
     joint_dim=12,
     joint_pool=3,
@@ -100,7 +99,7 @@ def _encoder_instance(seed: int):
 
 
 def _encoder_loss(encoder, drug, protein) -> T.Tensor:
-    out = encoder.forward(drug, protein, training=True, head="classify")
+    out = encoder.forward(drug, protein, head="classify")
     return T.tsum(out.logit)
 
 

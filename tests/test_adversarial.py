@@ -7,7 +7,6 @@ from dtikit import tensor as T
 from dtikit.adversarial import (
     DomainAdversary,
     EmptyDomainBatch,
-    NonFinite,
     cada_total_loss,
     class_probabilities,
     lambda_schedule,
@@ -153,10 +152,8 @@ def test_total_loss_combination():
     l_d = Tensor(np.asarray(0.5))
     assert abs(float(cada_total_loss(l_s, l_d, 1.0).data) - 0.8) < 1e-12
     assert float(cada_total_loss(l_s, l_d, 0.0).data) == pytest.approx(0.3)
-    with pytest.raises(NonFinite):
-        cada_total_loss(Tensor(np.asarray(np.inf)), l_d, 1.0)
-    with pytest.raises(NonFinite):
-        cada_total_loss(l_s, l_d, float("nan"))
+    # non-finite terms pass through to the caller's check on the total
+    assert np.isinf(cada_total_loss(Tensor(np.asarray(np.inf)), l_d, 1.0).data)
 
 
 def test_lambda_warmup_schedule():

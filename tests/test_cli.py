@@ -12,7 +12,6 @@ import pytest
 from dtikit import cli
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
-from dtikit.train import NumericFailure
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
 
@@ -210,15 +209,33 @@ class TestExitCodes:
                          "--epochs", "1", *SMALL])
         assert code == 3
 
-    def test_numeric_failure_is_4(self, workdir, monkeypatch):
-        def blow_up(*args, **kwargs):
-            raise NumericFailure("loss went non-finite")
+    def test_non_finite_config_value_is_2(self, workdir, tmp_path):
+        for text in ('{"train.lr": NaN}', '{"train.lambda_adv": Infinity}'):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            code = cli.main(["train", "--csv", workdir["csv"],
+                             "--split-manifest", workdir["split"],
+                             "--stage", "cada", "--config", str(bad), *SMALL])
+            assert code == 2, text
 
-        monkeypatch.setattr(cli, "train_supervised", blow_up)
-        code = cli.main(["train", "--csv", workdir["csv"],
-                         "--split-manifest", workdir["split"],
-                         "--stage", "vanilla", *SMALL])
-        assert code == 4
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_failure_is_4(self, workdir, tmp_path):
+        """A huge step drives the weights to overflow on every stage."""
+        splits = {}
+        for strategy in ("cluster", "meta_protein"):
+            splits[strategy] = str(tmp_path / f"{strategy}.json")
+            assert cli.main(["split", "--csv", workdir["csv"], "--strategy",
+                             strategy, "--out", splits[strategy]]) == 0
+        runs = {
+            "vanilla": [splits["cluster"]],
+            "cada": [splits["cluster"]],
+            "meta": [splits["meta_protein"], "--no-warm-start"],
+        }
+        for stage, (split, *extra) in runs.items():
+            code = cli.main(["train", "--csv", workdir["csv"],
+                             "--split-manifest", split, "--stage", stage,
+                             "--epochs", "2", "--lr", "1e300", *extra, *SMALL])
+            assert code == 4, stage
 
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:

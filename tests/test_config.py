@@ -12,6 +12,7 @@ from dtikit.config import (
     resolve_config,
     save_snapshot,
 )
+from dtikit.encoder import EncoderConfig
 
 
 def write(tmp_path, payload):
@@ -95,6 +96,29 @@ class TestValidation:
     def test_bad_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             resolve_config({"model.preset": "huge"})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            resolve_config({"train.lr": value})
+        with pytest.raises(ConfigError, match="finite"):
+            resolve_config({}, overrides={"lambda_adv": value})
+
+    def test_non_finite_json_literals_rejected(self, tmp_path):
+        for text in ('{"train.lr": NaN}', '{"train.lambda_adv": Infinity}'):
+            p = tmp_path / "run.json"
+            p.write_text(text)
+            with pytest.raises(ConfigError, match="finite"):
+                resolve_config(load_config(p))
+
+    def test_version_1_snapshot_refused_by_version(self):
+        old = {"config_version": 1, "model.max_atoms": 0, "proto.restrict_softmax": True}
+        with pytest.raises(ConfigError, match="config_version 1 not supported"):
+            resolve_config(old)
+
+    def test_encoder_geometry_error_is_the_config_error(self):
+        with pytest.raises(ConfigError, match="divisible"):
+            EncoderConfig(joint_dim=10, joint_pool=3)
 
 
 class TestFileRoundTrip:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from dtikit.encoder import (
     featurize_drug,
     normalized_adjacency,
 )
-from dtikit.optim import ParameterStore
+from dtikit.optim import ParameterStore, read_checkpoint
 from dtikit.proteins import encode_protein
 from dtikit.rng import substream
 from dtikit.smiles import parse_smiles
@@ -66,7 +68,7 @@ def test_normalized_adjacency_ethane():
 def test_protein_level_lengths_and_masks():
     store, enc = build()
     prot = encode_protein("A" * 20, max_len=48)
-    levels = enc.protein_levels(prot.ids, prot.true_length, training=False)
+    levels = enc.protein_levels(prot.ids, prot.true_length)
     shapes = [tuple(out.data.shape) for out, _ in levels]
     reals = [real for _, real in levels]
     assert shapes == [(24, CFG.n_filters), (12, CFG.n_filters), (6, CFG.n_filters)]
@@ -77,7 +79,7 @@ def test_drug_level_rows_follow_atom_count():
     store, enc = build()
     for smiles, n in [("CCO", 3), ("CC(=O)Oc1ccccc1C(=O)O", 13), ("C", 1)]:
         feats, adj = featurize_drug(parse_smiles(smiles))
-        levels = enc.drug_levels(feats, adj, training=False)
+        levels = enc.drug_levels(feats, adj)
         assert all(out.data.shape == (n, CFG.n_filters) for out in levels)
 
 
@@ -86,8 +88,8 @@ def test_drug_levels_are_permutation_equivariant():
     graph = parse_smiles("CC(C)Cc1ccc(O)cc1")
     feats, adj = featurize_drug(graph)
     perm = np.random.default_rng(3).permutation(graph.n_atoms)
-    base = enc.drug_levels(feats, adj, training=False)
-    moved = enc.drug_levels(feats[perm], adj[np.ix_(perm, perm)], training=False)
+    base = enc.drug_levels(feats, adj)
+    moved = enc.drug_levels(feats[perm], adj[np.ix_(perm, perm)])
     for b, m in zip(base, moved):
         assert np.allclose(b.data[perm], m.data, atol=1e-10)
 
@@ -98,7 +100,7 @@ def test_drug_levels_are_permutation_equivariant():
 def test_every_parameter_gets_gradient():
     store, enc = build()
     drug, prot = aspirin_inputs()
-    out = enc.forward(drug, prot, training=True)
+    out = enc.forward(drug, prot)
     loss = T.tmean(T.bce_with_logits(out.logit, np.array([1.0])))
     loss.backward()
     for path in store.paths():
@@ -134,7 +136,7 @@ def test_directional_gradcheck_through_full_forward():
     drug, prot = aspirin_inputs()
 
     def loss_value():
-        out = enc.forward(drug, prot, training=False)
+        out = enc.forward(drug, prot)
         return T.tmean(T.bce_with_logits(out.logit, np.array([1.0])))
 
     loss = loss_value()
@@ -233,3 +235,33 @@ def test_checkpoint_restores_forward_bitwise(tmp_path):
     assert not np.array_equal(enc_b.forward(drug, prot).logit.data, want)
     store_b.load(path)
     assert np.array_equal(enc_b.forward(drug, prot).logit.data, want)
+
+
+def _legacy_blob(store) -> bytes:
+    """The store's checkpoint plus the running mean/var entries (flag byte 0)
+    that every normalization layer used to write."""
+    entries = [(p, store[p].data, 1) for p in store.paths()]
+    for p in store.paths():
+        if p.endswith("_bn/gamma"):
+            layer = p[: -len("/gamma")]
+            dim = store[p].data.shape[0]
+            entries += [(f"{layer}/mean", np.zeros(dim), 0), (f"{layer}/var", np.ones(dim), 0)]
+    chunks = [b"DTK1", struct.pack("<II", 1, len(entries))]
+    for path, arr, flag in entries:
+        raw = path.encode()
+        arr = np.asarray(arr, dtype="<f8")
+        chunks += [struct.pack("<I", len(raw)), raw, struct.pack("<BI", flag, arr.ndim),
+                   struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.tobytes()]
+    return b"".join(chunks)
+
+
+def test_checkpoint_with_normalization_buffers_loads_strictly():
+    drug, prot = aspirin_inputs()
+    store_a, enc_a = build(seed=1)
+    blob = _legacy_blob(store_a)
+    assert len(read_checkpoint(blob)) == len(store_a.paths()) + 24
+    store_b, enc_b = build(seed=2)
+    assert sorted(store_b.load_bytes(blob, strict=True)) == sorted(store_a.paths())
+    assert np.array_equal(enc_b.forward(drug, prot).logit.data,
+                          enc_a.forward(drug, prot).logit.data)
+    assert store_b.save_bytes() == store_a.save_bytes()

@@ -120,21 +120,6 @@ def test_weights_sum_to_one_per_class():
             assert abs(row[labels == 1].sum() - 1.0) < 1e-9
 
 
-def test_softmax_span_flag_changes_scale_not_direction():
-    store, attn = make_attention(seed=11)
-    rng = np.random.default_rng(4)
-    support, labels, queries, _ = random_episode(rng, k=2, k_q=3)
-    blocks = [expand_concat(support, q) for q in queries]
-    restricted = dynamic_prototypes(blocks, support, labels, attn, restrict_softmax=True)
-    spanning = dynamic_prototypes(blocks, support, labels, attn, restrict_softmax=False)
-    for (r0, r1), (s0, s1), q in zip(
-        restricted.prototypes, spanning.prototypes, queries
-    ):
-        pr = cosine_classify((r0, r1), q)
-        ps = cosine_classify((s0, s1), q)
-        assert np.allclose(pr.data, ps.data, atol=1e-9)
-
-
 def test_empty_class_raises():
     store, attn = make_attention()
     support = Tensor(np.zeros((4, 4)))

@@ -100,16 +100,13 @@ def test_batch_stat_norm_train_vs_eval():
     x = rng.normal(loc=3.0, scale=2.0, size=(50, 6))
     gamma = T.Tensor(np.ones(6), requires_grad=True)
     beta = T.Tensor(np.zeros(6), requires_grad=True)
-    rmean, rvar = np.zeros(6), np.ones(6)
-    out = T.batch_stat_norm(T.Tensor(x), gamma, beta, rmean, rvar, training=True)
+    out = T.batch_stat_norm(T.Tensor(x), gamma, beta)
     assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(out.data.std(axis=0), 1.0, atol=1e-3)
-    # running buffers moved toward batch stats
-    assert np.all(rmean != 0.0)
-    # eval on a single row is defined and uses the running buffers
-    one = T.batch_stat_norm(T.Tensor(x[:1]), gamma, beta, rmean, rvar, training=False)
-    expected = (x[:1] - rmean) / np.sqrt(rvar + 1e-5)
-    assert np.allclose(one.data, expected)
+    # stateless: evaluation normalizes by the same row statistics as training
+    with T.no_grad():
+        again = T.batch_stat_norm(T.Tensor(x), gamma, beta)
+    assert np.array_equal(again.data, out.data)
 
 
 def test_bce_with_logits_matches_reference():

@@ -4,12 +4,14 @@ Everything here runs on a small synthetic corpus with the small model
 preset, so the whole module stays in the tens of seconds.
 """
 
+import contextlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dtikit import tensor as T
 from dtikit.config import resolve_config
 from dtikit.splits import SplitManifest, meta_unseen_split, random_split
 from dtikit.synth import SyntheticSpec, synth_generate
@@ -18,6 +20,7 @@ from dtikit.train import (
     MissingCheckpoint,
     NumericFailure,
     build_model,
+    encode_pairs,
     manifest_sha256,
     predict,
     screen,
@@ -103,6 +106,43 @@ class TestSupervised:
         cold = train_supervised(records, manifest, short)
         warm = train_supervised(records, manifest, short, start_blob=result.best_blob)
         assert warm.best_blob != cold.best_blob
+
+
+class TestEncodePairs:
+    """The per-entity deduplicated path against per-record forward."""
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_matches_per_record_forward(self, records, grad):
+        cfg = small_config()
+        _, encoder = build_model(cfg, heads=("classify", "regress"))
+        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+        idxs = list(range(60)) + [5, 0]
+        assert len({records[i].smiles for i in idxs}) < len(idxs)
+        assert len({records[i].sequence for i in idxs}) < len(idxs)
+        for head in ("classify", "regress"):
+            with contextlib.nullcontext() if grad else T.no_grad():
+                batched = encode_pairs(encoder, feat, records, idxs, head)
+                single = [
+                    encoder.forward(
+                        feat.drugs[records[i].smiles], feat.proteins[records[i].sequence],
+                        head=head,
+                    )
+                    for i in idxs
+                ]
+            for b, r in zip(batched, single):
+                out = b.logit if head == "classify" else b.value
+                ref = r.logit if head == "classify" else r.value
+                assert np.array_equal(out.data, ref.data)
+                assert out.requires_grad == grad
+                assert np.array_equal(b.fused.data, r.fused.data)
+                assert all(
+                    np.array_equal(x.data, y.data)
+                    for x, y in zip(b.level_vectors, r.level_vectors)
+                )
+                assert all(
+                    np.array_equal(x, y) for x, y in zip(b.attention, r.attention)
+                )
+                assert b.level_lengths == r.level_lengths
 
 
 class TestArtifacts:
