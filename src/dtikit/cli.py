@@ -25,9 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, RunConfig, load_config, resolve_config
-from .datasets import CsvSchema, InteractionRecord, load_interactions
-from .fewshot import PrototypeHead
-from .rng import substream
+from .datasets import AFFINITY, BINARY, CsvSchema, InteractionRecord, load_interactions
 from .splits import (
     SplitManifest,
     cluster_cross_domain_split,
@@ -38,9 +36,9 @@ from .splits import (
 from .synth import MotifRule, SyntheticSpec, synth_generate
 from .train import (
     Featurizer,
-    MissingCheckpoint,
     NumericFailure,
     build_model,
+    build_prototype_head,
     encode_pairs,
     evaluate,
     meta_shot_curve,
@@ -69,9 +67,14 @@ def _load_records(path: str, stage: str, label_col: str | None) -> list[Interact
     """Read the interaction CSV with the label column the stage expects."""
     if label_col is None:
         label_col = "affinity" if stage == "regress" else "label"
-    kind = "real" if stage == "regress" else "binary"
+    kind = AFFINITY if stage == "regress" else BINARY
     schema = CsvSchema(label_col=label_col, label_kind=kind)
     return load_interactions(path, schema)
+
+
+def _stage_head(stage: str) -> str:
+    """The encoder head a supervised stage trains and evaluates."""
+    return "regress" if stage == "regress" else "classify"
 
 
 def _config_overrides(args: argparse.Namespace) -> dict:
@@ -109,33 +112,19 @@ def _load_run(path: str) -> tuple[RunConfig, bytes]:
 
 
 def _rebuild(cfg: RunConfig, blob: bytes):
-    """Reconstruct the model a checkpoint was trained with.
+    """Reconstruct the model a checkpoint was trained with: the encoder and,
+    for the episodic stage, its prototype head.
 
-    The head set follows the stage; loading is non-strict because an
-    adversarial checkpoint also carries the domain critic, which the
-    evaluation model does not rebuild.
+    The head set follows the stage.  Loading is strict, so a checkpoint
+    lacking an entry of the rebuilt model (one from another stage, say) is
+    a data error rather than a head left at its random initialization.
+    Extra entries, such as an adversarial run's domain critic, are ignored.
     """
-    if cfg.stage == "regress":
-        heads: tuple = ("regress",)
-    elif cfg.stage == "meta":
-        heads = ()
-    else:
-        heads = ("classify",)
-    store, encoder = build_model(cfg, heads=heads)
-    head = None
-    if cfg.stage == "meta":
-        enc_cfg = cfg.encoder_config()
-        head = PrototypeHead(
-            store,
-            substream(cfg.seed, "model.proto"),
-            feature_dim=enc_cfg.fused_dim,
-            qk_dim=enc_cfg.gau_qk_dim,
-            uniform_attention=cfg.uniform_attention,
-            alpha=cfg.focal_alpha,
-            gamma=cfg.focal_gamma,
-        )
-    store.load_bytes(blob, strict=False)
-    return store, encoder, head
+    meta = cfg.stage == "meta"
+    store, encoder = build_model(cfg, heads=() if meta else (_stage_head(cfg.stage),))
+    proto = build_prototype_head(store, cfg) if meta else None
+    store.load_bytes(blob)
+    return encoder, proto
 
 
 def _pool_indices(records, manifest_path: str | None, partition: str = "test"):
@@ -242,13 +231,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     elif cfg.stage == "cada":
         result = train_adversarial(records, manifest, cfg, out=args.out)
     else:
-        head = "regress" if cfg.stage == "regress" else "classify"
         start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
         result = train_supervised(
-            records, manifest, cfg, out=args.out, head=head, start_blob=start,
+            records, manifest, cfg, out=args.out, head=_stage_head(cfg.stage),
+            start_blob=start,
         )
 
-    report = _final_report(records, manifest, cfg, result, args.eval_runs)
+    report = _test_report(
+        records, manifest, cfg, result.encoder, result.head, result.featurizer,
+        (cfg.k_shot,), args.eval_runs,
+    )
     if args.out and report is not None:
         report.save(Path(args.out) / "report.json")
     _say(
@@ -260,25 +252,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _final_report(records, manifest, cfg, result, eval_runs) -> MetricReport | None:
-    """Held-out numbers for the freshly trained model, if a test pool exists."""
+def _test_report(records, manifest, cfg, encoder, proto, feat, shots, eval_runs):
+    """Held-out numbers for a model, or None when the manifest has no test
+    partition.  The episodic stage reports pooled AUROC at each shot count
+    in `shots`; the supervised stages evaluate their head on the test pool."""
     test = manifest.indices(None, "test")
     if not test:
         return None
     if cfg.stage == "meta":
         curve = meta_shot_curve(
-            records, manifest, cfg, result.encoder, result.head,
-            result.featurizer, shots=(cfg.k_shot,), n_runs=eval_runs,
+            records, manifest, cfg, encoder, proto, feat, shots=shots, n_runs=eval_runs,
         )
-        rep = curve[cfg.k_shot]
         return MetricReport(
-            metrics={f"auroc@{cfg.k_shot}": rep.metrics["auroc"]},
-            spread={f"auroc@{cfg.k_shot}": rep.spread["auroc"]},
+            metrics={f"auroc@{k}": curve[k].metrics["auroc"] for k in shots},
+            spread={f"auroc@{k}": curve[k].spread["auroc"] for k in shots},
         )
-    head = "regress" if cfg.stage == "regress" else "classify"
-    return MetricReport(
-        metrics=evaluate(result.encoder, result.featurizer, records, test, head=head)
-    )
+    head = _stage_head(cfg.stage)
+    return MetricReport(metrics=evaluate(encoder, feat, records, test, head=head))
 
 
 def _metric_line(report: MetricReport) -> str:
@@ -298,27 +288,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg, blob = _load_run(args.checkpoint)
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = SplitManifest.load(args.split_manifest)
-    _, encoder, proto = _rebuild(cfg, blob)
+    encoder, proto = _rebuild(cfg, blob)
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-
-    if cfg.stage == "meta":
-        shots = tuple(int(s) for s in args.shots.split(",")) if args.shots \
-            else (cfg.k_shot,)
-        curve = meta_shot_curve(
-            records, manifest, cfg, encoder, proto, feat,
-            shots=shots, n_runs=args.eval_runs,
-        )
-        report = MetricReport(
-            metrics={f"auroc@{k}": curve[k].metrics["auroc"] for k in shots},
-            spread={f"auroc@{k}": curve[k].spread["auroc"] for k in shots},
-        )
-    else:
-        test = manifest.indices(None, "test")
-        if not test:
-            raise ValueError("split manifest has no test records")
-        head = "regress" if cfg.stage == "regress" else "classify"
-        report = MetricReport(metrics=evaluate(encoder, feat, records, test, head=head))
-
+    shots = tuple(int(s) for s in args.shots.split(",")) if args.shots else (cfg.k_shot,)
+    report = _test_report(records, manifest, cfg, encoder, proto, feat, shots, args.eval_runs)
+    if report is None:
+        raise ValueError("split manifest has no test records")
     if args.out:
         report.save(args.out)
     _say(f"eval[{cfg.stage}]: " + _metric_line(report))
@@ -339,8 +314,8 @@ def cmd_screen(args: argparse.Namespace) -> int:
         )
     records = _load_records(args.csv, "vanilla", args.label_col)
     idxs = _pool_indices(records, args.split_manifest)
-    _, c_enc, _ = _rebuild(c_cfg, c_blob)
-    _, r_enc, _ = _rebuild(r_cfg, r_blob)
+    c_enc, _ = _rebuild(c_cfg, c_blob)
+    r_enc, _ = _rebuild(r_cfg, r_blob)
     c_feat = Featurizer.build(records, c_cfg.encoder_config().max_seq_len)
     r_feat = Featurizer.build(records, r_cfg.encoder_config().max_seq_len)
     top, scores = screen(
@@ -369,7 +344,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     idxs = _pool_indices(records, args.split_manifest)
     if args.limit > 0:
         idxs = idxs[: args.limit]
-    _, encoder, _ = _rebuild(cfg, blob)
+    encoder, _ = _rebuild(cfg, blob)
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
 
     with T.no_grad():

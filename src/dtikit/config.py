@@ -201,7 +201,3 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"model.preset must be one of {PRESETS}, got {cfg.model_preset!r}")
     if cfg.max_seq_len < 0:
         raise ConfigError("model dimensions cannot be negative")
-
-
-def save_snapshot(cfg: RunConfig, path) -> None:
-    Path(path).write_text(cfg.snapshot_json())

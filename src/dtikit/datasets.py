@@ -1,17 +1,17 @@
-"""Interaction dataset loading and caching.
+"""Interaction dataset loading.
 
 CSV columns are named through a CsvSchema so files from different sources
 load without rewriting. Rows whose SMILES fail to parse are either
 skipped with their row number recorded (default) or abort the load when
-strict. Parsed record lists round-trip through JSON-lines for caching.
+strict. A label is BINARY (0 or 1, classification) or AFFINITY (any
+number, regression).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .smiles import MAX_ATOMS, SmilesError, parse_smiles
@@ -143,18 +143,3 @@ def load_interactions(
     max_atoms: int = MAX_ATOMS,
 ) -> list[InteractionRecord]:
     return load_interactions_detailed(path, schema, strict, max_atoms).records
-
-
-def records_to_jsonl(records: list[InteractionRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
-
-
-def records_from_jsonl(path: str | Path) -> list[InteractionRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(InteractionRecord(**json.loads(line)))
-    return records

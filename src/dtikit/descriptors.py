@@ -79,14 +79,6 @@ def ecfp(graph: MolecularGraph, radius: int = 2, n_bits: int = N_BITS) -> np.nda
     return out
 
 
-def fp_to_hex(fp: np.ndarray) -> str:
-    return np.packbits(fp.astype(np.uint8)).tobytes().hex()
-
-
-def hex_to_fp(hexstr: str, n_bits: int = N_BITS) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))[:n_bits]
-
-
 def psc(sequence: str) -> np.ndarray:
     """Protein sequence composition: 20 residue frequencies + 400 dipeptide
     frequencies, each block normalized to sum 1. Residues outside the 20

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import tensor as T
 from .optim import ParameterStore, kaiming_uniform
+from .proteins import VOCAB_SIZE
 from .smiles import MolecularGraph
 from .tensor import Tensor
 
@@ -88,9 +89,7 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    vocab_size: int = 25
     embed_dim: int = 128
-    atom_feat_dim: int = ATOM_FEAT_DIM
     n_filters: int = 128
     kernel_sizes: tuple[int, ...] = (3, 6, 9)
     max_seq_len: int = 1200
@@ -217,14 +216,14 @@ class DTIEncoder:
         c = config
 
         self.embedding = store.parameter(
-            "protein/embed", rng.uniform(-0.1, 0.1, size=(c.vocab_size, c.embed_dim))
+            "protein/embed", rng.uniform(-0.1, 0.1, size=(VOCAB_SIZE, c.embed_dim))
         )
         self.p_stem = [
             _Conv(store, "protein/stem1", 3, c.embed_dim, c.n_filters, rng),
             _Conv(store, "protein/stem2", 3, c.n_filters, c.n_filters, rng),
         ]
         self.d_stem = [
-            _Linear(store, "drug/stem1", c.atom_feat_dim, c.n_filters, rng),
+            _Linear(store, "drug/stem1", ATOM_FEAT_DIM, c.n_filters, rng),
             _Linear(store, "drug/stem2", c.n_filters, c.n_filters, rng),
         ]
 

@@ -22,10 +22,6 @@ class ConstantTruth(ValueError):
     pass
 
 
-class DegenerateClustering(ValueError):
-    pass
-
-
 def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -115,23 +111,6 @@ def pearson(pred, truth) -> float:
     return float((pc @ tc) / np.sqrt((pc @ pc) * (tc @ tc)))
 
 
-def spearman(pred, truth) -> float:
-    p, t = _as_arrays(pred, truth)
-    return pearson(_midranks(p), _midranks(t))
-
-
-def rm2(pred, truth) -> float:
-    """Squared correlation penalized by its through-origin counterpart."""
-    p, t = _as_arrays(pred, truth)
-    r = pearson(p, t)
-    r2 = r * r
-    k = float((t @ p) / (p @ p))
-    ss_res = float(((t - k * p) ** 2).sum())
-    ss_tot = float(((t - t.mean()) ** 2).sum())
-    r02 = 1.0 - ss_res / ss_tot
-    return float(r2 * (1.0 - np.sqrt(max(r2 - r02, 0.0))))
-
-
 def concordance_index(pred, truth) -> float:
     """Fraction of truth-ordered pairs the predictions order the same way;
     prediction ties count half."""
@@ -145,27 +124,6 @@ def concordance_index(pred, truth) -> float:
     agree = np.sign(dp[valid]) == np.sign(dt[valid])
     tied = dp[valid] == 0
     return float((agree.sum() + 0.5 * tied.sum()) / total)
-
-
-def davies_bouldin(features, labels) -> float:
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    clusters = np.unique(y)
-    if len(clusters) < 2:
-        raise DegenerateClustering("need at least two clusters")
-    centroids = np.stack([x[y == c].mean(axis=0) for c in clusters])
-    scatter = np.array([np.linalg.norm(x[y == c] - centroids[i], axis=1).mean() for i, c in enumerate(clusters)])
-    k = len(clusters)
-    worst = np.zeros(k)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            sep = float(np.linalg.norm(centroids[i] - centroids[j]))
-            if sep == 0.0:
-                raise DegenerateClustering("coincident cluster centroids")
-            worst[i] = max(worst[i], (scatter[i] + scatter[j]) / sep)
-    return float(worst.mean())
 
 
 def screen_score(y_c, y_r):

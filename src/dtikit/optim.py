@@ -61,9 +61,6 @@ class ParameterStore:
     def trainable(self) -> list[tuple[str, Tensor]]:
         return list(self._entries.items())
 
-    def n_values(self) -> int:
-        return sum(t.data.size for t in self._entries.values())
-
     def zero_grad(self) -> None:
         for t in self._entries.values():
             t.grad = None
@@ -111,10 +108,6 @@ class ParameterStore:
             chunks.append(arr.tobytes())
         return b"".join(chunks)
 
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.save_bytes())
-
     def load_bytes(self, blob: bytes, strict: bool = True) -> list[str]:
         """Copy checkpoint values into matching entries; returns loaded paths.
 
@@ -136,10 +129,6 @@ class ParameterStore:
             elif strict:
                 raise CheckpointError(f"checkpoint missing entry {path!r}")
         return loaded
-
-    def load(self, path: str, strict: bool = True) -> list[str]:
-        with open(path, "rb") as fh:
-            return self.load_bytes(fh.read(), strict=strict)
 
 
 def read_checkpoint(blob: bytes) -> dict[str, np.ndarray]:

@@ -1,9 +1,8 @@
-"""FASTA reading and protein sequence tokenization."""
+"""Protein sequence tokenization."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,10 +20,6 @@ _TOKEN_OF.update({"X": TOKEN_X, "B": TOKEN_B, "Z": TOKEN_Z, "U": TOKEN_U})
 
 
 class EmptySequence(ValueError):
-    pass
-
-
-class NoRecords(ValueError):
     pass
 
 
@@ -48,34 +43,3 @@ def encode_protein(sequence: str, max_len: int) -> ProteinTokenSeq:
     for i, ch in enumerate(seq):
         ids[i] = _TOKEN_OF.get(ch, TOKEN_X)
     return ProteinTokenSeq(ids=ids, true_length=len(seq))
-
-
-def parse_fasta(path: str | Path) -> list[tuple[str, str]]:
-    """Read a FASTA file into (header, sequence) pairs.
-
-    Headers lose the leading '>'; sequence lines are concatenated, upper
-    cased, and stripped of everything that is not a letter (gaps, stops,
-    stray digits from alignment tools).
-    """
-    records: list[tuple[str, str]] = []
-    header: str | None = None
-    chunks: list[str] = []
-
-    def flush():
-        if header is not None:
-            records.append((header, "".join(chunks)))
-
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush()
-            header = line[1:].strip()
-            chunks = []
-        elif header is not None:
-            chunks.append("".join(c for c in line.upper() if c.isalpha()))
-    flush()
-    if not records:
-        raise NoRecords(f"no FASTA records in {path}")
-    return records

@@ -337,21 +337,36 @@ def cluster_cross_domain_split(
 # -- meta splits --------------------------------------------------------------
 
 
-def _allocate_clusters_by_mass(
-    cluster_sizes: dict[int, int], source_mass: float
-) -> tuple[set[int], set[int]]:
-    """Order clusters by record count descending and hand them to the source
-    side until at least source_mass of the records are covered."""
+def _source_tasks(
+    task_records: dict[str, list[int]],
+    axis_cluster: dict[str, int],
+    min_task_records: int,
+    source_mass: float,
+) -> tuple[dict[str, bool], int]:
+    """Mark each task as source or target by its novelty-axis cluster.
+
+    Undersized tasks go to the source pool and carry no cluster mass; the
+    rest sum their records per cluster, and clusters in descending record
+    count take source duty until at least source_mass of those records are
+    covered.  Returns the source flag per task and the undersized count."""
+    undersized = {t for t, recs in task_records.items() if len(recs) < min_task_records}
+    cluster_sizes: dict[int, int] = {}
+    for tid, recs in task_records.items():
+        if tid not in undersized:
+            cluster = axis_cluster[tid]
+            cluster_sizes[cluster] = cluster_sizes.get(cluster, 0) + len(recs)
+    if not cluster_sizes:
+        raise InsufficientData(f"no task reaches {min_task_records} records")
     total = sum(cluster_sizes.values())
-    source: set[int] = set()
+    src_clusters: set[int] = set()
     acc = 0
     for cluster in sorted(cluster_sizes, key=lambda c: (-cluster_sizes[c], c)):
-        if acc >= source_mass * total and source:
+        if acc >= source_mass * total and src_clusters:
             break
-        source.add(cluster)
+        src_clusters.add(cluster)
         acc += cluster_sizes[cluster]
-    target = set(cluster_sizes) - source
-    return source, target
+    is_source = {t: t in undersized or axis_cluster[t] in src_clusters for t in task_records}
+    return is_source, len(undersized)
 
 
 def _finish_meta_manifest(
@@ -359,7 +374,7 @@ def _finish_meta_manifest(
     records: list[InteractionRecord],
     task_records: dict[str, list[int]],
     task_is_source: dict[str, bool],
-    undersized: list[str],
+    n_undersized: int,
     target_train_fraction: float,
     rng: np.random.Generator,
 ) -> SplitManifest:
@@ -387,7 +402,7 @@ def _finish_meta_manifest(
             manifest.assignments[idx] = (TARGET, part)
     for idx in source_pool:
         manifest.assignments[idx] = (SOURCE, TRAIN)
-    manifest.params["n_undersized_tasks"] = len(undersized)
+    manifest.params["n_undersized_tasks"] = n_undersized
     return _check_complete(manifest, len(records))
 
 
@@ -435,22 +450,9 @@ def meta_unseen_split(
         tid = f"p{pc}-d{dc}"
         task_records.setdefault(tid, []).append(idx)
         task_axis_cluster[tid] = pc if kind == "protein" else dc
-
-    undersized = {t for t, recs in task_records.items() if len(recs) < min_task_records}
-    cluster_sizes: dict[int, int] = {}
-    for tid in task_records:
-        if tid in undersized:
-            continue
-        cluster_sizes[task_axis_cluster[tid]] = (
-            cluster_sizes.get(task_axis_cluster[tid], 0) + len(task_records[tid])
-        )
-    if not cluster_sizes:
-        raise InsufficientData(f"no task reaches {min_task_records} records")
-    src_clusters, _ = _allocate_clusters_by_mass(cluster_sizes, source_mass)
-
-    task_is_source = {}
-    for tid in task_records:
-        task_is_source[tid] = tid in undersized or task_axis_cluster[tid] in src_clusters
+    task_is_source, n_undersized = _source_tasks(
+        task_records, task_axis_cluster, min_task_records, source_mass
+    )
 
     manifest = SplitManifest(
         f"meta_unseen_{kind}",
@@ -466,7 +468,7 @@ def meta_unseen_split(
     )
     rng = substream(seed, "split.meta")
     return _finish_meta_manifest(
-        manifest, records, task_records, task_is_source, undersized, target_train_fraction, rng
+        manifest, records, task_records, task_is_source, n_undersized, target_train_fraction, rng
     )
 
 
@@ -492,20 +494,9 @@ def specific_meta_split(
     task_records: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
         task_records.setdefault(rec.protein_id, []).append(idx)
-
-    undersized = {t for t, recs in task_records.items() if len(recs) < min_task_records}
-    cluster_sizes: dict[int, int] = {}
-    for tid in task_records:
-        if tid in undersized:
-            continue
-        cluster_sizes[prot_cluster[tid]] = cluster_sizes.get(prot_cluster[tid], 0) + len(task_records[tid])
-    if not cluster_sizes:
-        raise InsufficientData(f"no task reaches {min_task_records} records")
-    src_clusters, _ = _allocate_clusters_by_mass(cluster_sizes, source_mass)
-
-    task_is_source = {}
-    for tid in task_records:
-        task_is_source[tid] = tid in undersized or prot_cluster[tid] in src_clusters
+    task_is_source, n_undersized = _source_tasks(
+        task_records, prot_cluster, min_task_records, source_mass
+    )
 
     manifest = SplitManifest(
         "specific_meta",
@@ -520,7 +511,7 @@ def specific_meta_split(
     )
     rng = substream(seed, "split.specific_meta")
     return _finish_meta_manifest(
-        manifest, records, task_records, task_is_source, undersized, target_train_fraction, rng
+        manifest, records, task_records, task_is_source, n_undersized, target_train_fraction, rng
     )
 
 
@@ -532,12 +523,6 @@ class Episode:
     task_id: str
     support: tuple[int, ...]  # record indices, k positives then k negatives
     query: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"task_id": self.task_id, "support": list(self.support), "query": list(self.query)},
-            sort_keys=True,
-        )
 
 
 def sample_episode(
@@ -575,21 +560,3 @@ def sample_episode(
         )
     query = [int(i) for i in rng.choice(rest, size=k_query, replace=False)]
     return Episode(task_id=task_id, support=tuple(support), query=tuple(query))
-
-
-def episodes_to_jsonl(episodes: list[Episode], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for ep in episodes:
-            fh.write(ep.to_json() + "\n")
-
-
-def episodes_from_jsonl(path: str | Path) -> list[Episode]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                raw = json.loads(line)
-                out.append(
-                    Episode(raw["task_id"], tuple(raw["support"]), tuple(raw["query"]))
-                )
-    return out

@@ -22,11 +22,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .datasets import InteractionRecord
+from .datasets import AFFINITY, InteractionRecord
 from .rng import substream
 from .smiles import MolecularGraph, parse_smiles
 
@@ -122,7 +121,7 @@ class SyntheticCorpus:
         """The same pairs with the continuous affinity as the label."""
         return [
             InteractionRecord(
-                r.drug_id, r.protein_id, r.smiles, r.sequence, float(a), label_kind="real"
+                r.drug_id, r.protein_id, r.smiles, r.sequence, float(a), label_kind=AFFINITY
             )
             for r, a in zip(self.records, self.affinities)
         ]

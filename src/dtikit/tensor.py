@@ -5,6 +5,15 @@ with a hand-written backward closure. The graph is dynamic; calling an op
 on tensors that require gradients records the op, and ``Tensor.backward``
 walks the recorded graph once in reverse topological order.
 
+The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``neg``,
+``power``, ``square``, ``log``, ``sqrt``; activations ``relu``, ``silu``,
+``softmax``; ``tsum`` and ``tmean`` over one axis or all; 2-d
+``transpose``, ``reshape``, ``concat``, ``index_select``, ``expand``;
+``matmul`` and ``add_bias``; stride-1 ``conv1d``, non-overlapping
+``maxpool1d`` and ``avgpool1d``; ``embedding_lookup``,
+``batch_stat_norm``, ``grad_reverse``, ``bce_with_logits`` and
+``cosine_similarity``.
+
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
 side. Anything else must go through an explicit ``expand`` or ``add_bias``
@@ -75,16 +84,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -270,16 +272,6 @@ def square(a) -> Tensor:
     return _make(a.data * a.data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = _wrap(a)
 
@@ -320,16 +312,6 @@ def sigmoid_values(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    s = sigmoid_values(a.data)
-
-    def backward(g):
-        _accum(a, g * s * (1.0 - s))
-
-    return _make(s, (a,), backward)
-
-
 def silu(a) -> Tensor:
     a = _wrap(a)
     s = sigmoid_values(a.data)
@@ -356,20 +338,19 @@ def softmax(a, axis: int = -1) -> Tensor:
 # reductions and shape ops -----------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _wrap(a)
 
     def backward(g):
         if axis is None:
             _accum(a, np.full_like(a.data, float(g)))
         else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
     a = _wrap(a)
     if axis is None:
         count = a.data.size
@@ -380,24 +361,21 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         if axis is None:
             _accum(a, np.full_like(a.data, float(g) / count))
         else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy() / count)
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy() / count)
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.mean(axis=axis), (a,), backward)
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a) -> Tensor:
+    """Transpose of a 2-d tensor."""
     a = _wrap(a)
-    if axes is None and a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose without axes expects 2-d, got {a.data.shape}")
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"transpose expects 2-d, got {a.data.shape}")
 
     def backward(g):
-        if axes is None:
-            _accum(a, g.T)
-        else:
-            _accum(a, g.transpose(np.argsort(axes)))
+        _accum(a, g.T)
 
-    return _make(a.data.transpose(axes), (a,), backward)
+    return _make(a.data.transpose(), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -483,51 +461,44 @@ def add_bias(x, b) -> Tensor:
 # sequence / structured ops ----------------------------------------------
 
 
-def conv1d(x, w, b=None, stride: int = 1, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """1-d convolution over x[L, Cin] with kernel w[K, Cin, Cout].
+def conv1d(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
+    """Stride-1 1-d convolution over x[L, Cin] with kernel w[K, Cin, Cout]
+    and bias b[Cout].
 
     Padding is explicit (left, right) zeros so even kernel widths can keep
-    length exactly; output length is (L + pl + pr - K) // stride + 1.
+    length exactly; output length is L + pl + pr - K + 1.
     """
-    x, w = _wrap(x), _wrap(w)
-    if b is not None:
-        b = _wrap(b)
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     K, cin, cout = w.data.shape
     if x.data.ndim != 2 or x.data.shape[1] != cin:
         raise ShapeMismatch(f"conv1d: input {x.data.shape} vs kernel {w.data.shape}")
     pl, pr = padding
     xp = np.pad(x.data, ((pl, pr), (0, 0)))
-    lout = (xp.shape[0] - K) // stride + 1
+    lout = xp.shape[0] - K + 1
     if lout <= 0:
         raise ShapeMismatch(f"conv1d: empty output for input {x.data.shape}, kernel {K}")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=0)[::stride]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=0)
     # windows: [lout, Cin, K] -> einsum to [lout, Cout]
     out = np.einsum("lck,kco->lo", windows, w.data, optimize=True)
-    if b is not None:
-        out = out + b.data[None, :]
+    out = out + b.data[None, :]
 
     def backward(g):
         if w.requires_grad:
             _accum(w, np.einsum("lck,lo->kco", windows, g, optimize=True))
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accum(b, g.sum(axis=0))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for k in range(K):
-                dxp[k : k + stride * lout : stride] += g @ w.data[k].T
+                dxp[k : k + lout] += g @ w.data[k].T
             _accum(x, dxp[pl : pl + x.data.shape[0]])
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, backward)
+    return _make(out, (x, w, b), backward)
 
 
-def maxpool1d(x, window: int, stride: int | None = None) -> Tensor:
+def maxpool1d(x, window: int) -> Tensor:
     """Non-overlapping max pool over axis 0 of x[L, C]; a ragged tail forms a final window."""
     x = _wrap(x)
-    if stride is None:
-        stride = window
-    if stride != window:
-        raise ShapeMismatch("maxpool1d supports stride == window only")
     L, C = x.data.shape
     lout = -(-L // window)
     padded = np.full((lout * window, C), -np.inf, dtype=x.data.dtype)
@@ -565,29 +536,6 @@ def avgpool1d(x, window: int) -> Tensor:
             return
         gpad = np.repeat(g / counts, window)
         _accum(x, gpad[:L])
-
-    return _make(out, (x,), backward)
-
-
-def topk_pool(x, k: int) -> Tensor:
-    """Keep the k largest entries of each column of x[M, C], sorted descending.
-
-    Column-independent, so the result is invariant to row permutations of
-    the input; ties resolve by original row order (stable sort).
-    """
-    x = _wrap(x)
-    M, C = x.data.shape
-    if not 1 <= k <= M:
-        raise ShapeMismatch(f"topk_pool: k={k} out of range for {M} rows")
-    order = np.argsort(-x.data, axis=0, kind="stable")[:k]
-    out = np.take_along_axis(x.data, order, axis=0)
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, order, g, axis=0)
-        _accum(x, dx)
 
     return _make(out, (x,), backward)
 

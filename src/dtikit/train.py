@@ -48,7 +48,7 @@ from .optim import ParameterStore
 from .proteins import encode_protein
 from .rng import substream
 from .smiles import parse_smiles
-from .splits import SOURCE, TARGET, TEST, TRAIN, VAL, Episode, SplitManifest, sample_episode
+from .splits import TARGET, TEST, TRAIN, VAL, Episode, SplitManifest, sample_episode
 from .tensor import Tensor
 
 
@@ -208,6 +208,20 @@ def build_model(cfg: RunConfig, heads=("classify",)):
         store, cfg.encoder_config(), substream(cfg.seed, "model.init"), heads=heads
     )
     return store, encoder
+
+
+def build_prototype_head(store: ParameterStore, cfg: RunConfig) -> PrototypeHead:
+    """The episodic stage's head, registered in the encoder's store."""
+    enc_cfg = cfg.encoder_config()
+    return PrototypeHead(
+        store,
+        substream(cfg.seed, "model.proto"),
+        feature_dim=enc_cfg.fused_dim,
+        qk_dim=enc_cfg.gau_qk_dim,
+        uniform_attention=cfg.uniform_attention,
+        alpha=cfg.focal_alpha,
+        gamma=cfg.focal_gamma,
+    )
 
 
 @dataclass
@@ -449,15 +463,7 @@ def train_meta(
         )
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
     store, encoder = build_model(cfg, heads=())
-    head = PrototypeHead(
-        store,
-        substream(cfg.seed, "model.proto"),
-        feature_dim=cfg.encoder_config().fused_dim,
-        qk_dim=cfg.encoder_config().gau_qk_dim,
-        uniform_attention=cfg.uniform_attention,
-        alpha=cfg.focal_alpha,
-        gamma=cfg.focal_gamma,
-    )
+    head = build_prototype_head(store, cfg)
     if warm_blob is not None:
         store.load_bytes(warm_blob, strict=False)
 
@@ -583,23 +589,6 @@ def meta_shot_curve(
             metrics={"auroc": float(arr.mean())}, spread={"auroc": float(arr.std())}
         )
     return out
-
-
-def evaluate_meta(
-    records: list[InteractionRecord],
-    manifest: SplitManifest,
-    cfg: RunConfig,
-    encoder: DTIEncoder,
-    head: PrototypeHead,
-    feat: Featurizer,
-    k: int,
-    n_runs: int = 5,
-    eval_seed: int = 1,
-) -> MetricReport:
-    """Single-shot-count episodic evaluation; see meta_shot_curve."""
-    return meta_shot_curve(
-        records, manifest, cfg, encoder, head, feat, (k,), n_runs, eval_seed
-    )[k]
 
 
 # -- screening ----------------------------------------------------------------

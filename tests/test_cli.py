@@ -5,11 +5,13 @@ with run directories shared across tests where that saves a training run.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from dtikit import cli
+from dtikit.datasets import AFFINITY, BINARY
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
 
@@ -92,6 +94,10 @@ class TestTrainEval:
         cfg = json.loads((root / "config.json").read_text())
         assert cfg["stage"] == "vanilla"
         assert cfg["model.preset"] == "small"
+        # each stage reads its label column under a declared label kind
+        for stage, kind in (("vanilla", BINARY), ("regress", AFFINITY)):
+            records = cli._load_records(workdir["csv"], stage, None)
+            assert {r.label_kind for r in records} == {kind}
 
     def test_eval_reproduces_the_training_report(self, workdir, tmp_path):
         out = tmp_path / "report.json"
@@ -198,6 +204,18 @@ class TestExitCodes:
     def test_missing_csv_is_3(self, tmp_path):
         code = cli.main(["split", "--csv", str(tmp_path / "nope.csv"),
                          "--strategy", "random", "--out", str(tmp_path / "m.json")])
+        assert code == 3
+
+    def test_checkpoint_from_another_stage_is_3(self, workdir, tmp_path):
+        """A regress checkpoint has no classify head, so rebuilding the
+        vanilla model from it must fail instead of evaluating a random head."""
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        shutil.copy(workdir["root"] / "vanilla" / "config.json", mixed)
+        shutil.copy(workdir["root"] / "regress" / "best.ckpt", mixed)
+        code = cli.main(["eval", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"],
+                         "--checkpoint", str(mixed)])
         assert code == 3
 
     def test_meta_without_checkpoint_is_3(self, workdir, tmp_path):

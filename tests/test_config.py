@@ -10,7 +10,6 @@ from dtikit.config import (
     RunConfig,
     load_config,
     resolve_config,
-    save_snapshot,
 )
 from dtikit.encoder import EncoderConfig
 
@@ -148,7 +147,7 @@ class TestFileRoundTrip:
     def test_snapshot_round_trips(self, tmp_path):
         cfg = resolve_config({"stage": "meta", "meta.k_shot": 3})
         snap = tmp_path / "snap.json"
-        save_snapshot(cfg, snap)
+        snap.write_text(cfg.snapshot_json())
         again = resolve_config(load_config(snap))
         assert again == cfg
 

@@ -58,11 +58,3 @@ def test_oversized_molecule_rejected_at_load(tmp_path):
     result = ds.load_interactions_detailed(write(tmp_path, text), schema)
     assert not result.records
     assert "290" in result.skipped[0].reason
-
-
-def test_jsonl_round_trip(tmp_path):
-    records = ds.load_interactions(write(tmp_path, CSV))
-    out = tmp_path / "cache.jsonl"
-    ds.records_to_jsonl(records, out)
-    back = ds.records_from_jsonl(out)
-    assert back == records

@@ -224,16 +224,15 @@ def test_same_seed_same_outputs():
     assert np.array_equal(a.logit.data, b.logit.data)
 
 
-def test_checkpoint_restores_forward_bitwise(tmp_path):
+def test_checkpoint_restores_forward_bitwise():
     drug, prot = aspirin_inputs()
     store_a, enc_a = build(seed=1)
     want = enc_a.forward(drug, prot).logit.data.copy()
-    path = tmp_path / "enc.ckpt"
-    store_a.save(path)
+    blob = store_a.save_bytes()
 
     store_b, enc_b = build(seed=2)
     assert not np.array_equal(enc_b.forward(drug, prot).logit.data, want)
-    store_b.load(path)
+    store_b.load_bytes(blob)
     assert np.array_equal(enc_b.forward(drug, prot).logit.data, want)
 
 

@@ -95,17 +95,8 @@ def test_pearson_and_spearman():
     t = np.array([1.0, 2.0, 3.0, 4.0])
     assert mx.pearson(2 * t + 1, t) == pytest.approx(1.0)
     assert mx.pearson(-t, t) == pytest.approx(-1.0)
-    # spearman only cares about monotone order
-    assert mx.spearman(np.exp(t), t) == pytest.approx(1.0)
     with pytest.raises(mx.ConstantTruth):
         mx.pearson([1.0, 2.0], [3.0, 3.0])
-
-
-def test_rm2_perfect_prediction_is_one():
-    t = np.array([2.0, 4.0, 5.0, 7.0])
-    assert mx.rm2(t.copy(), t) == pytest.approx(1.0)
-    # shifted predictions keep r2 but lose the through-origin fit
-    assert mx.rm2(t + 3.0, t) < 1.0
 
 
 def test_concordance_matches_pair_oracle():
@@ -122,28 +113,6 @@ def test_concordance_matches_pair_oracle():
 
 
 # -- clustering and screening -------------------------------------------------
-
-
-def test_davies_bouldin_separated_blobs():
-    rng = np.random.default_rng(0)
-    a = rng.normal(0.0, 0.1, size=(40, 3))
-    b = rng.normal(10.0, 0.1, size=(40, 3))
-    x = np.vstack([a, b])
-    y = np.array([0] * 40 + [1] * 40)
-    tight = mx.davies_bouldin(x, y)
-    assert tight < 0.1
-    # the same points with shuffled labels are a much worse clustering
-    y_bad = y.copy()
-    rng.shuffle(y_bad)
-    assert mx.davies_bouldin(x, y_bad) > tight * 10
-
-
-def test_davies_bouldin_degenerate():
-    x = np.ones((6, 2))
-    with pytest.raises(mx.DegenerateClustering):
-        mx.davies_bouldin(x, np.zeros(6))
-    with pytest.raises(mx.DegenerateClustering):
-        mx.davies_bouldin(x, np.array([0, 0, 0, 1, 1, 1]))  # coincident centroids
 
 
 def test_screen_score():

@@ -46,19 +46,3 @@ def test_encode_pad_structure(seq):
     assert np.all(out.ids[: out.true_length] != pr.TOKEN_PAD)
     assert np.all(out.ids[out.true_length :] == pr.TOKEN_PAD)
     assert out.ids.max() < pr.VOCAB_SIZE
-
-
-def test_parse_fasta(tmp_path):
-    fasta = tmp_path / "x.fasta"
-    fasta.write_text(
-        ">sp|P1|first protein\nACDE\nFGHI\n\n>second\nmkv l\n"
-    )
-    records = pr.parse_fasta(fasta)
-    assert records == [("sp|P1|first protein", "ACDEFGHI"), ("second", "MKVL")]
-
-
-def test_parse_fasta_empty_raises(tmp_path):
-    fasta = tmp_path / "x.fasta"
-    fasta.write_text("no header here\n")
-    with pytest.raises(pr.NoRecords):
-        pr.parse_fasta(fasta)

@@ -336,15 +336,3 @@ def test_sample_episode_disjoint_drugs():
     sup_drugs = {records[i].drug_id for i in ep.support}
     for i in ep.query:
         assert records[i].drug_id not in sup_drugs
-
-
-def test_episode_jsonl_round_trip(tmp_path):
-    records = episode_task(None)
-    rng = substream(0, "episode")
-    eps = [
-        sp.sample_episode(records, f"t{j}", list(range(len(records))), 2, 3, rng)
-        for j in range(4)
-    ]
-    path = tmp_path / "episodes.jsonl"
-    sp.episodes_to_jsonl(eps, path)
-    assert sp.episodes_from_jsonl(path) == eps

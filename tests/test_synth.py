@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dtikit.datasets import AFFINITY
 from dtikit.smiles import parse_smiles
 from dtikit.splits import (
     drug_distance_matrix,
@@ -111,6 +112,8 @@ class TestGeneratedCorpus:
         neg = corpus.affinities[corpus.clean_labels == 0]
         assert abs(pos.mean() - 7.0) < 0.1
         assert abs(neg.mean() - 4.0) < 0.1
+        regression = corpus.regression_records()
+        assert {r.label_kind for r in regression} == {AFFINITY}
 
     def test_protein_families_recoverable_by_clustering(self, corpus):
         pids = sorted(corpus.protein_seqs)

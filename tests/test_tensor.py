@@ -67,10 +67,11 @@ def test_softmax_rows_sum_to_one():
 def test_conv1d_length_arithmetic():
     x = T.Tensor(np.zeros((10, 2)))
     w = T.Tensor(np.zeros((3, 2, 4)))
-    assert T.conv1d(x, w, padding=(1, 1)).shape == (10, 4)
+    b = T.Tensor(np.zeros(4))
+    assert T.conv1d(x, w, b, padding=(1, 1)).shape == (10, 4)
     # even kernel keeps length with asymmetric padding
     w6 = T.Tensor(np.zeros((6, 2, 4)))
-    assert T.conv1d(x, w6, padding=(2, 3)).shape == (10, 4)
+    assert T.conv1d(x, w6, b, padding=(2, 3)).shape == (10, 4)
 
 
 def test_maxpool_ragged_tail():
@@ -84,15 +85,6 @@ def test_avgpool_ragged_tail_uses_true_width():
     x = T.Tensor(np.array([3.0, 1.0, 2.0, 10.0]))
     out = T.avgpool1d(x, 3)
     assert np.allclose(out.data, [2.0, 10.0])
-
-
-def test_topk_pool_is_row_permutation_invariant():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(7, 4))
-    perm = rng.permutation(7)
-    a = T.topk_pool(T.Tensor(x), 3).data
-    b = T.topk_pool(T.Tensor(x[perm]), 3).data
-    assert np.array_equal(a, b)
 
 
 def test_batch_stat_norm_train_vs_eval():
