@@ -219,19 +219,25 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    # the stage may come from --config, so argparse cannot check these
+    if args.checkpoint and args.no_warm_start:
+        raise ConfigError("--checkpoint and --no-warm-start contradict each other")
+    if args.checkpoint and cfg.stage == "cada":
+        raise ConfigError("--stage cada trains from scratch and takes no --checkpoint")
+    if args.no_warm_start and cfg.stage != "meta":
+        raise ConfigError("--no-warm-start applies to --stage meta only")
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = SplitManifest.load(args.split_manifest)
+    start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
 
     if cfg.stage == "meta":
-        warm = Path(args.checkpoint).read_bytes() if args.checkpoint else None
         result = train_meta(
             records, manifest, cfg, out=args.out,
-            warm_blob=warm, no_warm_start=args.no_warm_start,
+            warm_blob=start, no_warm_start=args.no_warm_start,
         )
     elif cfg.stage == "cada":
         result = train_adversarial(records, manifest, cfg, out=args.out)
     else:
-        start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
         result = train_supervised(
             records, manifest, cfg, out=args.out, head=_stage_head(cfg.stage),
             start_blob=start,

@@ -4,13 +4,14 @@ CSV columns are named through a CsvSchema so files from different sources
 load without rewriting. Rows whose SMILES fail to parse are either
 skipped with their row number recorded (default) or abort the load when
 strict. A label is BINARY (0 or 1, classification) or AFFINITY (any
-number, regression).
+finite number, regression).
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +68,8 @@ def _parse_label(raw: str, kind: str) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise LabelParseError(f"label {raw!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise LabelParseError(f"label {raw!r} is not finite")
     if kind == BINARY and value not in (0.0, 1.0):
         raise LabelParseError(f"binary label must be 0 or 1, got {raw!r}")
     return value

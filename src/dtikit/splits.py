@@ -120,6 +120,13 @@ def protein_distance_matrix(sequences: list[str]) -> np.ndarray:
     return d
 
 
+def _clusters(items: dict[str, str], distance_matrix, threshold: float) -> dict[str, int]:
+    """Single-linkage cluster label per entity id, entities taken in id order."""
+    ids = sorted(items)
+    labels = single_linkage_cluster(distance_matrix([items[i] for i in ids]), threshold)
+    return {i: int(c) for i, c in zip(ids, labels)}
+
+
 # -- manifest ---------------------------------------------------------------
 
 
@@ -190,6 +197,37 @@ def _check_complete(manifest: SplitManifest, n_records: int) -> SplitManifest:
     return manifest
 
 
+def _assign_by_side(
+    manifest: SplitManifest,
+    records: list[InteractionRecord],
+    train_drugs: set,
+    train_prots: set,
+    held_domain: str,
+    val_fraction: float,
+    rng: np.random.Generator,
+) -> SplitManifest:
+    """A record trains when both its drug and protein are on the training
+    side, is held out (shuffled into val/test of held_domain) when neither
+    is, and is dropped otherwise, so nothing held out shares an entity with
+    training."""
+    held: list[int] = []
+    for idx, rec in enumerate(records):
+        d_train = rec.drug_id in train_drugs
+        p_train = rec.protein_id in train_prots
+        if d_train and p_train:
+            manifest.assignments[idx] = (SOURCE, TRAIN)
+        elif not d_train and not p_train:
+            held.append(idx)
+        else:
+            manifest.dropped.append(idx)
+    order = rng.permutation(len(held))
+    n_val = int(len(held) * val_fraction)
+    for pos, oi in enumerate(order):
+        part = VAL if pos < n_val else TEST
+        manifest.assignments[held[oi]] = (held_domain, part)
+    return _check_complete(manifest, len(records))
+
+
 # -- flat splits -------------------------------------------------------------
 
 
@@ -247,22 +285,7 @@ def cold_pair_split(
     manifest = SplitManifest(
         "cold_pair", seed, {"seen_fraction": seen_fraction, "val_fraction": val_fraction}
     )
-    unseen_pairs: list[int] = []
-    for idx, rec in enumerate(records):
-        d_seen = rec.drug_id in seen_drugs
-        p_seen = rec.protein_id in seen_prots
-        if d_seen and p_seen:
-            manifest.assignments[idx] = (SOURCE, TRAIN)
-        elif not d_seen and not p_seen:
-            unseen_pairs.append(idx)
-        else:
-            manifest.dropped.append(idx)
-    order = rng.permutation(len(unseen_pairs))
-    n_val = int(len(unseen_pairs) * val_fraction)
-    for pos, oi in enumerate(order):
-        part = VAL if pos < n_val else TEST
-        manifest.assignments[unseen_pairs[oi]] = (SOURCE, part)
-    return _check_complete(manifest, len(records))
+    return _assign_by_side(manifest, records, seen_drugs, seen_prots, SOURCE, val_fraction, rng)
 
 
 def cluster_cross_domain_split(
@@ -277,32 +300,25 @@ def cluster_cross_domain_split(
     each divided into source and target sets, source-by-source records form
     the labeled training domain, target-by-target records form the
     evaluation domain (split val/test), and straddlers are dropped."""
-    drugs = sorted({r.drug_id for r in records})
-    prots = sorted({r.protein_id for r in records})
-    smiles_of = {r.drug_id: r.smiles for r in records}
-    seq_of = {r.protein_id: r.sequence for r in records}
-
-    d_labels = single_linkage_cluster(
-        drug_distance_matrix([smiles_of[d] for d in drugs]), drug_threshold
+    drug_cluster = _clusters(
+        {r.drug_id: r.smiles for r in records}, drug_distance_matrix, drug_threshold
     )
-    p_labels = single_linkage_cluster(
-        protein_distance_matrix([seq_of[p] for p in prots]), protein_threshold
+    prot_cluster = _clusters(
+        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, protein_threshold
     )
-    drug_cluster = {d: int(c) for d, c in zip(drugs, d_labels)}
-    prot_cluster = {p: int(c) for p, c in zip(prots, p_labels)}
 
     rng = substream(seed, "split.cluster")
 
-    def pick_source(labels: np.ndarray) -> set[int]:
-        ids = sorted(set(int(c) for c in labels))
+    def pick_source(cluster_of: dict[str, int]) -> set[str]:
+        ids = sorted(set(cluster_of.values()))
         if len(ids) < 2:
             raise InsufficientData("cross-domain split needs at least 2 clusters per side")
         k = min(max(1, int(len(ids) * source_fraction)), len(ids) - 1)
-        shuffled = list(rng.permutation(ids))
-        return set(int(c) for c in shuffled[:k])
+        chosen = set(int(c) for c in rng.permutation(ids)[:k])
+        return {e for e, c in cluster_of.items() if c in chosen}
 
-    src_drug_clusters = pick_source(d_labels)
-    src_prot_clusters = pick_source(p_labels)
+    src_drugs = pick_source(drug_cluster)
+    src_prots = pick_source(prot_cluster)
 
     manifest = SplitManifest(
         "cluster_cross_domain",
@@ -316,22 +332,7 @@ def cluster_cross_domain_split(
         drug_clusters=drug_cluster,
         protein_clusters=prot_cluster,
     )
-    target_records: list[int] = []
-    for idx, rec in enumerate(records):
-        d_src = drug_cluster[rec.drug_id] in src_drug_clusters
-        p_src = prot_cluster[rec.protein_id] in src_prot_clusters
-        if d_src and p_src:
-            manifest.assignments[idx] = (SOURCE, TRAIN)
-        elif not d_src and not p_src:
-            target_records.append(idx)
-        else:
-            manifest.dropped.append(idx)
-    order = rng.permutation(len(target_records))
-    n_val = int(len(target_records) * val_fraction)
-    for pos, oi in enumerate(order):
-        part = VAL if pos < n_val else TEST
-        manifest.assignments[target_records[oi]] = (TARGET, part)
-    return _check_complete(manifest, len(records))
+    return _assign_by_side(manifest, records, src_drugs, src_prots, TARGET, val_fraction, rng)
 
 
 # -- meta splits --------------------------------------------------------------
@@ -426,18 +427,13 @@ def meta_unseen_split(
     """
     if kind not in ("protein", "drug"):
         raise ValueError(f"kind must be 'protein' or 'drug', got {kind!r}")
-    drugs = sorted({r.drug_id for r in records})
-    prots = sorted({r.protein_id for r in records})
     smiles_of = {r.drug_id: r.smiles for r in records}
-    seq_of = {r.protein_id: r.sequence for r in records}
-
-    p_labels = single_linkage_cluster(
-        protein_distance_matrix([seq_of[p] for p in prots]), threshold
+    prot_cluster = _clusters(
+        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, threshold
     )
-    prot_cluster = {p: int(c) for p, c in zip(prots, p_labels)}
     scaffold_ids: dict[str, int] = {}
     drug_cluster: dict[str, int] = {}
-    for d in drugs:
+    for d in sorted(smiles_of):
         key = murcko_scaffold_key(parse_smiles(smiles_of[d]))
         scaffold_ids.setdefault(key, len(scaffold_ids))
         drug_cluster[d] = scaffold_ids[key]
@@ -484,12 +480,9 @@ def specific_meta_split(
     target proteins come from protein clusters with no source presence.
     Episodes drawn from these tasks should enforce disjoint drugs between
     support and query (sample_episode(disjoint_drugs=True))."""
-    prots = sorted({r.protein_id for r in records})
-    seq_of = {r.protein_id: r.sequence for r in records}
-    p_labels = single_linkage_cluster(
-        protein_distance_matrix([seq_of[p] for p in prots]), threshold
+    prot_cluster = _clusters(
+        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, threshold
     )
-    prot_cluster = {p: int(c) for p, c in zip(prots, p_labels)}
 
     task_records: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):

@@ -7,10 +7,13 @@ deterministic: parameter init, batch order, target sampling, and episode
 draws each pull from their own named substream of the run seed, which
 keeps one stage's draws from shifting another's.
 
-A run directory, when requested, always ends up with the same four kinds
-of artifact: the resolved config snapshot, the hash of the split manifest
-it trained against, one metrics line per epoch, and the best checkpoint
-by validation score.
+Every stage runs through one epoch loop (`_fit`), which keeps the best
+epoch's checkpoint by selection value and, when a run directory is
+requested, writes the same four kinds of artifact: the resolved config
+snapshot, the hash of the split manifest it trained against, one metrics
+line per epoch, and that best checkpoint.  Vanilla, regression and CADA
+share one pair-batch step; CADA only adds its domain term to the
+supervised loss.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .adversarial import (
     class_probabilities,
     lambda_schedule,
 )
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .datasets import InteractionRecord
 from .encoder import DTIEncoder, featurize_drug
 from .fewshot import PrototypeHead
@@ -48,7 +51,7 @@ from .optim import ParameterStore
 from .proteins import encode_protein
 from .rng import substream
 from .smiles import parse_smiles
-from .splits import TARGET, TEST, TRAIN, VAL, Episode, SplitManifest, sample_episode
+from .splits import TARGET, TEST, TRAIN, VAL, SplitManifest, sample_episode
 from .tensor import Tensor
 
 
@@ -189,14 +192,11 @@ class RunWriter:
         self._metrics.write(log.to_json() + "\n")
         self._metrics.flush()
 
-    def finish(self, blob: bytes | None, report: MetricReport | None) -> None:
+    def finish(self, blob: bytes) -> None:
         if self.out is None:
             return
         self._metrics.close()
-        if blob is not None:
-            (self.out / "best.ckpt").write_bytes(blob)
-        if report is not None:
-            report.save(self.out / "report.json")
+        (self.out / "best.ckpt").write_bytes(blob)
 
 
 # -- model assembly -----------------------------------------------------------
@@ -271,6 +271,30 @@ def _selection_value(metrics: dict[str, float], head: str) -> float:
     return metrics["auroc"] if head == "classify" else -metrics["rmse"]
 
 
+def _fit(cfg, manifest, out, run_epoch, store, encoder, feat, head=None) -> TrainResult:
+    """The epoch loop every stage shares.
+
+    `run_epoch(epoch)` trains one epoch and returns its log and selection
+    value, higher being better.  The run directory is created here, after
+    the stage has checked its inputs; the best epoch's parameters are
+    restored into the store at the end and written as best.ckpt.
+    """
+    writer = RunWriter(out, cfg, manifest)
+    history = []
+    best = (-np.inf, -1, b"")
+    for epoch in range(cfg.epochs):
+        log, value = run_epoch(epoch)
+        history.append(log)
+        writer.epoch(log)
+        if value > best[0]:
+            best = (value, epoch, store.save_bytes())
+    store.load_bytes(best[2])
+    writer.finish(best[2])
+    return TrainResult(
+        store, encoder, feat, history, best[1], best[0], best[2], head=head
+    )
+
+
 def train_supervised(
     records: list[InteractionRecord],
     manifest: SplitManifest,
@@ -282,42 +306,7 @@ def train_supervised(
     """Plain mini-batch training on the manifest's labeled pool, keeping the
     checkpoint with the best validation score.  Without a val partition the
     lowest-training-loss epoch stands in."""
-    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-    store, encoder = build_model(cfg, heads=(head,))
-    if start_blob is not None:
-        store.load_bytes(start_blob, strict=False)
-    train_idx, val_idx, _ = supervised_indices(manifest)
-    writer = RunWriter(out, cfg, manifest)
-    rng = substream(cfg.seed, "train.batches")
-
-    history = []
-    best = (-np.inf, -1, b"")
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(np.array(train_idx))
-        total = 0.0
-        seen = 0
-        for batch in _batches(order, cfg.batch_size):
-            outputs = encode_pairs(encoder, feat, records, batch, head)
-            losses = [_record_loss(o, records[i], head) for o, i in zip(outputs, batch)]
-            loss = _check_finite(T.tmean(T.concat(losses)))
-            loss.backward()
-            store.adam_step(cfg.lr)
-            total += float(loss.data) * len(batch)
-            seen += len(batch)
-        log = EpochLog(epoch=epoch, train_loss=total / seen)
-        if val_idx:
-            log.val = evaluate(encoder, feat, records, val_idx, head)
-            value = _selection_value(log.val, head)
-        else:
-            value = -log.train_loss
-        history.append(log)
-        writer.epoch(log)
-        if value > best[0]:
-            best = (value, epoch, store.save_bytes())
-
-    store.load_bytes(best[2])
-    writer.finish(best[2], None)
-    return TrainResult(store, encoder, feat, history, best[1], best[0], best[2])
+    return _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial=False)
 
 
 def train_adversarial(
@@ -332,113 +321,114 @@ def train_adversarial(
     With lambda_adv at zero this is, bit for bit, plain supervised training:
     the adversary is never built and no extra random draws happen.
     """
-    if cfg.lambda_adv == 0.0:
-        return train_supervised(records, manifest, cfg, out=out)
-
-    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-    store, encoder = build_model(cfg)
-    adversary = DomainAdversary(
-        store,
-        substream(cfg.seed, "model.adversary"),
-        feature_dim=cfg.encoder_config().fused_dim,
+    return _train_pairs(
+        records, manifest, cfg, out, "classify", None, adversarial=cfg.lambda_adv != 0.0
     )
-    train_idx, val_idx, _ = supervised_indices(manifest)
-    pool_idx = manifest.indices(TARGET, VAL)
-    if not pool_idx:
-        raise ValueError("adversarial training needs a target-domain val pool")
-    writer = RunWriter(out, cfg, manifest)
-    rng = substream(cfg.seed, "train.batches")
-    rng_tgt = substream(cfg.seed, "train.target")
 
+
+def _reshuffled(pool: np.ndarray, rng: np.random.Generator):
+    """Endless stream over pool, in a fresh permutation each time it runs out."""
+    while True:
+        for i in rng.permutation(pool):
+            yield int(i)
+
+
+def _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial):
+    """Mini-batch training on pairs.  Each step minimizes the batch's mean
+    supervised loss; when adversarial, the step adds the lambda-weighted
+    domain loss of the batch against min(batch_size, pool) target-val
+    records, drawn from a stream that reshuffles at each epoch and whenever
+    the pool runs out."""
+    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+    store, encoder = build_model(cfg, heads=(head,))
+    if start_blob is not None:
+        store.load_bytes(start_blob, strict=False)
+    train_idx, val_idx, _ = supervised_indices(manifest)
+    if adversarial:
+        adversary = DomainAdversary(
+            store,
+            substream(cfg.seed, "model.adversary"),
+            feature_dim=cfg.encoder_config().fused_dim,
+        )
+        pool_idx = np.array(manifest.indices(TARGET, VAL))
+        if not len(pool_idx):
+            raise ValueError("adversarial training needs a target-domain val pool")
+        n_tgt = min(cfg.batch_size, len(pool_idx))
+        rng_tgt = substream(cfg.seed, "train.target")
+    rng = substream(cfg.seed, "train.batches")
     steps_per_epoch = -(-len(train_idx) // cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
-    step = 0
-    history = []
-    best = (-np.inf, -1, b"")
-    for epoch in range(cfg.epochs):
+
+    def run_epoch(epoch):
         order = rng.permutation(np.array(train_idx))
-        tgt_order = rng_tgt.permutation(np.array(pool_idx))
-        tgt_pos = 0
+        if adversarial:
+            target = _reshuffled(pool_idx, rng_tgt)
         total = 0.0
-        seen = 0
-        for batch in _batches(order, cfg.batch_size):
-            tgt_batch = []
-            while len(tgt_batch) < min(cfg.batch_size, len(pool_idx)):
-                if tgt_pos == len(tgt_order):
-                    tgt_order = rng_tgt.permutation(np.array(pool_idx))
-                    tgt_pos = 0
-                tgt_batch.append(int(tgt_order[tgt_pos]))
-                tgt_pos += 1
-
-            lam = lambda_schedule(step, total_steps, cfg.lambda_adv, cfg.warmup_fraction)
-            src_out = encode_pairs(encoder, feat, records, batch, "classify")
-            losses = [
-                _record_loss(o, records[i], "classify") for o, i in zip(src_out, batch)
-            ]
-            supervised = T.tmean(T.concat(losses))
-            tgt_out = encode_pairs(encoder, feat, records, tgt_batch, "classify")
-
-            src_probs = np.stack(
-                [class_probabilities(float(o.logit.data[0])) for o in src_out]
-            )
-            tgt_probs = np.stack(
-                [class_probabilities(float(o.logit.data[0])) for o in tgt_out]
-            )
-            domain = adversary.domain_loss(
-                [o.fused for o in src_out],
-                [o.fused for o in tgt_out],
-                src_probs,
-                tgt_probs,
-                grl_scale=cfg.grl_scale,
-            )
-            loss = _check_finite(cada_total_loss(supervised, domain, lam))
-            loss.backward()
+        for b, batch in enumerate(_batches(order, cfg.batch_size)):
+            outputs = encode_pairs(encoder, feat, records, batch, head)
+            losses = [_record_loss(o, records[i], head) for o, i in zip(outputs, batch)]
+            loss = supervised = T.tmean(T.concat(losses))
+            if adversarial:
+                tgt_batch = [next(target) for _ in range(n_tgt)]
+                tgt_out = encode_pairs(encoder, feat, records, tgt_batch, head)
+                domain = adversary.domain_loss(
+                    [o.fused for o in outputs],
+                    [o.fused for o in tgt_out],
+                    _class_probabilities(outputs),
+                    _class_probabilities(tgt_out),
+                    grl_scale=cfg.grl_scale,
+                )
+                lam = lambda_schedule(
+                    epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv,
+                    cfg.warmup_fraction,
+                )
+                loss = cada_total_loss(supervised, domain, lam)
+            _check_finite(loss).backward()
             store.adam_step(cfg.lr)
             total += float(supervised.data) * len(batch)
-            seen += len(batch)
-            step += 1
-        log = EpochLog(epoch=epoch, train_loss=total / seen)
-        log.val = evaluate(encoder, feat, records, val_idx, "classify")
-        history.append(log)
-        writer.epoch(log)
-        value = _selection_value(log.val, "classify")
-        if value > best[0]:
-            best = (value, epoch, store.save_bytes())
+        log = EpochLog(epoch=epoch, train_loss=total / len(train_idx))
+        if not val_idx:
+            return log, -log.train_loss
+        log.val = evaluate(encoder, feat, records, val_idx, head)
+        return log, _selection_value(log.val, head)
 
-    store.load_bytes(best[2])
-    writer.finish(best[2], None)
-    return TrainResult(store, encoder, feat, history, best[1], best[0], best[2])
+    return _fit(cfg, manifest, out, run_epoch, store, encoder, feat)
+
+
+def _class_probabilities(outputs) -> np.ndarray:
+    return np.stack([class_probabilities(float(o.logit.data[0])) for o in outputs])
 
 
 # -- episodic stage -----------------------------------------------------------
 
 
-def _episode_features(encoder, feat, records, episode: Episode):
-    fused = _fused_cache(encoder, feat, records, list(episode.support) + list(episode.query))
-    support = T.concat(
-        [T.reshape(fused[i], (1, fused[i].data.shape[0])) for i in episode.support]
-    )
-    queries = [fused[i] for i in episode.query]
-    support_labels = np.array([records[i].label for i in episode.support])
-    query_labels = np.array([records[i].label for i in episode.query])
-    return support, support_labels, queries, query_labels
-
-
-def _task_pools(manifest: SplitManifest, pool: str) -> dict[str, list[int]]:
-    return {
-        tid: list(manifest.tasks[tid]["records"]) for tid in manifest.task_ids(pool)
-    }
-
-
-def _eligible_tasks(pools: dict[str, list[int]], records, k: int, k_query: int):
-    """Tasks with enough records of each class for a full episode."""
-    good = {}
-    for tid, idxs in pools.items():
+def _episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query: int):
+    """Sorted ids and record lists of the tasks in `pool` with enough
+    records of each class for a full k-shot episode."""
+    tasks = {}
+    for tid in manifest.task_ids(pool):
+        idxs = list(manifest.tasks[tid]["records"])
         pos = sum(1 for i in idxs if records[i].label == 1.0)
-        neg = len(idxs) - pos
-        if pos >= k and neg >= k and len(idxs) - 2 * k >= k_query:
-            good[tid] = idxs
-    return good
+        if pos >= k and len(idxs) - pos >= k and len(idxs) - 2 * k >= k_query:
+            tasks[tid] = idxs
+    if not tasks:
+        raise ValueError(f"no {pool.replace('_', '-')} task can host a full episode")
+    return sorted(tasks), tasks
+
+
+def _fused_cache(encoder, feat, records, idxs) -> dict[int, Tensor]:
+    """Fused vector per record, each entity encoded once."""
+    outputs = encode_pairs(encoder, feat, records, idxs, None)
+    return {i: o.fused for i, o in zip(idxs, outputs)}
+
+
+def _episode_inputs(fused, records, support_idx, query_idx):
+    """Support matrix [2k, dim], its labels, and the query vectors."""
+    support = T.concat(
+        [T.reshape(fused[i], (1, fused[i].data.shape[0])) for i in support_idx]
+    )
+    labels = np.array([records[i].label for i in support_idx])
+    return support, labels, [fused[i] for i in query_idx]
 
 
 def train_meta(
@@ -454,8 +444,10 @@ def train_meta(
     Each step draws one task, samples a k-shot episode, and minimizes the
     focal loss of the attention-weighted prototype classifier over its
     queries.  A warm start loads encoder weights from a supervised
-    checkpoint; refusing one must be explicit.
+    checkpoint; refusing one must be explicit, and doing both is an error.
     """
+    if warm_blob is not None and no_warm_start:
+        raise ConfigError("a warm-start checkpoint contradicts no_warm_start")
     if warm_blob is None and not no_warm_start:
         raise MissingCheckpoint(
             "episodic training expects a supervised checkpoint; "
@@ -466,33 +458,23 @@ def train_meta(
     head = build_prototype_head(store, cfg)
     if warm_blob is not None:
         store.load_bytes(warm_blob, strict=False)
-
-    pools = _eligible_tasks(
-        _task_pools(manifest, "target_train"), records, cfg.k_shot, cfg.k_query
+    task_ids, pools = _episode_tasks(
+        manifest, "target_train", records, cfg.k_shot, cfg.k_query
     )
-    if not pools:
-        raise ValueError("no target-train task can host a full episode")
-    task_ids = sorted(pools)
-    writer = RunWriter(out, cfg, manifest)
     rng = substream(cfg.seed, "train.episodes")
 
-    history = []
-    best = (-np.inf, -1, b"")
-    for epoch in range(cfg.epochs):
+    def run_epoch(epoch):
         total = 0.0
         hits = 0
         n_queries = 0
         for _ in range(cfg.episodes_per_epoch):
             tid = task_ids[int(rng.integers(len(task_ids)))]
-            episode = sample_episode(
-                records, tid, pools[tid], cfg.k_shot, cfg.k_query, rng
-            )
-            support, s_labels, queries, q_labels = _episode_features(
-                encoder, feat, records, episode
-            )
+            ep = sample_episode(records, tid, pools[tid], cfg.k_shot, cfg.k_query, rng)
+            fused = _fused_cache(encoder, feat, records, list(ep.support) + list(ep.query))
+            support, s_labels, queries = _episode_inputs(fused, records, ep.support, ep.query)
+            q_labels = np.array([records[i].label for i in ep.query])
             loss, positive = head.episode_loss(support, s_labels, queries, q_labels)
-            loss = _check_finite(loss)
-            loss.backward()
+            _check_finite(loss).backward()
             store.adam_step(cfg.lr)
             total += float(loss.data)
             hits += int(((positive >= 0.5) == (q_labels == 1.0)).sum())
@@ -502,35 +484,9 @@ def train_meta(
             train_loss=total / cfg.episodes_per_epoch,
             val={"query_accuracy": hits / n_queries},
         )
-        history.append(log)
-        writer.epoch(log)
-        value = -log.train_loss
-        if value > best[0]:
-            best = (value, epoch, store.save_bytes())
+        return log, -log.train_loss
 
-    store.load_bytes(best[2])
-    writer.finish(best[2], None)
-    return TrainResult(
-        store, encoder, feat, history, best[1], best[0], best[2], head=head
-    )
-
-
-def _fused_cache(encoder, feat, records, idxs) -> dict[int, Tensor]:
-    """Fused vector per record, each entity encoded once."""
-    outputs = encode_pairs(encoder, feat, records, idxs, None)
-    return {i: o.fused for i, o in zip(idxs, outputs)}
-
-
-def _score_episode(head, fused, records, support_idx, query_idx):
-    support = T.concat(
-        [T.reshape(fused[i], (1, fused[i].data.shape[0])) for i in support_idx]
-    )
-    s_labels = np.array([records[i].label for i in support_idx])
-    queries = [fused[i] for i in query_idx]
-    probs, _ = head.episode_probabilities(support, s_labels, queries)
-    scores = [float(p.data[1]) for p in probs]
-    labels = [records[i].label for i in query_idx]
-    return scores, labels
+    return _fit(cfg, manifest, out, run_epoch, store, encoder, feat, head)
 
 
 def meta_shot_curve(
@@ -554,12 +510,7 @@ def meta_shot_curve(
     noise cancelled out.  Reports carry mean and spread across runs.
     """
     k_max = max(shots)
-    pools = _eligible_tasks(
-        _task_pools(manifest, "target_test"), records, k_max, cfg.k_query
-    )
-    if not pools:
-        raise ValueError("no target-test task can host a full episode")
-    task_ids = sorted(pools)
+    task_ids, pools = _episode_tasks(manifest, "target_test", records, k_max, cfg.k_query)
     idxs = sorted({i for pool in pools.values() for i in pool})
 
     per_run = {k: [] for k in shots}
@@ -573,11 +524,11 @@ def meta_shot_curve(
                 ep = sample_episode(records, tid, pools[tid], k_max, cfg.k_query, rng)
                 for k in shots:
                     sub = list(ep.support[:k]) + list(ep.support[k_max : k_max + k])
-                    scores, labels = _score_episode(
-                        head, fused, records, sub, list(ep.query)
+                    probs, _ = head.episode_probabilities(
+                        *_episode_inputs(fused, records, sub, ep.query)
                     )
-                    collected[k][0].extend(scores)
-                    collected[k][1].extend(labels)
+                    collected[k][0].extend(float(p.data[1]) for p in probs)
+                    collected[k][1].extend(records[i].label for i in ep.query)
             for k in shots:
                 per_run[k].append(
                     auroc(np.array(collected[k][0]), np.array(collected[k][1]))

@@ -118,7 +118,7 @@ class TestTrainEval:
         run = tmp_path / "meta"
         code = cli.main(["train", "--csv", workdir["csv"],
                          "--split-manifest", str(split), "--stage", "meta",
-                         "--epochs", "1", "--no-warm-start", "--eval-runs", "2",
+                         "--epochs", "1", "--eval-runs", "2",
                          "--checkpoint", str(workdir["root"] / "vanilla" / "best.ckpt"),
                          "--out", str(run), *SMALL])
         assert code == 0
@@ -226,6 +226,44 @@ class TestExitCodes:
                          "--split-manifest", str(split), "--stage", "meta",
                          "--epochs", "1", *SMALL])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--stage", "meta", "--checkpoint", "CKPT", "--no-warm-start"],
+            ["--stage", "cada", "--checkpoint", "CKPT"],
+            ["--config", "CADA", "--checkpoint", "CKPT"],
+            ["--stage", "vanilla", "--no-warm-start"],
+            ["--stage", "regress", "--no-warm-start"],
+        ],
+        ids=["meta-both", "cada-checkpoint", "config-cada-checkpoint",
+             "vanilla-no-warm-start", "regress-no-warm-start"],
+    )
+    def test_flag_the_stage_cannot_honour_is_2(self, workdir, tmp_path, flags):
+        """The stage may come from --config, so the check runs after the
+        config resolves; nothing is trained and no run directory appears."""
+        cada = tmp_path / "cada.json"
+        cada.write_text('{"stage": "cada"}')
+        ckpt = str(workdir["root"] / "vanilla" / "best.ckpt")
+        flags = [{"CKPT": ckpt, "CADA": str(cada)}.get(f, f) for f in flags]
+        run = tmp_path / "run"
+        code = cli.main(["train", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"],
+                         "--out", str(run), *flags, *SMALL])
+        assert code == 2
+        assert not run.exists()
+
+    def test_supervised_warm_start_from_checkpoint(self, workdir, tmp_path):
+        run = tmp_path / "warm"
+        assert cli.main(["train", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"], "--stage", "vanilla",
+                         "--epochs", "1", "--lr", "1e-3", "--out", str(run),
+                         "--checkpoint", workdir["run"] + "/best.ckpt", *SMALL]) == 0
+        cold = tmp_path / "cold"
+        assert cli.main(["train", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"], "--stage", "vanilla",
+                         "--epochs", "1", "--lr", "1e-3", "--out", str(cold), *SMALL]) == 0
+        assert (run / "best.ckpt").read_bytes() != (cold / "best.ckpt").read_bytes()
 
     def test_non_finite_config_value_is_2(self, workdir, tmp_path):
         for text in ('{"train.lr": NaN}', '{"train.lambda_adv": Infinity}'):

@@ -52,6 +52,17 @@ def test_affinity_labels(tmp_path):
     assert records[0].label_kind == ds.AFFINITY
 
 
+def test_non_finite_affinities_are_skipped(tmp_path):
+    text = "smiles,sequence,label\nCCO,MKV,nan\nCCN,MKV,inf\n"
+    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None, label_kind=ds.AFFINITY)
+    result = ds.load_interactions_detailed(write(tmp_path, text), schema)
+    assert not result.records
+    assert [s.row for s in result.skipped] == [2, 3]
+    assert all("finite" in s.reason for s in result.skipped)
+    with pytest.raises(ds.LabelParseError):
+        ds.load_interactions_detailed(write(tmp_path, text), schema, strict=True)
+
+
 def test_oversized_molecule_rejected_at_load(tmp_path):
     text = "smiles,sequence,label\n" + "C" * 291 + ",MKV,1\n"
     schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None)

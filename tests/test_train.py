@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 from dtikit import tensor as T
-from dtikit.config import resolve_config
-from dtikit.splits import SplitManifest, meta_unseen_split, random_split
+from dtikit.config import ConfigError, resolve_config
+from dtikit.splits import (
+    SplitManifest,
+    cluster_cross_domain_split,
+    meta_unseen_split,
+    random_split,
+)
 from dtikit.synth import SyntheticSpec, synth_generate
 from dtikit.train import (
     Featurizer,
@@ -31,6 +36,10 @@ from dtikit.train import (
 )
 
 SMALL = {"model_preset": "small", "max_seq_len": 48, "seed": 0}
+# An adversarial run on the cluster split below: 89 source-train records make
+# three batches an epoch, and each batch draws all 20 target-val records, so
+# every batch after an epoch's first reshuffles the target pool.
+ACTIVE_CRITIC = {"stage": "cada", "lambda_adv": 1.0, "batch_size": 32}
 
 
 def small_config(**kw):
@@ -52,6 +61,11 @@ def records(corpus):
 @pytest.fixture(scope="module")
 def manifest(records):
     return random_split(records, seed=0)
+
+
+@pytest.fixture(scope="module")
+def cluster_manifest(records):
+    return cluster_cross_domain_split(records, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -146,10 +160,25 @@ class TestEncodePairs:
 
 
 class TestArtifacts:
-    def test_run_directory_contents(self, records, manifest, tmp_path):
-        cfg = small_config(stage="vanilla", epochs=2, lr=1e-3)
+    @pytest.mark.parametrize(
+        "split, train, overrides, kwargs",
+        [
+            ("manifest", train_supervised, {"stage": "vanilla"}, {}),
+            ("cluster_manifest", train_adversarial, ACTIVE_CRITIC, {}),
+            (
+                "meta_manifest", train_meta, {"stage": "meta", "episodes_per_epoch": 5},
+                {"no_warm_start": True},
+            ),
+        ],
+        ids=["vanilla", "cada", "meta"],
+    )
+    def test_run_directory_contents(
+        self, records, request, tmp_path, split, train, overrides, kwargs
+    ):
+        manifest = request.getfixturevalue(split)
+        cfg = small_config(epochs=2, lr=1e-3, **overrides)
         out = tmp_path / "run"
-        result = train_supervised(records, manifest, cfg, out=out)
+        result = train(records, manifest, cfg, out=out, **kwargs)
         assert (out / "config.json").read_text() == cfg.snapshot_json()
         assert (out / "split_manifest.sha256").read_text().strip() == manifest_sha256(
             manifest
@@ -171,6 +200,24 @@ class TestAdversarial:
             log.to_json() for log in plain.history
         ]
 
+    def test_active_critic_is_deterministic(self, records, cluster_manifest):
+        cfg = small_config(epochs=2, lr=1e-3, **ACTIVE_CRITIC)
+        pool = cluster_manifest.indices("target", "val")
+        assert len(cluster_manifest.indices(None, "train")) > cfg.batch_size >= len(pool)
+        first = train_adversarial(records, cluster_manifest, cfg)
+        second = train_adversarial(records, cluster_manifest, cfg)
+        assert first.best_blob == second.best_blob
+        assert [log.to_json() for log in first.history] == [
+            log.to_json() for log in second.history
+        ]
+        plain = train_adversarial(records, cluster_manifest, replace(cfg, lambda_adv=0.0))
+        assert plain.best_blob != first.best_blob
+        # the domain term moved the encoder, not just added critic entries
+        assert not np.array_equal(
+            predict(first.encoder, first.featurizer, records, pool),
+            predict(plain.encoder, plain.featurizer, records, pool),
+        )
+
     def test_active_critic_needs_unlabeled_target_pool(self, records, manifest):
         cfg = small_config(stage="cada", epochs=1, lambda_adv=1.0)
         with pytest.raises(ValueError):
@@ -182,6 +229,11 @@ class TestMeta:
         cfg = small_config(stage="meta", epochs=1)
         with pytest.raises(MissingCheckpoint):
             train_meta(records, meta_manifest, cfg)
+
+    def test_refuses_contradictory_warm_start(self, records, meta_manifest):
+        cfg = small_config(stage="meta", epochs=1)
+        with pytest.raises(ConfigError):
+            train_meta(records, meta_manifest, cfg, warm_blob=b"", no_warm_start=True)
 
     def test_trains_and_returns_prototype_head(self, records, meta_manifest):
         cfg = small_config(stage="meta", epochs=1, episodes_per_epoch=10)
