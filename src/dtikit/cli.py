@@ -226,6 +226,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--stage cada trains from scratch and takes no --checkpoint")
     if args.no_warm_start and cfg.stage != "meta":
         raise ConfigError("--no-warm-start applies to --stage meta only")
+    if args.eval_runs is not None and cfg.stage != "meta":
+        raise ConfigError("--eval-runs applies to --stage meta only")
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = SplitManifest.load(args.split_manifest)
     start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
@@ -267,7 +269,8 @@ def _test_report(records, manifest, cfg, encoder, proto, feat, shots, eval_runs)
         return None
     if cfg.stage == "meta":
         curve = meta_shot_curve(
-            records, manifest, cfg, encoder, proto, feat, shots=shots, n_runs=eval_runs,
+            records, manifest, cfg, encoder, proto, feat, shots=shots,
+            n_runs=5 if eval_runs is None else eval_runs,
         )
         return MetricReport(
             metrics={f"auroc@{k}": curve[k].metrics["auroc"] for k in shots},
@@ -292,6 +295,8 @@ def _metric_line(report: MetricReport) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg, blob = _load_run(args.checkpoint)
+    if cfg.stage != "meta" and (args.shots is not None or args.eval_runs is not None):
+        raise ConfigError("--shots and --eval-runs apply to episodic (meta) runs only")
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = SplitManifest.load(args.split_manifest)
     encoder, proto = _rebuild(cfg, blob)
@@ -462,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--label-col", help="label column name")
-    p.add_argument("--eval-runs", type=int, default=5,
-                   help="episodic evaluation repeats for the final report")
+    p.add_argument("--eval-runs", type=int, help="episodic evaluation repeats (meta; default 5)")
     common_model(p)
     p.set_defaults(func=cmd_train)
 
@@ -473,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True,
                    help="run directory or checkpoint file")
     p.add_argument("--out", help="report JSON path")
-    p.add_argument("--shots", help="comma list of shot counts (episodic runs)")
-    p.add_argument("--eval-runs", type=int, default=5)
+    p.add_argument("--shots", help="comma list of shot counts (meta runs)")
+    p.add_argument("--eval-runs", type=int, help="episodic evaluation repeats (meta; default 5)")
     p.add_argument("--label-col", help="label column name")
     p.set_defaults(func=cmd_eval)
 

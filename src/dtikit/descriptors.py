@@ -21,10 +21,6 @@ PSC_DIM = 420
 EMPTY_SCAFFOLD = "acyclic"
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 class ZeroVector(ValueError):
     pass
 
@@ -135,24 +131,3 @@ def murcko_scaffold_key(graph: MolecularGraph) -> str:
         descriptors.append(f"{graph.atoms[i].element}:{degree}:{','.join(map(str, orders))}")
     return "|".join(sorted(descriptors))
 
-
-def jaccard_distance(a: np.ndarray, b: np.ndarray) -> float:
-    if a.shape != b.shape:
-        raise LengthMismatch(f"fingerprint lengths differ: {a.shape} vs {b.shape}")
-    aa = a != 0
-    bb = b != 0
-    union = int(np.logical_or(aa, bb).sum())
-    if union == 0:
-        return 0.0
-    inter = int(np.logical_and(aa, bb).sum())
-    return 1.0 - inter / union
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    if u.shape != v.shape:
-        raise LengthMismatch(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < 1e-12 or nv < 1e-12:
-        raise ZeroVector("cosine distance undefined for zero vectors")
-    return float(1.0 - float(u @ v) / (nu * nv))

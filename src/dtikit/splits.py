@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import InteractionRecord
-from .descriptors import cosine_distance, ecfp, jaccard_distance, murcko_scaffold_key, psc
+from .descriptors import N_BITS, PSC_DIM, ZeroVector, ecfp, murcko_scaffold_key, psc
 from .rng import substream
 from .smiles import parse_smiles
 
@@ -65,59 +65,81 @@ class InsufficientClassSamples(ValueError):
 # -- clustering ------------------------------------------------------------
 
 
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges of an n-column matrix, 128 KB of float64 each: the unit of every temporary."""
+    step = max(1, (1 << 14) // max(n, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def single_linkage_cluster(dist: np.ndarray, threshold: float) -> np.ndarray:
     """Cluster by merging while any inter-cluster single-link distance is
     below threshold; equivalently, connected components of the graph with
     edges at dist < threshold. Labels are canonical: numbered by first
-    member in index order."""
+    member in index order. Exact, with no pair loop: per row block, each
+    round hooks the larger root of every edge joining two trees onto the
+    smaller and jumps pointers until each node points at its tree's minimum."""
     d = np.asarray(dist, dtype=np.float64)
     n = d.shape[0]
-    if d.shape != (n, n) or not np.array_equal(d, d.T):
+    blocks = _row_blocks(n)
+    if d.shape != (n, n) or not all(np.array_equal(d[a:b], d[:, a:b].T) for a, b in blocks):
         raise NonSymmetric("distance matrix must be square and symmetric")
-    if np.any(d < 0):
+    if any(np.any(d[a:b] < 0) for a, b in blocks):
         raise NegativeDistance("distances must be non-negative")
-    parent = list(range(n))
+    root = np.arange(n)
+    for lo, hi in blocks:  # a block's i < j edges below threshold, merged before the next
+        src, dst = np.nonzero(np.triu(d[lo:hi] < threshold, lo + 1))
+        src += lo
+        while (cross := root[src] != root[dst]).any():
+            src, dst = src[cross], dst[cross]
+            a, b = root[src], root[dst]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(root[root], root):
+                root = root[root]
+    return np.unique(root, return_inverse=True)[1].astype(np.int64)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] < threshold:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    labels = np.empty(n, dtype=np.int64)
-    relabel: dict[int, int] = {}
-    for i in range(n):
-        root = find(i)
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        labels[i] = relabel[root]
-    return labels
+def _ratio_distances(x: np.ndarray, denominator) -> np.ndarray:
+    """Symmetric matrix of 1 - g / denominator(g, lo) over the Gram products
+    g = x[lo:hi] @ x[lo:].T, 0 where the denominator is 0 and on the
+    diagonal: the upper triangle in place one row block at a time, the
+    lower one its mirror, each diagonal block the maximum with its transpose."""
+    d = np.empty((len(x), len(x)))
+    for lo, hi in _row_blocks(len(x)):
+        g = np.matmul(x[lo:hi], x[lo:].T, out=d[lo:hi, lo:])
+        den = denominator(g, lo)
+        np.divide(g, den, out=g, where=den > 0)
+        np.subtract(1.0, g, out=g, where=den > 0)
+        np.maximum(d[lo:hi, lo:hi], d[lo:hi, lo:hi].T, out=d[lo:hi, lo:hi])
+        d[lo:hi, :lo] = d[:lo, lo:hi].T
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def drug_distance_matrix(smiles_list: list[str]) -> np.ndarray:
-    fps = [ecfp(parse_smiles(s)) for s in smiles_list]
-    n = len(fps)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = jaccard_distance(fps[i], fps[j])
-    return d
+    """Fingerprint Jaccard distances 1 - |a & b| / |a | b| in list order, 0
+    between two empty fingerprints. The intersections are float64 matmuls
+    over the bits some drug sets, so every count is an exact integer and
+    every entry equals the scalar ratio bit for bit."""
+    bits = np.zeros((len(smiles_list), N_BITS), dtype=bool)
+    for i, s in enumerate(smiles_list):
+        bits[i] = ecfp(parse_smiles(s))
+    bits = bits[:, np.any(bits, axis=0)].astype(np.float64)
+    counts = bits.sum(axis=1)
+    return _ratio_distances(bits, lambda g, lo: counts[lo : lo + len(g), None] + counts[lo:] - g)
 
 
 def protein_distance_matrix(sequences: list[str]) -> np.ndarray:
-    vecs = [psc(s) for s in sequences]
-    n = len(vecs)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = cosine_distance(vecs[i], vecs[j])
-    return d
+    """Composition (psc) cosine distances 1 - u.v / (|u| |v|) in list order;
+    ZeroVector for two or more sequences when one has no canonical residue.
+    Norms are per-row np.linalg.norm as for one pair, but the matmul sums
+    u.v in another order than u @ v: entries agree to about 1e-15."""
+    vecs = np.zeros((len(sequences), PSC_DIM))
+    for i, s in enumerate(sequences):
+        vecs[i] = psc(s)
+    norms = np.array([np.linalg.norm(v) for v in vecs])
+    if len(vecs) >= 2 and np.any(norms < 1e-12):
+        raise ZeroVector("cosine distance undefined for zero vectors")
+    return _ratio_distances(vecs, lambda g, lo: norms[lo : lo + len(g), None] * norms[lo:])
 
 
 def _clusters(items: dict[str, str], distance_matrix, threshold: float) -> dict[str, int]:

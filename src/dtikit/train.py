@@ -184,18 +184,17 @@ class RunWriter:
             (self.out / "split_manifest.sha256").write_text(
                 manifest_sha256(manifest) + "\n"
             )
-        self._metrics = open(self.out / "metrics.jsonl", "w")
+        (self.out / "metrics.jsonl").write_text("")
 
     def epoch(self, log: EpochLog) -> None:
         if self.out is None:
             return
-        self._metrics.write(log.to_json() + "\n")
-        self._metrics.flush()
+        with open(self.out / "metrics.jsonl", "a") as f:  # a stage that raises leaves none open
+            f.write(log.to_json() + "\n")
 
     def finish(self, blob: bytes) -> None:
         if self.out is None:
             return
-        self._metrics.close()
         (self.out / "best.ckpt").write_bytes(blob)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dtikit import cli
+from dtikit.config import resolve_config
 from dtikit.datasets import AFFINITY, BINARY
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
@@ -235,9 +236,13 @@ class TestExitCodes:
             ["--config", "CADA", "--checkpoint", "CKPT"],
             ["--stage", "vanilla", "--no-warm-start"],
             ["--stage", "regress", "--no-warm-start"],
+            ["--stage", "vanilla", "--eval-runs", "2"],
+            ["--stage", "regress", "--eval-runs", "2"],
+            ["--config", "CADA", "--eval-runs", "2"],
         ],
         ids=["meta-both", "cada-checkpoint", "config-cada-checkpoint",
-             "vanilla-no-warm-start", "regress-no-warm-start"],
+             "vanilla-no-warm-start", "regress-no-warm-start",
+             "vanilla-eval-runs", "regress-eval-runs", "config-cada-eval-runs"],
     )
     def test_flag_the_stage_cannot_honour_is_2(self, workdir, tmp_path, flags):
         """The stage may come from --config, so the check runs after the
@@ -252,6 +257,33 @@ class TestExitCodes:
                          "--out", str(run), *flags, *SMALL])
         assert code == 2
         assert not run.exists()
+
+    @pytest.mark.parametrize("run", ["run", "reg"])
+    @pytest.mark.parametrize(
+        "flags", [["--shots", "1,3"], ["--eval-runs", "2"]], ids=["shots", "eval-runs"]
+    )
+    def test_episodic_eval_flag_on_a_supervised_run_is_2(self, workdir, tmp_path, run, flags):
+        """eval learns the stage from the checkpoint, then refuses flags
+        only the episodic report reads; no report is written."""
+        out = tmp_path / "report.json"
+        code = cli.main(["eval", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"],
+                         "--checkpoint", workdir[run], "--out", str(out), *flags])
+        assert code == 2
+        assert not out.exists()
+
+    def test_meta_report_defaults_to_five_eval_runs(self, workdir, monkeypatch):
+        seen = {}
+
+        def curve(*args, shots, n_runs):
+            seen["n_runs"] = n_runs
+            return {k: MetricReport({"auroc": 0.5}, {"auroc": 0.0}) for k in shots}
+
+        monkeypatch.setattr(cli, "meta_shot_curve", curve)
+        cfg = resolve_config({}, {"stage": "meta"})
+        manifest = SplitManifest.load(workdir["split"])
+        cli._test_report([], manifest, cfg, None, None, None, (1,), None)
+        assert seen["n_runs"] == 5
 
     def test_supervised_warm_start_from_checkpoint(self, workdir, tmp_path):
         run = tmp_path / "warm"

@@ -53,18 +53,6 @@ def test_fingerprint_bits_are_frozen():
     assert sorted(np.flatnonzero(fp("CCO")).tolist()) == expected
 
 
-def test_jaccard_distances():
-    a = fp("CCO")
-    assert dv.jaccard_distance(a, a) == 0.0
-    z = np.zeros_like(a)
-    assert dv.jaccard_distance(z, z) == 0.0
-    b = np.zeros_like(a)
-    b[(np.flatnonzero(a) + 1) % a.size] = 1  # disjoint support
-    assert dv.jaccard_distance(a, b) == 1.0
-    with pytest.raises(dv.LengthMismatch):
-        dv.jaccard_distance(a, a[:100])
-
-
 def test_psc_hand_trace():
     v = dv.psc("AAC")
     assert v.shape == (420,)
@@ -116,17 +104,6 @@ def test_scaffold_keeps_linkers_between_rings():
     benzene = dv.murcko_scaffold_key(parse_smiles("c1ccccc1"))
     assert linked != benzene
     assert linked.count("|") + 1 == 13  # two rings plus the bridging carbon
-
-
-def test_cosine_distance():
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 2.0])
-    assert dv.cosine_distance(u, v) == pytest.approx(1.0)
-    assert dv.cosine_distance(u, u) == pytest.approx(0.0)
-    with pytest.raises(dv.ZeroVector):
-        dv.cosine_distance(u, np.zeros(2))
-    with pytest.raises(dv.LengthMismatch):
-        dv.cosine_distance(u, np.ones(3))
 
 
 def test_psc_empty_raises():

@@ -3,7 +3,11 @@ import pytest
 
 from dtikit import splits as sp
 from dtikit.datasets import InteractionRecord
+from dtikit.descriptors import ZeroVector, ecfp, psc
+from dtikit.proteins import EmptySequence
 from dtikit.rng import substream
+from dtikit.smiles import parse_smiles
+from dtikit.synth import SyntheticSpec, synth_generate
 
 
 # -- brute force single-linkage oracle ----------------------------------------
@@ -62,6 +66,177 @@ def test_single_linkage_validation():
         sp.single_linkage_cluster(np.array([[0.0, 1.0], [2.0, 0.0]]), 0.5)
     with pytest.raises(sp.NegativeDistance):
         sp.single_linkage_cluster(np.array([[0.0, -1.0], [-1.0, 0.0]]), 0.5)
+
+
+def canonical(labels):
+    """Labels numbered by first member: first appearances read 0, 1, 2, ..."""
+    firsts = list(dict.fromkeys(int(x) for x in labels))
+    return firsts == list(range(len(firsts)))
+
+
+def shuffled_path(n, seed, link):
+    """Distances of a path visiting n nodes in shuffled index order, `link`
+    between neighbours on the path and 1.0 elsewhere."""
+    order = np.random.default_rng(seed).permutation(n)
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    d[order[:-1], order[1:]] = d[order[1:], order[:-1]] = link
+    return d
+
+
+@pytest.fixture(params=["one-block", "blocks-of-7"])
+def row_blocks(request, monkeypatch):
+    """Run a kernel test under the real row blocks and under blocks of 7
+    rows, so small matrices also cross block boundaries."""
+    if request.param == "blocks-of-7":
+        monkeypatch.setattr(
+            sp, "_row_blocks", lambda n: [(lo, min(lo + 7, n)) for lo in range(0, n, 7)]
+        )
+
+
+def test_single_linkage_shuffled_path_matches_oracle(row_blocks):
+    # links below threshold join the whole path into one cluster
+    d = shuffled_path(40, seed=2, link=0.1)
+    labels = sp.single_linkage_cluster(d, 0.5)
+    assert list(labels) == [0] * 40
+    # every fourth link raised exactly to the threshold, which is no edge
+    order = np.random.default_rng(2).permutation(40)
+    for k in range(3, 39, 4):
+        d[order[k], order[k + 1]] = d[order[k + 1], order[k]] = 0.5
+    labels = sp.single_linkage_cluster(d, 0.5)
+    assert partition_of(labels) == sorted(agglomerative_oracle(d, 0.5), key=sorted)
+    assert len(set(labels)) == 10
+    assert canonical(labels)
+
+
+def test_single_linkage_distances_at_threshold_are_not_edges(row_blocks):
+    d = np.full((9, 9), 0.25)
+    np.fill_diagonal(d, 0.0)
+    assert list(sp.single_linkage_cluster(d, 0.25)) == list(range(9))
+    assert partition_of(range(9)) == sorted(agglomerative_oracle(d, 0.25), key=sorted)
+    assert list(sp.single_linkage_cluster(d, np.nextafter(0.25, 1.0))) == [0] * 9
+
+
+def test_single_linkage_random_matrices_across_blocks(row_blocks):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n = int(rng.integers(8, 30))
+        d = np.round(rng.random((n, n)), 2)
+        d = (d + d.T) / 2
+        np.fill_diagonal(d, 0.0)
+        threshold = float(rng.uniform(0.02, 0.2))
+        labels = sp.single_linkage_cluster(d, threshold)
+        assert partition_of(labels) == sorted(agglomerative_oracle(d, threshold), key=sorted)
+        assert canonical(labels)
+
+
+def test_single_linkage_empty_and_single():
+    labels = sp.single_linkage_cluster(np.zeros((0, 0)), 0.5)
+    assert labels.dtype == np.int64 and labels.shape == (0,)
+    assert list(sp.single_linkage_cluster(np.zeros((1, 1)), 0.5)) == [0]
+
+
+# -- distance matrices against scalar oracles ------------------------------------
+
+
+def jaccard_distance(a, b):
+    """Scalar reference: 1 - |a & b| / |a | b|, and 0 for two empty sets."""
+    aa = a != 0
+    bb = b != 0
+    union = int(np.logical_or(aa, bb).sum())
+    if union == 0:
+        return 0.0
+    inter = int(np.logical_and(aa, bb).sum())
+    return 1.0 - inter / union
+
+
+def cosine_distance(u, v):
+    """Scalar reference: 1 - u.v / (|u| |v|), undefined for a zero vector."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu < 1e-12 or nv < 1e-12:
+        raise ZeroVector("cosine distance undefined for zero vectors")
+    return float(1.0 - float(u @ v) / (nu * nv))
+
+
+def pairwise(vectors, distance):
+    n = len(vectors)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = distance(vectors[i], vectors[j])
+    return d
+
+
+@pytest.fixture(scope="module")
+def corpus_entities():
+    """Drug SMILES and protein sequences of the 300-record corpus, in id order."""
+    records = synth_generate(SyntheticSpec(n_records=300), 0).records
+    drugs = {r.drug_id: r.smiles for r in records}
+    prots = {r.protein_id: r.sequence for r in records}
+    return [drugs[i] for i in sorted(drugs)], [prots[i] for i in sorted(prots)]
+
+
+def test_drug_matrix_equals_scalar_jaccard(corpus_entities, row_blocks):
+    smiles, _ = corpus_entities
+    got = sp.drug_distance_matrix(smiles)
+    want = pairwise([ecfp(parse_smiles(s)) for s in smiles], jaccard_distance)
+    assert np.array_equal(got, want)
+
+
+def fingerprints_by_name(monkeypatch, fps):
+    """Make drug_distance_matrix read the fingerprint fps[name] for name."""
+    monkeypatch.setattr(sp, "parse_smiles", lambda name: name)
+    monkeypatch.setattr(sp, "ecfp", lambda name: fps[name])
+
+
+def test_drug_matrix_jaccard_cases(monkeypatch, row_blocks):
+    a = ecfp(parse_smiles("CCO"))
+    b = np.zeros_like(a)
+    b[(np.flatnonzero(a) + 1) % a.size] = 1  # disjoint support
+    fps = {"a": a, "a2": a.copy(), "b": b, "z": np.zeros_like(a), "z2": np.zeros_like(a)}
+    fingerprints_by_name(monkeypatch, fps)
+    names = ["a", "z", "b", "a2", "z2"]
+    d = sp.drug_distance_matrix(names)
+    assert d[0, 3] == 0.0  # identical fingerprints
+    assert d[1, 4] == 0.0  # two empty ones
+    assert d[0, 2] == 1.0  # disjoint ones
+    assert d[0, 1] == 1.0  # one empty
+    assert np.array_equal(d, pairwise([fps[k] for k in names], jaccard_distance))
+
+
+def test_drug_matrix_with_empty_fingerprint_equals_scalar_jaccard(
+    corpus_entities, monkeypatch, row_blocks
+):
+    smiles, _ = corpus_entities
+    fps = {s: ecfp(parse_smiles(s)) for s in smiles[:20]}
+    fps["empty"] = np.zeros(len(fps[smiles[0]]), dtype=np.uint8)
+    names = smiles[:10] + ["empty"] + smiles[10:20]
+    fingerprints_by_name(monkeypatch, fps)
+    got = sp.drug_distance_matrix(names)
+    assert np.array_equal(got, pairwise([fps[k] for k in names], jaccard_distance))
+
+
+def test_protein_matrix_matches_scalar_cosine(corpus_entities, row_blocks):
+    _, seqs = corpus_entities
+    got = sp.protein_distance_matrix(seqs)
+    want = pairwise([psc(s) for s in seqs], cosine_distance)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(got, got.T)
+    assert np.all(np.diag(got) == 0.0)
+
+
+def test_protein_matrix_cosine_cases():
+    d = sp.protein_distance_matrix(["AAAA", "CCCC", "AAAA"])
+    assert d[0, 1] == pytest.approx(1.0)  # no shared residue or dipeptide
+    assert d[0, 2] == pytest.approx(0.0)
+    assert np.all(np.diag(d) == 0.0)
+    with pytest.raises(ZeroVector):
+        sp.protein_distance_matrix(["ACDE", "XXXX"])  # no canonical residue
+    assert np.array_equal(sp.protein_distance_matrix(["XXXX"]), np.zeros((1, 1)))
+    assert sp.protein_distance_matrix([]).shape == (0, 0)
+    with pytest.raises(EmptySequence):
+        sp.protein_distance_matrix(["ACDE", ""])
 
 
 # -- corpus builders -----------------------------------------------------------

@@ -5,7 +5,9 @@ preset, so the whole module stays in the tens of seconds.
 """
 
 import contextlib
+import gc
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +256,16 @@ class TestFailureModes:
         cfg = replace(small_config(stage="vanilla", epochs=1), lr=float("nan"))
         with pytest.raises(NumericFailure):
             train_supervised(records, manifest, cfg)
+
+    def test_failed_run_closes_its_metrics_file(self, records, manifest, tmp_path):
+        cfg = replace(small_config(stage="vanilla", epochs=2), lr=float("nan"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericFailure):
+                train_supervised(records, manifest, cfg, out=tmp_path / "run")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert (tmp_path / "run" / "metrics.jsonl").exists()
 
 
 class TestScreen:
