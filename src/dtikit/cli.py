@@ -39,6 +39,7 @@ from .train import (
     NumericFailure,
     build_model,
     build_prototype_head,
+    check_shot_curve,
     encode_pairs,
     evaluate,
     meta_shot_curve,
@@ -228,6 +229,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--no-warm-start applies to --stage meta only")
     if args.eval_runs is not None and cfg.stage != "meta":
         raise ConfigError("--eval-runs applies to --stage meta only")
+    if args.eval_runs is not None:
+        check_shot_curve((cfg.k_shot,), args.eval_runs)
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = SplitManifest.load(args.split_manifest)
     start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
@@ -301,7 +304,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     manifest = SplitManifest.load(args.split_manifest)
     encoder, proto = _rebuild(cfg, blob)
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-    shots = tuple(int(s) for s in args.shots.split(",")) if args.shots else (cfg.k_shot,)
+    try:
+        shots = tuple(int(s) for s in args.shots.split(",")) if args.shots else (cfg.k_shot,)
+    except ValueError:
+        raise ConfigError(f"--shots wants a comma list of integers, got {args.shots!r}") from None
     report = _test_report(records, manifest, cfg, encoder, proto, feat, shots, args.eval_runs)
     if report is None:
         raise ValueError("split manifest has no test records")

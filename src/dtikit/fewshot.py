@@ -1,19 +1,19 @@
 """Episodic few-shot head: dynamic prototypes, cosine classification, focal
 loss.
 
-Each episode carries 2k support pairs (k per class) and a handful of
-queries.  For every query we build a (2k+1)-row block with the query's own
-representation in row zero, score the supports against the query through a
-small affine attention, and collapse each class's supports into a prototype
-using softmax weights normalised within that class.  Queries are classified
-by cosine similarity to the two prototypes, and the focal loss concentrates
-training on the queries the model finds hard.
+Each episode carries 2k support pairs (k per class) and k_q queries, and the
+head scores it as one set of matrices.  A small affine attention projects
+the supports and the queries once each and scores every query against every
+support as a [k_q, 2k] matrix.  A softmax over each class's columns turns a
+query's scores into within-class weights, so each class contributes one
+prototype per query ([k_q, d]).  Queries are classified by a softmax over
+their cosine similarity to the two prototypes, and the focal loss
+concentrates training on the queries the model finds hard.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,24 +36,14 @@ class DomainError(ValueError):
     """Raised when a probability leaves the domain of the focal loss."""
 
 
-def expand_concat(support: Tensor, query: Tensor) -> Tensor:
-    """One query's attention block: the query vector in row zero followed by
-    the 2k support rows."""
-    if support.data.ndim != 2 or query.data.shape != (support.data.shape[1],):
-        raise ShapeMismatch(
-            f"expand_concat: support {support.data.shape}, query {query.data.shape}"
-        )
-    return T.concat([T.reshape(query, (1, support.data.shape[1])), support], axis=0)
-
-
 class PrototypeAttention:
-    """Affine attention over one concatenated block.
+    """Affine attention of queries over supports.
 
-    A shared projection feeds two learned scale/shift pairs; the squared
-    relu of their outer product scores every row pair, and the query row's
-    scores against the support columns are what the prototypes consume.
-    In uniform mode no parameters exist and every support scores equally,
-    which reduces the head to plain class-mean prototypes.
+    A shared projection feeds two learned scale/shift pairs, one applied to
+    the queries and one to the supports; the squared relu of their product
+    scores every (query, support) pair.  In uniform mode no parameters exist
+    and every support scores equally, which reduces the head to plain
+    class-mean prototypes.
     """
 
     def __init__(
@@ -75,91 +65,18 @@ class PrototypeAttention:
         self.k_scale = store.parameter("proto/k_scale", np.full(qk_dim, qk_dim**-0.5))
         self.k_shift = store.parameter("proto/k_shift", np.zeros(qk_dim))
 
-    def support_scores(self, block: Tensor) -> Tensor:
-        """Scores [2k] of each support row against the query row of a
-        (2k+1)-row block."""
-        n = block.data.shape[0]
+    def _project(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+        n = x.data.shape[0]
+        z = T.silu(T.matmul(x, self.w))
+        return z * T.expand(scale, 0, n) + T.expand(shift, 0, n)
+
+    def scores(self, support: Tensor, queries: Tensor) -> Tensor:
+        """Scores [k_q, 2k] of every support row against every query row."""
         if self.uniform:
-            return Tensor(np.zeros(n - 1), requires_grad=False)
-        z = T.silu(T.matmul(block, self.w))
-        q = z * T.expand(self.q_scale, 0, n) + T.expand(self.q_shift, 0, n)
-        k = z * T.expand(self.k_scale, 0, n) + T.expand(self.k_shift, 0, n)
-        a = T.square(T.relu(T.matmul(q, T.transpose(k))))
-        query_row = T.index_select(a, 0, [0])
-        return T.reshape(T.index_select(query_row, 1, list(range(1, n))), (n - 1,))
-
-
-@dataclass
-class PrototypeSet:
-    """Per-query prototypes plus the raw support scores and the softmax
-    weights actually used (weights over each class subset sum to one)."""
-
-    prototypes: list[tuple[Tensor, Tensor]]
-    attention: np.ndarray  # [k_q, 2k]
-    weights: np.ndarray  # [k_q, 2k]
-
-
-def dynamic_prototypes(
-    blocks: list[Tensor],
-    support: Tensor,
-    support_labels: np.ndarray,
-    attention: PrototypeAttention,
-) -> PrototypeSet:
-    """Collapse the supports into one prototype per class for every query
-    block.
-
-    The weights are normalised inside each class, so a prototype is a
-    convex combination of its own class's supports.  Normalising over all
-    2k supports instead would only rescale each prototype, which the cosine
-    scores downstream ignore.
-    """
-    labels = np.asarray(support_labels)
-    if labels.shape[0] != support.data.shape[0]:
-        raise ShapeMismatch(
-            f"{labels.shape[0]} labels for {support.data.shape[0]} supports"
-        )
-    class_idx = []
-    for c in (0, 1):
-        idx = np.flatnonzero(labels == c)
-        if idx.size == 0:
-            raise EmptyClass(f"no class-{c} supports in episode")
-        class_idx.append(idx)
-
-    prototypes = []
-    raw_scores = []
-    used_weights = []
-    for block in blocks:
-        scores = attention.support_scores(block)
-        raw_scores.append(scores.data.copy())
-        weight_row = np.zeros(labels.shape[0])
-        pair = []
-        for idx in class_idx:
-            s_c = T.reshape(T.index_select(scores, 0, idx), (1, idx.size))
-            w = T.softmax(s_c, axis=1)
-            members = T.index_select(support, 0, idx)
-            pair.append(T.reshape(T.matmul(w, members), (support.data.shape[1],)))
-            weight_row[idx] = w.data[0]
-        prototypes.append((pair[0], pair[1]))
-        used_weights.append(weight_row)
-    return PrototypeSet(
-        prototypes=prototypes,
-        attention=np.array(raw_scores),
-        weights=np.array(used_weights),
-    )
-
-
-def cosine_classify(prototypes: tuple[Tensor, Tensor], query: Tensor) -> Tensor:
-    """Class probabilities [2]: softmax over the query's cosine similarity
-    to each prototype.  All-zero vectors contribute similarity 0."""
-    for name, vec in (("query", query), ("prototype", prototypes[0]),
-                      ("prototype", prototypes[1])):
-        if np.linalg.norm(vec.data) < ZERO_NORM_EPS:
-            log.warning("cosine_classify: %s has zero norm, similarity set to 0", name)
-    sims = [
-        T.reshape(T.cosine_similarity(query, p), (1,)) for p in prototypes
-    ]
-    scores = T.concat(sims, axis=0)
-    return T.reshape(T.softmax(T.reshape(scores, (1, 2)), axis=1), (2,))
+            return Tensor(np.zeros((queries.data.shape[0], support.data.shape[0])))
+        q = self._project(queries, self.q_scale, self.q_shift)
+        k = self._project(support, self.k_scale, self.k_shift)
+        return T.square(T.relu(T.matmul(q, T.transpose(k))))
 
 
 def focal_loss(
@@ -196,18 +113,62 @@ class PrototypeHead:
         self.alpha = alpha
         self.gamma = gamma
 
+    def _probability_matrix(
+        self, support: Tensor, support_labels: np.ndarray, queries: list[Tensor]
+    ) -> tuple[Tensor, np.ndarray]:
+        """Class probabilities [k_q, 2] of every query and the within-class
+        support weights [k_q, 2k] that formed its prototypes.
+
+        The weights are normalised inside each class, so a prototype is a
+        convex combination of its own class's supports.  Normalising over
+        all 2k supports instead would only rescale each prototype, which the
+        cosine scores ignore.
+        """
+        labels = np.asarray(support_labels)
+        if support.data.ndim != 2 or labels.shape != (support.data.shape[0],):
+            raise ShapeMismatch(
+                f"support {support.data.shape} with {labels.shape} labels"
+            )
+        d = support.data.shape[1]
+        if not queries or any(q.data.shape != (d,) for q in queries):
+            raise ShapeMismatch(
+                f"queries {[q.data.shape for q in queries]} for support {support.data.shape}"
+            )
+        class_idx = []
+        for c in (0, 1):
+            idx = np.flatnonzero(labels == c)
+            if idx.size == 0:
+                raise EmptyClass(f"no class-{c} supports in episode")
+            class_idx.append(idx)
+
+        stacked = T.reshape(T.concat(queries, axis=0), (len(queries), d))
+        scores = self.attention.scores(support, stacked)
+        weights = np.zeros(scores.data.shape)
+        sims = []
+        zero = np.linalg.norm(stacked.data, axis=1) < ZERO_NORM_EPS
+        for idx in class_idx:
+            w = T.softmax(T.index_select(scores, 1, idx), axis=1)
+            weights[:, idx] = w.data
+            protos = T.matmul(w, T.index_select(support, 0, idx))
+            zero |= np.linalg.norm(protos.data, axis=1) < ZERO_NORM_EPS
+            sims.append(T.reshape(T.cosine_rows(stacked, protos), (len(queries), 1)))
+        if zero.any():
+            log.warning(
+                "%d of %d queries meet a zero-norm query or prototype, similarity set to 0",
+                int(zero.sum()), len(queries),
+            )
+        return T.softmax(T.concat(sims, axis=1), axis=1), weights
+
     def episode_probabilities(
         self,
         support: Tensor,
         support_labels: np.ndarray,
         queries: list[Tensor],
-    ) -> tuple[list[Tensor], PrototypeSet]:
-        blocks = [expand_concat(support, q) for q in queries]
-        protos = dynamic_prototypes(blocks, support, support_labels, self.attention)
-        probs = [
-            cosine_classify(pair, q) for pair, q in zip(protos.prototypes, queries)
-        ]
-        return probs, protos
+    ) -> tuple[list[Tensor], np.ndarray]:
+        """Per-query class probabilities [2] and the within-class support
+        weights [k_q, 2k]."""
+        probs, weights = self._probability_matrix(support, support_labels, queries)
+        return [T.index_select(probs, 0, j) for j in range(len(queries))], weights
 
     def episode_loss(
         self,
@@ -218,11 +179,8 @@ class PrototypeHead:
     ) -> tuple[Tensor, np.ndarray]:
         """Focal loss over one episode plus the detached per-query positive
         probabilities for metric bookkeeping."""
-        probs, _ = self.episode_probabilities(support, support_labels, queries)
-        picks = [
-            T.index_select(p, 0, [int(label)]) for p, label in zip(probs, query_labels)
-        ]
-        correct = T.concat(picks, axis=0)
+        probs, _ = self._probability_matrix(support, support_labels, queries)
+        picks = 2 * np.arange(len(queries)) + np.asarray(query_labels, dtype=np.intp)
+        correct = T.index_select(T.reshape(probs, (2 * len(queries),)), 0, picks)
         loss = focal_loss(correct, self.alpha, self.gamma)
-        positive = np.array([float(p.data[1]) for p in probs])
-        return loss, positive
+        return loss, probs.data[:, 1].copy()

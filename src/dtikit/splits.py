@@ -1,6 +1,6 @@
 """Leakage-controlled dataset splits and episode sampling.
 
-Five protocols, in increasing strictness about what the test set may share
+Four protocols, in increasing strictness about what the test set may share
 with training data:
 
 * random: plain shuffled fractions.
@@ -11,8 +11,6 @@ with training data:
 * meta unseen: records grouped into (protein cluster, drug scaffold)
   tasks for episodic training, with the novelty axis's clusters divided
   so target-test tasks come from clusters never seen in the source pool.
-* specific meta: one task per protein, episodes forced to use disjoint
-  drugs between support and query.
 
 Every protocol returns a SplitManifest that serializes to sorted-key JSON,
 so a (records, seed, params) triple always produces byte-identical files.
@@ -392,43 +390,6 @@ def _source_tasks(
     return is_source, len(undersized)
 
 
-def _finish_meta_manifest(
-    manifest: SplitManifest,
-    records: list[InteractionRecord],
-    task_records: dict[str, list[int]],
-    task_is_source: dict[str, bool],
-    n_undersized: int,
-    target_train_fraction: float,
-    rng: np.random.Generator,
-) -> SplitManifest:
-    source_pool: list[int] = []
-    target_tasks: list[str] = []
-    for tid in sorted(task_records):
-        if task_is_source[tid]:
-            source_pool.extend(task_records[tid])
-            manifest.tasks[tid] = {"pool": "source", "records": sorted(task_records[tid])}
-        else:
-            target_tasks.append(tid)
-    if not target_tasks:
-        raise InsufficientData("no target tasks with enough records remain")
-    order = rng.permutation(len(target_tasks))
-    n_train = int(len(target_tasks) * target_train_fraction)
-    train_tasks = {target_tasks[i] for i in order[:n_train]}
-    test_tasks = [t for t in target_tasks if t not in train_tasks]
-    if not test_tasks:
-        raise InsufficientData("target task pool too small to reserve test tasks")
-    for tid in target_tasks:
-        pool = "target_train" if tid in train_tasks else "target_test"
-        manifest.tasks[tid] = {"pool": pool, "records": sorted(task_records[tid])}
-        part = TRAIN if tid in train_tasks else TEST
-        for idx in task_records[tid]:
-            manifest.assignments[idx] = (TARGET, part)
-    for idx in source_pool:
-        manifest.assignments[idx] = (SOURCE, TRAIN)
-    manifest.params["n_undersized_tasks"] = n_undersized
-    return _check_complete(manifest, len(records))
-
-
 def meta_unseen_split(
     records: list[InteractionRecord],
     kind: str = "protein",
@@ -484,50 +445,32 @@ def meta_unseen_split(
         drug_clusters=drug_cluster,
         protein_clusters=prot_cluster,
     )
-    rng = substream(seed, "split.meta")
-    return _finish_meta_manifest(
-        manifest, records, task_records, task_is_source, n_undersized, target_train_fraction, rng
-    )
-
-
-def specific_meta_split(
-    records: list[InteractionRecord],
-    seed: int = 0,
-    threshold: float = 0.5,
-    min_task_records: int = 6,
-    source_mass: float = 0.4,
-    target_train_fraction: float = 0.7,
-) -> SplitManifest:
-    """One task per protein; cluster allocation as in the unseen split, so
-    target proteins come from protein clusters with no source presence.
-    Episodes drawn from these tasks should enforce disjoint drugs between
-    support and query (sample_episode(disjoint_drugs=True))."""
-    prot_cluster = _clusters(
-        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, threshold
-    )
-
-    task_records: dict[str, list[int]] = {}
-    for idx, rec in enumerate(records):
-        task_records.setdefault(rec.protein_id, []).append(idx)
-    task_is_source, n_undersized = _source_tasks(
-        task_records, prot_cluster, min_task_records, source_mass
-    )
-
-    manifest = SplitManifest(
-        "specific_meta",
-        seed,
-        {
-            "threshold": threshold,
-            "min_task_records": min_task_records,
-            "source_mass": source_mass,
-            "target_train_fraction": target_train_fraction,
-        },
-        protein_clusters=prot_cluster,
-    )
-    rng = substream(seed, "split.specific_meta")
-    return _finish_meta_manifest(
-        manifest, records, task_records, task_is_source, n_undersized, target_train_fraction, rng
-    )
+    source_pool: list[int] = []
+    target_tasks: list[str] = []
+    for tid in sorted(task_records):
+        if task_is_source[tid]:
+            source_pool.extend(task_records[tid])
+            manifest.tasks[tid] = {"pool": "source", "records": sorted(task_records[tid])}
+        else:
+            target_tasks.append(tid)
+    if not target_tasks:
+        raise InsufficientData("no target tasks with enough records remain")
+    order = substream(seed, "split.meta").permutation(len(target_tasks))
+    n_train = int(len(target_tasks) * target_train_fraction)
+    train_tasks = {target_tasks[i] for i in order[:n_train]}
+    test_tasks = [t for t in target_tasks if t not in train_tasks]
+    if not test_tasks:
+        raise InsufficientData("target task pool too small to reserve test tasks")
+    for tid in target_tasks:
+        pool = "target_train" if tid in train_tasks else "target_test"
+        manifest.tasks[tid] = {"pool": pool, "records": sorted(task_records[tid])}
+        part = TRAIN if tid in train_tasks else TEST
+        for idx in task_records[tid]:
+            manifest.assignments[idx] = (TARGET, part)
+    for idx in source_pool:
+        manifest.assignments[idx] = (SOURCE, TRAIN)
+    manifest.params["n_undersized_tasks"] = n_undersized
+    return _check_complete(manifest, len(records))
 
 
 # -- episodes -----------------------------------------------------------------
@@ -547,13 +490,11 @@ def sample_episode(
     k: int,
     k_query: int,
     rng: np.random.Generator,
-    disjoint_drugs: bool = False,
 ) -> Episode:
     """Draw a k-shot episode from one task's records.
 
     Support takes k positives and k negatives without replacement; the
-    query draws k_query from the leftovers (when disjoint_drugs, leftovers
-    sharing a drug with the support are excluded first).
+    query draws k_query from the leftovers.
     """
     pos = sorted(i for i in task_indices if records[i].label == 1.0)
     neg = sorted(i for i in task_indices if records[i].label == 0.0)
@@ -566,9 +507,6 @@ def sample_episode(
     support = sup_pos + sup_neg
     taken = set(support)
     rest = [i for i in sorted(task_indices) if i not in taken]
-    if disjoint_drugs:
-        sup_drugs = {records[i].drug_id for i in support}
-        rest = [i for i in rest if records[i].drug_id not in sup_drugs]
     if len(rest) < k_query:
         raise InsufficientClassSamples(
             f"task {task_id}: only {len(rest)} records left for a {k_query}-query set"

@@ -11,8 +11,8 @@ The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``neg``,
 ``transpose``, ``reshape``, ``concat``, ``index_select``, ``expand``;
 ``matmul`` and ``add_bias``; stride-1 ``conv1d``, non-overlapping
 ``maxpool1d`` and ``avgpool1d``; ``embedding_lookup``,
-``batch_stat_norm``, ``grad_reverse``, ``bce_with_logits`` and
-``cosine_similarity``.
+``batch_stat_norm``, ``grad_reverse``, ``bce_with_logits`` and the row-wise
+``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
@@ -614,16 +614,25 @@ def bce_with_logits(logits, targets) -> Tensor:
     return _make(out, (z,), backward)
 
 
-def cosine_similarity(a, b, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity of two 1-d tensors; returns a 0-d tensor."""
+def cosine_rows(a, b, eps: float = 1e-12) -> Tensor:
+    """Cosine similarity of each row pair of a[N, C] and b[N, C]; returns [N].
+
+    A row where either norm is below eps has similarity 0 and passes no
+    gradient, where composing from ``sqrt`` would give NaN gradients.
+    """
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"cosine_similarity: {a.data.shape} vs {b.data.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na < eps or nb < eps:
-        # degenerate direction: similarity pinned to 0, no gradient path
-        return Tensor(np.asarray(0.0, dtype=a.data.dtype))
-    dot = tsum(mul(a, b))
-    denom = sqrt(tsum(square(a))) * sqrt(tsum(square(b)))
-    return div(dot, denom)
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"cosine_rows: {a.data.shape} vs {b.data.shape}")
+    na = np.sqrt((a.data * a.data).sum(axis=1))
+    nb = np.sqrt((b.data * b.data).sum(axis=1))
+    live = ~((na < eps) | (nb < eps))  # a NaN norm stays live and propagates
+    denom = np.where(live, na * nb, 1.0)
+    out = np.where(live, (a.data * b.data).sum(axis=1) / denom, 0.0)
+
+    def backward(g):
+        g = np.where(live, g, 0.0)
+        across = (g / denom)[:, None]
+        _accum(a, across * b.data - (g * out / np.where(live, na * na, 1.0))[:, None] * a.data)
+        _accum(b, across * a.data - (g * out / np.where(live, nb * nb, 1.0))[:, None] * b.data)
+
+    return _make(out, (a, b), backward)

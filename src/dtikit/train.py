@@ -423,8 +423,9 @@ def _fused_cache(encoder, feat, records, idxs) -> dict[int, Tensor]:
 
 def _episode_inputs(fused, records, support_idx, query_idx):
     """Support matrix [2k, dim], its labels, and the query vectors."""
-    support = T.concat(
-        [T.reshape(fused[i], (1, fused[i].data.shape[0])) for i in support_idx]
+    support = T.reshape(
+        T.concat([fused[i] for i in support_idx]),
+        (len(support_idx), fused[support_idx[0]].data.shape[0]),
     )
     labels = np.array([records[i].label for i in support_idx])
     return support, labels, [fused[i] for i in query_idx]
@@ -488,6 +489,15 @@ def train_meta(
     return _fit(cfg, manifest, out, run_epoch, store, encoder, feat, head)
 
 
+def check_shot_curve(shots, n_runs: int) -> None:
+    """Refuse a shot curve that would average no runs or slice the support
+    with a shot count below one."""
+    if n_runs < 1:
+        raise ConfigError(f"eval runs must be at least 1, got {n_runs}")
+    if not shots or min(shots) < 1:
+        raise ConfigError(f"shot counts must be at least 1, got {list(shots)}")
+
+
 def meta_shot_curve(
     records: list[InteractionRecord],
     manifest: SplitManifest,
@@ -508,6 +518,7 @@ def meta_shot_curve(
     queries measures what the extra shots add, with the query sampling
     noise cancelled out.  Reports carry mean and spread across runs.
     """
+    check_shot_curve(shots, n_runs)
     k_max = max(shots)
     task_ids, pools = _episode_tasks(manifest, "target_test", records, k_max, cfg.k_query)
     idxs = sorted({i for pool in pools.values() for i in pool})

@@ -165,9 +165,9 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda z: _weighted(T.bce_with_logits(z, targets), np.abs(w_nm)),
         [rng.normal(size=(n, m))],
     )
-    cases["cosine_similarity"] = (
-        lambda a, b: T.cosine_similarity(a, b),
-        [_away_from_zero(rng, L), _away_from_zero(rng, L)],
+    cases["cosine_rows"] = (
+        lambda a, b: _weighted(T.cosine_rows(a, b), w_nm[:, 0].copy()),
+        [_away_from_zero(rng, (n, m)), _away_from_zero(rng, (n, m))],
     )
     return cases
 

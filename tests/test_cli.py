@@ -41,6 +41,23 @@ def workdir(tmp_path_factory):
     return {"root": root, "csv": csv, "split": split, "run": run, "reg": reg}
 
 
+@pytest.fixture(scope="module")
+def meta_run(workdir):
+    """A short episodic run on a meta split, for the episodic eval flags."""
+    root = workdir["root"]
+    split = str(root / "meta_protein.json")
+    assert cli.main(["split", "--csv", workdir["csv"], "--strategy", "meta_protein",
+                     "--out", split]) == 0
+    short = root / "short_meta.json"
+    short.write_text('{"meta.episodes_per_epoch": 4, "meta.eval_episodes": 4}')
+    run = str(root / "meta")
+    assert cli.main(["train", "--csv", workdir["csv"], "--split-manifest", split,
+                     "--stage", "meta", "--no-warm-start", "--epochs", "1",
+                     "--eval-runs", "1", "--config", str(short), "--out", run,
+                     *SMALL]) == 0
+    return {"split": split, "run": run}
+
+
 class TestSynth:
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -271,6 +288,34 @@ class TestExitCodes:
                          "--checkpoint", workdir[run], "--out", str(out), *flags])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eval-runs", "0"], ["--eval-runs", "-2"], ["--shots=-1,5"],
+         ["--shots", "0,1"], ["--shots", "1,x"], ["--shots", "2.5"]],
+        ids=["zero-runs", "negative-runs", "negative-shot", "zero-shot",
+             "non-integer-shot", "fractional-shot"],
+    )
+    def test_shot_curve_flag_out_of_range_is_2(self, workdir, meta_run, tmp_path, flags):
+        """A shot count or run count below one, or a shot that is not an
+        integer, is refused instead of reporting a NaN or a phantom row."""
+        out = tmp_path / "report.json"
+        code = cli.main(["eval", "--csv", workdir["csv"],
+                         "--split-manifest", meta_run["split"],
+                         "--checkpoint", meta_run["run"], "--out", str(out), *flags])
+        assert code == 2
+        assert not out.exists()
+
+    def test_meta_train_with_zero_eval_runs_is_2_before_training(
+        self, workdir, meta_run, tmp_path
+    ):
+        run = tmp_path / "run"
+        code = cli.main(["train", "--csv", workdir["csv"],
+                         "--split-manifest", meta_run["split"], "--stage", "meta",
+                         "--no-warm-start", "--eval-runs", "0", "--out", str(run),
+                         *SMALL])
+        assert code == 2
+        assert not run.exists()
 
     def test_meta_report_defaults_to_five_eval_runs(self, workdir, monkeypatch):
         seen = {}

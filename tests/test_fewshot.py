@@ -4,15 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dtikit import tensor as T
 from dtikit.fewshot import (
     DomainError,
     EmptyClass,
-    PrototypeAttention,
     PrototypeHead,
-    cosine_classify,
-    dynamic_prototypes,
-    expand_concat,
     focal_loss,
 )
 from dtikit.optim import ParameterStore
@@ -24,12 +19,6 @@ def silu(x):
     return x / (1.0 + np.exp(-x))
 
 
-def make_attention(seed=0, d=4, s=3, uniform=False):
-    store = ParameterStore()
-    attn = PrototypeAttention(store, substream(seed, "init"), d, s, uniform=uniform)
-    return store, attn
-
-
 def random_episode(rng, k=2, k_q=3, d=4):
     support = Tensor(rng.normal(size=(2 * k, d)), requires_grad=True)
     labels = np.array([1.0] * k + [0.0] * k)
@@ -38,133 +27,176 @@ def random_episode(rng, k=2, k_q=3, d=4):
     return support, labels, queries, q_labels
 
 
-# -- expand_concat ----------------------------------------------------------
+def build_head(seed=0, d=4, uniform=False, **kw):
+    store = ParameterStore()
+    head = PrototypeHead(
+        store, substream(seed, "init"), d, qk_dim=3, uniform_attention=uniform, **kw
+    )
+    return store, head
 
 
-def test_expand_concat_block_layout():
-    support = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    query = Tensor(np.array([2.0, 2.0]))
-    block = expand_concat(support, query)
-    assert np.array_equal(block.data, [[2.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+# -- the per-query block oracle ------------------------------------------------
 
 
-def test_expand_concat_shape_check():
-    with pytest.raises(ShapeMismatch):
-        expand_concat(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
-
-
-# -- dynamic prototypes --------------------------------------------------------
-
-
-def test_uniform_attention_gives_class_means():
-    store, attn = make_attention(uniform=True)
-    assert store.paths() == []  # uniform mode registers nothing
-    rng = np.random.default_rng(0)
-    support, labels, queries, _ = random_episode(rng)
-    blocks = [expand_concat(support, q) for q in queries]
-    protos = dynamic_prototypes(blocks, support, labels, attn)
-    mean0 = support.data[labels == 0].mean(axis=0)
-    mean1 = support.data[labels == 1].mean(axis=0)
-    for p0, p1 in protos.prototypes:
-        assert np.allclose(p0.data, mean0, atol=1e-12)
-        assert np.allclose(p1.data, mean1, atol=1e-12)
-
-
-def test_one_shot_prototype_is_the_support_itself():
-    store, attn = make_attention(seed=5)
-    rng = np.random.default_rng(1)
-    support, labels, queries, _ = random_episode(rng, k=1, k_q=2)
-    blocks = [expand_concat(support, q) for q in queries]
-    protos = dynamic_prototypes(blocks, support, labels, attn)
-    for p0, p1 in protos.prototypes:
-        assert np.allclose(p0.data, support.data[labels == 0][0], atol=1e-12)
-        assert np.allclose(p1.data, support.data[labels == 1][0], atol=1e-12)
-
-
-def test_prototypes_match_straight_line_oracle():
-    """Index-by-index numpy rewrite of the attention and prototype formulas."""
-    store, attn = make_attention(seed=7, d=5, s=4)
-    rng = np.random.default_rng(2)
-    support, labels, queries, _ = random_episode(rng, k=2, k_q=2, d=5)
-    blocks = [expand_concat(support, q) for q in queries]
-    protos = dynamic_prototypes(blocks, support, labels, attn)
-
-    w = store["proto/shared/w"].data
-    g1, b1 = store["proto/q_scale"].data, store["proto/q_shift"].data
-    g2, b2 = store["proto/k_scale"].data, store["proto/k_shift"].data
-    for j, q in enumerate(queries):
-        block = np.vstack([q.data[None, :], support.data])
-        z = silu(block @ w)
-        qm = z * g1 + b1
-        km = z * g2 + b2
-        a = np.maximum(qm @ km.T, 0.0) ** 2
-        scores = a[0, 1:]
-        assert np.allclose(scores, protos.attention[j], atol=1e-9)
+def block_oracle(store, support, labels, queries, uniform):
+    """The head as one (2k+1)-row block per query, in plain numpy: the
+    query in row zero, the full squared-relu score matrix of the block, its
+    row zero against the supports, a softmax inside each class, and the
+    cosine of the query to each class prototype (0 at a zero norm)."""
+    probs, weights = [], []
+    for q in queries:
+        block = np.vstack([q[None, :], support])
+        if uniform:
+            scores = np.zeros(support.shape[0])
+        else:
+            z = silu(block @ store["proto/shared/w"].data)
+            qm = z * store["proto/q_scale"].data + store["proto/q_shift"].data
+            km = z * store["proto/k_scale"].data + store["proto/k_shift"].data
+            scores = (np.maximum(qm @ km.T, 0.0) ** 2)[0, 1:]
+        w_row = np.zeros(support.shape[0])
+        sims = []
         for c in (0, 1):
             idx = np.flatnonzero(labels == c)
             e = np.exp(scores[idx] - scores[idx].max())
-            sm = e / e.sum()
-            want = (sm[:, None] * support.data[idx]).sum(axis=0)
-            assert np.allclose(want, protos.prototypes[j][c].data, atol=1e-9)
+            w_row[idx] = e / e.sum()
+            proto = w_row[idx] @ support[idx]
+            nq, npr = np.linalg.norm(q), np.linalg.norm(proto)
+            sims.append(0.0 if min(nq, npr) < 1e-12 else q @ proto / (nq * npr))
+        e = np.exp(np.array(sims) - max(sims))
+        probs.append(e / e.sum())
+        weights.append(w_row)
+    return np.array(probs), np.array(weights)
+
+
+def spread_attention(store, rng):
+    """Random attention parameters large enough that the learned weights
+    are far from uniform."""
+    for path in store.paths():
+        store[path].data[...] = rng.normal(scale=2.0, size=store[path].data.shape)
+
+
+def test_prototypes_match_straight_line_oracle():
+    """The one-matrix head against the per-query block oracle: k from 1 to
+    5, k_q from 1 to 10, learned and uniform attention, one zero query."""
+    rng = np.random.default_rng(21)
+    for uniform in (False, True):
+        for episode in range(60):
+            d = int(rng.integers(2, 9))
+            k = int(rng.integers(1, 6))
+            k_q = int(rng.integers(1, 11))
+            store, head = build_head(seed=episode, d=d, uniform=uniform)
+            spread_attention(store, rng)
+            support, labels, queries, _ = random_episode(rng, k=k, k_q=k_q, d=d)
+            if episode == 0:
+                queries[0] = Tensor(np.zeros(d))
+            probs, weights = head.episode_probabilities(support, labels, queries)
+            want_p, want_w = block_oracle(
+                store, support.data, labels, [q.data for q in queries], uniform
+            )
+            assert np.abs(np.array([p.data for p in probs]) - want_p).max() <= 1e-12
+            assert np.abs(weights - want_w).max() <= 1e-12
+
+
+# -- prototypes ----------------------------------------------------------------
+
+
+def test_uniform_attention_gives_class_means():
+    store, head = build_head(uniform=True)
+    assert store.paths() == []  # uniform mode registers nothing
+    rng = np.random.default_rng(0)
+    support, labels, queries, _ = random_episode(rng, k=3, k_q=4)
+    _, weights = head.episode_probabilities(support, labels, queries)
+    assert weights.shape == (4, 6)
+    assert np.allclose(weights, 1.0 / 3.0, atol=1e-15)  # each prototype is its class mean
+
+
+def test_one_shot_prototype_is_the_support_itself():
+    _, head = build_head(seed=5)
+    rng = np.random.default_rng(1)
+    support, labels, queries, _ = random_episode(rng, k=1, k_q=2)
+    probs, weights = head.episode_probabilities(support, labels, queries)
+    assert np.array_equal(weights, np.ones((2, 2)))
+    for q, p in zip(queries, probs):
+        sims = [
+            s @ q.data / (np.linalg.norm(s) * np.linalg.norm(q.data))
+            for s in support.data[::-1]  # class 0 first
+        ]
+        want = np.exp(sims) / np.exp(sims).sum()
+        assert np.allclose(p.data, want, atol=1e-12)
 
 
 def test_weights_sum_to_one_per_class():
-    store, attn = make_attention(seed=9)
+    store, head = build_head(seed=9)
     rng = np.random.default_rng(3)
+    spread_attention(store, rng)
     for _ in range(20):
         support, labels, queries, _ = random_episode(rng, k=3, k_q=2)
-        blocks = [expand_concat(support, q) for q in queries]
-        protos = dynamic_prototypes(blocks, support, labels, attn)
-        for row in protos.weights:
+        _, weights = head.episode_probabilities(support, labels, queries)
+        for row in weights:
             assert abs(row[labels == 0].sum() - 1.0) < 1e-9
             assert abs(row[labels == 1].sum() - 1.0) < 1e-9
 
 
 def test_empty_class_raises():
-    store, attn = make_attention()
+    _, head = build_head()
     support = Tensor(np.zeros((4, 4)))
-    labels = np.ones(4)
     with pytest.raises(EmptyClass):
-        dynamic_prototypes([expand_concat(support, Tensor(np.ones(4)))],
-                           support, labels, attn)
+        head.episode_probabilities(support, np.ones(4), [Tensor(np.ones(4))])
+
+
+def test_shape_checks():
+    _, head = build_head()
+    support = Tensor(np.ones((2, 4)))
+    labels = np.array([1.0, 0.0])
+    with pytest.raises(ShapeMismatch):
+        head.episode_probabilities(support, labels, [Tensor(np.ones(3))])
+    with pytest.raises(ShapeMismatch):
+        head.episode_probabilities(support, np.array([1.0, 0.0, 0.0]), [Tensor(np.ones(4))])
 
 
 # -- cosine classification ------------------------------------------------------
 
 
 def test_cosine_classify_orthogonal_case():
-    p0 = Tensor(np.array([1.0, 0.0]))
-    p1 = Tensor(np.array([0.0, 3.0]))
-    query = Tensor(np.array([0.0, 5.0]))
-    probs = cosine_classify((p0, p1), query)
+    _, head = build_head(seed=3, d=2)
+    support = Tensor(np.array([[0.0, 3.0], [1.0, 0.0]]))
+    probs, _ = head.episode_probabilities(
+        support, np.array([1.0, 0.0]), [Tensor(np.array([0.0, 5.0]))]
+    )
     want = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
-    assert np.allclose(probs.data, want, atol=1e-12)
-    assert probs.data.argmax() == 1
+    assert np.allclose(probs[0].data, want, atol=1e-12)
+    assert probs[0].data.argmax() == 1
 
 
 def test_cosine_classify_scale_invariance():
+    _, head = build_head(uniform=True)
     rng = np.random.default_rng(5)
-    p0, p1 = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-    q = rng.normal(size=4)
-    a = cosine_classify((p0, p1), Tensor(q))
-    b = cosine_classify((p0, p1), Tensor(5.0 * q))
-    assert np.allclose(a.data, b.data, atol=1e-12)
+    support, labels, queries, _ = random_episode(rng, k=3, k_q=2)
+    a, _ = head.episode_probabilities(support, labels, queries)
+    b, _ = head.episode_probabilities(support, labels, [q * 5.0 for q in queries])
+    for pa, pb in zip(a, b):
+        assert np.allclose(pa.data, pb.data, atol=1e-12)
 
 
 def test_cosine_classify_equal_prototypes_split_evenly():
-    p = Tensor(np.array([1.0, 2.0]))
-    probs = cosine_classify((p, p), Tensor(np.array([3.0, -1.0])))
-    assert np.allclose(probs.data, [0.5, 0.5], atol=1e-12)
+    _, head = build_head(seed=2, d=2)
+    support = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    probs, _ = head.episode_probabilities(
+        support, np.array([1.0, 0.0]), [Tensor(np.array([3.0, -1.0]))]
+    )
+    assert np.allclose(probs[0].data, [0.5, 0.5], atol=1e-12)
 
 
 def test_cosine_classify_zero_vector_warns(caplog):
-    p0 = Tensor(np.zeros(3))
-    p1 = Tensor(np.ones(3))
+    _, head = build_head(d=3)
+    support = Tensor(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     with caplog.at_level(logging.WARNING, logger="dtikit.fewshot"):
-        probs = cosine_classify((p0, p1), Tensor(np.ones(3)))
-    assert "zero norm" in caplog.text
+        probs, _ = head.episode_probabilities(
+            support, np.array([1.0, 0.0]), [Tensor(np.ones(3))]
+        )
+    assert "zero-norm" in caplog.text
     want = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
-    assert np.allclose(probs.data, want, atol=1e-12)
+    assert np.allclose(probs[0].data, want, atol=1e-12)
 
 
 # -- focal loss --------------------------------------------------------------------
@@ -197,14 +229,6 @@ def test_focal_loss_domain_checks():
 
 
 # -- whole episode ------------------------------------------------------------------
-
-
-def build_head(seed=0, d=4, uniform=False, **kw):
-    store = ParameterStore()
-    head = PrototypeHead(
-        store, substream(seed, "init"), d, qk_dim=3, uniform_attention=uniform, **kw
-    )
-    return store, head
 
 
 def test_episode_loss_gradcheck_tiny_instance():
@@ -253,6 +277,34 @@ def test_episode_loss_gradcheck_tiny_instance():
         assert abs(numeric - analytic) <= tol, path
 
 
+def test_episode_loss_gradients_with_several_shots_and_queries():
+    """Directional finite differences on every leaf and attention
+    parameter of a 3-shot, 4-query episode."""
+    store, head = build_head(seed=19)
+    rng = np.random.default_rng(11)
+    support, labels, queries, q_labels = random_episode(rng, k=3, k_q=4)
+    leaves = {"support": support, **{f"query{j}": q for j, q in enumerate(queries)}}
+    leaves.update({path: store[path] for path in store.paths()})
+
+    def loss_value():
+        return float(head.episode_loss(support, labels, queries, q_labels)[0].data)
+
+    loss, _ = head.episode_loss(support, labels, queries, q_labels)
+    loss.backward()
+    h = 1e-6
+    for name, leaf in leaves.items():
+        direction = rng.normal(size=leaf.data.shape)
+        base = leaf.data.copy()
+        leaf.data[...] = base + h * direction
+        up = loss_value()
+        leaf.data[...] = base - h * direction
+        down = loss_value()
+        leaf.data[...] = base
+        numeric = (up - down) / (2 * h)
+        analytic = float(np.sum(leaf.grad * direction))
+        assert abs(numeric - analytic) <= 1e-4 * max(abs(numeric), abs(analytic)) + 1e-10, name
+
+
 def test_uniform_head_matches_class_mean_reference():
     _, head = build_head(uniform=True)
     rng = np.random.default_rng(9)
@@ -278,4 +330,8 @@ def test_episode_loss_reports_positive_probabilities():
     loss, positive = head.episode_loss(support, labels, queries, q_labels)
     assert positive.shape == (4,)
     assert np.all((positive > 0) & (positive < 1))
-    assert float(loss.data) > 0
+    probs, _ = head.episode_probabilities(support, labels, queries)
+    assert np.array_equal(positive, [p.data[1] for p in probs])
+    correct = np.array([p.data[int(c)] for p, c in zip(probs, q_labels)])
+    want = focal_loss(Tensor(correct), head.alpha, head.gamma)
+    assert float(loss.data) == float(want.data) > 0

@@ -1,4 +1,5 @@
-"""Every name a package module imports is referenced somewhere in it."""
+"""Every name a package module imports is referenced somewhere in it, and
+every tensor op has a caller outside `tensor.py`."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,44 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "imported but never referenced: " + ", ".join(unused)
+
+
+def _tensor_names_used(tree: ast.Module) -> set[str]:
+    """Names a module takes from `dtikit.tensor`: `T.op` attributes on the
+    module's alias and names imported from it."""
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "tensor":
+                used.update(alias.name for alias in node.names)
+            elif node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            used.add(node.attr)
+    return used
+
+
+def test_every_op_has_a_caller():
+    """Each public function of `tensor.py` that records a graph node is
+    called from another package module or from a `Tensor` method, so no op
+    outlives its last caller."""
+    tensor_path = PACKAGE_DIR / "tensor.py"
+    tree = ast.parse(tensor_path.read_text())
+    ops = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
+                for n in ast.walk(node))
+    }
+    used = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "Tensor":
+            used.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path != tensor_path:
+            used |= _tensor_names_used(ast.parse(path.read_text()))
+    assert len(ops) > 20, "no ops found; the `_make` scan is broken"
+    assert not ops - used, "ops no package module calls: " + ", ".join(sorted(ops - used))

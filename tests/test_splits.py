@@ -461,14 +461,6 @@ def test_meta_split_insufficient_data():
         sp.meta_unseen_split(records, kind="protein", min_task_records=6)
 
 
-def test_specific_meta_tasks_are_single_protein():
-    records = equal_mass_meta_corpus()
-    m = sp.specific_meta_split(records, seed=0)
-    for tid, info in m.tasks.items():
-        prots = {records[i].protein_id for i in info["records"]}
-        assert prots == {tid}
-
-
 # -- episodes -------------------------------------------------------------------------
 
 
@@ -497,17 +489,3 @@ def test_sample_episode_insufficient_class():
     rng = substream(0, "episode")
     with pytest.raises(sp.InsufficientClassSamples):
         sp.sample_episode(records, "t0", list(range(6)), k=2, k_query=2, rng=rng)
-
-
-def test_sample_episode_disjoint_drugs():
-    # duplicate drugs across records: disjoint mode must exclude them from query
-    records = []
-    for i in range(8):
-        records.append(InteractionRecord(f"d{i % 4}", "p0", "CC", "ACDE", float(i % 2)))
-    rng = substream(1, "episode")
-    ep = sp.sample_episode(
-        records, "t0", list(range(8)), k=2, k_query=2, rng=rng, disjoint_drugs=True
-    )
-    sup_drugs = {records[i].drug_id for i in ep.support}
-    for i in ep.query:
-        assert records[i].drug_id not in sup_drugs

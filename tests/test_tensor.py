@@ -111,10 +111,29 @@ def test_bce_with_logits_matches_reference():
     assert np.isclose(out.data[0], np.log(2.0))
 
 
-def test_cosine_similarity_zero_vector_pins_to_zero():
-    a = T.Tensor(np.zeros(4), requires_grad=True)
-    b = T.Tensor(np.ones(4))
-    assert T.cosine_similarity(a, b).item() == 0.0
+def test_cosine_rows_zero_row_pins_to_zero_without_gradient():
+    rng = np.random.default_rng(6)
+    a_data = rng.normal(size=(4, 5))
+    a_data[2] = 0.0
+    a = T.Tensor(a_data, requires_grad=True)
+    b = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    sims = T.cosine_rows(a, b)
+    assert sims.data[2] == 0.0
+    live = [0, 1, 3]
+    want = [
+        x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
+        for x, y in zip(a_data[live], b.data[live])
+    ]
+    assert np.allclose(sims.data[live], want, atol=1e-15)
+    T.tsum(T.mul(sims, T.Tensor(rng.normal(size=4)))).backward()
+    assert np.all(a.grad[2] == 0.0) and np.all(b.grad[2] == 0.0)
+    assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
+    assert np.all(np.abs(a.grad[live]).sum(axis=1) > 0)
+    assert np.all(np.abs(b.grad[live]).sum(axis=1) > 0)
+    # only a small norm pins the similarity; a non-finite row stays visible
+    with np.errstate(invalid="ignore"):
+        bad = T.cosine_rows(T.Tensor([[np.nan, 1.0], [np.inf, 0.0]]), T.Tensor(np.ones((2, 2))))
+    assert np.all(np.isnan(bad.data))
 
 
 def test_embedding_rows_route_gradients():
