@@ -365,7 +365,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
 
     with T.no_grad():
-        outputs = encode_pairs(encoder, feat, records, idxs, None)
+        outputs = encode_pairs(encoder, feat, records, idxs, None, attention=True)
     entries = []
     for i, out in zip(idxs, outputs):
         rec = records[i]

@@ -142,15 +142,15 @@ class EncoderConfig:
 class InteractionOutput:
     """Everything one forward pass produces.
 
-    `attention` holds, per level, a detached [heads, drug_rows, real_protein_cols]
-    array of the bilinear attention weights (pad columns already cropped)."""
+    `attention` is empty unless the pass was asked for it; then it holds,
+    per level, a detached [heads, drug_rows, real_protein_cols] array of the
+    bilinear attention weights (pad columns already cropped)."""
 
     fused: Tensor
     level_vectors: list[Tensor]
-    attention: list[np.ndarray]
+    attention: list[np.ndarray] = field(default_factory=list)
     logit: Tensor | None = None
     value: Tensor | None = None
-    level_lengths: list[int] = field(default_factory=list)
 
 
 def _same_padding(kernel: int) -> tuple[int, int]:
@@ -325,17 +325,25 @@ class DTIEncoder:
 
     # -- level fusion --------------------------------------------------------
 
-    def _joint_vector(self, level: int, drug_out: Tensor, protein_out: Tensor,
-                      real_cols: int):
+    def lift_protein(self, p_levels):
+        """Lift each protein tower level to the joint width, keeping its real
+        row count.  A protein's lifted maps serve every drug it pairs with."""
+        return [
+            (T.relu(spec["protein"](out)), real)
+            for spec, (out, real) in zip(self.joint, p_levels)
+        ]
+
+    def _joint_vector(self, level: int, drug_out: Tensor, u: Tensor, real_cols: int,
+                      attention: bool):
         """Bilinear attention over one level pair.
 
-        Both sides are lifted to the joint width, every (atom-row, residue)
-        cell gets a per-head bilinear score, and the softmax-weighted product
-        is summed into a single joint vector.  Columns past `real_cols` are
-        masked out before the softmax."""
+        The drug side is lifted to the joint width (`u` is the lifted
+        protein), every (atom-row, residue) cell gets a per-head bilinear
+        score, and the softmax-weighted product is summed into a single
+        joint vector.  Columns past `real_cols` are masked out before the
+        softmax.  The per-head maps are copied out only when `attention`."""
         spec = self.joint[level]
         v = T.relu(spec["drug"](drug_out))
-        u = T.relu(spec["protein"](protein_out))
         m = v.data.shape[0]
         l = u.data.shape[0]
         mask = np.zeros(l)
@@ -351,9 +359,9 @@ class DTIEncoder:
             attn = T.reshape(T.softmax(T.reshape(scores, (1, m * l)), axis=1), (m, l))
             head = T.tsum(v * T.matmul(attn, u), axis=0)
             joint = head if joint is None else joint + head
-            maps.append(attn.data[:, :real_cols].copy())
-        f = T.avgpool1d(joint, self.config.joint_pool)
-        return f, np.stack(maps)
+            if attention:
+                maps.append(attn.data[:, :real_cols].copy())
+        return T.avgpool1d(joint, self.config.joint_pool), maps
 
     def _fuse(self, level_vectors: list[Tensor]) -> Tensor:
         if self.gau is None:
@@ -399,33 +407,32 @@ class DTIEncoder:
         drug: tuple[np.ndarray, np.ndarray],
         protein: tuple[np.ndarray, int],
         head: str | None = "classify",
+        attention: bool = False,
     ) -> InteractionOutput:
-        """End-to-end pass for one drug/protein pair.
+        """End-to-end pass for one drug/protein pair: towers, protein lift,
+        joint stage.
 
         `drug` is (atom_features, normalized_adjacency); `protein` is
         (token ids, true residue count)."""
         d_levels = self.drug_levels(drug[0], drug[1])
         p_levels = self.protein_levels(protein[0], protein[1])
-        return self.interact(d_levels, p_levels, head=head)
+        return self.interact(d_levels, self.lift_protein(p_levels), head, attention)
 
-    def interact(self, d_levels, p_levels, head: str | None = "classify"):
-        """Joint stage on already-computed tower outputs.  Splitting this off
-        lets a batch loop encode each unique molecule and sequence once."""
+    def interact(self, d_levels, lifted_p, head: str | None = "classify",
+                 attention: bool = False):
+        """Joint stage on drug tower outputs and lifted protein levels
+        (`lift_protein`).  Splitting this off lets a batch loop run each
+        unique molecule's tower, and each unique sequence's tower and lift,
+        once."""
         vectors = []
-        attention = []
-        lengths = []
-        for i, (d_out, (p_out, real)) in enumerate(zip(d_levels, p_levels)):
-            f, maps = self._joint_vector(i, d_out, p_out, real)
+        maps = []
+        for i, (d_out, (u, real)) in enumerate(zip(d_levels, lifted_p)):
+            f, level_maps = self._joint_vector(i, d_out, u, real, attention)
             vectors.append(f)
-            attention.append(maps)
-            lengths.append(real)
+            if attention:
+                maps.append(np.stack(level_maps))
         fused = self._fuse(vectors)
-        out = InteractionOutput(
-            fused=fused,
-            level_vectors=vectors,
-            attention=attention,
-            level_lengths=lengths,
-        )
+        out = InteractionOutput(fused=fused, level_vectors=vectors, attention=maps)
         if head == "classify":
             out.logit = self._head("classify", fused)
         elif head == "regress":

@@ -19,6 +19,15 @@ only exception being a true scalar (python number or 0-d array) on either
 side. Anything else must go through an explicit ``expand`` or ``add_bias``
 so that shape bugs surface at the call site instead of broadcasting away.
 
+Gradients accumulate without zero-filling: a node adopts its first
+incoming gradient when dtype, shape and strides match its data, and
+otherwise copies it into a buffer laid out like the data.  An adopted
+array may also be another node's gradient, so it is never written into; a
+second contribution goes to a fresh buffer that the node owns from then
+on.  Keeping the data's layout keeps the bytes of adding into zeros: a
+reduction such as ``batch_stat_norm``'s column mean sums a C-ordered and an
+F-ordered array in different orders.
+
 Default precision is float64. ``set_default_dtype(np.float32)`` trades
 gradient-check headroom for speed; tests always run in float64.
 """
@@ -71,11 +80,12 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
@@ -166,8 +176,23 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        if (
+            type(g) is np.ndarray
+            and g.dtype == t.data.dtype
+            and g.shape == t.data.shape
+            and g.strides == t.data.strides
+        ):
+            t.grad = g  # borrowed: never written into
+            t._owns_grad = False
+        else:
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
+            t._owns_grad = True
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.data))
+        t._owns_grad = True
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:

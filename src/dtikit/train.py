@@ -90,26 +90,38 @@ class Featurizer:
         return cls(drugs=drugs, proteins=proteins)
 
 
-def encode_pairs(encoder, feat, records, idxs, head):
+def encode_pairs(encoder, feat, records, idxs, head, attention=False):
     """Forward outputs for records[i], i in idxs, in order.
 
     Every unique molecule and sequence runs through its tower once, all
-    towers before any joint stage; each record then runs the joint stage on
-    the shared tower outputs.  The results equal per-record
-    `encoder.forward`, because the towers see one entity at a time.
+    towers before any joint stage.  The records are then taken protein by
+    protein: the protein's levels are lifted to the joint width once, and
+    its records run the joint stage on the lifted maps, which are dropped
+    before the next protein.  Drugs are lifted per record inside the joint
+    stage: a lifted protein is ten times its tower output, so a call-wide
+    cache of lifts would multiply inference memory.  The results equal
+    per-record `encoder.forward`, because the towers and the lift see one
+    entity at a time.  Per-head attention maps are copied out only when
+    `attention` is set.
     """
     d_cache = {}
     p_cache = {}
-    for i in idxs:
+    by_protein = {}
+    for j, i in enumerate(idxs):
         rec = records[i]
         if rec.smiles not in d_cache:
             d_cache[rec.smiles] = encoder.drug_levels(*feat.drugs[rec.smiles])
         if rec.sequence not in p_cache:
             p_cache[rec.sequence] = encoder.protein_levels(*feat.proteins[rec.sequence])
-    return [
-        encoder.interact(d_cache[records[i].smiles], p_cache[records[i].sequence], head=head)
-        for i in idxs
-    ]
+        by_protein.setdefault(rec.sequence, []).append(j)
+    outputs = [None] * len(idxs)
+    for sequence, positions in by_protein.items():
+        lifted = encoder.lift_protein(p_cache[sequence])
+        for j in positions:
+            d_levels = d_cache[records[idxs[j]].smiles]
+            outputs[j] = encoder.interact(d_levels, lifted, head, attention)
+        del lifted
+    return outputs
 
 
 def predict(encoder, feat, records, idxs, head="classify") -> np.ndarray:
@@ -160,14 +172,19 @@ def manifest_sha256(manifest: SplitManifest) -> str:
 
 @dataclass
 class EpochLog:
+    """One metrics line: `train` holds figures measured on the batches or
+    episodes the epoch stepped on, `val` those on held-out records."""
+
     epoch: int
     train_loss: float
     val: dict[str, float] = field(default_factory=dict)
+    train: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {"epoch": self.epoch, "train_loss": self.train_loss}
-        for k in sorted(self.val):
-            payload[f"val_{k}"] = self.val[k]
+        for prefix, values in (("train", self.train), ("val", self.val)):
+            for k in sorted(values):
+                payload[f"{prefix}_{k}"] = values[k]
         return json.dumps(payload, sort_keys=True)
 
 
@@ -482,7 +499,7 @@ def train_meta(
         log = EpochLog(
             epoch=epoch,
             train_loss=total / cfg.episodes_per_epoch,
-            val={"query_accuracy": hits / n_queries},
+            train={"query_accuracy": hits / n_queries},
         )
         return log, -log.train_loss
 

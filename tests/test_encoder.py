@@ -181,13 +181,15 @@ def test_atom_permutation_leaves_output_unchanged():
 def test_attention_mass_stays_on_real_residues():
     store, enc = build()
     drug, (ids, true_len) = aspirin_inputs()
-    out = enc.forward(drug, (ids, true_len))
-    for level, maps in enumerate(out.attention):
+    out = enc.forward(drug, (ids, true_len), attention=True)
+    reals = [real for _, real in enc.protein_levels(ids, true_len)]
+    assert len(out.attention) == len(reals)
+    for level, (maps, real) in enumerate(zip(out.attention, reals)):
         # maps are cropped to the real columns; if masking works, each head's
         # softmax mass lives entirely inside the crop
         per_head = maps.sum(axis=(1, 2))
         assert np.allclose(per_head, 1.0, atol=1e-9), level
-        assert maps.shape[2] == out.level_lengths[level]
+        assert maps.shape[2] == real
 
 
 def test_variant_without_fusion_unit():

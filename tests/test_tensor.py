@@ -143,3 +143,67 @@ def test_embedding_rows_route_gradients():
     assert np.allclose(table.grad[1], 2.0)
     assert np.allclose(table.grad[3], 1.0)
     assert np.allclose(table.grad[0], 0.0)
+
+
+# -- gradient accumulation ------------------------------------------------------
+
+
+def _zero_fill_accum(t, g):
+    """The reference rule: every gradient starts as zeros in t.data's layout."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
+
+
+def _norm_then_matmul_grads():
+    rng = np.random.default_rng(21)
+    x = T.Tensor(rng.normal(size=(5, 300)), requires_grad=True)
+    gamma = T.Tensor(rng.normal(size=5), requires_grad=True)
+    beta = T.Tensor(rng.normal(size=5), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(5, 7)), requires_grad=True)
+    y = T.batch_stat_norm(T.transpose(x), gamma, beta)
+    # y is F-ordered; the matmul hands it a C-ordered gradient, and the
+    # norm's backward sums that gradient down its rows
+    assert y.data.flags.f_contiguous and not y.data.flags.c_contiguous
+    T.tsum(T.square(T.matmul(y, w))).backward()
+    return [t.grad for t in (x, gamma, beta, w)]
+
+
+def test_accum_keeps_the_zero_fill_layout_and_bytes(monkeypatch):
+    got = _norm_then_matmul_grads()
+    monkeypatch.setattr(T, "_accum", _zero_fill_accum)
+    want = _norm_then_matmul_grads()
+    for g, ref in zip(got, want):
+        assert g.tobytes() == ref.tobytes()
+        assert g.strides == ref.strides
+
+
+def test_accum_never_writes_into_a_borrowed_gradient(monkeypatch):
+    seen = []
+
+    def recording_accum(t, g, accum=T._accum):
+        if isinstance(g, np.ndarray):
+            seen.append((g, g.copy()))
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_accum", recording_accum)
+    rng = np.random.default_rng(22)
+    c = [T.Tensor(rng.normal(size=(3, 4))) for _ in range(4)]
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    # add(x, x) hands x the same array twice; add(x, w) hands x and w one
+    # shared array, after which x fans out into two more contributions
+    loss = T.add(
+        T.add(T.tsum(T.mul(T.add(x, x), c[0])), T.tsum(T.mul(T.add(x, w), c[1]))),
+        T.add(T.tsum(T.mul(T.mul(x, 3.0), c[2])), T.tsum(T.mul(T.relu(x), c[3]))),
+    )
+    loss.backward()
+    assert len(seen) > 10
+    for g, before in seen:
+        assert g.tobytes() == before.tobytes()
+    relu_mask = x.data > 0
+    want_x = 2 * c[0].data + c[1].data + 3 * c[2].data + c[3].data * relu_mask
+    assert np.allclose(x.grad, want_x, rtol=1e-12, atol=0)
+    assert np.array_equal(w.grad, c[1].data)

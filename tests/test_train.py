@@ -137,11 +137,11 @@ class TestEncodePairs:
         assert len({records[i].sequence for i in idxs}) < len(idxs)
         for head in ("classify", "regress"):
             with contextlib.nullcontext() if grad else T.no_grad():
-                batched = encode_pairs(encoder, feat, records, idxs, head)
+                batched = encode_pairs(encoder, feat, records, idxs, head, attention=True)
                 single = [
                     encoder.forward(
                         feat.drugs[records[i].smiles], feat.proteins[records[i].sequence],
-                        head=head,
+                        head=head, attention=True,
                     )
                     for i in idxs
                 ]
@@ -155,10 +155,54 @@ class TestEncodePairs:
                     np.array_equal(x.data, y.data)
                     for x, y in zip(b.level_vectors, r.level_vectors)
                 )
+                assert len(b.attention) == len(r.attention) == cfg.encoder_config().n_levels
                 assert all(
                     np.array_equal(x, y) for x, y in zip(b.attention, r.attention)
                 )
-                assert b.level_lengths == r.level_lengths
+
+    def test_shared_lift_gradients_match_per_record_forward(self, records):
+        """A shared protein lift sums its weight gradients in another order
+        than one lift per record; one mean-loss step must still agree."""
+        cfg = small_config()
+        store, encoder = build_model(cfg)
+        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+        idxs = list(range(40)) + [5, 0]
+        labels = [np.array([records[i].label]) for i in idxs]
+        outputs = encode_pairs(encoder, feat, records, idxs, "classify")
+        T.tmean(T.concat([T.bce_with_logits(o.logit, y) for o, y in zip(outputs, labels)])).backward()
+        shared = {path: store[path].grad for path in store.paths()}
+        store.zero_grad()
+        for i, y in zip(idxs, labels):
+            out = encoder.forward(feat.drugs[records[i].smiles], feat.proteins[records[i].sequence])
+            T.mul(T.tsum(T.bce_with_logits(out.logit, y)), 1.0 / len(idxs)).backward()
+        for path, grad in shared.items():
+            assert np.max(np.abs(grad - store[path].grad)) <= 1e-10, path
+
+    def test_each_protein_is_lifted_once_per_call(self, records, monkeypatch):
+        cfg = small_config()
+        store, encoder = build_model(cfg)
+        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+        lift_weights = {
+            id(store[f"joint/level{i}/protein/w"]) for i in range(cfg.encoder_config().n_levels)
+        }
+        lifts = []
+        matmul = T.matmul
+
+        def counting_matmul(a, b):
+            if id(b) in lift_weights:
+                lifts.append(a)
+            return matmul(a, b)
+
+        monkeypatch.setattr(T, "matmul", counting_matmul)
+        idxs = list(range(60)) + [5, 0]
+        n_proteins = len({records[i].sequence for i in idxs})
+        assert n_proteins < len(idxs)
+        for grad in (True, False):
+            lifts.clear()
+            with contextlib.nullcontext() if grad else T.no_grad():
+                encode_pairs(encoder, feat, records, idxs, "classify")
+            assert len(lifts) == n_proteins * len(lift_weights)
+            assert len({id(a) for a in lifts}) == len(lifts)
 
 
 class TestArtifacts:
@@ -242,7 +286,9 @@ class TestMeta:
         result = train_meta(records, meta_manifest, cfg, no_warm_start=True)
         assert result.head is not None
         assert len(result.history) == 1
-        assert "query_accuracy" in result.history[0].val
+        assert "query_accuracy" in result.history[0].train
+        assert not result.history[0].val  # the episodes it scored were training ones
+        assert "train_query_accuracy" in json.loads(result.history[0].to_json())
 
     def test_supervised_pool_includes_target_train_labels(self, records, meta_manifest):
         train, _, test = supervised_indices(meta_manifest)
