@@ -69,8 +69,8 @@ class DomainAdversary:
 
     def domain_loss(
         self,
-        source_features: list[Tensor],
-        target_features: list[Tensor],
+        source: Tensor,
+        target: Tensor,
         source_probs: np.ndarray,
         target_probs: np.ndarray,
         grl_scale: float = 1.0,
@@ -78,38 +78,29 @@ class DomainAdversary:
         """Per-class BCE of the discriminators against the domain labels,
         averaged over records and summed over classes.
 
-        `source_probs` / `target_probs` are detached class probabilities,
-        one row per record; each class head sees the reversed feature scaled
-        by its own class's probability, so confident members of a class
-        dominate that class's alignment signal.
+        `source` and `target` are fused matrices [N, dim]; their stack goes
+        through one gradient reversal.  `source_probs` / `target_probs` are
+        detached class probabilities, one row per record; each class head
+        sees the reversed features scaled row by row by its own class's
+        probability, so confident members of a class dominate that class's
+        alignment signal.
         """
-        if not source_features or not target_features:
+        n_src, n_tgt = source.data.shape[0], target.data.shape[0]
+        if not n_src or not n_tgt:
             raise EmptyDomainBatch("need at least one record from each domain")
-        feats = list(source_features) + list(target_features)
         probs = np.vstack([np.asarray(source_probs), np.asarray(target_probs)])
-        if probs.shape != (len(feats), self.n_classes):
+        if probs.shape != (n_src + n_tgt, self.n_classes):
             raise T.ShapeMismatch(
-                f"probs {probs.shape} for {len(feats)} records, "
+                f"probs {probs.shape} for {n_src + n_tgt} records, "
                 f"{self.n_classes} classes"
             )
         domains = np.concatenate(
-            [
-                np.full(len(source_features), SOURCE_DOMAIN),
-                np.full(len(target_features), TARGET_DOMAIN),
-            ]
+            [np.full(n_src, SOURCE_DOMAIN), np.full(n_tgt, TARGET_DOMAIN)]
         )
-        rows = [
-            T.reshape(T.grad_reverse(f, grl_scale), (1, self.feature_dim))
-            for f in feats
-        ]
-        x = T.concat(rows, axis=0)
+        x = T.grad_reverse(T.concat([source, target], axis=0), grl_scale)
         loss = None
         for k in range(self.n_classes):
-            scale = Tensor(
-                np.repeat(probs[:, k : k + 1], self.feature_dim, axis=1),
-                requires_grad=False,
-            )
-            logits = self.discriminate(k, x * scale)
+            logits = self.discriminate(k, T.scale_rows(x, probs[:, k]))
             term = T.tmean(T.bce_with_logits(logits, domains))
             loss = term if loss is None else loss + term
         return loss
@@ -133,8 +124,8 @@ def lambda_schedule(
     return lam_max * min(1.0, (step + 1) / warmup)
 
 
-def class_probabilities(logit: float) -> np.ndarray:
-    """Detached (no-interaction, interaction) probability row from one
-    classifier logit."""
-    p = float(sigmoid_values(np.asarray(logit)))
-    return np.array([1.0 - p, p])
+def class_probabilities(logits: np.ndarray) -> np.ndarray:
+    """Detached (no-interaction, interaction) probability rows [N, 2] from a
+    vector of classifier logits."""
+    p = sigmoid_values(np.asarray(logits, dtype=np.float64))
+    return np.stack([1.0 - p, p], axis=1)

@@ -280,7 +280,9 @@ def _test_report(records, manifest, cfg, encoder, proto, feat, shots, eval_runs)
             spread={f"auroc@{k}": curve[k].spread["auroc"] for k in shots},
         )
     head = _stage_head(cfg.stage)
-    return MetricReport(metrics=evaluate(encoder, feat, records, test, head=head))
+    return MetricReport(
+        metrics=evaluate(encoder, feat, records, test, head=head, batch_size=cfg.batch_size)
+    )
 
 
 def _metric_line(report: MetricReport) -> str:
@@ -365,16 +367,18 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
 
     with T.no_grad():
-        outputs = encode_pairs(encoder, feat, records, idxs, None, attention=True)
+        out = encode_pairs(
+            encoder, feat, records, idxs, None, attention=True, chunk=cfg.batch_size
+        )
     entries = []
-    for i, out in zip(idxs, outputs):
+    for i, maps in zip(idxs, out.attention):
         rec = records[i]
         ids, true_len = feat.proteins[rec.sequence]
         entries.append(
             {
                 "drug_id": rec.drug_id,
                 "protein_id": rec.protein_id,
-                "levels": _attention_summary(out.attention, min(true_len, ids.shape[0])),
+                "levels": _attention_summary(maps, min(true_len, ids.shape[0])),
             }
         )
     payload = json.dumps(entries, indent=1, sort_keys=True) + "\n"

@@ -1,4 +1,4 @@
-"""Two-tower interaction encoder.
+"""Two-tower interaction encoder, run on a batch of pairs at once.
 
 A protein tower (1-d convolutions over residue embeddings) and a drug tower
 (graph convolutions over atom features) each emit three feature maps at
@@ -7,13 +7,23 @@ step that produces one fixed-width vector per level, and a small gated
 attention unit fuses the three vectors into the final pair representation
 that the prediction heads and any downstream objective consume.
 
+The towers run once per distinct entity of a batch: the protein tower on
+the fixed-length token windows [P, L], the drug tower on atom features and
+adjacencies zero-padded to the batch's largest molecule [D, M, M] with an
+atom mask.  `interact` lifts the entities its pairs use to the joint width
+and runs the attention, the fusion unit and the head with a row per pair.
+
 Design notes that matter for correctness:
 
 * The protein tower halves its length after every level (max pool of 2), so
   level masks must be recomputed from the true residue count as lengths
   shrink.  Positions past the mask get their attention column forced to
   zero; convolution bleed across the boundary is tolerated because the pad
-  embedding is a learned constant.
+  embedding is a learned constant, and the per-sample statistics include
+  the pad rows of the window.
+* Pad atoms take no part in anything a real atom sees: the padded
+  adjacency has no edges to them, the masked normalization leaves them out
+  of its statistics and zeroes them, and their attention rows are masked.
 * The drug tower never pools its atom axis: atom order is an artifact of
   the input writing, so a positional pool would change results under
   renumbering.  Both the extraction chain and the per-level output branch
@@ -33,8 +43,6 @@ from .optim import ParameterStore, kaiming_uniform
 from .proteins import VOCAB_SIZE
 from .smiles import MolecularGraph
 from .tensor import Tensor
-
-PAD_MASK_BIAS = -1e30
 
 # fixed atom vocabulary for the one-hot block; anything else maps to the
 # trailing "other" slot
@@ -140,15 +148,17 @@ class EncoderConfig:
 
 @dataclass
 class InteractionOutput:
-    """Everything one forward pass produces.
+    """Everything one batched pass produces, a row per pair: `fused` and
+    each of `level_vectors` [B, fused_dim], `logit` or `value` [B].
 
     `attention` is empty unless the pass was asked for it; then it holds,
-    per level, a detached [heads, drug_rows, real_protein_cols] array of the
-    bilinear attention weights (pad columns already cropped)."""
+    per pair and per level, a detached [heads, atoms, real_protein_cols]
+    array of the bilinear attention weights (pad rows and columns already
+    cropped)."""
 
     fused: Tensor
     level_vectors: list[Tensor]
-    attention: list[np.ndarray] = field(default_factory=list)
+    attention: list[list[np.ndarray]] = field(default_factory=list)
     logit: Tensor | None = None
     value: Tensor | None = None
 
@@ -159,12 +169,11 @@ def _same_padding(kernel: int) -> tuple[int, int]:
 
 
 class _BatchNorm:
-    """Feature normalization over the rows of one sample.
+    """Feature normalization over the rows of each sample.
 
-    The towers run one molecule or sequence at a time, so the statistics are
-    always per-sample, and evaluation must normalize exactly the way training
-    did or the downstream attention sees a different function.  Both
-    therefore use the sample's own row statistics, and the layer keeps no
+    A sample's statistics never mix with another's, so a molecule or a
+    sequence gets the same features whatever batch it runs in, and
+    evaluation normalizes exactly the way training did.  The layer keeps no
     running state: only the learned scale and shift.
     """
 
@@ -172,8 +181,8 @@ class _BatchNorm:
         self.gamma = store.parameter(f"{path}/gamma", np.ones(dim))
         self.beta = store.parameter(f"{path}/beta", np.zeros(dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.batch_stat_norm(x, self.gamma, self.beta)
+    def __call__(self, x: Tensor, mask=None) -> Tensor:
+        return T.batch_stat_norm(x, self.gamma, self.beta, mask)
 
 
 class _Linear:
@@ -294,14 +303,16 @@ class DTIEncoder:
 
     # -- towers ------------------------------------------------------------
 
-    def protein_levels(self, ids: np.ndarray, true_length: int):
-        """Run the residue tower.  Returns one (features, real_count) pair per
-        level; `real_count` is how many leading rows trace back to actual
-        residues rather than padding."""
+    def protein_levels(self, proteins):
+        """Run the residue tower on a batch of (token ids [L], true length)
+        windows of one length.  Returns one (features [P, L_i, C],
+        real_counts [P]) pair per level; a real count is how many leading
+        rows trace back to actual residues rather than padding."""
+        ids = np.stack([p_ids for p_ids, _ in proteins])
+        real = np.minimum([n for _, n in proteins], ids.shape[1])
         x = T.embedding_lookup(self.embedding, ids)
         for conv in self.p_stem:
             x = T.relu(conv(x))
-        real = min(true_length, ids.shape[0])
         levels = []
         for spec in self.p_levels:
             ex = spec["ex_bn"](T.relu(spec["ex"](x)))
@@ -311,77 +322,96 @@ class DTIEncoder:
             levels.append((out, real))
         return levels
 
-    def drug_levels(self, feats: np.ndarray, adj_norm: np.ndarray):
+    def drug_levels(self, drugs):
+        """Run the graph tower on a batch of (atom features, normalized
+        adjacency) molecules, zero-padded to the largest.  Returns the level
+        features [D, M, C], pad rows zero, and the atom mask [D, M]."""
+        m = max(f.shape[0] for f, _ in drugs)
+        feats = np.zeros((len(drugs), m, ATOM_FEAT_DIM))
+        adj_norm = np.zeros((len(drugs), m, m))
+        mask = np.zeros((len(drugs), m), dtype=bool)
+        for j, (f, a) in enumerate(drugs):
+            n = f.shape[0]
+            feats[j, :n] = f
+            adj_norm[j, :n, :n] = a
+            mask[j, :n] = True
         adj = Tensor(adj_norm, requires_grad=False)
         h = Tensor(feats, requires_grad=False)
         for lin in self.d_stem:
             h = T.relu(lin(h))
         levels = []
         for spec in self.d_levels:
-            h = spec["ex_bn"](T.relu(T.matmul(adj, spec["ex"](h))))
-            out = spec["out_bn"](T.relu(T.matmul(adj, spec["out"](h))))
+            h = spec["ex_bn"](T.relu(T.bmm(adj, spec["ex"](h))), mask)
+            out = spec["out_bn"](T.relu(T.bmm(adj, spec["out"](h))), mask)
             levels.append(out)
-        return levels
+        return levels, mask
 
-    # -- level fusion --------------------------------------------------------
+    # -- joint stage ----------------------------------------------------------
 
-    def lift_protein(self, p_levels):
-        """Lift each protein tower level to the joint width, keeping its real
-        row count.  A protein's lifted maps serve every drug it pairs with."""
-        return [
-            (T.relu(spec["protein"](out)), real)
-            for spec, (out, real) in zip(self.joint, p_levels)
-        ]
+    def interact(self, d_levels, d_mask, p_levels, d_idx, p_idx,
+                 head: str | None = "classify", attention: bool = False):
+        """Joint stage for the pairs (d_idx[b], p_idx[b]) of tower rows.
 
-    def _joint_vector(self, level: int, drug_out: Tensor, u: Tensor, real_cols: int,
-                      attention: bool):
-        """Bilinear attention over one level pair.
-
-        The drug side is lifted to the joint width (`u` is the lifted
-        protein), every (atom-row, residue) cell gets a per-head bilinear
-        score, and the softmax-weighted product is summed into a single
-        joint vector.  Columns past `real_cols` are masked out before the
-        softmax.  The per-head maps are copied out only when `attention`."""
-        spec = self.joint[level]
-        v = T.relu(spec["drug"](drug_out))
-        m = v.data.shape[0]
-        l = u.data.shape[0]
-        mask = np.zeros(l)
-        mask[real_cols:] = PAD_MASK_BIAS
-        mask_bias = Tensor(mask, requires_grad=False)
-        u_t = T.transpose(u)
-
-        joint = None
+        The drugs and proteins the pairs use are lifted to the joint width
+        once each, every level's bilinear attention runs as one op, and the
+        fusion unit and the head see a row per pair.  Per-pair attention
+        maps are cropped and copied out only when `attention` is set."""
+        d_rows, d_local = np.unique(d_idx, return_inverse=True)
+        p_rows, p_local = np.unique(p_idx, return_inverse=True)
+        vectors = []
         maps = []
-        for q in spec["q"]:
-            scores = T.matmul(v * T.expand(q, 0, m), u_t)
-            scores = T.add_bias(scores, mask_bias)
-            attn = T.reshape(T.softmax(T.reshape(scores, (1, m * l)), axis=1), (m, l))
-            head = T.tsum(v * T.matmul(attn, u), axis=0)
-            joint = head if joint is None else joint + head
+        for spec, d_out, (p_out, real) in zip(self.joint, d_levels, p_levels):
+            v = T.relu(spec["drug"](T.index_select(d_out, 0, d_rows)))
+            u = T.relu(spec["protein"](T.index_select(p_out, 0, p_rows)))
+            joint, weights = T.bilinear_attention(
+                v, u, spec["q"], d_mask[d_rows], real[p_rows], d_local, p_local
+            )
+            vectors.append(T.avgpool1d(joint, self.config.joint_pool))
             if attention:
-                maps.append(attn.data[:, :real_cols].copy())
-        return T.avgpool1d(joint, self.config.joint_pool), maps
+                maps.append(weights)
+        out = InteractionOutput(fused=self._fuse(vectors), level_vectors=vectors)
+        if attention:
+            atoms = d_mask.sum(axis=1)
+            out.attention = [
+                [w[b, :, : atoms[d], : real[p]].copy() for w, (_, real) in zip(maps, p_levels)]
+                for b, (d, p) in enumerate(zip(d_idx, p_idx))
+            ]
+        if head is None:
+            return out
+        hidden, final = self.heads[head]
+        score = T.reshape(final(T.relu(hidden(out.fused))), (len(d_idx),))
+        if head == "classify":
+            out.logit = score
+        else:
+            out.value = score
+        return out
 
     def _fuse(self, level_vectors: list[Tensor]) -> Tensor:
+        """Gated attention over each pair's level vectors [B, n, d]."""
         if self.gau is None:
             fused = level_vectors[0]
             for f in level_vectors[1:]:
                 fused = fused + f
             return fused
-        d = self.config.fused_dim
+        b, d = level_vectors[0].data.shape
         n = len(level_vectors)
-        stack = T.concat([T.reshape(f, (1, d)) for f in level_vectors], axis=0)
-        stack = self._row_norm(stack, n, d)
-        gate = T.silu(self.gau["gate"](stack))
-        value = T.silu(self.gau["value"](stack))
-        shared = T.silu(self.gau["shared"](stack))
-        q = shared * T.expand(self.gau["q_scale"], 0, n) + T.expand(self.gau["q_shift"], 0, n)
-        k = shared * T.expand(self.gau["k_scale"], 0, n) + T.expand(self.gau["k_shift"], 0, n)
-        attn = T.square(T.relu(T.matmul(q, T.transpose(k)))) * (1.0 / n)
-        mixed = T.matmul(attn, value) * gate
-        pooled = T.reshape(T.tsum(mixed, axis=0), (1, self.gau["out"].w.data.shape[0]))
-        return T.reshape(self.gau["out"](pooled), (d,))
+        stack = T.concat([T.reshape(f, (b, 1, d)) for f in level_vectors], axis=1)
+        rows = self._row_norm(T.reshape(stack, (b * n, d)), b * n, d)
+        gate = T.silu(self.gau["gate"](rows))
+        value = T.silu(self.gau["value"](rows))
+        shared = T.silu(self.gau["shared"](rows))
+        q = shared * T.expand(self.gau["q_scale"], 0, b * n) + T.expand(
+            self.gau["q_shift"], 0, b * n
+        )
+        k = shared * T.expand(self.gau["k_scale"], 0, b * n) + T.expand(
+            self.gau["k_shift"], 0, b * n
+        )
+        qk = self.config.gau_qk_dim
+        q, k = T.reshape(q, (b, n, qk)), T.reshape(k, (b, n, qk))
+        attn = T.square(T.relu(T.bmm(q, T.transpose(k)))) * (1.0 / n)
+        hidden = self.config.gau_hidden
+        mixed = T.bmm(attn, T.reshape(value, (b, n, hidden))) * T.reshape(gate, (b, n, hidden))
+        return self.gau["out"](T.tsum(mixed, axis=1))
 
     def _row_norm(self, x: Tensor, n: int, d: int) -> Tensor:
         """Per-row standardisation with a learned scale and shift.  Keeps the
@@ -394,52 +424,6 @@ class DTIEncoder:
         return unit * T.expand(self.gau["norm_scale"], 0, n) + T.expand(
             self.gau["norm_shift"], 0, n
         )
-
-    def _head(self, name: str, fused: Tensor) -> Tensor:
-        hidden_lin, out_lin = self.heads[name]
-        h = T.relu(hidden_lin(T.reshape(fused, (1, self.config.fused_dim))))
-        return T.reshape(out_lin(h), (1,))
-
-    # -- public forward -------------------------------------------------------
-
-    def forward(
-        self,
-        drug: tuple[np.ndarray, np.ndarray],
-        protein: tuple[np.ndarray, int],
-        head: str | None = "classify",
-        attention: bool = False,
-    ) -> InteractionOutput:
-        """End-to-end pass for one drug/protein pair: towers, protein lift,
-        joint stage.
-
-        `drug` is (atom_features, normalized_adjacency); `protein` is
-        (token ids, true residue count)."""
-        d_levels = self.drug_levels(drug[0], drug[1])
-        p_levels = self.protein_levels(protein[0], protein[1])
-        return self.interact(d_levels, self.lift_protein(p_levels), head, attention)
-
-    def interact(self, d_levels, lifted_p, head: str | None = "classify",
-                 attention: bool = False):
-        """Joint stage on drug tower outputs and lifted protein levels
-        (`lift_protein`).  Splitting this off lets a batch loop run each
-        unique molecule's tower, and each unique sequence's tower and lift,
-        once."""
-        vectors = []
-        maps = []
-        for i, (d_out, (u, real)) in enumerate(zip(d_levels, lifted_p)):
-            f, level_maps = self._joint_vector(i, d_out, u, real, attention)
-            vectors.append(f)
-            if attention:
-                maps.append(np.stack(level_maps))
-        fused = self._fuse(vectors)
-        out = InteractionOutput(fused=fused, level_vectors=vectors, attention=maps)
-        if head == "classify":
-            out.logit = self._head("classify", fused)
-        elif head == "regress":
-            out.value = self._head("regress", fused)
-        elif head is not None:
-            raise KeyError(f"unknown head {head!r}")
-        return out
 
 
 def featurize_drug(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -114,7 +114,7 @@ class PrototypeHead:
         self.gamma = gamma
 
     def _probability_matrix(
-        self, support: Tensor, support_labels: np.ndarray, queries: list[Tensor]
+        self, support: Tensor, support_labels: np.ndarray, queries: Tensor
     ) -> tuple[Tensor, np.ndarray]:
         """Class probabilities [k_q, 2] of every query and the within-class
         support weights [k_q, 2k] that formed its prototypes.
@@ -130,9 +130,9 @@ class PrototypeHead:
                 f"support {support.data.shape} with {labels.shape} labels"
             )
         d = support.data.shape[1]
-        if not queries or any(q.data.shape != (d,) for q in queries):
+        if queries.data.ndim != 2 or queries.data.shape[1] != d or not queries.data.shape[0]:
             raise ShapeMismatch(
-                f"queries {[q.data.shape for q in queries]} for support {support.data.shape}"
+                f"queries {queries.data.shape} for support {support.data.shape}"
             )
         class_idx = []
         for c in (0, 1):
@@ -141,21 +141,21 @@ class PrototypeHead:
                 raise EmptyClass(f"no class-{c} supports in episode")
             class_idx.append(idx)
 
-        stacked = T.reshape(T.concat(queries, axis=0), (len(queries), d))
-        scores = self.attention.scores(support, stacked)
+        k_q = queries.data.shape[0]
+        scores = self.attention.scores(support, queries)
         weights = np.zeros(scores.data.shape)
         sims = []
-        zero = np.linalg.norm(stacked.data, axis=1) < ZERO_NORM_EPS
+        zero = np.linalg.norm(queries.data, axis=1) < ZERO_NORM_EPS
         for idx in class_idx:
             w = T.softmax(T.index_select(scores, 1, idx), axis=1)
             weights[:, idx] = w.data
             protos = T.matmul(w, T.index_select(support, 0, idx))
             zero |= np.linalg.norm(protos.data, axis=1) < ZERO_NORM_EPS
-            sims.append(T.reshape(T.cosine_rows(stacked, protos), (len(queries), 1)))
+            sims.append(T.reshape(T.cosine_rows(queries, protos), (k_q, 1)))
         if zero.any():
             log.warning(
                 "%d of %d queries meet a zero-norm query or prototype, similarity set to 0",
-                int(zero.sum()), len(queries),
+                int(zero.sum()), k_q,
             )
         return T.softmax(T.concat(sims, axis=1), axis=1), weights
 
@@ -163,24 +163,24 @@ class PrototypeHead:
         self,
         support: Tensor,
         support_labels: np.ndarray,
-        queries: list[Tensor],
-    ) -> tuple[list[Tensor], np.ndarray]:
-        """Per-query class probabilities [2] and the within-class support
-        weights [k_q, 2k]."""
-        probs, weights = self._probability_matrix(support, support_labels, queries)
-        return [T.index_select(probs, 0, j) for j in range(len(queries))], weights
+        queries: Tensor,
+    ) -> tuple[Tensor, np.ndarray]:
+        """Class probabilities [k_q, 2] of the query rows [k_q, d] and the
+        within-class support weights [k_q, 2k]."""
+        return self._probability_matrix(support, support_labels, queries)
 
     def episode_loss(
         self,
         support: Tensor,
         support_labels: np.ndarray,
-        queries: list[Tensor],
+        queries: Tensor,
         query_labels: np.ndarray,
     ) -> tuple[Tensor, np.ndarray]:
-        """Focal loss over one episode plus the detached per-query positive
-        probabilities for metric bookkeeping."""
+        """Focal loss over one episode's query rows [k_q, d] plus the
+        detached per-query positive probabilities for metric bookkeeping."""
         probs, _ = self._probability_matrix(support, support_labels, queries)
-        picks = 2 * np.arange(len(queries)) + np.asarray(query_labels, dtype=np.intp)
-        correct = T.index_select(T.reshape(probs, (2 * len(queries),)), 0, picks)
+        k_q = queries.data.shape[0]
+        picks = 2 * np.arange(k_q) + np.asarray(query_labels, dtype=np.intp)
+        correct = T.index_select(T.reshape(probs, (2 * k_q,)), 0, picks)
         loss = focal_loss(correct, self.alpha, self.gamma)
         return loss, probs.data[:, 1].copy()

@@ -7,12 +7,14 @@ walks the recorded graph once in reverse topological order.
 
 The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``neg``,
 ``power``, ``square``, ``log``, ``sqrt``; activations ``relu``, ``silu``,
-``softmax``; ``tsum`` and ``tmean`` over one axis or all; 2-d
-``transpose``, ``reshape``, ``concat``, ``index_select``, ``expand``;
-``matmul`` and ``add_bias``; stride-1 ``conv1d``, non-overlapping
-``maxpool1d`` and ``avgpool1d``; ``embedding_lookup``,
-``batch_stat_norm``, ``grad_reverse``, ``bce_with_logits`` and the row-wise
-``cosine_rows``.
+``softmax``; ``tsum`` and ``tmean`` over one axis or all; ``transpose``
+of the last two axes, ``reshape``, ``concat``, ``index_select``,
+``expand``; ``matmul`` of any batch of rows by a weight matrix, the batched
+``bmm``, ``add_bias`` and the constant ``scale_rows``; stride-1
+``conv1d``, non-overlapping ``maxpool1d`` and ``avgpool1d``, each over one
+sample or a batch; ``embedding_lookup``, the masked per-sample
+``batch_stat_norm``, the fused multi-head ``bilinear_attention``,
+``grad_reverse``, ``bce_with_logits`` and the row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
@@ -28,8 +30,7 @@ on.  Keeping the data's layout keeps the bytes of adding into zeros: a
 reduction such as ``batch_stat_norm``'s column mean sums a C-ordered and an
 F-ordered array in different orders.
 
-Default precision is float64. ``set_default_dtype(np.float32)`` trades
-gradient-check headroom for speed; tests always run in float64.
+Every array is float64.
 """
 
 from __future__ import annotations
@@ -49,19 +50,9 @@ class MissingGradient(RuntimeError):
     pass
 
 
-_DEFAULT_DTYPE = np.float64
+# additive score of a padded cell: exp() of it is exactly zero
+PAD_MASK_BIAS = -1e30
 _GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be np.float32 or np.float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 class no_grad:
@@ -83,7 +74,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._owns_grad = False
         self.requires_grad = bool(requires_grad)
@@ -169,7 +160,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def _wrap(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=_DEFAULT_DTYPE))
+    return Tensor(np.asarray(value, dtype=np.float64))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -392,15 +383,15 @@ def tmean(a, axis=None) -> Tensor:
 
 
 def transpose(a) -> Tensor:
-    """Transpose of a 2-d tensor."""
+    """Swap the last two axes: a matrix transpose, or one per batch entry."""
     a = _wrap(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose expects 2-d, got {a.data.shape}")
+    if a.data.ndim < 2:
+        raise ShapeMismatch(f"transpose expects at least 2-d, got {a.data.shape}")
 
     def backward(g):
-        _accum(a, g.T)
+        _accum(a, np.swapaxes(g, -1, -2))
 
-    return _make(a.data.transpose(), (a,), backward)
+    return _make(np.swapaxes(a.data, -1, -2), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -457,157 +448,275 @@ def expand(a, axis: int, n: int) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a[..., K] @ b[K, N]: a matrix product, or one weight matrix applied to
+    every row of a batch, computed as a single 2-d product."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeMismatch(f"matmul expects 2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
+    shape = a.data.shape
+    a2 = a.data.reshape(-1, shape[-1]) if a.data.ndim > 2 else a.data
+    n = b.data.shape[1]
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g2 = g.reshape(-1, n) if g.ndim > 2 else g
+        _accum(a, (g2 @ b.data.T).reshape(shape))
+        _accum(b, a2.T @ g2)
+
+    return _make((a2 @ b.data).reshape(shape[:-1] + (n,)), (a, b), backward)
+
+
+def bmm(a, b) -> Tensor:
+    """Batched matrix product a[B, M, K] @ b[B, K, N]."""
+    a, b = _wrap(a), _wrap(b)
+    if (a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0]
+            or a.data.shape[2] != b.data.shape[1]):
+        raise ShapeMismatch(f"bmm: {a.data.shape} @ {b.data.shape}")
+
+    def backward(g):
+        _accum(a, g @ np.swapaxes(b.data, 1, 2))
+        _accum(b, np.swapaxes(a.data, 1, 2) @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
 
 
 def add_bias(x, b) -> Tensor:
-    """Row-wise bias: x[N, C] + b[C]. The one sanctioned non-scalar broadcast."""
+    """Bias on the last axis: x[..., C] + b[C]. The one sanctioned non-scalar
+    broadcast."""
     x, b = _wrap(x), _wrap(b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
+    if x.data.ndim < 2 or b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
         raise ShapeMismatch(f"add_bias: {x.data.shape} + {b.data.shape}")
+    c = b.data.shape[0]
 
     def backward(g):
         _accum(x, g)
-        _accum(b, g.sum(axis=0))
+        _accum(b, (g.reshape(-1, c) if g.ndim > 2 else g).sum(axis=0))
 
-    return _make(x.data + b.data[None, :], (x, b), backward)
+    return _make(x.data + b.data, (x, b), backward)
+
+
+def scale_rows(x, weights) -> Tensor:
+    """Row i of x[N, C] times the constant weights[i]; the weights are data,
+    not graph nodes."""
+    x = _wrap(x)
+    w = np.asarray(weights, dtype=x.data.dtype)
+    if x.data.ndim != 2 or w.shape != x.data.shape[:1]:
+        raise ShapeMismatch(f"scale_rows: {x.data.shape} by {w.shape}")
+    w = w[:, None]
+
+    def backward(g):
+        _accum(x, g * w)
+
+    return _make(x.data * w, (x,), backward)
 
 
 # sequence / structured ops ----------------------------------------------
 
 
 def conv1d(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """Stride-1 1-d convolution over x[L, Cin] with kernel w[K, Cin, Cout]
-    and bias b[Cout].
+    """Stride-1 1-d convolution along the length axis of x[L, Cin] or of a
+    batch x[B, L, Cin], with kernel w[K, Cin, Cout] and bias b[Cout].
 
     Padding is explicit (left, right) zeros so even kernel widths can keep
     length exactly; output length is L + pl + pr - K + 1.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     K, cin, cout = w.data.shape
-    if x.data.ndim != 2 or x.data.shape[1] != cin:
+    if x.data.ndim not in (2, 3) or x.data.shape[-1] != cin:
         raise ShapeMismatch(f"conv1d: input {x.data.shape} vs kernel {w.data.shape}")
     pl, pr = padding
-    xp = np.pad(x.data, ((pl, pr), (0, 0)))
-    lout = xp.shape[0] - K + 1
+    length = x.data.shape[-2]
+    xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((pl, pr), (0, 0)))
+    lout = xp.shape[-2] - K + 1
     if lout <= 0:
         raise ShapeMismatch(f"conv1d: empty output for input {x.data.shape}, kernel {K}")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=0)
-    # windows: [lout, Cin, K] -> einsum to [lout, Cout]
-    out = np.einsum("lck,kco->lo", windows, w.data, optimize=True)
-    out = out + b.data[None, :]
+    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)
+    # windows: [..., lout, Cin, K] -> einsum to [..., lout, Cout]
+    out = np.einsum("...lck,kco->...lo", windows, w.data, optimize=True)
+    out = out + b.data
 
     def backward(g):
         if w.requires_grad:
-            _accum(w, np.einsum("lck,lo->kco", windows, g, optimize=True))
+            _accum(w, np.einsum("...lck,...lo->kco", windows, g, optimize=True))
         if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            _accum(b, g.reshape(-1, cout).sum(axis=0))
         if x.requires_grad:
             dxp = np.zeros_like(xp)
             for k in range(K):
-                dxp[k : k + lout] += g @ w.data[k].T
-            _accum(x, dxp[pl : pl + x.data.shape[0]])
+                dxp[..., k : k + lout, :] += g @ w.data[k].T
+            _accum(x, dxp[..., pl : pl + length, :])
 
     return _make(out, (x, w, b), backward)
 
 
 def maxpool1d(x, window: int) -> Tensor:
-    """Non-overlapping max pool over axis 0 of x[L, C]; a ragged tail forms a final window."""
+    """Non-overlapping max pool along the length axis of x[L, C] or of a
+    batch x[B, L, C]; a ragged tail forms a final window."""
     x = _wrap(x)
-    L, C = x.data.shape
+    *lead, L, C = x.data.shape
     lout = -(-L // window)
-    padded = np.full((lout * window, C), -np.inf, dtype=x.data.dtype)
-    padded[:L] = x.data
-    blocks = padded.reshape(lout, window, C)
-    arg = blocks.argmax(axis=1)
-    out = np.take_along_axis(blocks, arg[:, None, :], axis=1)[:, 0, :]
+    padded = np.full((*lead, lout * window, C), -np.inf, dtype=x.data.dtype)
+    padded[..., :L, :] = x.data
+    blocks = padded.reshape(*lead, lout, window, C)
+    arg = np.expand_dims(blocks.argmax(axis=-2), -2)
+    out = np.take_along_axis(blocks, arg, axis=-2)[..., 0, :]
 
     def backward(g):
         if not x.requires_grad:
             return
         dblocks = np.zeros_like(blocks)
-        np.put_along_axis(dblocks, arg[:, None, :], g[:, None, :], axis=1)
-        _accum(x, dblocks.reshape(lout * window, C)[:L])
+        np.put_along_axis(dblocks, arg, np.expand_dims(g, -2), axis=-2)
+        _accum(x, dblocks.reshape(*lead, lout * window, C)[..., :L, :])
 
     return _make(out, (x,), backward)
 
 
 def avgpool1d(x, window: int) -> Tensor:
-    """Non-overlapping mean pool of a 1-d vector; a ragged tail averages its true width."""
+    """Non-overlapping mean pool along the last axis of x[..., L]; a ragged
+    tail averages its true width."""
     x = _wrap(x)
-    if x.data.ndim != 1:
-        raise ShapeMismatch(f"avgpool1d expects 1-d input, got {x.data.shape}")
-    L = x.data.shape[0]
+    *lead, L = x.data.shape
     lout = -(-L // window)
     counts = np.full(lout, window, dtype=x.data.dtype)
     if L % window:
         counts[-1] = L % window
-    padded = np.zeros(lout * window, dtype=x.data.dtype)
-    padded[:L] = x.data
-    out = padded.reshape(lout, window).sum(axis=1) / counts
+    padded = np.zeros((*lead, lout * window), dtype=x.data.dtype)
+    padded[..., :L] = x.data
+    out = padded.reshape(*lead, lout, window).sum(axis=-1) / counts
 
     def backward(g):
         if not x.requires_grad:
             return
-        gpad = np.repeat(g / counts, window)
-        _accum(x, gpad[:L])
+        gpad = np.repeat(g / counts, window, axis=-1)
+        _accum(x, gpad[..., :L])
 
     return _make(out, (x,), backward)
 
 
 def embedding_lookup(table, ids) -> Tensor:
+    """Rows of table[V, C] for an integer id array of any shape; the output
+    appends the C axis."""
     table = _wrap(table)
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeMismatch(f"embedding_lookup expects 1-d ids, got {idx.shape}")
+    if idx.ndim < 1:
+        raise ShapeMismatch(f"embedding_lookup expects an id array, got {idx.shape}")
 
     def backward(g):
         if not table.requires_grad:
             return
         dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
+        np.add.at(dt, idx.reshape(-1), g.reshape(-1, dt.shape[1]))
         _accum(table, dt)
 
     return _make(table.data[idx], (table,), backward)
 
 
-def batch_stat_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Per-feature normalization of x[N, C] by its own rows' statistics.
+def batch_stat_norm(x, gamma, beta, mask=None, eps: float = 1e-5) -> Tensor:
+    """Per-feature normalization of x[N, C], or of each sample of x[B, N, C],
+    by that sample's own row statistics.
 
-    There is no running state: every call, in training and in evaluation
-    alike, standardizes over the rows it is given (a single row maps to
-    beta).
+    With mask (shape x.shape[:-1]) only the set rows enter the statistics
+    and the unset rows come out zero.  There is no running state: every
+    call, in training and in evaluation alike, standardizes over the rows
+    it is given (a single row maps to beta).
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    if x.data.ndim != 2 or gamma.data.shape != (x.data.shape[1],):
+    if x.data.ndim not in (2, 3) or gamma.data.shape != (x.data.shape[-1],):
         raise ShapeMismatch(f"batch_stat_norm: x {x.data.shape}, gamma {gamma.data.shape}")
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    m = np.ones(x.data.shape[:-1]) if mask is None else np.asarray(mask, dtype=x.data.dtype)
+    if m.shape != x.data.shape[:-1]:
+        raise ShapeMismatch(f"batch_stat_norm: mask {m.shape} for x {x.data.shape}")
+    m = m[..., None]
+    count = m.sum(axis=-2, keepdims=True)
+    mu = (x.data * m).sum(axis=-2, keepdims=True) / count
+    centred = (x.data - mu) * m
+    var = (centred * centred).sum(axis=-2, keepdims=True) / count
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :]) * inv[None, :]
-    out = xhat * gamma.data[None, :] + beta.data[None, :]
+    xhat = centred * inv
+    out = (xhat * gamma.data + beta.data) * m
+    rows = tuple(range(x.data.ndim - 1))
 
     def backward(g):
-        _accum(gamma, (g * xhat).sum(axis=0))
-        _accum(beta, g.sum(axis=0))
+        g = g * m
+        _accum(gamma, (g * xhat).sum(axis=rows))
+        _accum(beta, g.sum(axis=rows))
         if not x.requires_grad:
             return
-        gm = g.mean(axis=0)
-        gxm = (g * xhat).mean(axis=0)
-        dx = (gamma.data * inv)[None, :] * (g - gm[None, :] - xhat * gxm[None, :])
-        _accum(x, dx)
+        gm = g.sum(axis=-2, keepdims=True) / count
+        gxm = (g * xhat).sum(axis=-2, keepdims=True) / count
+        _accum(x, gamma.data * inv * (g - gm - xhat * gxm) * m)
 
     return _make(out, (x, gamma, beta), backward)
+
+
+def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
+    """Multi-head bilinear attention of row sets v[D, M, J] and u[P, L, J],
+    one pair b per (v_idx[b], u_idx[b]).
+
+    Head t with weights q_t[J] scores cell (m, l) of a pair as
+    sum_j v[m, j] q_t[j] u[l, j].  Rows m outside v_mask[D, M] and columns
+    l at or past u_real[P] get PAD_MASK_BIAS, a softmax over the whole
+    M x L map gives the weights A_t, and the head's vector is
+    sum_m v[m] * (A_t u)[m].  Returns the heads' sum [B, J] and the weights
+    [B, heads, M, L].
+
+    The work is done one u row set at a time, for all of its pairs and all
+    heads at once, so no per-pair copy of a u map is ever made.
+    """
+    v, u = _wrap(v), _wrap(u)
+    heads = [_wrap(q) for q in heads]
+    v_idx = np.asarray(v_idx, dtype=np.intp)
+    u_idx = np.asarray(u_idx, dtype=np.intp)
+    D, M, J = v.data.shape
+    P, L, _ = u.data.shape
+    if u.data.shape[2] != J or any(q.data.shape != (J,) for q in heads):
+        raise ShapeMismatch(f"bilinear_attention: v {v.data.shape}, u {u.data.shape}")
+    if np.shape(v_mask) != (D, M) or np.shape(u_real) != (P,) or v_idx.shape != u_idx.shape:
+        raise ShapeMismatch("bilinear_attention: masks or pair indices do not fit v and u")
+    B, H = len(v_idx), len(heads)
+    q = np.stack([t.data for t in heads])[None, :, None, :]  # [1, H, 1, J]
+    row_bias = np.where(v_mask, 0.0, PAD_MASK_BIAS)[:, None, :, None]
+    col_bias = np.where(np.arange(L) < np.asarray(u_real)[:, None], 0.0, PAD_MASK_BIAS)
+    groups = [(p, np.flatnonzero(u_idx == p)) for p in np.unique(u_idx)]
+    out = np.empty((B, J))
+    attn = np.empty((B, H, M, L))
+    mixed = np.empty((B, M, J))  # sum_t A_t u per pair, kept for backward
+    for p, rows in groups:
+        up, vg = u.data[p], v.data[v_idx[rows]]
+        n = len(rows)
+        s = ((vg[:, None] * q).reshape(-1, J) @ up.T).reshape(n, H, M, L)
+        s += row_bias[v_idx[rows]]
+        s += col_bias[p]
+        flat = s.reshape(n, H, M * L)
+        e = np.exp(flat - flat.max(axis=2, keepdims=True))
+        a = (e / e.sum(axis=2, keepdims=True)).reshape(n, H, M, L)
+        w = (a.reshape(-1, L) @ up).reshape(n, H, M, J).sum(axis=1)
+        attn[rows] = a
+        mixed[rows] = w
+        out[rows] = (vg * w).sum(axis=1)
+
+    def backward(g):
+        dv = np.zeros_like(v.data)
+        du = np.zeros_like(u.data)
+        dq = np.zeros((H, J))
+        for p, rows in groups:
+            up, vi = u.data[p], v_idx[rows]
+            vg, a = v.data[vi], attn[rows]
+            n = len(rows)
+            gr = g[rows][:, None, :]
+            dw = vg * gr  # gradient of every head's A_t u
+            da = (dw.reshape(-1, J) @ up.T).reshape(n, 1, M, L)
+            ds = a * (da - (a * da).sum(axis=(2, 3), keepdims=True))
+            dvq = (ds.reshape(-1, L) @ up).reshape(n, H, M, J)
+            du[p] = a.sum(axis=1).reshape(-1, L).T @ dw.reshape(-1, J)
+            du[p] += ds.reshape(-1, L).T @ (vg[:, None] * q).reshape(-1, J)
+            np.add.at(dv, vi, gr * mixed[rows] + (dvq * q).sum(axis=1))
+            dq += (dvq * vg[:, None]).sum(axis=(0, 2))
+        _accum(v, dv)
+        _accum(u, du)
+        for t, q_t in enumerate(heads):
+            _accum(q_t, dq[t])
+
+    return _make(out, (v, u, *heads), backward), attn
 
 
 def grad_reverse(x, scale: float = 1.0) -> Tensor:

@@ -34,7 +34,7 @@ from .adversarial import (
 )
 from .config import ConfigError, RunConfig
 from .datasets import InteractionRecord
-from .encoder import DTIEncoder, featurize_drug
+from .encoder import DTIEncoder, InteractionOutput, featurize_drug
 from .fewshot import PrototypeHead
 from .metrics import (
     MetricReport,
@@ -90,52 +90,61 @@ class Featurizer:
         return cls(drugs=drugs, proteins=proteins)
 
 
-def encode_pairs(encoder, feat, records, idxs, head, attention=False):
-    """Forward outputs for records[i], i in idxs, in order.
+def encode_pairs(encoder, feat, records, idxs, head, attention=False, chunk=None):
+    """Forward outputs for records[i], i in idxs: one batched output with a
+    row per record, in order.
 
-    Every unique molecule and sequence runs through its tower once, all
-    towers before any joint stage.  The records are then taken protein by
-    protein: the protein's levels are lifted to the joint width once, and
-    its records run the joint stage on the lifted maps, which are dropped
-    before the next protein.  Drugs are lifted per record inside the joint
-    stage: a lifted protein is ten times its tower output, so a call-wide
-    cache of lifts would multiply inference memory.  The results equal
-    per-record `encoder.forward`, because the towers and the lift see one
-    entity at a time.  Per-head attention maps are copied out only when
-    `attention` is set.
+    Every unique molecule and sequence runs through its tower once per
+    call.  Without `chunk` all records share one joint stage, as a training
+    step wants.  With it, the records are taken in protein order, `chunk`
+    at a time, and each slice lifts only the entities it uses, so inference
+    never holds more lifted proteins than a training step of `chunk` pairs.
+    Per-pair attention maps are copied out only when `attention` is set.
     """
-    d_cache = {}
-    p_cache = {}
-    by_protein = {}
-    for j, i in enumerate(idxs):
-        rec = records[i]
-        if rec.smiles not in d_cache:
-            d_cache[rec.smiles] = encoder.drug_levels(*feat.drugs[rec.smiles])
-        if rec.sequence not in p_cache:
-            p_cache[rec.sequence] = encoder.protein_levels(*feat.proteins[rec.sequence])
-        by_protein.setdefault(rec.sequence, []).append(j)
-    outputs = [None] * len(idxs)
-    for sequence, positions in by_protein.items():
-        lifted = encoder.lift_protein(p_cache[sequence])
-        for j in positions:
-            d_levels = d_cache[records[idxs[j]].smiles]
-            outputs[j] = encoder.interact(d_levels, lifted, head, attention)
-        del lifted
-    return outputs
+    drugs, proteins = {}, {}
+    d_idx = np.array([drugs.setdefault(records[i].smiles, len(drugs)) for i in idxs])
+    p_idx = np.array([proteins.setdefault(records[i].sequence, len(proteins)) for i in idxs])
+    d_levels, d_mask = encoder.drug_levels([feat.drugs[s] for s in drugs])
+    p_levels = encoder.protein_levels([feat.proteins[s] for s in proteins])
+    if chunk is None:
+        return encoder.interact(d_levels, d_mask, p_levels, d_idx, p_idx, head, attention)
+    order = np.argsort(p_idx, kind="stable")
+    parts = [
+        encoder.interact(d_levels, d_mask, p_levels, d_idx[rows], p_idx[rows], head, attention)
+        for rows in np.split(order, range(chunk, len(order), chunk))
+    ]
+    return _in_order(parts, np.argsort(order))
 
 
-def predict(encoder, feat, records, idxs, head="classify") -> np.ndarray:
-    """Evaluation-mode scores: probabilities for the classifier head, raw
-    values for the regression head."""
-    out = np.empty(len(idxs))
-    with T.no_grad():
-        outputs = encode_pairs(encoder, feat, records, idxs, head)
-    for j, o in enumerate(outputs):
-        if head == "classify":
-            out[j] = float(T.sigmoid_values(o.logit.data[0]))
-        else:
-            out[j] = float(o.value.data[0])
+def _in_order(parts, back) -> InteractionOutput:
+    """One output from the chunks' outputs, rows put back in record order."""
+
+    def rows(tensors):
+        return T.index_select(T.concat(tensors), 0, back)
+
+    maps = [m for o in parts for m in o.attention]
+    out = InteractionOutput(
+        fused=rows([o.fused for o in parts]),
+        level_vectors=[rows(v) for v in zip(*(o.level_vectors for o in parts))],
+        attention=[maps[j] for j in back] if maps else [],
+    )
+    if parts[0].logit is not None:
+        out.logit = rows([o.logit for o in parts])
+    if parts[0].value is not None:
+        out.value = rows([o.value for o in parts])
     return out
+
+
+def predict(encoder, feat, records, idxs, head="classify",
+            batch_size=RunConfig.batch_size) -> np.ndarray:
+    """Evaluation-mode scores: probabilities for the classifier head, raw
+    values for the regression head.  The joint stage runs `batch_size`
+    pairs at a time."""
+    with T.no_grad():
+        out = encode_pairs(encoder, feat, records, idxs, head, chunk=batch_size)
+    if head == "classify":
+        return T.sigmoid_values(out.logit.data)
+    return out.value.data
 
 
 def classification_metrics(scores, labels) -> dict[str, float]:
@@ -155,8 +164,9 @@ def regression_metrics(pred, truth) -> dict[str, float]:
     }
 
 
-def evaluate(encoder, feat, records, idxs, head="classify") -> dict[str, float]:
-    scores = predict(encoder, feat, records, idxs, head)
+def evaluate(encoder, feat, records, idxs, head="classify",
+             batch_size=RunConfig.batch_size) -> dict[str, float]:
+    scores = predict(encoder, feat, records, idxs, head, batch_size)
     labels = np.array([records[i].label for i in idxs])
     if head == "classify":
         return classification_metrics(scores, labels)
@@ -270,11 +280,11 @@ def _check_finite(loss: Tensor) -> Tensor:
     return loss
 
 
-def _record_loss(output, record: InteractionRecord, head: str) -> Tensor:
+def _batch_loss(output, labels: np.ndarray, head: str) -> Tensor:
+    """Mean supervised loss over a batch's logit or value vector."""
     if head == "classify":
-        return T.bce_with_logits(output.logit, np.array([record.label]))
-    diff = output.value - Tensor(np.array([record.label]), requires_grad=False)
-    return T.square(diff)
+        return T.tmean(T.bce_with_logits(output.logit, labels))
+    return T.tmean(T.square(output.value - Tensor(labels)))
 
 
 def _batches(order: np.ndarray, size: int):
@@ -381,17 +391,17 @@ def _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial):
             target = _reshuffled(pool_idx, rng_tgt)
         total = 0.0
         for b, batch in enumerate(_batches(order, cfg.batch_size)):
-            outputs = encode_pairs(encoder, feat, records, batch, head)
-            losses = [_record_loss(o, records[i], head) for o, i in zip(outputs, batch)]
-            loss = supervised = T.tmean(T.concat(losses))
+            output = encode_pairs(encoder, feat, records, batch, head)
+            labels = np.array([records[i].label for i in batch])
+            loss = supervised = _batch_loss(output, labels, head)
             if adversarial:
                 tgt_batch = [next(target) for _ in range(n_tgt)]
                 tgt_out = encode_pairs(encoder, feat, records, tgt_batch, head)
                 domain = adversary.domain_loss(
-                    [o.fused for o in outputs],
-                    [o.fused for o in tgt_out],
-                    _class_probabilities(outputs),
-                    _class_probabilities(tgt_out),
+                    output.fused,
+                    tgt_out.fused,
+                    class_probabilities(output.logit.data),
+                    class_probabilities(tgt_out.logit.data),
                     grl_scale=cfg.grl_scale,
                 )
                 lam = lambda_schedule(
@@ -405,14 +415,10 @@ def _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial):
         log = EpochLog(epoch=epoch, train_loss=total / len(train_idx))
         if not val_idx:
             return log, -log.train_loss
-        log.val = evaluate(encoder, feat, records, val_idx, head)
+        log.val = evaluate(encoder, feat, records, val_idx, head, cfg.batch_size)
         return log, _selection_value(log.val, head)
 
     return _fit(cfg, manifest, out, run_epoch, store, encoder, feat)
-
-
-def _class_probabilities(outputs) -> np.ndarray:
-    return np.stack([class_probabilities(float(o.logit.data[0])) for o in outputs])
 
 
 # -- episodic stage -----------------------------------------------------------
@@ -432,20 +438,19 @@ def _episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query:
     return sorted(tasks), tasks
 
 
-def _fused_cache(encoder, feat, records, idxs) -> dict[int, Tensor]:
-    """Fused vector per record, each entity encoded once."""
-    outputs = encode_pairs(encoder, feat, records, idxs, None)
-    return {i: o.fused for i, o in zip(idxs, outputs)}
+def _fused_rows(encoder, feat, records, idxs, chunk=None):
+    """Fused matrix [N, dim] of the records, each entity encoded once, and
+    the row of each record index."""
+    out = encode_pairs(encoder, feat, records, idxs, None, chunk=chunk)
+    return out.fused, {i: j for j, i in enumerate(idxs)}
 
 
-def _episode_inputs(fused, records, support_idx, query_idx):
-    """Support matrix [2k, dim], its labels, and the query vectors."""
-    support = T.reshape(
-        T.concat([fused[i] for i in support_idx]),
-        (len(support_idx), fused[support_idx[0]].data.shape[0]),
-    )
+def _episode_inputs(fused, row, records, support_idx, query_idx):
+    """Support matrix [2k, dim], its labels, and the query matrix
+    [k_q, dim], gathered from the fused rows."""
+    support = T.index_select(fused, 0, [row[i] for i in support_idx])
     labels = np.array([records[i].label for i in support_idx])
-    return support, labels, [fused[i] for i in query_idx]
+    return support, labels, T.index_select(fused, 0, [row[i] for i in query_idx])
 
 
 def train_meta(
@@ -487,8 +492,10 @@ def train_meta(
         for _ in range(cfg.episodes_per_epoch):
             tid = task_ids[int(rng.integers(len(task_ids)))]
             ep = sample_episode(records, tid, pools[tid], cfg.k_shot, cfg.k_query, rng)
-            fused = _fused_cache(encoder, feat, records, list(ep.support) + list(ep.query))
-            support, s_labels, queries = _episode_inputs(fused, records, ep.support, ep.query)
+            fused, row = _fused_rows(encoder, feat, records, list(ep.support) + list(ep.query))
+            support, s_labels, queries = _episode_inputs(
+                fused, row, records, ep.support, ep.query
+            )
             q_labels = np.array([records[i].label for i in ep.query])
             loss, positive = head.episode_loss(support, s_labels, queries, q_labels)
             _check_finite(loss).backward()
@@ -542,7 +549,7 @@ def meta_shot_curve(
 
     per_run = {k: [] for k in shots}
     with T.no_grad():
-        fused = _fused_cache(encoder, feat, records, idxs)
+        fused, row = _fused_rows(encoder, feat, records, idxs, chunk=cfg.batch_size)
         for run in range(n_runs):
             rng = substream(eval_seed, f"meta.eval.{run}")
             collected = {k: ([], []) for k in shots}
@@ -552,9 +559,9 @@ def meta_shot_curve(
                 for k in shots:
                     sub = list(ep.support[:k]) + list(ep.support[k_max : k_max + k])
                     probs, _ = head.episode_probabilities(
-                        *_episode_inputs(fused, records, sub, ep.query)
+                        *_episode_inputs(fused, row, records, sub, ep.query)
                     )
-                    collected[k][0].extend(float(p.data[1]) for p in probs)
+                    collected[k][0].extend(probs.data[:, 1])
                     collected[k][1].extend(records[i].label for i in ep.query)
             for k in shots:
                 per_run[k].append(

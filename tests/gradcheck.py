@@ -126,6 +126,30 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         [rng.normal(size=(n, m)), rng.normal(size=m)],
     )
 
+    # batched forms: a leading axis of k samples
+    w_knk = rng.normal(size=(k, n, k))
+    cases["matmul_batched_rows"] = (
+        lambda a, b: _weighted(T.matmul(a, b), w_knk),
+        [rng.normal(size=(k, n, m)), rng.normal(size=(m, k))],
+    )
+    cases["bmm"] = (
+        lambda a, b: _weighted(T.bmm(a, b), w_knk),
+        [rng.normal(size=(k, n, m)), rng.normal(size=(k, m, k))],
+    )
+    cases["transpose_batched"] = (
+        lambda a: _weighted(T.transpose(a), np.swapaxes(w_knm, 1, 2).copy()),
+        [rng.normal(size=(k, n, m))],
+    )
+    cases["add_bias_batched"] = (
+        lambda a, b: _weighted(T.add_bias(a, b), w_knm),
+        [rng.normal(size=(k, n, m)), rng.normal(size=m)],
+    )
+    row_weights = rng.uniform(0.1, 1.0, size=n)
+    cases["scale_rows"] = (
+        lambda a: _weighted(T.scale_rows(a, row_weights), w_nm),
+        [rng.normal(size=(n, m))],
+    )
+
     L = int(rng.integers(6, 11))
     cin = int(rng.integers(2, 4))
     cout = int(rng.integers(2, 4))
@@ -135,12 +159,27 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda x, w, b: _weighted(T.conv1d(x, w, b, padding=((kw - 1) // 2, kw // 2)), wc),
         [rng.normal(size=(L, cin)), rng.normal(size=(kw, cin, cout)), rng.normal(size=cout)],
     )
-    pool_in = rng.normal(size=(L, cin)) + np.linspace(0, 0.013, L * cin).reshape(L, cin)
+    wc2 = rng.normal(size=(2, L, cout))
+    cases["conv1d_batched"] = (
+        lambda x, w, b: _weighted(T.conv1d(x, w, b, padding=((kw - 1) // 2, kw // 2)), wc2),
+        [rng.normal(size=(2, L, cin)), rng.normal(size=(kw, cin, cout)), rng.normal(size=cout)],
+    )
+    ramp = np.linspace(0, 0.013, L * cin).reshape(L, cin)
+    pool_in = rng.normal(size=(L, cin)) + ramp
     w_pool = rng.normal(size=(-(-L // 2), cin))
     cases["maxpool1d"] = (lambda x: _weighted(T.maxpool1d(x, 2), w_pool), [pool_in])
+    w_pool2 = rng.normal(size=(2, -(-L // 2), cin))
+    cases["maxpool1d_batched"] = (
+        lambda x: _weighted(T.maxpool1d(x, 2), w_pool2),
+        [rng.normal(size=(2, L, cin)) + ramp],
+    )
     vec = rng.normal(size=L)
     w_vec = rng.normal(size=-(-L // 3))
     cases["avgpool1d"] = (lambda x: _weighted(T.avgpool1d(x, 3), w_vec), [vec])
+    w_vec2 = rng.normal(size=(n, -(-L // 3)))
+    cases["avgpool1d_batched"] = (
+        lambda x: _weighted(T.avgpool1d(x, 3), w_vec2), [rng.normal(size=(n, L))]
+    )
     vocab = 6
     ids = rng.integers(0, vocab, size=L)
     w_emb = rng.normal(size=(L, m))
@@ -148,10 +187,40 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda tab: _weighted(T.embedding_lookup(tab, ids), w_emb),
         [rng.normal(size=(vocab, m))],
     )
+    ids2 = rng.integers(0, vocab, size=(2, L))
+    w_emb2 = rng.normal(size=(2, L, m))
+    cases["embedding_lookup_batched"] = (
+        lambda tab: _weighted(T.embedding_lookup(tab, ids2), w_emb2),
+        [rng.normal(size=(vocab, m))],
+    )
 
     cases["batch_stat_norm"] = (
         lambda x, g, b: _weighted(T.batch_stat_norm(x, g, b), w_nm),
         [rng.normal(size=(n, m)), rng.uniform(0.5, 1.5, size=m), rng.normal(size=m)],
+    )
+    rows = n + 2
+    row_mask = np.ones((k, rows), dtype=bool)
+    row_mask[0, 2:] = False  # a sample with two real rows and n pad rows
+    row_mask[1:, rng.integers(0, rows)] = False
+    w_krm = rng.normal(size=(k, rows, m))
+    cases["batch_stat_norm_masked"] = (
+        lambda x, g, b: _weighted(T.batch_stat_norm(x, g, b, row_mask), w_krm),
+        [rng.normal(size=(k, rows, m)), rng.uniform(0.5, 1.5, size=m), rng.normal(size=m)],
+    )
+
+    # bilinear attention: 3 drugs of up to 4 atoms, 2 proteins of 5
+    # residues with 5 and 3 real, 5 pairs sharing both sides, 2 heads
+    atoms, res, J = 4, 5, 3
+    v_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
+    u_real = np.array([5, 3])
+    v_idx, u_idx = np.array([0, 1, 2, 1, 0]), np.array([0, 0, 1, 1, 1])
+    w_pair = rng.normal(size=(len(v_idx), J))
+    cases["bilinear_attention"] = (
+        lambda v, u, q0, q1: _weighted(
+            T.bilinear_attention(v, u, [q0, q1], v_mask, u_real, v_idx, u_idx)[0], w_pair
+        ),
+        [rng.normal(size=(3, atoms, J)), rng.normal(size=(2, res, J)),
+         rng.normal(size=J), rng.normal(size=J)],
     )
 
     scale = float(rng.uniform(0.5, 2.0))

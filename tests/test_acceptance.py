@@ -18,11 +18,11 @@ from gradcheck import op_cases, run_case
 
 from dtikit import tensor as T
 from dtikit.config import resolve_config
-from dtikit.encoder import EncoderConfig, DTIEncoder, featurize_drug
+from dtikit.datasets import InteractionRecord
+from dtikit.encoder import EncoderConfig, DTIEncoder
 from dtikit.fewshot import PrototypeHead, focal_loss
 from dtikit.metrics import auprc, auroc, concordance_index
 from dtikit.optim import ParameterStore
-from dtikit.proteins import encode_protein
 from dtikit.rng import substream
 from dtikit.smiles import parse_smiles
 from dtikit.splits import (
@@ -36,6 +36,8 @@ from dtikit.splits import (
 )
 from dtikit.synth import SyntheticSpec, synth_generate
 from dtikit.train import (
+    Featurizer,
+    encode_pairs,
     evaluate,
     manifest_sha256,
     meta_shot_curve,
@@ -83,23 +85,34 @@ GRAD_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 
 
 def _encoder_instance(seed: int):
+    """A two-pair batch through the batched entry point: the seed's drug and
+    the next one in the list with another atom count, so one molecule is
+    padded, each with its own random protein."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     encoder = DTIEncoder(
         store, EncoderConfig.small(**TINY_ENCODER),
         substream(seed, "accept.grad"), heads=("classify",),
     )
-    drug = featurize_drug(parse_smiles(GRAD_SMILES[seed % len(GRAD_SMILES)]))
+    first = GRAD_SMILES[seed % len(GRAD_SMILES)]
+    atoms = parse_smiles(first).n_atoms
+    second = next(
+        s for s in GRAD_SMILES[seed % len(GRAD_SMILES):] + GRAD_SMILES
+        if parse_smiles(s).n_atoms != atoms
+    )
     # Full-length sequences: in a padded tail every position carries the same
     # value, so one bias step can push the whole region across a relu kink at
     # once and central differences stop matching any one-sided derivative.
-    seq = "".join(rng.choice(list(GRAD_RESIDUES), size=16))
-    tok = encode_protein(seq, 16)
-    return rng, store, encoder, drug, (tok.ids, tok.true_length)
+    seqs = ["".join(rng.choice(list(GRAD_RESIDUES), size=16)) for _ in range(2)]
+    records = [
+        InteractionRecord(f"D{j}", f"P{j}", smiles, seq, 1.0)
+        for j, (smiles, seq) in enumerate(zip((first, second), seqs))
+    ]
+    return rng, store, encoder, records, Featurizer.build(records, 16)
 
 
-def _encoder_loss(encoder, drug, protein) -> T.Tensor:
-    out = encoder.forward(drug, protein, head="classify")
+def _encoder_loss(encoder, records, feat) -> T.Tensor:
+    out = encode_pairs(encoder, feat, records, [0, 1], "classify")
     return T.tsum(out.logit)
 
 
@@ -117,9 +130,9 @@ def test_01_gradients_match_central_differences():
     # absolute term covers exactly the latter and nothing else.
     h, atol = 1e-6, 1e-7
     for seed in range(20):
-        rng, store, encoder, drug, protein = _encoder_instance(seed)
+        rng, store, encoder, records, feat = _encoder_instance(seed)
         store.zero_grad()
-        _encoder_loss(encoder, drug, protein).backward()
+        _encoder_loss(encoder, records, feat).backward()
         params = store.trainable()
         for _ in range(6):
             path, tensor = params[int(rng.integers(len(params)))]
@@ -128,9 +141,9 @@ def test_01_gradients_match_central_differences():
             grad = tensor.grad.reshape(-1)[coord] if tensor.grad is not None else 0.0
             orig = flat[coord]
             flat[coord] = orig + h
-            f_plus = float(_encoder_loss(encoder, drug, protein).data)
+            f_plus = float(_encoder_loss(encoder, records, feat).data)
             flat[coord] = orig - h
-            f_minus = float(_encoder_loss(encoder, drug, protein).data)
+            f_minus = float(_encoder_loss(encoder, records, feat).data)
             flat[coord] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             bound = GRAD_REL_TOL * max(abs(grad), abs(numeric)) + atol
@@ -189,17 +202,17 @@ def test_04_uniform_attention_equals_class_mean_prototypes():
         )
         support = rng.normal(size=(2 * k, d))
         labels = np.array([0] * k + [1] * k)
-        queries = [rng.normal(size=d) for _ in range(n_query)]
+        queries = rng.normal(size=(n_query, d))
         probs, _ = ep_head.episode_probabilities(
-            T.Tensor(support.copy()), labels, [T.Tensor(q.copy()) for q in queries]
+            T.Tensor(support.copy()), labels, T.Tensor(queries.copy())
         )
         proto = [support[labels == c].mean(axis=0) for c in (0, 1)]
-        for q, p in zip(queries, probs):
+        for q, p in zip(queries, probs.data):
             sims = [
                 float(np.dot(q, m) / (np.linalg.norm(q) * np.linalg.norm(m)))
                 for m in proto
             ]
-            assert int(np.argmax(p.data)) == int(np.argmax(sims))
+            assert int(np.argmax(p)) == int(np.argmax(sims))
 
 
 # -- 5: ranking metrics vs pair-counting oracles --------------------------------

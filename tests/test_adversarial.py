@@ -25,7 +25,7 @@ def build(seed=0, hidden=8):
 
 
 def features(rng, n):
-    return [Tensor(rng.normal(size=DIM), requires_grad=True) for _ in range(n)]
+    return Tensor(rng.normal(size=(n, DIM)), requires_grad=True)
 
 
 def half_probs(n):
@@ -49,18 +49,17 @@ def test_one_hot_probability_silences_the_other_head():
     one_hot = np.tile([1.0, 0.0], (2, 1))
     loss = adv.domain_loss(src, tgt, one_hot, one_hot)
     loss.backward()
-    full_grads = [f.grad.copy() for f in src + tgt]
 
     # same records through the class-0 head alone: the class-1 head saw only
     # zero vectors, so it cannot have contributed any feature gradient
-    src2 = [Tensor(f.data.copy(), requires_grad=True) for f in src]
-    tgt2 = [Tensor(f.data.copy(), requires_grad=True) for f in tgt]
-    rows = [T.reshape(T.grad_reverse(f, 1.0), (1, DIM)) for f in src2 + tgt2]
-    logits = adv.discriminate(0, T.concat(rows, axis=0))
+    src2 = Tensor(src.data.copy(), requires_grad=True)
+    tgt2 = Tensor(tgt.data.copy(), requires_grad=True)
+    x = T.grad_reverse(T.concat([src2, tgt2], axis=0), 1.0)
+    logits = adv.discriminate(0, x)
     head0 = T.tmean(T.bce_with_logits(logits, np.array([0.0, 0.0, 1.0, 1.0])))
     head0.backward()
-    for f, g in zip(src2 + tgt2, full_grads):
-        assert np.allclose(f.grad, g, atol=1e-12)
+    assert np.allclose(src2.grad, src.grad, atol=1e-12)
+    assert np.allclose(tgt2.grad, tgt.grad, atol=1e-12)
 
 
 def test_reversal_flips_and_scales_feature_gradient():
@@ -71,21 +70,20 @@ def test_reversal_flips_and_scales_feature_gradient():
     domains = np.array([0.0, 1.0])
 
     def run(grl_scale=None):
-        src = [Tensor(base[0].copy(), requires_grad=True)]
-        tgt = [Tensor(base[1].copy(), requires_grad=True)]
+        src = Tensor(base[:1].copy(), requires_grad=True)
+        tgt = Tensor(base[1:].copy(), requires_grad=True)
         if grl_scale is not None:
             loss = adv.domain_loss(src, tgt, probs[:1], probs[1:], grl_scale)
         else:
             # straight-line reimplementation without the reversal
-            rows = [T.reshape(f, (1, DIM)) for f in src + tgt]
-            x = T.concat(rows, axis=0)
+            x = T.concat([src, tgt], axis=0)
             loss = None
             for k in range(2):
                 scale = Tensor(np.repeat(probs[:, k : k + 1], DIM, axis=1))
                 term = T.tmean(T.bce_with_logits(adv.discriminate(k, x * scale), domains))
                 loss = term if loss is None else loss + term
         loss.backward()
-        return np.stack([src[0].grad, tgt[0].grad]), float(loss.data)
+        return np.vstack([src.grad, tgt.grad]), float(loss.data)
 
     plain_g, plain_loss = run(None)
     rev_g, rev_loss = run(grl_scale=0.5)
@@ -96,22 +94,15 @@ def test_reversal_flips_and_scales_feature_gradient():
 def test_minmax_directions_on_a_frozen_toy():
     store, adv = build(seed=4)
     rng = np.random.default_rng(3)
-    src = [Tensor(rng.normal(size=DIM), requires_grad=True) for _ in range(4)]
-    tgt = [Tensor(rng.normal(size=DIM), requires_grad=True) for _ in range(4)]
+    src = features(rng, 4)
+    tgt = features(rng, 4)
     probs = half_probs(4)
 
     def loss_at(feats_s, feats_t):
         with T.no_grad():
-            return float(
-                adv.domain_loss(
-                    [Tensor(f) for f in feats_s],
-                    [Tensor(f) for f in feats_t],
-                    probs,
-                    probs,
-                ).data
-            )
+            return float(adv.domain_loss(Tensor(feats_s), Tensor(feats_t), probs, probs).data)
 
-    before = loss_at([f.data for f in src], [f.data for f in tgt])
+    before = loss_at(src.data, tgt.data)
     loss = adv.domain_loss(src, tgt, probs, probs)
     loss.backward()
 
@@ -120,24 +111,22 @@ def test_minmax_directions_on_a_frozen_toy():
     saved = {p: store[p].data.copy() for p in store.paths()}
     for p in store.paths():
         store[p].data[...] -= lr * store[p].grad
-    assert loss_at([f.data for f in src], [f.data for f in tgt]) < before
+    assert loss_at(src.data, tgt.data) < before
     for p in store.paths():
         store[p].data[...] = saved[p]
 
     # descending the (reversed) feature gradient makes the domains harder
     # to tell apart for the frozen discriminators
-    moved_s = [f.data - lr * f.grad for f in src]
-    moved_t = [f.data - lr * f.grad for f in tgt]
-    assert loss_at(moved_s, moved_t) > before
+    assert loss_at(src.data - lr * src.grad, tgt.data - lr * tgt.grad) > before
 
 
 def test_empty_domain_batch_raises():
     store, adv = build()
     rng = np.random.default_rng(0)
     with pytest.raises(EmptyDomainBatch):
-        adv.domain_loss([], features(rng, 1), np.zeros((0, 2)), half_probs(1))
+        adv.domain_loss(features(rng, 0), features(rng, 1), np.zeros((0, 2)), half_probs(1))
     with pytest.raises(EmptyDomainBatch):
-        adv.domain_loss(features(rng, 1), [], half_probs(1), np.zeros((0, 2)))
+        adv.domain_loss(features(rng, 1), features(rng, 0), half_probs(1), np.zeros((0, 2)))
 
 
 def test_probability_shape_is_checked():
@@ -176,7 +165,8 @@ def test_class_heads_are_parameter_disjoint():
 
 
 def test_class_probabilities_row():
-    row = class_probabilities(0.0)
-    assert np.allclose(row, [0.5, 0.5])
-    row = class_probabilities(3.0)
-    assert abs(row.sum() - 1.0) < 1e-12 and row[1] > 0.9
+    rows = class_probabilities(np.array([0.0, 3.0, -800.0]))
+    assert rows.shape == (3, 2)
+    assert np.allclose(rows[0], [0.5, 0.5])
+    assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12) and rows[1, 1] > 0.9
+    assert rows[2, 1] == 0.0

@@ -33,6 +33,13 @@ def aspirin_inputs():
     return featurize_drug(graph), (prot.ids, prot.true_length)
 
 
+def forward(enc, drug, protein, head="classify", attention=False):
+    """The batched pass on a batch of one pair."""
+    d_levels, d_mask = enc.drug_levels([drug])
+    p_levels = enc.protein_levels([protein])
+    return enc.interact(d_levels, d_mask, p_levels, [0], [0], head, attention)
+
+
 # -- featurization -------------------------------------------------------------
 
 
@@ -68,19 +75,30 @@ def test_normalized_adjacency_ethane():
 def test_protein_level_lengths_and_masks():
     store, enc = build()
     prot = encode_protein("A" * 20, max_len=48)
-    levels = enc.protein_levels(prot.ids, prot.true_length)
+    full = encode_protein("A" * 60, max_len=48)
+    levels = enc.protein_levels([(prot.ids, prot.true_length), (full.ids, full.true_length)])
     shapes = [tuple(out.data.shape) for out, _ in levels]
-    reals = [real for _, real in levels]
-    assert shapes == [(24, CFG.n_filters), (12, CFG.n_filters), (6, CFG.n_filters)]
-    assert reals == [10, 5, 3]
+    reals = [list(real) for _, real in levels]
+    assert shapes == [(2, 24, CFG.n_filters), (2, 12, CFG.n_filters), (2, 6, CFG.n_filters)]
+    assert reals == [[10, 24], [5, 12], [3, 6]]
 
 
 def test_drug_level_rows_follow_atom_count():
+    """A batch pads every molecule to the largest; the pad rows come out
+    zero and the atom rows equal the molecule's rows run alone."""
     store, enc = build()
-    for smiles, n in [("CCO", 3), ("CC(=O)Oc1ccccc1C(=O)O", 13), ("C", 1)]:
-        feats, adj = featurize_drug(parse_smiles(smiles))
-        levels = enc.drug_levels(feats, adj)
-        assert all(out.data.shape == (n, CFG.n_filters) for out in levels)
+    batch = [("CCO", 3), ("CC(=O)Oc1ccccc1C(=O)O", 13), ("C", 1)]
+    drugs = [featurize_drug(parse_smiles(s)) for s, _ in batch]
+    levels, mask = enc.drug_levels(drugs)
+    assert mask.shape == (3, 13)
+    assert list(mask.sum(axis=1)) == [n for _, n in batch]
+    for out in levels:
+        assert out.data.shape == (3, 13, CFG.n_filters)
+        assert np.all(out.data[~mask] == 0.0)
+    for j, (drug, (_, n)) in enumerate(zip(drugs, batch)):
+        alone, _ = enc.drug_levels([drug])
+        for a, out in zip(alone, levels):
+            assert np.allclose(a.data[0], out.data[j, :n], atol=1e-12)
 
 
 def test_drug_levels_are_permutation_equivariant():
@@ -88,10 +106,10 @@ def test_drug_levels_are_permutation_equivariant():
     graph = parse_smiles("CC(C)Cc1ccc(O)cc1")
     feats, adj = featurize_drug(graph)
     perm = np.random.default_rng(3).permutation(graph.n_atoms)
-    base = enc.drug_levels(feats, adj)
-    moved = enc.drug_levels(feats[perm], adj[np.ix_(perm, perm)])
+    base, _ = enc.drug_levels([(feats, adj)])
+    moved, _ = enc.drug_levels([(feats[perm], adj[np.ix_(perm, perm)])])
     for b, m in zip(base, moved):
-        assert np.allclose(b.data[perm], m.data, atol=1e-10)
+        assert np.allclose(b.data[0, perm], m.data[0], atol=1e-10)
 
 
 # -- gradients -------------------------------------------------------------------
@@ -100,7 +118,7 @@ def test_drug_levels_are_permutation_equivariant():
 def test_every_parameter_gets_gradient():
     store, enc = build()
     drug, prot = aspirin_inputs()
-    out = enc.forward(drug, prot)
+    out = forward(enc, drug, prot)
     loss = T.tmean(T.bce_with_logits(out.logit, np.array([1.0])))
     loss.backward()
     for path in store.paths():
@@ -136,7 +154,7 @@ def test_directional_gradcheck_through_full_forward():
     drug, prot = aspirin_inputs()
 
     def loss_value():
-        out = enc.forward(drug, prot)
+        out = forward(enc, drug, prot)
         return T.tmean(T.bce_with_logits(out.logit, np.array([1.0])))
 
     loss = loss_value()
@@ -168,11 +186,11 @@ def test_atom_permutation_leaves_output_unchanged():
     graph = parse_smiles("CC(=O)Oc1ccccc1C(=O)O")
     feats, adj = featurize_drug(graph)
     prot = encode_protein("MKTAYIAKQRQISFVKSHFSRQ", max_len=CFG.max_seq_len)
-    base = enc.forward((feats, adj), (prot.ids, prot.true_length))
+    base = forward(enc, (feats, adj), (prot.ids, prot.true_length))
 
     perm = np.random.default_rng(7).permutation(graph.n_atoms)
-    permuted = enc.forward(
-        (feats[perm], adj[np.ix_(perm, perm)]), (prot.ids, prot.true_length)
+    permuted = forward(
+        enc, (feats[perm], adj[np.ix_(perm, perm)]), (prot.ids, prot.true_length)
     )
     assert np.allclose(base.fused.data, permuted.fused.data, atol=1e-9)
     assert np.allclose(base.logit.data, permuted.logit.data, atol=1e-9)
@@ -181,10 +199,10 @@ def test_atom_permutation_leaves_output_unchanged():
 def test_attention_mass_stays_on_real_residues():
     store, enc = build()
     drug, (ids, true_len) = aspirin_inputs()
-    out = enc.forward(drug, (ids, true_len), attention=True)
-    reals = [real for _, real in enc.protein_levels(ids, true_len)]
-    assert len(out.attention) == len(reals)
-    for level, (maps, real) in enumerate(zip(out.attention, reals)):
+    out = forward(enc, drug, (ids, true_len), attention=True)
+    reals = [real[0] for _, real in enc.protein_levels([(ids, true_len)])]
+    assert len(out.attention) == 1 and len(out.attention[0]) == len(reals)
+    for level, (maps, real) in enumerate(zip(out.attention[0], reals)):
         # maps are cropped to the real columns; if masking works, each head's
         # softmax mass lives entirely inside the crop
         per_head = maps.sum(axis=(1, 2))
@@ -197,7 +215,7 @@ def test_variant_without_fusion_unit():
     store, enc = build(config=cfg)
     assert not any(p.startswith("gau/") for p in store.paths())
     drug, prot = aspirin_inputs()
-    out = enc.forward(drug, prot)
+    out = forward(enc, drug, prot)
     assert np.allclose(
         out.fused.data, sum(v.data for v in out.level_vectors), atol=1e-12
     )
@@ -208,10 +226,10 @@ def test_head_registration_is_gated():
     assert not any(p.startswith("head/regress") for p in store.paths())
     store2, enc2 = build(heads=("regress",))
     drug, prot = aspirin_inputs()
-    out = enc2.forward(drug, prot, head="regress")
+    out = forward(enc2, drug, prot, head="regress")
     assert out.value is not None and out.logit is None
     with pytest.raises(KeyError):
-        enc2.forward(drug, prot, head="mystery")
+        forward(enc2, drug, prot, head="mystery")
 
 
 # -- persistence and determinism ------------------------------------------------------
@@ -221,21 +239,21 @@ def test_same_seed_same_outputs():
     drug, prot = aspirin_inputs()
     _, enc_a = build(seed=9)
     _, enc_b = build(seed=9)
-    a = enc_a.forward(drug, prot)
-    b = enc_b.forward(drug, prot)
+    a = forward(enc_a, drug, prot)
+    b = forward(enc_b, drug, prot)
     assert np.array_equal(a.logit.data, b.logit.data)
 
 
 def test_checkpoint_restores_forward_bitwise():
     drug, prot = aspirin_inputs()
     store_a, enc_a = build(seed=1)
-    want = enc_a.forward(drug, prot).logit.data.copy()
+    want = forward(enc_a, drug, prot).logit.data.copy()
     blob = store_a.save_bytes()
 
     store_b, enc_b = build(seed=2)
-    assert not np.array_equal(enc_b.forward(drug, prot).logit.data, want)
+    assert not np.array_equal(forward(enc_b, drug, prot).logit.data, want)
     store_b.load_bytes(blob)
-    assert np.array_equal(enc_b.forward(drug, prot).logit.data, want)
+    assert np.array_equal(forward(enc_b, drug, prot).logit.data, want)
 
 
 def _legacy_blob(store) -> bytes:
@@ -263,6 +281,6 @@ def test_checkpoint_with_normalization_buffers_loads_strictly():
     assert len(read_checkpoint(blob)) == len(store_a.paths()) + 24
     store_b, enc_b = build(seed=2)
     assert sorted(store_b.load_bytes(blob, strict=True)) == sorted(store_a.paths())
-    assert np.array_equal(enc_b.forward(drug, prot).logit.data,
-                          enc_a.forward(drug, prot).logit.data)
+    assert np.array_equal(forward(enc_b, drug, prot).logit.data,
+                          forward(enc_a, drug, prot).logit.data)
     assert store_b.save_bytes() == store_a.save_bytes()

@@ -22,7 +22,7 @@ def silu(x):
 def random_episode(rng, k=2, k_q=3, d=4):
     support = Tensor(rng.normal(size=(2 * k, d)), requires_grad=True)
     labels = np.array([1.0] * k + [0.0] * k)
-    queries = [Tensor(rng.normal(size=d), requires_grad=True) for _ in range(k_q)]
+    queries = Tensor(rng.normal(size=(k_q, d)), requires_grad=True)
     q_labels = rng.integers(0, 2, size=k_q).astype(float)
     return support, labels, queries, q_labels
 
@@ -88,12 +88,11 @@ def test_prototypes_match_straight_line_oracle():
             spread_attention(store, rng)
             support, labels, queries, _ = random_episode(rng, k=k, k_q=k_q, d=d)
             if episode == 0:
-                queries[0] = Tensor(np.zeros(d))
+                queries.data[0] = 0.0
             probs, weights = head.episode_probabilities(support, labels, queries)
-            want_p, want_w = block_oracle(
-                store, support.data, labels, [q.data for q in queries], uniform
-            )
-            assert np.abs(np.array([p.data for p in probs]) - want_p).max() <= 1e-12
+            want_p, want_w = block_oracle(store, support.data, labels, queries.data, uniform)
+            assert probs.data.shape == (k_q, 2)
+            assert np.abs(probs.data - want_p).max() <= 1e-12
             assert np.abs(weights - want_w).max() <= 1e-12
 
 
@@ -116,13 +115,13 @@ def test_one_shot_prototype_is_the_support_itself():
     support, labels, queries, _ = random_episode(rng, k=1, k_q=2)
     probs, weights = head.episode_probabilities(support, labels, queries)
     assert np.array_equal(weights, np.ones((2, 2)))
-    for q, p in zip(queries, probs):
+    for q, p in zip(queries.data, probs.data):
         sims = [
-            s @ q.data / (np.linalg.norm(s) * np.linalg.norm(q.data))
+            s @ q / (np.linalg.norm(s) * np.linalg.norm(q))
             for s in support.data[::-1]  # class 0 first
         ]
         want = np.exp(sims) / np.exp(sims).sum()
-        assert np.allclose(p.data, want, atol=1e-12)
+        assert np.allclose(p, want, atol=1e-12)
 
 
 def test_weights_sum_to_one_per_class():
@@ -141,7 +140,7 @@ def test_empty_class_raises():
     _, head = build_head()
     support = Tensor(np.zeros((4, 4)))
     with pytest.raises(EmptyClass):
-        head.episode_probabilities(support, np.ones(4), [Tensor(np.ones(4))])
+        head.episode_probabilities(support, np.ones(4), Tensor(np.ones((1, 4))))
 
 
 def test_shape_checks():
@@ -149,9 +148,11 @@ def test_shape_checks():
     support = Tensor(np.ones((2, 4)))
     labels = np.array([1.0, 0.0])
     with pytest.raises(ShapeMismatch):
-        head.episode_probabilities(support, labels, [Tensor(np.ones(3))])
+        head.episode_probabilities(support, labels, Tensor(np.ones((1, 3))))
     with pytest.raises(ShapeMismatch):
-        head.episode_probabilities(support, np.array([1.0, 0.0, 0.0]), [Tensor(np.ones(4))])
+        head.episode_probabilities(support, labels, Tensor(np.ones(4)))
+    with pytest.raises(ShapeMismatch):
+        head.episode_probabilities(support, np.array([1.0, 0.0, 0.0]), Tensor(np.ones((1, 4))))
 
 
 # -- cosine classification ------------------------------------------------------
@@ -161,11 +162,11 @@ def test_cosine_classify_orthogonal_case():
     _, head = build_head(seed=3, d=2)
     support = Tensor(np.array([[0.0, 3.0], [1.0, 0.0]]))
     probs, _ = head.episode_probabilities(
-        support, np.array([1.0, 0.0]), [Tensor(np.array([0.0, 5.0]))]
+        support, np.array([1.0, 0.0]), Tensor(np.array([[0.0, 5.0]]))
     )
     want = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
-    assert np.allclose(probs[0].data, want, atol=1e-12)
-    assert probs[0].data.argmax() == 1
+    assert np.allclose(probs.data[0], want, atol=1e-12)
+    assert probs.data[0].argmax() == 1
 
 
 def test_cosine_classify_scale_invariance():
@@ -173,18 +174,17 @@ def test_cosine_classify_scale_invariance():
     rng = np.random.default_rng(5)
     support, labels, queries, _ = random_episode(rng, k=3, k_q=2)
     a, _ = head.episode_probabilities(support, labels, queries)
-    b, _ = head.episode_probabilities(support, labels, [q * 5.0 for q in queries])
-    for pa, pb in zip(a, b):
-        assert np.allclose(pa.data, pb.data, atol=1e-12)
+    b, _ = head.episode_probabilities(support, labels, queries * 5.0)
+    assert np.allclose(a.data, b.data, atol=1e-12)
 
 
 def test_cosine_classify_equal_prototypes_split_evenly():
     _, head = build_head(seed=2, d=2)
     support = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
     probs, _ = head.episode_probabilities(
-        support, np.array([1.0, 0.0]), [Tensor(np.array([3.0, -1.0]))]
+        support, np.array([1.0, 0.0]), Tensor(np.array([[3.0, -1.0]]))
     )
-    assert np.allclose(probs[0].data, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(probs.data[0], [0.5, 0.5], atol=1e-12)
 
 
 def test_cosine_classify_zero_vector_warns(caplog):
@@ -192,11 +192,11 @@ def test_cosine_classify_zero_vector_warns(caplog):
     support = Tensor(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     with caplog.at_level(logging.WARNING, logger="dtikit.fewshot"):
         probs, _ = head.episode_probabilities(
-            support, np.array([1.0, 0.0]), [Tensor(np.ones(3))]
+            support, np.array([1.0, 0.0]), Tensor(np.ones((1, 3)))
         )
     assert "zero-norm" in caplog.text
     want = np.exp([0.0, 1.0]) / np.exp([0.0, 1.0]).sum()
-    assert np.allclose(probs[0].data, want, atol=1e-12)
+    assert np.allclose(probs.data[0], want, atol=1e-12)
 
 
 # -- focal loss --------------------------------------------------------------------
@@ -236,11 +236,11 @@ def test_episode_loss_gradcheck_tiny_instance():
     rng = np.random.default_rng(7)
     support = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     labels = np.array([1.0, 0.0])
-    query = Tensor(rng.normal(size=4), requires_grad=True)
+    query = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     q_labels = np.array([1.0])
 
     def loss_value():
-        loss, _ = head.episode_loss(support, labels, [query], q_labels)
+        loss, _ = head.episode_loss(support, labels, query, q_labels)
         return loss
 
     loss = loss_value()
@@ -283,7 +283,7 @@ def test_episode_loss_gradients_with_several_shots_and_queries():
     store, head = build_head(seed=19)
     rng = np.random.default_rng(11)
     support, labels, queries, q_labels = random_episode(rng, k=3, k_q=4)
-    leaves = {"support": support, **{f"query{j}": q for j, q in enumerate(queries)}}
+    leaves = {"support": support, "queries": queries}
     leaves.update({path: store[path] for path in store.paths()})
 
     def loss_value():
@@ -312,14 +312,14 @@ def test_uniform_head_matches_class_mean_reference():
     for _ in range(100):
         support, labels, queries, _ = random_episode(rng, k=2, k_q=1)
         probs, _ = head.episode_probabilities(support, labels, queries)
-        q = queries[0].data
+        q = queries.data[0]
         means = [support.data[labels == c].mean(axis=0) for c in (0, 1)]
         sims = [
             m @ q / (np.linalg.norm(m) * np.linalg.norm(q)) for m in means
         ]
         want = np.exp(sims) / np.exp(sims).sum()
-        assert np.allclose(probs[0].data, want, atol=1e-9)
-        agree += probs[0].data.argmax() == int(np.argmax(sims))
+        assert np.allclose(probs.data[0], want, atol=1e-9)
+        agree += probs.data[0].argmax() == int(np.argmax(sims))
     assert agree == 100
 
 
@@ -331,7 +331,7 @@ def test_episode_loss_reports_positive_probabilities():
     assert positive.shape == (4,)
     assert np.all((positive > 0) & (positive < 1))
     probs, _ = head.episode_probabilities(support, labels, queries)
-    assert np.array_equal(positive, [p.data[1] for p in probs])
-    correct = np.array([p.data[int(c)] for p, c in zip(probs, q_labels)])
+    assert np.array_equal(positive, probs.data[:, 1])
+    correct = probs.data[np.arange(4), q_labels.astype(int)]
     want = focal_loss(Tensor(correct), head.alpha, head.gamma)
     assert float(loss.data) == float(want.data) > 0

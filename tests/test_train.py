@@ -13,6 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracle
+
 from dtikit import tensor as T
 from dtikit.config import ConfigError, resolve_config
 from dtikit.splits import (
@@ -125,84 +127,134 @@ class TestSupervised:
 
 
 class TestEncodePairs:
-    """The per-entity deduplicated path against per-record forward."""
+    """The batched path against the per-pair oracle in `oracle.py`."""
+
+    @staticmethod
+    def _setup(records, preset, heads=("classify",)):
+        overrides = {"model_preset": preset, "seed": 0}
+        if preset == "small":
+            overrides["max_seq_len"] = 48
+        cfg = resolve_config({}, overrides)
+        store, encoder = build_model(cfg, heads=heads)
+        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+        return cfg, store, encoder, feat
+
+    @staticmethod
+    def _batch(records, preset, feat):
+        """Records with a repeated protein, a repeated drug and atom counts
+        that differ, so the batch pads some molecules."""
+        idxs = (list(range(40)) if preset == "small" else list(range(4))) + [5, 0]
+        assert len({records[i].smiles for i in idxs}) < len(idxs)
+        assert len({records[i].sequence for i in idxs}) < len(idxs)
+        assert len({feat.drugs[records[i].smiles][0].shape[0] for i in idxs}) > 1
+        return idxs
 
     @pytest.mark.parametrize("grad", [True, False])
     def test_matches_per_record_forward(self, records, grad):
-        cfg = small_config()
-        _, encoder = build_model(cfg, heads=("classify", "regress"))
-        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-        idxs = list(range(60)) + [5, 0]
-        assert len({records[i].smiles for i in idxs}) < len(idxs)
-        assert len({records[i].sequence for i in idxs}) < len(idxs)
+        for preset in ("small", "paper"):
+            self._check_outputs(records, grad, preset)
+
+    def _check_outputs(self, records, grad, preset):
+        cfg, _, encoder, feat = self._setup(records, preset, heads=("classify", "regress"))
+        idxs = self._batch(records, preset, feat)
         for head in ("classify", "regress"):
             with contextlib.nullcontext() if grad else T.no_grad():
                 batched = encode_pairs(encoder, feat, records, idxs, head, attention=True)
                 single = [
-                    encoder.forward(
-                        feat.drugs[records[i].smiles], feat.proteins[records[i].sequence],
-                        head=head, attention=True,
+                    oracle.pair_forward(
+                        encoder, feat.drugs[records[i].smiles],
+                        feat.proteins[records[i].sequence], head,
                     )
                     for i in idxs
                 ]
-            for b, r in zip(batched, single):
-                out = b.logit if head == "classify" else b.value
-                ref = r.logit if head == "classify" else r.value
-                assert np.array_equal(out.data, ref.data)
-                assert out.requires_grad == grad
-                assert np.array_equal(b.fused.data, r.fused.data)
-                assert all(
-                    np.array_equal(x.data, y.data)
-                    for x, y in zip(b.level_vectors, r.level_vectors)
-                )
-                assert len(b.attention) == len(r.attention) == cfg.encoder_config().n_levels
-                assert all(
-                    np.array_equal(x, y) for x, y in zip(b.attention, r.attention)
-                )
+            out = batched.logit if head == "classify" else batched.value
+            assert out.requires_grad == grad
+            assert out.data.shape == (len(idxs),)
+            assert len(batched.attention) == len(idxs)
+            for b, r in enumerate(single):
+                assert abs(out.data[b] - r.score.data[0]) <= 1e-10
+                assert np.abs(batched.fused.data[b] - r.fused.data).max() <= 1e-10
+                for x, y in zip(batched.level_vectors, r.level_vectors):
+                    assert np.abs(x.data[b] - y.data).max() <= 1e-10
+                assert len(batched.attention[b]) == len(r.attention) == cfg.encoder_config().n_levels
+                for x, y in zip(batched.attention[b], r.attention):
+                    assert x.shape == y.shape
+                    assert np.abs(x - y).max() <= 1e-10
 
     def test_shared_lift_gradients_match_per_record_forward(self, records):
-        """A shared protein lift sums its weight gradients in another order
-        than one lift per record; one mean-loss step must still agree."""
-        cfg = small_config()
-        store, encoder = build_model(cfg)
-        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-        idxs = list(range(40)) + [5, 0]
-        labels = [np.array([records[i].label]) for i in idxs]
-        outputs = encode_pairs(encoder, feat, records, idxs, "classify")
-        T.tmean(T.concat([T.bce_with_logits(o.logit, y) for o, y in zip(outputs, labels)])).backward()
-        shared = {path: store[path].grad for path in store.paths()}
+        """One mean-loss step of the batched path against the summed
+        per-pair oracle: shared towers, lifts and padding sum the gradients
+        in another order, so they agree to rounding."""
+        for preset in ("small", "paper"):
+            self._check_step(records, preset)
+
+    def _check_step(self, records, preset):
+        _, store, encoder, feat = self._setup(records, preset)
+        idxs = self._batch(records, preset, feat)
+        labels = np.array([records[i].label for i in idxs])
+        output = encode_pairs(encoder, feat, records, idxs, "classify")
+        T.tmean(T.bce_with_logits(output.logit, labels)).backward()
+        batched = {path: store[path].grad for path in store.paths()}
         store.zero_grad()
         for i, y in zip(idxs, labels):
-            out = encoder.forward(feat.drugs[records[i].smiles], feat.proteins[records[i].sequence])
-            T.mul(T.tsum(T.bce_with_logits(out.logit, y)), 1.0 / len(idxs)).backward()
-        for path, grad in shared.items():
+            r = oracle.pair_forward(
+                encoder, feat.drugs[records[i].smiles], feat.proteins[records[i].sequence]
+            )
+            T.mul(T.tsum(T.bce_with_logits(r.score, np.array([y]))), 1.0 / len(idxs)).backward()
+        for path, grad in batched.items():
+            assert grad is not None, path
             assert np.max(np.abs(grad - store[path].grad)) <= 1e-10, path
 
     def test_each_protein_is_lifted_once_per_call(self, records, monkeypatch):
-        cfg = small_config()
-        store, encoder = build_model(cfg)
-        feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+        """Towers run once per call on every distinct entity.  A training
+        call lifts each protein once; a chunked inference call lifts each
+        slice's own proteins, never more than a slice has pairs, and the
+        chunked scores equal the unchunked ones."""
+        cfg, store, encoder, feat = self._setup(records, "small")
         lift_weights = {
             id(store[f"joint/level{i}/protein/w"]) for i in range(cfg.encoder_config().n_levels)
         }
         lifts = []
+        towers = []
         matmul = T.matmul
+        protein_levels = encoder.protein_levels
 
         def counting_matmul(a, b):
             if id(b) in lift_weights:
-                lifts.append(a)
+                lifts.append(a.data.shape[0])
             return matmul(a, b)
 
+        def counting_towers(proteins):
+            towers.append(len(proteins))
+            return protein_levels(proteins)
+
         monkeypatch.setattr(T, "matmul", counting_matmul)
-        idxs = list(range(60)) + [5, 0]
-        n_proteins = len({records[i].sequence for i in idxs})
+        monkeypatch.setattr(encoder, "protein_levels", counting_towers)
+        idxs = list(range(120)) + [5, 0]
+        sequences = [records[i].sequence for i in idxs]
+        n_proteins = len(set(sequences))
         assert n_proteins < len(idxs)
+        levels = len(lift_weights)
         for grad in (True, False):
             lifts.clear()
+            towers.clear()
             with contextlib.nullcontext() if grad else T.no_grad():
-                encode_pairs(encoder, feat, records, idxs, "classify")
-            assert len(lifts) == n_proteins * len(lift_weights)
-            assert len({id(a) for a in lifts}) == len(lifts)
+                whole = encode_pairs(encoder, feat, records, idxs, "classify")
+            assert towers == [n_proteins]
+            assert lifts == [n_proteins] * levels
+
+        chunk = 16
+        lifts.clear()
+        towers.clear()
+        with T.no_grad():
+            chunked = encode_pairs(encoder, feat, records, idxs, "classify", chunk=chunk)
+        assert towers == [n_proteins]
+        in_order = sorted(sequences, key=list(dict.fromkeys(sequences)).index)
+        slices = [in_order[j : j + chunk] for j in range(0, len(idxs), chunk)]
+        assert lifts == [len(set(s)) for s in slices for _ in range(levels)]
+        assert max(lifts) <= chunk
+        assert sum(lifts) <= (n_proteins + len(slices) - 1) * levels
+        assert np.abs(chunked.logit.data - whole.logit.data).max() <= 1e-12
 
 
 class TestArtifacts:
