@@ -64,8 +64,8 @@ class DomainAdversary:
     def discriminate(self, k: int, x: Tensor) -> Tensor:
         """Domain logits [N] for class head k on features x[N, dim]."""
         h = self.heads[k]
-        z = T.relu(T.add_bias(T.matmul(x, h["w1"]), h["b1"]))
-        return T.reshape(T.add_bias(T.matmul(z, h["w2"]), h["b2"]), (x.data.shape[0],))
+        z = T.linear(x, h["w1"], h["b1"], relu=True)
+        return T.reshape(T.linear(z, h["w2"], h["b2"]), (x.data.shape[0],))
 
     def domain_loss(
         self,

@@ -416,8 +416,10 @@ def _rounded(scores: np.ndarray) -> list[float]:
 
 
 def _top_fifth(scores: np.ndarray) -> list[int]:
+    """Indices of the highest fifth by the scores as `_rounded` prints them;
+    scores that print alike rank in index order."""
     k = int(np.ceil(0.2 * scores.shape[0]))
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-np.array(_rounded(scores)), kind="stable")
     return [int(i) for i in order[:k]]
 
 

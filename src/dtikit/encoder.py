@@ -186,17 +186,24 @@ class _BatchNorm:
 
 
 class _Linear:
+    """Affine map of the last axis, x[..., fan_in] -> [..., fan_out], as one
+    `tensor.linear` node; with `relu` set the activation is fused in too."""
+
     def __init__(self, store, path, fan_in, fan_out, rng):
         self.w = store.parameter(
             f"{path}/w", kaiming_uniform(rng, (fan_in, fan_out), fan_in)
         )
         self.b = store.parameter(f"{path}/b", np.zeros(fan_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.matmul(x, self.w), self.b)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return T.linear(x, self.w, self.b, relu)
 
 
 class _Conv:
+    """Same-length convolution along the length axis followed by a relu,
+    one `tensor.conv1d_relu` node.  Every convolution of the protein tower
+    is activated this way."""
+
     def __init__(self, store, path, kernel, c_in, c_out, rng):
         self.w = store.parameter(
             f"{path}/w", kaiming_uniform(rng, (kernel, c_in, c_out), kernel * c_in)
@@ -205,7 +212,7 @@ class _Conv:
         self.padding = _same_padding(kernel)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.w, self.b, padding=self.padding)
+        return T.conv1d_relu(x, self.w, self.b, padding=self.padding)
 
 
 class DTIEncoder:
@@ -312,13 +319,13 @@ class DTIEncoder:
         real = np.minimum([n for _, n in proteins], ids.shape[1])
         x = T.embedding_lookup(self.embedding, ids)
         for conv in self.p_stem:
-            x = T.relu(conv(x))
+            x = conv(x)
         levels = []
         for spec in self.p_levels:
-            ex = spec["ex_bn"](T.relu(spec["ex"](x)))
+            ex = spec["ex_bn"](spec["ex"](x))
             x = T.maxpool1d(ex, 2)
             real = -(-real // 2)
-            out = spec["out_bn"](T.relu(spec["out"](x)))
+            out = spec["out_bn"](spec["out"](x))
             levels.append((out, real))
         return levels
 
@@ -338,7 +345,7 @@ class DTIEncoder:
         adj = Tensor(adj_norm, requires_grad=False)
         h = Tensor(feats, requires_grad=False)
         for lin in self.d_stem:
-            h = T.relu(lin(h))
+            h = lin(h, relu=True)
         levels = []
         for spec in self.d_levels:
             h = spec["ex_bn"](T.relu(T.bmm(adj, spec["ex"](h))), mask)
@@ -361,8 +368,8 @@ class DTIEncoder:
         vectors = []
         maps = []
         for spec, d_out, (p_out, real) in zip(self.joint, d_levels, p_levels):
-            v = T.relu(spec["drug"](T.index_select(d_out, 0, d_rows)))
-            u = T.relu(spec["protein"](T.index_select(p_out, 0, p_rows)))
+            v = spec["drug"](T.index_select(d_out, 0, d_rows), relu=True)
+            u = spec["protein"](T.index_select(p_out, 0, p_rows), relu=True)
             joint, weights = T.bilinear_attention(
                 v, u, spec["q"], d_mask[d_rows], real[p_rows], d_local, p_local
             )
@@ -379,7 +386,7 @@ class DTIEncoder:
         if head is None:
             return out
         hidden, final = self.heads[head]
-        score = T.reshape(final(T.relu(hidden(out.fused))), (len(d_idx),))
+        score = T.reshape(final(hidden(out.fused, relu=True)), (len(d_idx),))
         if head == "classify":
             out.logit = score
         else:

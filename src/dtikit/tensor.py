@@ -9,17 +9,23 @@ The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``neg``,
 ``power``, ``square``, ``log``, ``sqrt``; activations ``relu``, ``silu``,
 ``softmax``; ``tsum`` and ``tmean`` over one axis or all; ``transpose``
 of the last two axes, ``reshape``, ``concat``, ``index_select``,
-``expand``; ``matmul`` of any batch of rows by a weight matrix, the batched
-``bmm``, ``add_bias`` and the constant ``scale_rows``; stride-1
-``conv1d``, non-overlapping ``maxpool1d`` and ``avgpool1d``, each over one
-sample or a batch; ``embedding_lookup``, the masked per-sample
-``batch_stat_norm``, the fused multi-head ``bilinear_attention``,
-``grad_reverse``, ``bce_with_logits`` and the row-wise ``cosine_rows``.
+``expand``; ``matmul`` of any batch of rows by a weight matrix, the fused
+layer ``linear`` (product, bias and optional relu as one node), the batched
+``bmm`` and the constant ``scale_rows``; the stride-1 ``conv1d_relu``
+(convolution, bias and relu as one node), non-overlapping ``maxpool1d`` and
+``avgpool1d``, each over one sample or a batch; ``embedding_lookup``, the
+masked per-sample ``batch_stat_norm``, the fused multi-head
+``bilinear_attention``, ``grad_reverse``, ``bce_with_logits`` and the
+row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
-side. Anything else must go through an explicit ``expand`` or ``add_bias``
-so that shape bugs surface at the call site instead of broadcasting away.
+side. Anything else must go through an explicit ``expand``, or be a bias
+inside ``linear`` or ``conv1d_relu``, so that shape bugs surface at the
+call site instead of broadcasting away.
+
+Relu, alone or fused, keeps only its output: the mask its backward needs
+is ``out > 0``, which is set exactly where the input was positive.
 
 Gradients accumulate without zero-filling: a node adopts its first
 incoming gradient when dtype, shape and strides match its data, and
@@ -312,12 +318,12 @@ def sqrt(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    mask = a.data > 0
+    out = a.data * (a.data > 0)
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(a, g * (out > 0))  # the output is positive exactly where the input was
 
-    return _make(a.data * mask, (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def sigmoid_values(z: np.ndarray) -> np.ndarray:
@@ -465,6 +471,37 @@ def matmul(a, b) -> Tensor:
     return _make((a2 @ b.data).reshape(shape[:-1] + (n,)), (a, b), backward)
 
 
+def linear(x, w, b, relu: bool = False) -> Tensor:
+    """x[..., K] @ w[K, N] + b[N], through a relu when asked, as one node.
+
+    The bias and the relu are applied in place on the fresh product, so the
+    node keeps its output and nothing else: backward takes the relu mask
+    from the output as ``out > 0``.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise ShapeMismatch(f"linear: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    shape = x.data.shape
+    x2 = x.data.reshape(-1, shape[-1]) if x.data.ndim > 2 else x.data
+    n = w.data.shape[1]
+    out = x2 @ w.data
+    out += b.data
+    if relu:
+        np.multiply(out, out > 0, out=out)
+
+    def backward(g):
+        g2 = g.reshape(-1, n) if g.ndim > 2 else g
+        if relu:
+            g2 = g2 * (out > 0)
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data.T).reshape(shape))
+        _accum(w, x2.T @ g2)
+        _accum(b, g2.sum(axis=0))
+
+    return _make(out.reshape(shape[:-1] + (n,)), (x, w, b), backward)
+
+
 def bmm(a, b) -> Tensor:
     """Batched matrix product a[B, M, K] @ b[B, K, N]."""
     a, b = _wrap(a), _wrap(b)
@@ -477,21 +514,6 @@ def bmm(a, b) -> Tensor:
         _accum(b, np.swapaxes(a.data, 1, 2) @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def add_bias(x, b) -> Tensor:
-    """Bias on the last axis: x[..., C] + b[C]. The one sanctioned non-scalar
-    broadcast."""
-    x, b = _wrap(x), _wrap(b)
-    if x.data.ndim < 2 or b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise ShapeMismatch(f"add_bias: {x.data.shape} + {b.data.shape}")
-    c = b.data.shape[0]
-
-    def backward(g):
-        _accum(x, g)
-        _accum(b, (g.reshape(-1, c) if g.ndim > 2 else g).sum(axis=0))
-
-    return _make(x.data + b.data, (x, b), backward)
 
 
 def scale_rows(x, weights) -> Tensor:
@@ -512,29 +534,32 @@ def scale_rows(x, weights) -> Tensor:
 # sequence / structured ops ----------------------------------------------
 
 
-def conv1d(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """Stride-1 1-d convolution along the length axis of x[L, Cin] or of a
-    batch x[B, L, Cin], with kernel w[K, Cin, Cout] and bias b[Cout].
+def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
+    """relu of a stride-1 1-d convolution along the length axis of x[L, Cin]
+    or of a batch x[B, L, Cin], with kernel w[K, Cin, Cout] and bias b[Cout].
 
     Padding is explicit (left, right) zeros so even kernel widths can keep
-    length exactly; output length is L + pl + pr - K + 1.
+    length exactly; output length is L + pl + pr - K + 1.  The bias and the
+    relu are applied in place, as in ``linear``.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     K, cin, cout = w.data.shape
     if x.data.ndim not in (2, 3) or x.data.shape[-1] != cin:
-        raise ShapeMismatch(f"conv1d: input {x.data.shape} vs kernel {w.data.shape}")
+        raise ShapeMismatch(f"conv1d_relu: input {x.data.shape} vs kernel {w.data.shape}")
     pl, pr = padding
     length = x.data.shape[-2]
     xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((pl, pr), (0, 0)))
     lout = xp.shape[-2] - K + 1
     if lout <= 0:
-        raise ShapeMismatch(f"conv1d: empty output for input {x.data.shape}, kernel {K}")
+        raise ShapeMismatch(f"conv1d_relu: empty output for input {x.data.shape}, kernel {K}")
     windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)
     # windows: [..., lout, Cin, K] -> einsum to [..., lout, Cout]
     out = np.einsum("...lck,kco->...lo", windows, w.data, optimize=True)
-    out = out + b.data
+    out += b.data
+    np.multiply(out, out > 0, out=out)
 
     def backward(g):
+        g = g * (out > 0)
         if w.requires_grad:
             _accum(w, np.einsum("...lck,...lo->kco", windows, g, optimize=True))
         if b.requires_grad:

@@ -58,6 +58,16 @@ def _away_from_zero(rng: np.random.Generator, shape) -> np.ndarray:
     return mag * sign
 
 
+def _clear_of_kink(rng: np.random.Generator, shapes, pre, margin: float = 1e-2) -> list:
+    """Normal operands of the given shapes, redrawn until every value of
+    `pre(*arrays)` (the pre-activations of a fused relu) is at least
+    `margin` from zero, so no finite-difference probe crosses the kink."""
+    while True:
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        if np.abs(pre(*arrays)).min() >= margin:
+            return arrays
+
+
 def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     """One randomized (fn, arrays[, transform]) case per tensor primitive."""
     n = int(rng.integers(2, 5))
@@ -121,10 +131,19 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a, b: _weighted(T.matmul(a, b), w_nk),
         [rng.normal(size=(n, m)), rng.normal(size=(m, k))],
     )
-    cases["add_bias"] = (
-        lambda a, b: _weighted(T.add_bias(a, b), w_nm),
-        [rng.normal(size=(n, m)), rng.normal(size=m)],
-    )
+
+    def linear_cases(name, x_shape, w_out):
+        shapes = [x_shape, (m, k), (k,)]
+        cases[name] = (
+            lambda x, w, b: _weighted(T.linear(x, w, b), w_out),
+            [rng.normal(size=shape) for shape in shapes],
+        )
+        cases[name + "_relu"] = (
+            lambda x, w, b: _weighted(T.linear(x, w, b, relu=True), w_out),
+            _clear_of_kink(rng, shapes, lambda x, w, b: T.linear(x, w, b).data),
+        )
+
+    linear_cases("linear", (n, m), w_nk)
 
     # batched forms: a leading axis of k samples
     w_knk = rng.normal(size=(k, n, k))
@@ -140,10 +159,7 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a: _weighted(T.transpose(a), np.swapaxes(w_knm, 1, 2).copy()),
         [rng.normal(size=(k, n, m))],
     )
-    cases["add_bias_batched"] = (
-        lambda a, b: _weighted(T.add_bias(a, b), w_knm),
-        [rng.normal(size=(k, n, m)), rng.normal(size=m)],
-    )
+    linear_cases("linear_batched_rows", (k, n, m), w_knk)
     row_weights = rng.uniform(0.1, 1.0, size=n)
     cases["scale_rows"] = (
         lambda a: _weighted(T.scale_rows(a, row_weights), w_nm),
@@ -154,16 +170,21 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     cin = int(rng.integers(2, 4))
     cout = int(rng.integers(2, 4))
     kw = int(rng.integers(2, 4))
-    wc = rng.normal(size=(L, cout))
-    cases["conv1d"] = (
-        lambda x, w, b: _weighted(T.conv1d(x, w, b, padding=((kw - 1) // 2, kw // 2)), wc),
-        [rng.normal(size=(L, cin)), rng.normal(size=(kw, cin, cout)), rng.normal(size=cout)],
-    )
-    wc2 = rng.normal(size=(2, L, cout))
-    cases["conv1d_batched"] = (
-        lambda x, w, b: _weighted(T.conv1d(x, w, b, padding=((kw - 1) // 2, kw // 2)), wc2),
-        [rng.normal(size=(2, L, cin)), rng.normal(size=(kw, cin, cout)), rng.normal(size=cout)],
-    )
+    pad = ((kw - 1) // 2, kw // 2)
+
+    def conv(x, w, b):
+        return T.conv1d_relu(x, w, b, padding=pad)
+
+    def conv_pre(x, w, b):
+        # the convolution is linear in (w, b), so relu(z) - relu(-z) = z
+        return conv(x, w, b).data - conv(x, -w, -b).data
+
+    for name, lead in (("conv1d_relu", ()), ("conv1d_relu_batched", (2,))):
+        wc = rng.normal(size=(*lead, L, cout))
+        cases[name] = (
+            lambda x, w, b, wc=wc: _weighted(conv(x, w, b), wc),
+            _clear_of_kink(rng, [(*lead, L, cin), (kw, cin, cout), (cout,)], conv_pre),
+        )
     ramp = np.linspace(0, 0.013, L * cin).reshape(L, cin)
     pool_in = rng.normal(size=(L, cin)) + ramp
     w_pool = rng.normal(size=(-(-L // 2), cin))

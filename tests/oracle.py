@@ -21,13 +21,13 @@ from dtikit.tensor import Tensor
 def protein_levels(enc, ids, true_length):
     x = T.embedding_lookup(enc.embedding, ids)
     for conv in enc.p_stem:
-        x = T.relu(conv(x))
+        x = conv(x)  # every convolution layer applies its own relu
     real = min(true_length, ids.shape[0])
     levels = []
     for spec in enc.p_levels:
-        x = T.maxpool1d(spec["ex_bn"](T.relu(spec["ex"](x))), 2)
+        x = T.maxpool1d(spec["ex_bn"](spec["ex"](x)), 2)
         real = -(-real // 2)
-        out = spec["out_bn"](T.relu(spec["out"](x)))
+        out = spec["out_bn"](spec["out"](x))
         levels.append((out, real))
     return levels
 
@@ -54,7 +54,9 @@ def joint_vector(enc, level, drug_out, protein_out, real_cols):
     joint = None
     maps = []
     for q in spec["q"]:
-        scores = T.add_bias(T.matmul(v * T.expand(q, 0, m), T.transpose(u)), Tensor(mask))
+        scores = T.add(
+            T.matmul(v * T.expand(q, 0, m), T.transpose(u)), T.expand(Tensor(mask), 0, m)
+        )
         attn = T.reshape(T.softmax(T.reshape(scores, (1, m * l)), axis=1), (m, l))
         head = T.tsum(v * T.matmul(attn, u), axis=0)
         joint = head if joint is None else joint + head

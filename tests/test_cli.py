@@ -193,6 +193,16 @@ class TestExportAttention:
                 best = max(range(len(atoms)), key=lambda i: atoms[i])
                 assert level["top20_atoms"][0] == best
 
+    def test_top_fifth_ranks_printed_ties_by_index(self):
+        """Scores equal at the six printed decimals rank by index, not by
+        their last bits."""
+        tie = 0.5 + 1e-15
+        assert round(tie, 6) == 0.5 and tie != 0.5
+        assert cli._top_fifth(np.array([0.25, tie, 0.5, 0.1, 0.0])) == [1]
+        assert cli._top_fifth(np.array([0.25, 0.5, tie, 0.1, 0.0])) == [1]
+        scores = np.array([0.5 - 1e-15, 0.3, 0.5, 0.2, 0.3 + 1e-15, 0.1, 0.0, 0.0, 0.0, 0.0])
+        assert cli._top_fifth(scores) == [0, 2]
+
     def test_level_count_matches_model_depth(self, workdir, tmp_path):
         out = tmp_path / "attn.json"
         cli.main(["export-attention", "--csv", workdir["csv"],

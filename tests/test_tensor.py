@@ -64,14 +64,14 @@ def test_softmax_rows_sum_to_one():
     assert np.allclose(y.data.sum(axis=1), 1.0)
 
 
-def test_conv1d_length_arithmetic():
+def test_conv1d_relu_length_arithmetic():
     x = T.Tensor(np.zeros((10, 2)))
     w = T.Tensor(np.zeros((3, 2, 4)))
     b = T.Tensor(np.zeros(4))
-    assert T.conv1d(x, w, b, padding=(1, 1)).shape == (10, 4)
+    assert T.conv1d_relu(x, w, b, padding=(1, 1)).shape == (10, 4)
     # even kernel keeps length with asymmetric padding
     w6 = T.Tensor(np.zeros((6, 2, 4)))
-    assert T.conv1d(x, w6, b, padding=(2, 3)).shape == (10, 4)
+    assert T.conv1d_relu(x, w6, b, padding=(2, 3)).shape == (10, 4)
 
 
 def test_maxpool_ragged_tail():
@@ -207,3 +207,88 @@ def test_accum_never_writes_into_a_borrowed_gradient(monkeypatch):
     want_x = 2 * c[0].data + c[1].data + 3 * c[2].data + c[3].data * relu_mask
     assert np.allclose(x.grad, want_x, rtol=1e-12, atol=0)
     assert np.array_equal(w.grad, c[1].data)
+
+
+# -- fused layers -----------------------------------------------------------------
+
+
+def _unfused_layer(x, w, b, relu):
+    """matmul, add of the expanded bias, relu: the chain `linear` fuses."""
+    rows = T.reshape(x, (-1, w.shape[0]))
+    z = T.add(T.matmul(rows, w), T.expand(b, 0, rows.shape[0]))
+    if relu:
+        z = T.relu(z)
+    return T.reshape(z, x.shape[:-1] + (w.shape[1],))
+
+
+def test_fused_layers_are_bit_equal_to_the_unfused_chain():
+    """`linear` with and without relu, on rows and on a batch of rows, and a
+    width-1 `conv1d_relu` on one sample match the unfused chain to the bit,
+    on outputs and on one backward's gradients.  (On a batch the
+    convolution's einsum and output layout sum the weight and bias
+    gradients over samples in another order.)  A zero row meets a zero bias
+    entry, so one pre-activation sits exactly on the kink."""
+    rng = np.random.default_rng(23)
+    cin, cout = 4, 5
+
+    def width1_conv(x, w, b, relu):
+        return T.conv1d_relu(x, T.reshape(w, (1, cin, cout)), b)
+
+    cases = [(lead, relu, T.linear) for lead in ((6,), (3, 6)) for relu in (False, True)]
+    cases.append(((6,), True, width1_conv))
+    for lead, relu, fused in cases:
+        x = rng.normal(size=(*lead, cin))
+        x[..., 0, :] = 0.0
+        b = rng.normal(size=cout)
+        b[0] = 0.0
+        arrays = (x, rng.normal(size=(cin, cout)), b)
+        weights = T.Tensor(rng.normal(size=(*lead, cout)))
+        results = []
+        for op in (fused, _unfused_layer):
+            leaves = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*leaves, relu)
+            T.tsum(T.mul(out, weights)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        assert np.any(results[1][0] == 0.0)
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (lead, relu, fused)
+
+
+def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
+    seen = []
+
+    def recording_accum(t, g, accum=T._accum):
+        if isinstance(g, np.ndarray):
+            seen.append((g, g.copy()))
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_accum", recording_accum)
+    rng = np.random.default_rng(24)
+    x, w, b, k, kb = (
+        T.Tensor(rng.normal(size=shape), requires_grad=True)
+        for shape in ((2, 7, 3), (3, 4), (4,), (3, 3, 4), (4,))
+    )
+    outs = [T.linear(x, w, b), T.linear(x, w, b, relu=True), T.conv1d_relu(x, k, kb, (1, 1))]
+    kept = [(t, t.data.copy()) for t in (x, w, b, k, kb, *outs)]
+
+    def like(a):
+        """Normal values in an array laid out like `a`."""
+        values = np.empty_like(a)
+        values[...] = rng.normal(size=a.shape)
+        return values
+
+    # each output meets another leaf in an add, which hands both the same
+    # array; laid out like the output, the fused node adopts that array, so
+    # its backward receives a gradient another node holds too
+    loss = None
+    for out in outs:
+        other = T.Tensor(like(out.data), requires_grad=True)
+        term = T.tsum(T.mul(T.add(out, other), T.Tensor(like(out.data))))
+        loss = term if loss is None else T.add(loss, term)
+    loss.backward()
+    assert len(seen) > 15
+    for g, before in seen:
+        assert g.tobytes() == before.tobytes()
+    for t, before in kept:
+        assert t.data.tobytes() == before.tobytes()
