@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .optim import ParameterStore, kaiming_uniform
+from .encoder import _Linear
+from .optim import ParameterStore
 from .tensor import Tensor, sigmoid_values
 
 SOURCE_DOMAIN = 0.0
@@ -27,7 +28,8 @@ class EmptyDomainBatch(ValueError):
 
 
 class DomainAdversary:
-    """One two-layer discriminator per interaction class.
+    """One two-layer discriminator per interaction class, one for each
+    column of `class_probabilities`.
 
     Construct this only when the adversarial weight is positive; its
     parameters then join the store and the optimiser sees them.  A run with
@@ -39,33 +41,20 @@ class DomainAdversary:
         store: ParameterStore,
         rng: np.random.Generator,
         feature_dim: int,
-        n_classes: int = 2,
         hidden: int = 256,
     ):
-        self.feature_dim = feature_dim
-        self.n_classes = n_classes
-        self.heads = []
-        for k in range(n_classes):
-            prefix = f"adversary/class{k}"
-            self.heads.append(
-                {
-                    "w1": store.parameter(
-                        f"{prefix}/hidden/w",
-                        kaiming_uniform(rng, (feature_dim, hidden), feature_dim),
-                    ),
-                    "b1": store.parameter(f"{prefix}/hidden/b", np.zeros(hidden)),
-                    "w2": store.parameter(
-                        f"{prefix}/out/w", kaiming_uniform(rng, (hidden, 1), hidden)
-                    ),
-                    "b2": store.parameter(f"{prefix}/out/b", np.zeros(1)),
-                }
+        self.heads = [
+            (
+                _Linear(store, f"adversary/class{k}/hidden", feature_dim, hidden, rng),
+                _Linear(store, f"adversary/class{k}/out", hidden, 1, rng),
             )
+            for k in range(2)
+        ]
 
     def discriminate(self, k: int, x: Tensor) -> Tensor:
         """Domain logits [N] for class head k on features x[N, dim]."""
-        h = self.heads[k]
-        z = T.linear(x, h["w1"], h["b1"], relu=True)
-        return T.reshape(T.linear(z, h["w2"], h["b2"]), (x.data.shape[0],))
+        hidden, out = self.heads[k]
+        return T.reshape(out(hidden(x, relu=True)), (x.data.shape[0],))
 
     def domain_loss(
         self,
@@ -89,17 +78,17 @@ class DomainAdversary:
         if not n_src or not n_tgt:
             raise EmptyDomainBatch("need at least one record from each domain")
         probs = np.vstack([np.asarray(source_probs), np.asarray(target_probs)])
-        if probs.shape != (n_src + n_tgt, self.n_classes):
+        if probs.shape != (n_src + n_tgt, len(self.heads)):
             raise T.ShapeMismatch(
                 f"probs {probs.shape} for {n_src + n_tgt} records, "
-                f"{self.n_classes} classes"
+                f"{len(self.heads)} classes"
             )
         domains = np.concatenate(
             [np.full(n_src, SOURCE_DOMAIN), np.full(n_tgt, TARGET_DOMAIN)]
         )
         x = T.grad_reverse(T.concat([source, target], axis=0), grl_scale)
         loss = None
-        for k in range(self.n_classes):
+        for k in range(len(self.heads)):
             logits = self.discriminate(k, T.scale_rows(x, probs[:, k]))
             term = T.tmean(T.bce_with_logits(logits, domains))
             loss = term if loss is None else loss + term

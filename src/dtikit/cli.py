@@ -1,15 +1,16 @@
 """Command line front end.
 
 One executable, one subcommand per pipeline step: generate a synthetic
-corpus, split a CSV, precompute entity features, train a stage, evaluate a
-checkpoint, rank a candidate pool, or dump attention maps.  The process is
-a thin shell around the library; anything it can do is one import away.
+corpus, split a CSV, train a stage, evaluate a checkpoint, rank a candidate
+pool, or dump attention maps.  The process is a thin shell around the
+library; anything it can do is one import away.
 
 Exit codes are part of the contract so shell pipelines can branch on the
 failure mode:
 
 * 0: success
-* 2: configuration problem (bad key, bad value, bad flag combination)
+* 2: configuration problem (bad key, bad value, out-of-range flag, bad
+  flag combination)
 * 3: data problem (unreadable file, malformed CSV, unusable split)
 * 4: numeric failure (the loss left the realm of finite numbers)
 """
@@ -142,6 +143,10 @@ def _pool_indices(records, manifest_path: str | None, partition: str = "test"):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.records < 1:
+        raise ConfigError(f"--records must be at least 1, got {args.records}")
+    if not 0.0 <= args.noise <= 1.0:  # NaN fails too
+        raise ConfigError(f"--noise is a flip probability in [0, 1], got {args.noise}")
     rules = DOMAIN_SHIFT_RULES if args.domain_shift else (MotifRule("WWW", "N"),)
     spec = SyntheticSpec(
         n_records=args.records,
@@ -183,35 +188,6 @@ def cmd_split(args: argparse.Namespace) -> int:
         counts[key] = counts.get(key, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     _say(f"split: {args.strategy} over {len(records)} records ({summary}) -> {args.out}")
-    return 0
-
-
-# -- featurize -----------------------------------------------------------------
-
-
-def cmd_featurize(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    records = _load_records(args.csv, "vanilla", args.label_col)
-    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-    by_drug = {r.drug_id: r.smiles for r in records}
-    by_protein = {r.protein_id: r.sequence for r in records}
-    arrays: dict[str, np.ndarray] = {
-        "drug_ids": np.array(sorted(by_drug), dtype=str),
-        "protein_ids": np.array(sorted(by_protein), dtype=str),
-    }
-    for did in sorted(by_drug):
-        feats, adj = feat.drugs[by_drug[did]]
-        arrays[f"drug:{did}:features"] = feats
-        arrays[f"drug:{did}:adjacency"] = adj
-    for pid in sorted(by_protein):
-        ids, true_len = feat.proteins[by_protein[pid]]
-        arrays[f"protein:{pid}:tokens"] = ids
-        arrays[f"protein:{pid}:length"] = np.array(true_len)
-    np.savez(args.out, **arrays)
-    _say(
-        f"featurize: {len(by_drug)} drugs, {len(by_protein)} proteins "
-        f"-> {args.out}"
-    )
     return 0
 
 
@@ -323,6 +299,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_screen(args: argparse.Namespace) -> int:
+    if not 0.0 < args.top_fraction <= 1.0:  # NaN fails too
+        raise ConfigError(f"--top-fraction must lie in (0, 1], got {args.top_fraction}")
     c_cfg, c_blob = _load_run(args.classifier)
     r_cfg, r_blob = _load_run(args.regressor)
     if c_cfg.stage == "regress" or r_cfg.stage != "regress":
@@ -358,6 +336,8 @@ def cmd_screen(args: argparse.Namespace) -> int:
 
 
 def cmd_export_attention(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be at least 0 (0 = all), got {args.limit}")
     cfg, blob = _load_run(args.checkpoint)
     records = _load_records(args.csv, cfg.stage, args.label_col)
     idxs = _pool_indices(records, args.split_manifest)
@@ -373,12 +353,12 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     entries = []
     for i, maps in zip(idxs, out.attention):
         rec = records[i]
-        ids, true_len = feat.proteins[rec.sequence]
+        _, true_len = feat.proteins[rec.sequence]
         entries.append(
             {
                 "drug_id": rec.drug_id,
                 "protein_id": rec.protein_id,
-                "levels": _attention_summary(maps, min(true_len, ids.shape[0])),
+                "levels": _attention_summary(maps, true_len),
             }
         )
     payload = json.dumps(entries, indent=1, sort_keys=True) + "\n"
@@ -455,13 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label-col", help="label column name")
     p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("featurize", help="precompute entity input arrays")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--out", required=True, help="output .npz path")
-    p.add_argument("--label-col", help="label column name")
-    common_model(p)
-    p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="train one pipeline stage")
     p.add_argument("--csv", required=True)

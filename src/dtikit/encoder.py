@@ -187,7 +187,7 @@ class _BatchNorm:
 
 class _Linear:
     """Affine map of the last axis, x[..., fan_in] -> [..., fan_out], as one
-    `tensor.linear` node; with `relu` set the activation is fused in too."""
+    `tensor.matmul` node; with `relu` set the activation is fused in too."""
 
     def __init__(self, store, path, fan_in, fan_out, rng):
         self.w = store.parameter(
@@ -196,7 +196,7 @@ class _Linear:
         self.b = store.parameter(f"{path}/b", np.zeros(fan_out))
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        return T.linear(x, self.w, self.b, relu)
+        return T.matmul(x, self.w, self.b, relu)
 
 
 class _Conv:
@@ -316,7 +316,7 @@ class DTIEncoder:
         real_counts [P]) pair per level; a real count is how many leading
         rows trace back to actual residues rather than padding."""
         ids = np.stack([p_ids for p_ids, _ in proteins])
-        real = np.minimum([n for _, n in proteins], ids.shape[1])
+        real = np.array([n for _, n in proteins])
         x = T.embedding_lookup(self.embedding, ids)
         for conv in self.p_stem:
             x = conv(x)
@@ -373,7 +373,8 @@ class DTIEncoder:
             joint, weights = T.bilinear_attention(
                 v, u, spec["q"], d_mask[d_rows], real[p_rows], d_local, p_local
             )
-            vectors.append(T.avgpool1d(joint, self.config.joint_pool))
+            pooled = T.reshape(joint, (len(d_idx), -1, self.config.joint_pool))
+            vectors.append(T.tmean(pooled, axis=2))
             if attention:
                 maps.append(weights)
         out = InteractionOutput(fused=self._fuse(vectors), level_vectors=vectors)

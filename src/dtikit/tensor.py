@@ -5,23 +5,22 @@ with a hand-written backward closure. The graph is dynamic; calling an op
 on tensors that require gradients records the op, and ``Tensor.backward``
 walks the recorded graph once in reverse topological order.
 
-The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``neg``,
-``power``, ``square``, ``log``, ``sqrt``; activations ``relu``, ``silu``,
+The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``power``,
+``square``, ``log``, ``sqrt``; activations ``relu``, ``silu``,
 ``softmax``; ``tsum`` and ``tmean`` over one axis or all; ``transpose``
 of the last two axes, ``reshape``, ``concat``, ``index_select``,
-``expand``; ``matmul`` of any batch of rows by a weight matrix, the fused
-layer ``linear`` (product, bias and optional relu as one node), the batched
-``bmm`` and the constant ``scale_rows``; the stride-1 ``conv1d_relu``
-(convolution, bias and relu as one node), non-overlapping ``maxpool1d`` and
-``avgpool1d``, each over one sample or a batch; ``embedding_lookup``, the
-masked per-sample ``batch_stat_norm``, the fused multi-head
-``bilinear_attention``, ``grad_reverse``, ``bce_with_logits`` and the
-row-wise ``cosine_rows``.
+``expand``; ``matmul`` of any batch of rows by a weight matrix, with an
+optional bias and relu fused into the same node, the batched ``bmm`` and
+the constant ``scale_rows``; the stride-1 ``conv1d_relu`` (convolution,
+bias and relu as one node) and the non-overlapping ``maxpool1d``, each over
+one sample or a batch; ``embedding_lookup``, the masked per-sample
+``batch_stat_norm``, the fused multi-head ``bilinear_attention``,
+``grad_reverse``, ``bce_with_logits`` and the row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
 side. Anything else must go through an explicit ``expand``, or be a bias
-inside ``linear`` or ``conv1d_relu``, so that shape bugs surface at the
+inside ``matmul`` or ``conv1d_relu``, so that shape bugs surface at the
 call site instead of broadcasting away.
 
 Relu, alone or fused, keeps only its output: the mask its backward needs
@@ -135,9 +134,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -259,15 +255,6 @@ def div(a, b) -> Tensor:
         _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(a.data / b.data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
-    def backward(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), backward)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -453,40 +440,27 @@ def expand(a, axis: int, n: int) -> Tensor:
 # linear algebra ---------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """a[..., K] @ b[K, N]: a matrix product, or one weight matrix applied to
-    every row of a batch, computed as a single 2-d product."""
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}")
-    shape = a.data.shape
-    a2 = a.data.reshape(-1, shape[-1]) if a.data.ndim > 2 else a.data
-    n = b.data.shape[1]
-
-    def backward(g):
-        g2 = g.reshape(-1, n) if g.ndim > 2 else g
-        _accum(a, (g2 @ b.data.T).reshape(shape))
-        _accum(b, a2.T @ g2)
-
-    return _make((a2 @ b.data).reshape(shape[:-1] + (n,)), (a, b), backward)
-
-
-def linear(x, w, b, relu: bool = False) -> Tensor:
-    """x[..., K] @ w[K, N] + b[N], through a relu when asked, as one node.
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+    """a[..., K] @ b[K, N], plus bias[N] and through a relu when asked, as
+    one node: a matrix product, or one weight matrix applied to every row of
+    a batch, computed as a single 2-d product.
 
     The bias and the relu are applied in place on the fresh product, so the
     node keeps its output and nothing else: backward takes the relu mask
     from the output as ``out > 0``.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if (x.data.ndim < 2 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise ShapeMismatch(f"linear: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    shape = x.data.shape
-    x2 = x.data.reshape(-1, shape[-1]) if x.data.ndim > 2 else x.data
-    n = w.data.shape[1]
-    out = x2 @ w.data
-    out += b.data
+    a, b = _wrap(a), _wrap(b)
+    bias = None if bias is None else _wrap(bias)
+    if (a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]
+            or (bias is not None and bias.data.shape != b.data.shape[1:])):
+        extra = "" if bias is None else f" + {bias.data.shape}"
+        raise ShapeMismatch(f"matmul: {a.data.shape} @ {b.data.shape}{extra}")
+    shape = a.data.shape
+    a2 = a.data.reshape(-1, shape[-1]) if a.data.ndim > 2 else a.data
+    n = b.data.shape[1]
+    out = a2 @ b.data
+    if bias is not None:
+        out += bias.data
     if relu:
         np.multiply(out, out > 0, out=out)
 
@@ -494,12 +468,14 @@ def linear(x, w, b, relu: bool = False) -> Tensor:
         g2 = g.reshape(-1, n) if g.ndim > 2 else g
         if relu:
             g2 = g2 * (out > 0)
-        if x.requires_grad:
-            _accum(x, (g2 @ w.data.T).reshape(shape))
-        _accum(w, x2.T @ g2)
-        _accum(b, g2.sum(axis=0))
+        if a.requires_grad:
+            _accum(a, (g2 @ b.data.T).reshape(shape))
+        _accum(b, a2.T @ g2)
+        if bias is not None:
+            _accum(bias, g2.sum(axis=0))
 
-    return _make(out.reshape(shape[:-1] + (n,)), (x, w, b), backward)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _make(out.reshape(shape[:-1] + (n,)), parents, backward)
 
 
 def bmm(a, b) -> Tensor:
@@ -540,7 +516,7 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
 
     Padding is explicit (left, right) zeros so even kernel widths can keep
     length exactly; output length is L + pl + pr - K + 1.  The bias and the
-    relu are applied in place, as in ``linear``.
+    relu are applied in place, as in ``matmul``.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     K, cin, cout = w.data.shape
@@ -591,28 +567,6 @@ def maxpool1d(x, window: int) -> Tensor:
         dblocks = np.zeros_like(blocks)
         np.put_along_axis(dblocks, arg, np.expand_dims(g, -2), axis=-2)
         _accum(x, dblocks.reshape(*lead, lout * window, C)[..., :L, :])
-
-    return _make(out, (x,), backward)
-
-
-def avgpool1d(x, window: int) -> Tensor:
-    """Non-overlapping mean pool along the last axis of x[..., L]; a ragged
-    tail averages its true width."""
-    x = _wrap(x)
-    *lead, L = x.data.shape
-    lout = -(-L // window)
-    counts = np.full(lout, window, dtype=x.data.dtype)
-    if L % window:
-        counts[-1] = L % window
-    padded = np.zeros((*lead, lout * window), dtype=x.data.dtype)
-    padded[..., :L] = x.data
-    out = padded.reshape(*lead, lout, window).sum(axis=-1) / counts
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        gpad = np.repeat(g / counts, window, axis=-1)
-        _accum(x, gpad[..., :L])
 
     return _make(out, (x,), backward)
 

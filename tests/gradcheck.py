@@ -90,7 +90,6 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a, s: _weighted(T.add(T.mul(a, s), s), w_nm),
         [rng.normal(size=(n, m)), rng.normal(size=())],
     )
-    cases["neg"] = (lambda a: _weighted(T.neg(a), w_nm), [rng.normal(size=(n, m))])
     cases["power"] = (
         lambda a: _weighted(T.power(a, 1.7), w_nm),
         [rng.uniform(0.2, 2.0, size=(n, m))],
@@ -105,8 +104,11 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         [rng.normal(size=(n, m))],
     )
     w_m = rng.normal(size=m)
-    cases["sum_axis"] = (lambda a: _weighted(T.tsum(a, axis=0), w_m), [rng.normal(size=(n, m))])
-    cases["mean_axis"] = (lambda a: T.tsum(T.tmean(a, axis=1)), [rng.normal(size=(n, m))])
+    cases["tsum_axis"] = (lambda a: _weighted(T.tsum(a, axis=0), w_m), [rng.normal(size=(n, m))])
+    cases["tmean_axis"] = (lambda a: T.tsum(T.tmean(a, axis=1)), [rng.normal(size=(n, m))])
+    cases["tmean_last_axis"] = (
+        lambda a: _weighted(T.tmean(a, axis=2), w_nm), [rng.normal(size=(n, m, 3))]
+    )
     cases["transpose"] = (lambda a: _weighted(T.transpose(a), w_nm.T.copy()), [rng.normal(size=(n, m))])
     cases["reshape"] = (
         lambda a: _weighted(T.reshape(a, (m, n)), w_nm.reshape(m, n)),
@@ -132,18 +134,18 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         [rng.normal(size=(n, m)), rng.normal(size=(m, k))],
     )
 
-    def linear_cases(name, x_shape, w_out):
+    def matmul_bias_cases(name, x_shape, w_out):
         shapes = [x_shape, (m, k), (k,)]
         cases[name] = (
-            lambda x, w, b: _weighted(T.linear(x, w, b), w_out),
+            lambda x, w, b: _weighted(T.matmul(x, w, b), w_out),
             [rng.normal(size=shape) for shape in shapes],
         )
         cases[name + "_relu"] = (
-            lambda x, w, b: _weighted(T.linear(x, w, b, relu=True), w_out),
-            _clear_of_kink(rng, shapes, lambda x, w, b: T.linear(x, w, b).data),
+            lambda x, w, b: _weighted(T.matmul(x, w, b, relu=True), w_out),
+            _clear_of_kink(rng, shapes, lambda x, w, b: T.matmul(x, w, b).data),
         )
 
-    linear_cases("linear", (n, m), w_nk)
+    matmul_bias_cases("matmul_bias", (n, m), w_nk)
 
     # batched forms: a leading axis of k samples
     w_knk = rng.normal(size=(k, n, k))
@@ -159,7 +161,7 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a: _weighted(T.transpose(a), np.swapaxes(w_knm, 1, 2).copy()),
         [rng.normal(size=(k, n, m))],
     )
-    linear_cases("linear_batched_rows", (k, n, m), w_knk)
+    matmul_bias_cases("matmul_bias_batched_rows", (k, n, m), w_knk)
     row_weights = rng.uniform(0.1, 1.0, size=n)
     cases["scale_rows"] = (
         lambda a: _weighted(T.scale_rows(a, row_weights), w_nm),
@@ -193,13 +195,6 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     cases["maxpool1d_batched"] = (
         lambda x: _weighted(T.maxpool1d(x, 2), w_pool2),
         [rng.normal(size=(2, L, cin)) + ramp],
-    )
-    vec = rng.normal(size=L)
-    w_vec = rng.normal(size=-(-L // 3))
-    cases["avgpool1d"] = (lambda x: _weighted(T.avgpool1d(x, 3), w_vec), [vec])
-    w_vec2 = rng.normal(size=(n, -(-L // 3)))
-    cases["avgpool1d_batched"] = (
-        lambda x: _weighted(T.avgpool1d(x, 3), w_vec2), [rng.normal(size=(n, L))]
     )
     vocab = 6
     ids = rng.integers(0, vocab, size=L)

@@ -61,7 +61,8 @@ def joint_vector(enc, level, drug_out, protein_out, real_cols):
         head = T.tsum(v * T.matmul(attn, u), axis=0)
         joint = head if joint is None else joint + head
         maps.append(attn.data[:, :real_cols].copy())
-    return T.avgpool1d(joint, enc.config.joint_pool), np.stack(maps)
+    pooled = T.tmean(T.reshape(joint, (-1, enc.config.joint_pool)), axis=1)
+    return pooled, np.stack(maps)
 
 
 def fuse(enc, level_vectors):

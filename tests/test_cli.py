@@ -89,20 +89,6 @@ class TestSplit:
             SplitManifest.load(out)
 
 
-class TestFeaturize:
-    def test_npz_holds_every_entity(self, workdir, tmp_path):
-        out = tmp_path / "feats.npz"
-        assert cli.main(["featurize", "--csv", workdir["csv"],
-                         "--out", str(out), *SMALL]) == 0
-        with np.load(out) as z:
-            drugs = list(z["drug_ids"])
-            prots = list(z["protein_ids"])
-            assert f"drug:{drugs[0]}:features" in z
-            assert f"drug:{drugs[0]}:adjacency" in z
-            assert f"protein:{prots[0]}:tokens" in z
-            assert z[f"protein:{prots[0]}:tokens"].shape == (48,)
-
-
 class TestTrainEval:
     def test_run_directory_artifacts(self, workdir):
         root = workdir["root"] / "vanilla"
@@ -379,6 +365,35 @@ class TestExitCodes:
                              "--split-manifest", split, "--stage", stage,
                              "--epochs", "2", "--lr", "1e300", *extra, *SMALL])
             assert code == 4, stage
+
+    @pytest.mark.parametrize("noise", ["2", "nan", "-0.5"])
+    def test_synth_noise_outside_unit_interval_is_2(self, tmp_path, noise):
+        out = tmp_path / "data"
+        code = cli.main(["synth", "--out", str(out), "--records", "20", "--noise", noise])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("records", ["0", "-5"])
+    def test_synth_records_below_one_is_2(self, tmp_path, records):
+        out = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(out), "--records", records]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["nan", "0", "-1", "5"])
+    def test_screen_top_fraction_outside_unit_interval_is_2(self, workdir, tmp_path, fraction):
+        out = tmp_path / "ranked.csv"
+        code = cli.main(["screen", "--csv", workdir["csv"], "--classifier", workdir["run"],
+                         "--regressor", workdir["reg"], "--top-fraction", fraction,
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_export_attention_negative_limit_is_2(self, workdir, tmp_path):
+        out = tmp_path / "attn.json"
+        code = cli.main(["export-attention", "--csv", workdir["csv"],
+                         "--checkpoint", workdir["run"], "--limit", "-3", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc:

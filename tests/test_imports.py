@@ -1,10 +1,13 @@
 """Every name a package module imports is referenced somewhere in it, and
-every tensor op has a caller outside `tensor.py`."""
+every tensor op has a caller outside `tensor.py` and a gradcheck case."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import dtikit
+from gradcheck import op_cases
 
 PACKAGE_DIR = Path(dtikit.__file__).parent
 
@@ -73,12 +76,9 @@ def _tensor_names_used(tree: ast.Module) -> set[str]:
     return used
 
 
-def test_every_op_has_a_caller():
-    """Each public function of `tensor.py` that records a graph node is
-    called from another package module or from a `Tensor` method, so no op
-    outlives its last caller."""
-    tensor_path = PACKAGE_DIR / "tensor.py"
-    tree = ast.parse(tensor_path.read_text())
+def _recorded_ops() -> set[str]:
+    """Public functions of `tensor.py` that record a graph node via `_make`."""
+    tree = ast.parse((PACKAGE_DIR / "tensor.py").read_text())
     ops = {
         node.name
         for node in tree.body
@@ -86,12 +86,31 @@ def test_every_op_has_a_caller():
         and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
                 for n in ast.walk(node))
     }
+    assert len(ops) > 20, "no ops found; the `_make` scan is broken"
+    return ops
+
+
+def test_every_op_has_a_caller():
+    """Each op is called from another package module or from a `Tensor`
+    method, so no op outlives its last caller."""
+    tensor_path = PACKAGE_DIR / "tensor.py"
     used = set()
-    for node in tree.body:
+    for node in ast.parse(tensor_path.read_text()).body:
         if isinstance(node, ast.ClassDef) and node.name == "Tensor":
             used.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
     for path in PACKAGE_DIR.glob("*.py"):
         if path != tensor_path:
             used |= _tensor_names_used(ast.parse(path.read_text()))
-    assert len(ops) > 20, "no ops found; the `_make` scan is broken"
+    ops = _recorded_ops()
     assert not ops - used, "ops no package module calls: " + ", ".join(sorted(ops - used))
+
+
+def test_every_op_has_a_gradcheck_case():
+    """Each op has a finite-difference case named after it (`op` or
+    `op_*`), so an op and its check come and go together."""
+    names = set(op_cases(np.random.default_rng(0)))
+    unchecked = [
+        op for op in sorted(_recorded_ops())
+        if op not in names and not any(n.startswith(op + "_") for n in names)
+    ]
+    assert not unchecked, "ops without a gradcheck case: " + ", ".join(unchecked)

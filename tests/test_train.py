@@ -216,19 +216,19 @@ class TestEncodePairs:
         }
         lifts = []
         towers = []
-        linear = T.linear
+        matmul = T.matmul
         protein_levels = encoder.protein_levels
 
-        def counting_linear(x, w, b, relu=False):
+        def counting_matmul(x, w, b=None, relu=False):
             if id(w) in lift_weights:
                 lifts.append(x.data.shape[0])
-            return linear(x, w, b, relu)
+            return matmul(x, w, b, relu)
 
         def counting_towers(proteins):
             towers.append(len(proteins))
             return protein_levels(proteins)
 
-        monkeypatch.setattr(T, "linear", counting_linear)
+        monkeypatch.setattr(T, "matmul", counting_matmul)
         monkeypatch.setattr(encoder, "protein_levels", counting_towers)
         idxs = list(range(120)) + [5, 0]
         sequences = [records[i].sequence for i in idxs]
