@@ -34,7 +34,7 @@ from .splits import (
     meta_unseen_split,
     random_split,
 )
-from .synth import MotifRule, SyntheticSpec, synth_generate
+from .synth import MotifRule, SyntheticSpec, TooManyRecords, synth_generate
 from .train import (
     Featurizer,
     NumericFailure,
@@ -74,11 +74,6 @@ def _load_records(path: str, stage: str, label_col: str | None) -> list[Interact
     return load_interactions(path, schema)
 
 
-def _stage_head(stage: str) -> str:
-    """The encoder head a supervised stage trains and evaluates."""
-    return "regress" if stage == "regress" else "classify"
-
-
 def _config_overrides(args: argparse.Namespace) -> dict:
     """Collect the flags that shadow config keys; unset flags stay out."""
     pairs = {
@@ -114,17 +109,17 @@ def _load_run(path: str) -> tuple[RunConfig, bytes]:
 
 
 def _rebuild(cfg: RunConfig, blob: bytes):
-    """Reconstruct the model a checkpoint was trained with: the encoder and,
-    for the episodic stage, its prototype head.
+    """Reconstruct the model a checkpoint was trained with: the encoder with
+    the stage's head or, for the episodic stage, which has none, the encoder
+    and its prototype head.
 
-    The head set follows the stage.  Loading is strict, so a checkpoint
-    lacking an entry of the rebuilt model (one from another stage, say) is
-    a data error rather than a head left at its random initialization.
-    Extra entries, such as an adversarial run's domain critic, are ignored.
+    Loading is strict, so a checkpoint lacking an entry of the rebuilt model
+    (one from another stage, say) is a data error rather than a head left at
+    its random initialization.  Extra entries, such as an adversarial run's
+    domain critic, are ignored.
     """
-    meta = cfg.stage == "meta"
-    store, encoder = build_model(cfg, heads=() if meta else (_stage_head(cfg.stage),))
-    proto = build_prototype_head(store, cfg) if meta else None
+    store, encoder = build_model(cfg)
+    proto = build_prototype_head(store, cfg) if cfg.head is None else None
     store.load_bytes(blob)
     return encoder, proto
 
@@ -154,7 +149,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         rules=rules,
         domain_shift=args.domain_shift,
     )
-    corpus = synth_generate(spec, args.seed)
+    try:
+        corpus = synth_generate(spec, args.seed)
+    except TooManyRecords as exc:
+        raise ConfigError(f"--records: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus.to_csv(out / "corpus.csv")
@@ -201,10 +199,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--checkpoint and --no-warm-start contradict each other")
     if args.checkpoint and cfg.stage == "cada":
         raise ConfigError("--stage cada trains from scratch and takes no --checkpoint")
-    if args.no_warm_start and cfg.stage != "meta":
-        raise ConfigError("--no-warm-start applies to --stage meta only")
-    if args.eval_runs is not None and cfg.stage != "meta":
-        raise ConfigError("--eval-runs applies to --stage meta only")
+    if args.lambda_adv is not None and cfg.stage != "cada":
+        raise ConfigError("--lambda applies to --stage cada only")
+    meta_only = {"--no-warm-start": args.no_warm_start, "--eval-runs": args.eval_runs is not None,
+                 "--k-shot": args.k_shot is not None, "--k-query": args.k_query is not None}
+    given = [flag for flag, is_set in meta_only.items() if is_set]
+    if given and cfg.stage != "meta":
+        raise ConfigError(f"{given[0]} applies to --stage meta only")
     if args.eval_runs is not None:
         check_shot_curve((cfg.k_shot,), args.eval_runs)
     records = _load_records(args.csv, cfg.stage, args.label_col)
@@ -219,10 +220,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     elif cfg.stage == "cada":
         result = train_adversarial(records, manifest, cfg, out=args.out)
     else:
-        result = train_supervised(
-            records, manifest, cfg, out=args.out, head=_stage_head(cfg.stage),
-            start_blob=start,
-        )
+        result = train_supervised(records, manifest, cfg, out=args.out, start_blob=start)
 
     report = _test_report(
         records, manifest, cfg, result.encoder, result.head, result.featurizer,
@@ -255,10 +253,7 @@ def _test_report(records, manifest, cfg, encoder, proto, feat, shots, eval_runs)
             metrics={f"auroc@{k}": curve[k].metrics["auroc"] for k in shots},
             spread={f"auroc@{k}": curve[k].spread["auroc"] for k in shots},
         )
-    head = _stage_head(cfg.stage)
-    return MetricReport(
-        metrics=evaluate(encoder, feat, records, test, head=head, batch_size=cfg.batch_size)
-    )
+    return MetricReport(metrics=evaluate(encoder, feat, records, test, cfg.batch_size))
 
 
 def _metric_line(report: MetricReport) -> str:
@@ -303,7 +298,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
         raise ConfigError(f"--top-fraction must lie in (0, 1], got {args.top_fraction}")
     c_cfg, c_blob = _load_run(args.classifier)
     r_cfg, r_blob = _load_run(args.regressor)
-    if c_cfg.stage == "regress" or r_cfg.stage != "regress":
+    if c_cfg.head != "classify" or r_cfg.head != "regress":
         raise ConfigError(
             "screen wants a classification run via --classifier and a "
             f"regression run via --regressor, got stages {c_cfg.stage!r} "
@@ -347,9 +342,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
 
     with T.no_grad():
-        out = encode_pairs(
-            encoder, feat, records, idxs, None, attention=True, chunk=cfg.batch_size
-        )
+        out = encode_pairs(encoder, feat, records, idxs, attention=True, chunk=cfg.batch_size)
     entries = []
     for i, maps in zip(idxs, out.attention):
         rec = records[i]

@@ -83,6 +83,13 @@ class RunConfig:
     max_seq_len: int = 0  # 0 keeps the preset's value
     use_gau: bool = True
 
+    @property
+    def head(self) -> str | None:
+        """The stage's encoder head; the episodic stage scores with prototypes."""
+        if self.stage == "meta":
+            return None
+        return "regress" if self.stage == "regress" else "classify"
+
     def encoder_config(self) -> EncoderConfig:
         overrides = {"use_gau": self.use_gau}
         if self.max_seq_len:

@@ -5,7 +5,7 @@ A protein tower (1-d convolutions over residue embeddings) and a drug tower
 increasing receptive field.  Every level is joined by a bilinear attention
 step that produces one fixed-width vector per level, and a small gated
 attention unit fuses the three vectors into the final pair representation
-that the prediction heads and any downstream objective consume.
+that the prediction head, if any, and any downstream objective consume.
 
 The towers run once per distinct entity of a batch: the protein tower on
 the fixed-length token windows [P, L], the drug tower on atom features and
@@ -149,7 +149,7 @@ class EncoderConfig:
 @dataclass
 class InteractionOutput:
     """Everything one batched pass produces, a row per pair: `fused` and
-    each of `level_vectors` [B, fused_dim], `logit` or `value` [B].
+    each of `level_vectors` [B, fused_dim], the head's `score` [B] if any.
 
     `attention` is empty unless the pass was asked for it; then it holds,
     per pair and per level, a detached [heads, atoms, real_protein_cols]
@@ -159,8 +159,7 @@ class InteractionOutput:
     fused: Tensor
     level_vectors: list[Tensor]
     attention: list[list[np.ndarray]] = field(default_factory=list)
-    logit: Tensor | None = None
-    value: Tensor | None = None
+    score: Tensor | None = None
 
 
 def _same_padding(kernel: int) -> tuple[int, int]:
@@ -218,14 +217,15 @@ class _Conv:
 class DTIEncoder:
     """Registers every parameter it owns in the given store under stable
     path names, so checkpoints and the optimiser see exactly the weights the
-    configured variant trains."""
+    configured variant trains.  The one prediction `head` ("classify",
+    "regress" or None for none) is drawn last."""
 
     def __init__(
         self,
         store: ParameterStore,
         config: EncoderConfig,
         rng: np.random.Generator,
-        heads: tuple[str, ...] = ("classify",),
+        head: str | None,
     ):
         self.store = store
         self.config = config
@@ -301,11 +301,11 @@ class DTIEncoder:
         else:
             self.gau = None
 
-        self.heads = {}
-        for name in heads:
-            self.heads[name] = (
-                _Linear(store, f"head/{name}/hidden", c.fused_dim, c.decoder_hidden, rng),
-                _Linear(store, f"head/{name}/out", c.decoder_hidden, 1, rng),
+        self.head = head
+        if head is not None:
+            self.head_layers = (
+                _Linear(store, f"head/{head}/hidden", c.fused_dim, c.decoder_hidden, rng),
+                _Linear(store, f"head/{head}/out", c.decoder_hidden, 1, rng),
             )
 
     # -- towers ------------------------------------------------------------
@@ -317,7 +317,7 @@ class DTIEncoder:
         rows trace back to actual residues rather than padding."""
         ids = np.stack([p_ids for p_ids, _ in proteins])
         real = np.array([n for _, n in proteins])
-        x = T.embedding_lookup(self.embedding, ids)
+        x = T.index_select(self.embedding, 0, ids)
         for conv in self.p_stem:
             x = conv(x)
         levels = []
@@ -355,14 +355,13 @@ class DTIEncoder:
 
     # -- joint stage ----------------------------------------------------------
 
-    def interact(self, d_levels, d_mask, p_levels, d_idx, p_idx,
-                 head: str | None = "classify", attention: bool = False):
+    def interact(self, d_levels, d_mask, p_levels, d_idx, p_idx, attention: bool = False):
         """Joint stage for the pairs (d_idx[b], p_idx[b]) of tower rows.
 
         The drugs and proteins the pairs use are lifted to the joint width
         once each, every level's bilinear attention runs as one op, and the
-        fusion unit and the head see a row per pair.  Per-pair attention
-        maps are cropped and copied out only when `attention` is set."""
+        fusion unit and the head, if any, see a row per pair.  Per-pair
+        attention maps are cropped and copied out only when `attention` is set."""
         d_rows, d_local = np.unique(d_idx, return_inverse=True)
         p_rows, p_local = np.unique(p_idx, return_inverse=True)
         vectors = []
@@ -384,14 +383,9 @@ class DTIEncoder:
                 [w[b, :, : atoms[d], : real[p]].copy() for w, (_, real) in zip(maps, p_levels)]
                 for b, (d, p) in enumerate(zip(d_idx, p_idx))
             ]
-        if head is None:
-            return out
-        hidden, final = self.heads[head]
-        score = T.reshape(final(hidden(out.fused, relu=True)), (len(d_idx),))
-        if head == "classify":
-            out.logit = score
-        else:
-            out.value = score
+        if self.head is not None:
+            hidden, final = self.head_layers
+            out.score = T.reshape(final(hidden(out.fused, relu=True)), (len(d_idx),))
         return out
 
     def _fuse(self, level_vectors: list[Tensor]) -> Tensor:

@@ -42,6 +42,10 @@ class EmptyRules(ValueError):
     pass
 
 
+class TooManyRecords(ValueError):
+    """More records asked of a pool than it has drug-protein pairs."""
+
+
 @dataclass(frozen=True)
 class MotifRule:
     protein_motif: str
@@ -289,7 +293,8 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     for dom, ps, ds, n in pools:
         combos = len(ps) * len(ds)
         if n > combos:
-            raise ValueError(f"asked for {n} records but only {combos} pairs exist")
+            where = f" of the {dom} domain" if dom else ""
+            raise TooManyRecords(f"asked for {n} records{where} but only {combos} pairs exist")
         picks = rng_p.choice(combos, size=n, replace=False)
         for c in np.sort(picks):
             pid = ps[c // len(ds)]

@@ -13,9 +13,9 @@ of the last two axes, ``reshape``, ``concat``, ``index_select``,
 optional bias and relu fused into the same node, the batched ``bmm`` and
 the constant ``scale_rows``; the stride-1 ``conv1d_relu`` (convolution,
 bias and relu as one node) and the non-overlapping ``maxpool1d``, each over
-one sample or a batch; ``embedding_lookup``, the masked per-sample
-``batch_stat_norm``, the fused multi-head ``bilinear_attention``,
-``grad_reverse``, ``bce_with_logits`` and the row-wise ``cosine_rows``.
+one sample or a batch; the masked per-sample ``batch_stat_norm``, the
+fused multi-head ``bilinear_attention``, ``grad_reverse``,
+``bce_with_logits`` and the row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
@@ -412,7 +412,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def index_select(a, axis: int, indices) -> Tensor:
-    """Gather along an axis with an integer index array; scatter-add on backward."""
+    """Gather along an axis with an integer index array; scatter-add on
+    backward.  Along axis 0 the index array may have any shape, its axes
+    taking the gathered axis's place: an embedding lookup of token ids."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
 
@@ -569,24 +571,6 @@ def maxpool1d(x, window: int) -> Tensor:
         _accum(x, dblocks.reshape(*lead, lout * window, C)[..., :L, :])
 
     return _make(out, (x,), backward)
-
-
-def embedding_lookup(table, ids) -> Tensor:
-    """Rows of table[V, C] for an integer id array of any shape; the output
-    appends the C axis."""
-    table = _wrap(table)
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.ndim < 1:
-        raise ShapeMismatch(f"embedding_lookup expects an id array, got {idx.shape}")
-
-    def backward(g):
-        if not table.requires_grad:
-            return
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx.reshape(-1), g.reshape(-1, dt.shape[1]))
-        _accum(table, dt)
-
-    return _make(table.data[idx], (table,), backward)
 
 
 def batch_stat_norm(x, gamma, beta, mask=None, eps: float = 1e-5) -> Tensor:

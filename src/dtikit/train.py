@@ -90,7 +90,7 @@ class Featurizer:
         return cls(drugs=drugs, proteins=proteins)
 
 
-def encode_pairs(encoder, feat, records, idxs, head, attention=False, chunk=None):
+def encode_pairs(encoder, feat, records, idxs, attention=False, chunk=None):
     """Forward outputs for records[i], i in idxs: one batched output with a
     row per record, in order.
 
@@ -107,10 +107,10 @@ def encode_pairs(encoder, feat, records, idxs, head, attention=False, chunk=None
     d_levels, d_mask = encoder.drug_levels([feat.drugs[s] for s in drugs])
     p_levels = encoder.protein_levels([feat.proteins[s] for s in proteins])
     if chunk is None:
-        return encoder.interact(d_levels, d_mask, p_levels, d_idx, p_idx, head, attention)
+        return encoder.interact(d_levels, d_mask, p_levels, d_idx, p_idx, attention)
     order = np.argsort(p_idx, kind="stable")
     parts = [
-        encoder.interact(d_levels, d_mask, p_levels, d_idx[rows], p_idx[rows], head, attention)
+        encoder.interact(d_levels, d_mask, p_levels, d_idx[rows], p_idx[rows], attention)
         for rows in np.split(order, range(chunk, len(order), chunk))
     ]
     return _in_order(parts, np.argsort(order))
@@ -128,23 +128,20 @@ def _in_order(parts, back) -> InteractionOutput:
         level_vectors=[rows(v) for v in zip(*(o.level_vectors for o in parts))],
         attention=[maps[j] for j in back] if maps else [],
     )
-    if parts[0].logit is not None:
-        out.logit = rows([o.logit for o in parts])
-    if parts[0].value is not None:
-        out.value = rows([o.value for o in parts])
+    if parts[0].score is not None:
+        out.score = rows([o.score for o in parts])
     return out
 
 
-def predict(encoder, feat, records, idxs, head="classify",
-            batch_size=RunConfig.batch_size) -> np.ndarray:
-    """Evaluation-mode scores: probabilities for the classifier head, raw
-    values for the regression head.  The joint stage runs `batch_size`
-    pairs at a time."""
+def predict(encoder, feat, records, idxs, batch_size=RunConfig.batch_size) -> np.ndarray:
+    """Evaluation-mode scores of the encoder's head: probabilities from a
+    classifier, raw values from a regressor.  The joint stage runs
+    `batch_size` pairs at a time."""
     with T.no_grad():
-        out = encode_pairs(encoder, feat, records, idxs, head, chunk=batch_size)
-    if head == "classify":
-        return T.sigmoid_values(out.logit.data)
-    return out.value.data
+        out = encode_pairs(encoder, feat, records, idxs, chunk=batch_size)
+    if encoder.head == "classify":
+        return T.sigmoid_values(out.score.data)
+    return out.score.data
 
 
 def classification_metrics(scores, labels) -> dict[str, float]:
@@ -164,11 +161,10 @@ def regression_metrics(pred, truth) -> dict[str, float]:
     }
 
 
-def evaluate(encoder, feat, records, idxs, head="classify",
-             batch_size=RunConfig.batch_size) -> dict[str, float]:
-    scores = predict(encoder, feat, records, idxs, head, batch_size)
+def evaluate(encoder, feat, records, idxs, batch_size=RunConfig.batch_size) -> dict[str, float]:
+    scores = predict(encoder, feat, records, idxs, batch_size)
     labels = np.array([records[i].label for i in idxs])
-    if head == "classify":
+    if encoder.head == "classify":
         return classification_metrics(scores, labels)
     return regression_metrics(scores, labels)
 
@@ -228,10 +224,11 @@ class RunWriter:
 # -- model assembly -----------------------------------------------------------
 
 
-def build_model(cfg: RunConfig, heads=("classify",)):
+def build_model(cfg: RunConfig):
+    """A fresh store and the encoder with the stage's head."""
     store = ParameterStore()
     encoder = DTIEncoder(
-        store, cfg.encoder_config(), substream(cfg.seed, "model.init"), heads=heads
+        store, cfg.encoder_config(), substream(cfg.seed, "model.init"), head=cfg.head
     )
     return store, encoder
 
@@ -281,10 +278,10 @@ def _check_finite(loss: Tensor) -> Tensor:
 
 
 def _batch_loss(output, labels: np.ndarray, head: str) -> Tensor:
-    """Mean supervised loss over a batch's logit or value vector."""
+    """Mean supervised loss over a batch's score vector."""
     if head == "classify":
-        return T.tmean(T.bce_with_logits(output.logit, labels))
-    return T.tmean(T.square(output.value - Tensor(labels)))
+        return T.tmean(T.bce_with_logits(output.score, labels))
+    return T.tmean(T.square(output.score - Tensor(labels)))
 
 
 def _batches(order: np.ndarray, size: int):
@@ -326,13 +323,14 @@ def train_supervised(
     manifest: SplitManifest,
     cfg: RunConfig,
     out=None,
-    head: str = "classify",
     start_blob: bytes | None = None,
 ) -> TrainResult:
-    """Plain mini-batch training on the manifest's labeled pool, keeping the
-    checkpoint with the best validation score.  Without a val partition the
-    lowest-training-loss epoch stands in."""
-    return _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial=False)
+    """Plain mini-batch training of the stage's head on the manifest's
+    labeled pool, keeping the checkpoint with the best validation score.
+    Without a val partition the lowest-training-loss epoch stands in."""
+    if cfg.head is None:
+        raise ConfigError(f"stage {cfg.stage!r} has no supervised head to train")
+    return _train_pairs(records, manifest, cfg, out, start_blob, adversarial=False)
 
 
 def train_adversarial(
@@ -347,9 +345,9 @@ def train_adversarial(
     With lambda_adv at zero this is, bit for bit, plain supervised training:
     the adversary is never built and no extra random draws happen.
     """
-    return _train_pairs(
-        records, manifest, cfg, out, "classify", None, adversarial=cfg.lambda_adv != 0.0
-    )
+    if cfg.head != "classify":
+        raise ConfigError(f"adversarial training wants a classifier stage, got {cfg.stage!r}")
+    return _train_pairs(records, manifest, cfg, out, None, adversarial=cfg.lambda_adv != 0.0)
 
 
 def _reshuffled(pool: np.ndarray, rng: np.random.Generator):
@@ -359,14 +357,14 @@ def _reshuffled(pool: np.ndarray, rng: np.random.Generator):
             yield int(i)
 
 
-def _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial):
+def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
     """Mini-batch training on pairs.  Each step minimizes the batch's mean
     supervised loss; when adversarial, the step adds the lambda-weighted
     domain loss of the batch against min(batch_size, pool) target-val
     records, drawn from a stream that reshuffles at each epoch and whenever
     the pool runs out."""
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-    store, encoder = build_model(cfg, heads=(head,))
+    store, encoder = build_model(cfg)
     if start_blob is not None:
         store.load_bytes(start_blob, strict=False)
     train_idx, val_idx, _ = supervised_indices(manifest)
@@ -391,17 +389,17 @@ def _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial):
             target = _reshuffled(pool_idx, rng_tgt)
         total = 0.0
         for b, batch in enumerate(_batches(order, cfg.batch_size)):
-            output = encode_pairs(encoder, feat, records, batch, head)
+            output = encode_pairs(encoder, feat, records, batch)
             labels = np.array([records[i].label for i in batch])
-            loss = supervised = _batch_loss(output, labels, head)
+            loss = supervised = _batch_loss(output, labels, cfg.head)
             if adversarial:
                 tgt_batch = [next(target) for _ in range(n_tgt)]
-                tgt_out = encode_pairs(encoder, feat, records, tgt_batch, head)
+                tgt_out = encode_pairs(encoder, feat, records, tgt_batch)
                 domain = adversary.domain_loss(
                     output.fused,
                     tgt_out.fused,
-                    class_probabilities(output.logit.data),
-                    class_probabilities(tgt_out.logit.data),
+                    class_probabilities(output.score.data),
+                    class_probabilities(tgt_out.score.data),
                     grl_scale=cfg.grl_scale,
                 )
                 lam = lambda_schedule(
@@ -415,8 +413,8 @@ def _train_pairs(records, manifest, cfg, out, head, start_blob, adversarial):
         log = EpochLog(epoch=epoch, train_loss=total / len(train_idx))
         if not val_idx:
             return log, -log.train_loss
-        log.val = evaluate(encoder, feat, records, val_idx, head, cfg.batch_size)
-        return log, _selection_value(log.val, head)
+        log.val = evaluate(encoder, feat, records, val_idx, cfg.batch_size)
+        return log, _selection_value(log.val, cfg.head)
 
     return _fit(cfg, manifest, out, run_epoch, store, encoder, feat)
 
@@ -441,7 +439,7 @@ def _episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query:
 def _fused_rows(encoder, feat, records, idxs, chunk=None):
     """Fused matrix [N, dim] of the records, each entity encoded once, and
     the row of each record index."""
-    out = encode_pairs(encoder, feat, records, idxs, None, chunk=chunk)
+    out = encode_pairs(encoder, feat, records, idxs, chunk=chunk)
     return out.fused, {i: j for j, i in enumerate(idxs)}
 
 
@@ -468,6 +466,8 @@ def train_meta(
     queries.  A warm start loads encoder weights from a supervised
     checkpoint; refusing one must be explicit, and doing both is an error.
     """
+    if cfg.head is not None:
+        raise ConfigError(f"episodic training wants stage 'meta', got {cfg.stage!r}")
     if warm_blob is not None and no_warm_start:
         raise ConfigError("a warm-start checkpoint contradicts no_warm_start")
     if warm_blob is None and not no_warm_start:
@@ -476,7 +476,7 @@ def train_meta(
             "pass one or opt out explicitly"
         )
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
-    store, encoder = build_model(cfg, heads=())
+    store, encoder = build_model(cfg)
     head = build_prototype_head(store, cfg)
     if warm_blob is not None:
         store.load_bytes(warm_blob, strict=False)
@@ -590,8 +590,8 @@ def screen(
     predicted affinity and return the top slice with its scores."""
     c_enc, c_feat = classifier
     r_enc, r_feat = regressor
-    y_c = predict(c_enc, c_feat, records, idxs, "classify")
-    y_r = predict(r_enc, r_feat, records, idxs, "regress")
+    y_c = predict(c_enc, c_feat, records, idxs)
+    y_r = predict(r_enc, r_feat, records, idxs)
     ranks = screen_score(y_c, y_r)
     order = np.argsort(-ranks, kind="stable")
     n_top = max(1, int(np.ceil(top_fraction * len(idxs))))

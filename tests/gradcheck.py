@@ -199,14 +199,14 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     vocab = 6
     ids = rng.integers(0, vocab, size=L)
     w_emb = rng.normal(size=(L, m))
-    cases["embedding_lookup"] = (
-        lambda tab: _weighted(T.embedding_lookup(tab, ids), w_emb),
+    cases["index_select_ids"] = (
+        lambda tab: _weighted(T.index_select(tab, 0, ids), w_emb),
         [rng.normal(size=(vocab, m))],
     )
     ids2 = rng.integers(0, vocab, size=(2, L))
     w_emb2 = rng.normal(size=(2, L, m))
-    cases["embedding_lookup_batched"] = (
-        lambda tab: _weighted(T.embedding_lookup(tab, ids2), w_emb2),
+    cases["index_select_ids_batched"] = (
+        lambda tab: _weighted(T.index_select(tab, 0, ids2), w_emb2),
         [rng.normal(size=(vocab, m))],
     )
 

@@ -19,7 +19,7 @@ from dtikit.tensor import Tensor
 
 
 def protein_levels(enc, ids, true_length):
-    x = T.embedding_lookup(enc.embedding, ids)
+    x = T.index_select(enc.embedding, 0, ids)
     for conv in enc.p_stem:
         x = conv(x)  # every convolution layer applies its own relu
     real = min(true_length, ids.shape[0])
@@ -90,11 +90,11 @@ def fuse(enc, level_vectors):
     return T.reshape(gau["out"](T.reshape(pooled, (1, pooled.data.shape[0]))), (d,))
 
 
-def pair_forward(enc, drug, protein, head="classify"):
+def pair_forward(enc, drug, protein):
     """One pair end to end.  `drug` is (atom features, normalized
     adjacency), `protein` (token ids, true residue count).  Returns the
     fused vector, the level vectors, the per-level [heads, atoms, real
-    residues] attention maps and the head's scalar output."""
+    residues] attention maps and the encoder head's scalar output, if any."""
     d_levels = drug_levels(enc, *drug)
     p_levels = protein_levels(enc, *protein)
     vectors, maps = [], []
@@ -104,8 +104,8 @@ def pair_forward(enc, drug, protein, head="classify"):
         maps.append(level_maps)
     fused = fuse(enc, vectors)
     score = None
-    if head is not None:
-        hidden, final = enc.heads[head]
+    if enc.head is not None:
+        hidden, final = enc.head_layers
         h = T.relu(hidden(T.reshape(fused, (1, fused.data.shape[0]))))
         score = T.reshape(final(h), (1,))
     return SimpleNamespace(fused=fused, level_vectors=vectors, attention=maps, score=score)

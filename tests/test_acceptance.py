@@ -92,7 +92,7 @@ def _encoder_instance(seed: int):
     store = ParameterStore()
     encoder = DTIEncoder(
         store, EncoderConfig.small(**TINY_ENCODER),
-        substream(seed, "accept.grad"), heads=("classify",),
+        substream(seed, "accept.grad"), head="classify",
     )
     first = GRAD_SMILES[seed % len(GRAD_SMILES)]
     atoms = parse_smiles(first).n_atoms
@@ -112,8 +112,8 @@ def _encoder_instance(seed: int):
 
 
 def _encoder_loss(encoder, records, feat) -> T.Tensor:
-    out = encode_pairs(encoder, feat, records, [0, 1], "classify")
-    return T.tsum(out.logit)
+    out = encode_pairs(encoder, feat, records, [0, 1])
+    return T.tsum(out.score)
 
 
 def test_01_gradients_match_central_differences():
@@ -455,7 +455,7 @@ def test_09_screening_top_decile_is_090_accurate(corpus2000, vanilla_run):
     manifest, classifier = vanilla_run
     regressor = train_supervised(
         corpus2000.regression_records(), manifest,
-        small_config(stage="regress", epochs=8, lr=1e-3), head="regress",
+        small_config(stage="regress", epochs=8, lr=1e-3),
     )
     records = corpus2000.records
     test = manifest.indices(None, "test")

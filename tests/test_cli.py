@@ -15,6 +15,7 @@ from dtikit.config import resolve_config
 from dtikit.datasets import AFFINITY, BINARY
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
+from dtikit.train import train_adversarial, train_meta, train_supervised
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
 
@@ -115,6 +116,29 @@ class TestTrainEval:
         )
         assert ours.metrics == trained.metrics
 
+    @pytest.mark.parametrize("stage", ["vanilla", "regress", "cada", "meta"])
+    def test_library_run_directory_evaluates(self, workdir, meta_run, tmp_path, stage):
+        """A run directory written by the library entry point that trains the
+        stage holds the head its config snapshot names, so eval accepts it."""
+        split = {"meta": meta_run["split"], "cada": str(tmp_path / "cluster.json")}.get(
+            stage, workdir["split"]
+        )
+        if stage == "cada":
+            assert cli.main(["split", "--csv", workdir["csv"], "--strategy", "cluster",
+                             "--out", split]) == 0
+        train, kwargs = {
+            "cada": (train_adversarial, {}), "meta": (train_meta, {"no_warm_start": True}),
+        }.get(stage, (train_supervised, {}))
+        cfg = resolve_config({}, {
+            "stage": stage, "model_preset": "small", "max_seq_len": 48, "epochs": 1,
+            "lr": 1e-3, "episodes_per_epoch": 4, "eval_episodes": 4,
+        })
+        run = tmp_path / "run"
+        records = cli._load_records(workdir["csv"], stage, None)
+        train(records, SplitManifest.load(split), cfg, out=run, **kwargs)
+        assert cli.main(["eval", "--csv", workdir["csv"], "--split-manifest", split,
+                         "--checkpoint", str(run)]) == 0
+
     def test_meta_stage_round_trip(self, workdir, tmp_path):
         split = tmp_path / "meta.json"
         assert cli.main(["split", "--csv", workdir["csv"],
@@ -151,11 +175,14 @@ class TestScreen:
         scores = [float(line.split(",")[3]) for line in lines[1:]]
         assert scores == sorted(scores, reverse=True)
 
-    def test_swapped_runs_are_a_config_error(self, workdir):
-        code = cli.main(["screen", "--csv", workdir["csv"],
-                         "--classifier", workdir["reg"],
-                         "--regressor", workdir["run"]])
-        assert code == 2
+    def test_swapped_runs_are_a_config_error(self, workdir, meta_run):
+        """Each run must carry the head its role reads; an episodic run has
+        none."""
+        for classifier, regressor in ((workdir["reg"], workdir["run"]),
+                                      (meta_run["run"], workdir["reg"])):
+            code = cli.main(["screen", "--csv", workdir["csv"],
+                             "--classifier", classifier, "--regressor", regressor])
+            assert code == 2, classifier
 
 
 class TestExportAttention:
@@ -252,10 +279,17 @@ class TestExitCodes:
             ["--stage", "vanilla", "--eval-runs", "2"],
             ["--stage", "regress", "--eval-runs", "2"],
             ["--config", "CADA", "--eval-runs", "2"],
+            ["--stage", "vanilla", "--lambda", "0.5"],
+            ["--stage", "meta", "--no-warm-start", "--lambda", "0.5"],
+            ["--stage", "cada", "--k-shot", "3"],
+            ["--stage", "regress", "--k-query", "3"],
+            ["--config", "CADA", "--k-shot", "3"],
         ],
         ids=["meta-both", "cada-checkpoint", "config-cada-checkpoint",
              "vanilla-no-warm-start", "regress-no-warm-start",
-             "vanilla-eval-runs", "regress-eval-runs", "config-cada-eval-runs"],
+             "vanilla-eval-runs", "regress-eval-runs", "config-cada-eval-runs",
+             "vanilla-lambda", "meta-lambda", "cada-k-shot", "regress-k-query",
+             "config-cada-k-shot"],
     )
     def test_flag_the_stage_cannot_honour_is_2(self, workdir, tmp_path, flags):
         """The stage may come from --config, so the check runs after the
@@ -373,10 +407,16 @@ class TestExitCodes:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("records", ["0", "-5"])
-    def test_synth_records_below_one_is_2(self, tmp_path, records):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--records", "0"], ["--records", "-5"], ["--records", "100000"],
+         ["--domain-shift", "--records", "5000"]],
+        ids=["0", "-5", "100000", "domain-shift-5000"],
+    )
+    def test_synth_records_out_of_range_is_2(self, tmp_path, flags):
+        """Below one record, or more than a pool has drug-protein pairs."""
         out = tmp_path / "data"
-        assert cli.main(["synth", "--out", str(out), "--records", records]) == 2
+        assert cli.main(["synth", "--out", str(out), *flags]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["nan", "0", "-1", "5"])

@@ -1,7 +1,6 @@
 import struct
 
 import numpy as np
-import pytest
 
 from dtikit import tensor as T
 from dtikit.encoder import (
@@ -21,9 +20,9 @@ from dtikit.smiles import parse_smiles
 CFG = EncoderConfig.small()
 
 
-def build(seed=0, heads=("classify",), config=CFG):
+def build(seed=0, head="classify", config=CFG):
     store = ParameterStore()
-    enc = DTIEncoder(store, config, substream(seed, "init"), heads=heads)
+    enc = DTIEncoder(store, config, substream(seed, "init"), head=head)
     return store, enc
 
 
@@ -33,11 +32,11 @@ def aspirin_inputs():
     return featurize_drug(graph), (prot.ids, prot.true_length)
 
 
-def forward(enc, drug, protein, head="classify", attention=False):
+def forward(enc, drug, protein, attention=False):
     """The batched pass on a batch of one pair."""
     d_levels, d_mask = enc.drug_levels([drug])
     p_levels = enc.protein_levels([protein])
-    return enc.interact(d_levels, d_mask, p_levels, [0], [0], head, attention)
+    return enc.interact(d_levels, d_mask, p_levels, [0], [0], attention)
 
 
 # -- featurization -------------------------------------------------------------
@@ -119,7 +118,7 @@ def test_every_parameter_gets_gradient():
     store, enc = build()
     drug, prot = aspirin_inputs()
     out = forward(enc, drug, prot)
-    loss = T.tmean(T.bce_with_logits(out.logit, np.array([1.0])))
+    loss = T.tmean(T.bce_with_logits(out.score, np.array([1.0])))
     loss.backward()
     for path in store.paths():
         p = store[path]
@@ -155,7 +154,7 @@ def test_directional_gradcheck_through_full_forward():
 
     def loss_value():
         out = forward(enc, drug, prot)
-        return T.tmean(T.bce_with_logits(out.logit, np.array([1.0])))
+        return T.tmean(T.bce_with_logits(out.score, np.array([1.0])))
 
     loss = loss_value()
     loss.backward()
@@ -193,7 +192,7 @@ def test_atom_permutation_leaves_output_unchanged():
         enc, (feats[perm], adj[np.ix_(perm, perm)]), (prot.ids, prot.true_length)
     )
     assert np.allclose(base.fused.data, permuted.fused.data, atol=1e-9)
-    assert np.allclose(base.logit.data, permuted.logit.data, atol=1e-9)
+    assert np.allclose(base.score.data, permuted.score.data, atol=1e-9)
 
 
 def test_attention_mass_stays_on_real_residues():
@@ -222,14 +221,15 @@ def test_variant_without_fusion_unit():
 
 
 def test_head_registration_is_gated():
-    store, _ = build(heads=("classify",))
+    store, _ = build(head="classify")
     assert not any(p.startswith("head/regress") for p in store.paths())
-    store2, enc2 = build(heads=("regress",))
+    store2, enc2 = build(head="regress")
+    assert not any(p.startswith("head/classify") for p in store2.paths())
     drug, prot = aspirin_inputs()
-    out = forward(enc2, drug, prot, head="regress")
-    assert out.value is not None and out.logit is None
-    with pytest.raises(KeyError):
-        forward(enc2, drug, prot, head="mystery")
+    assert forward(enc2, drug, prot).score.data.shape == (1,)
+    store3, enc3 = build(head=None)
+    assert not any(p.startswith("head/") for p in store3.paths())
+    assert forward(enc3, drug, prot).score is None
 
 
 # -- persistence and determinism ------------------------------------------------------
@@ -241,19 +241,19 @@ def test_same_seed_same_outputs():
     _, enc_b = build(seed=9)
     a = forward(enc_a, drug, prot)
     b = forward(enc_b, drug, prot)
-    assert np.array_equal(a.logit.data, b.logit.data)
+    assert np.array_equal(a.score.data, b.score.data)
 
 
 def test_checkpoint_restores_forward_bitwise():
     drug, prot = aspirin_inputs()
     store_a, enc_a = build(seed=1)
-    want = forward(enc_a, drug, prot).logit.data.copy()
+    want = forward(enc_a, drug, prot).score.data.copy()
     blob = store_a.save_bytes()
 
     store_b, enc_b = build(seed=2)
-    assert not np.array_equal(forward(enc_b, drug, prot).logit.data, want)
+    assert not np.array_equal(forward(enc_b, drug, prot).score.data, want)
     store_b.load_bytes(blob)
-    assert np.array_equal(forward(enc_b, drug, prot).logit.data, want)
+    assert np.array_equal(forward(enc_b, drug, prot).score.data, want)
 
 
 def _legacy_blob(store) -> bytes:
@@ -281,6 +281,6 @@ def test_checkpoint_with_normalization_buffers_loads_strictly():
     assert len(read_checkpoint(blob)) == len(store_a.paths()) + 24
     store_b, enc_b = build(seed=2)
     assert sorted(store_b.load_bytes(blob, strict=True)) == sorted(store_a.paths())
-    assert np.array_equal(forward(enc_b, drug, prot).logit.data,
-                          forward(enc_a, drug, prot).logit.data)
+    assert np.array_equal(forward(enc_b, drug, prot).score.data,
+                          forward(enc_a, drug, prot).score.data)
     assert store_b.save_bytes() == store_a.save_bytes()

@@ -132,7 +132,7 @@ def test_cosine_rows_zero_row_pins_to_zero_without_gradient():
 
 def test_embedding_rows_route_gradients():
     table = T.Tensor(np.zeros((4, 3)), requires_grad=True)
-    out = T.embedding_lookup(table, np.array([1, 1, 3]))
+    out = T.index_select(table, 0, np.array([1, 1, 3]))
     T.tsum(out).backward()
     assert np.allclose(table.grad[1], 2.0)
     assert np.allclose(table.grad[3], 1.0)

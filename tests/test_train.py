@@ -130,12 +130,12 @@ class TestEncodePairs:
     """The batched path against the per-pair oracle in `oracle.py`."""
 
     @staticmethod
-    def _setup(records, preset, heads=("classify",)):
-        overrides = {"model_preset": preset, "seed": 0}
+    def _setup(records, preset, stage="vanilla"):
+        overrides = {"stage": stage, "model_preset": preset, "seed": 0}
         if preset == "small":
             overrides["max_seq_len"] = 48
         cfg = resolve_config({}, overrides)
-        store, encoder = build_model(cfg, heads=heads)
+        store, encoder = build_model(cfg)
         feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
         return cfg, store, encoder, feat
 
@@ -155,19 +155,19 @@ class TestEncodePairs:
             self._check_outputs(records, grad, preset)
 
     def _check_outputs(self, records, grad, preset):
-        cfg, _, encoder, feat = self._setup(records, preset, heads=("classify", "regress"))
-        idxs = self._batch(records, preset, feat)
-        for head in ("classify", "regress"):
+        for stage in ("vanilla", "regress"):
+            cfg, _, encoder, feat = self._setup(records, preset, stage)
+            idxs = self._batch(records, preset, feat)
             with contextlib.nullcontext() if grad else T.no_grad():
-                batched = encode_pairs(encoder, feat, records, idxs, head, attention=True)
+                batched = encode_pairs(encoder, feat, records, idxs, attention=True)
                 single = [
                     oracle.pair_forward(
                         encoder, feat.drugs[records[i].smiles],
-                        feat.proteins[records[i].sequence], head,
+                        feat.proteins[records[i].sequence],
                     )
                     for i in idxs
                 ]
-            out = batched.logit if head == "classify" else batched.value
+            out = batched.score
             assert out.requires_grad == grad
             assert out.data.shape == (len(idxs),)
             assert len(batched.attention) == len(idxs)
@@ -192,8 +192,8 @@ class TestEncodePairs:
         _, store, encoder, feat = self._setup(records, preset)
         idxs = self._batch(records, preset, feat)
         labels = np.array([records[i].label for i in idxs])
-        output = encode_pairs(encoder, feat, records, idxs, "classify")
-        T.tmean(T.bce_with_logits(output.logit, labels)).backward()
+        output = encode_pairs(encoder, feat, records, idxs)
+        T.tmean(T.bce_with_logits(output.score, labels)).backward()
         batched = {path: store[path].grad for path in store.paths()}
         store.zero_grad()
         for i, y in zip(idxs, labels):
@@ -239,7 +239,7 @@ class TestEncodePairs:
             lifts.clear()
             towers.clear()
             with contextlib.nullcontext() if grad else T.no_grad():
-                whole = encode_pairs(encoder, feat, records, idxs, "classify")
+                whole = encode_pairs(encoder, feat, records, idxs)
             assert towers == [n_proteins]
             assert lifts == [n_proteins] * levels
 
@@ -247,14 +247,14 @@ class TestEncodePairs:
         lifts.clear()
         towers.clear()
         with T.no_grad():
-            chunked = encode_pairs(encoder, feat, records, idxs, "classify", chunk=chunk)
+            chunked = encode_pairs(encoder, feat, records, idxs, chunk=chunk)
         assert towers == [n_proteins]
         in_order = sorted(sequences, key=list(dict.fromkeys(sequences)).index)
         slices = [in_order[j : j + chunk] for j in range(0, len(idxs), chunk)]
         assert lifts == [len(set(s)) for s in slices for _ in range(levels)]
         assert max(lifts) <= chunk
         assert sum(lifts) <= (n_proteins + len(slices) - 1) * levels
-        assert np.abs(chunked.logit.data - whole.logit.data).max() <= 1e-12
+        assert np.abs(chunked.score.data - whole.score.data).max() <= 1e-12
 
 
 class TestArtifacts:
@@ -286,6 +286,29 @@ class TestArtifacts:
         assert len(lines) == cfg.epochs
         for line, log in zip(lines, result.history):
             assert json.loads(line) == json.loads(log.to_json())
+
+
+class TestStageGuards:
+    @pytest.mark.parametrize(
+        "train, stages, kwargs",
+        [
+            (train_supervised, ("meta",), {}),
+            (train_adversarial, ("regress", "meta"), {}),
+            (train_meta, ("vanilla", "regress", "cada"), {"no_warm_start": True}),
+        ],
+        ids=["supervised", "adversarial", "meta"],
+    )
+    def test_entry_point_refuses_a_stage_it_does_not_train(
+        self, records, manifest, tmp_path, train, stages, kwargs
+    ):
+        """The stage decides the head, so an entry point handed a stage it
+        does not train refuses before writing a run directory that eval
+        would reject."""
+        for stage in stages:
+            out = tmp_path / stage
+            with pytest.raises(ConfigError):
+                train(records, manifest, small_config(stage=stage, epochs=1), out=out, **kwargs)
+            assert not out.exists(), stage
 
 
 class TestAdversarial:
@@ -370,9 +393,7 @@ class TestScreen:
     def test_top_slice_is_sorted_and_sized(self, vanilla, corpus, records, manifest):
         _, cls = vanilla
         cfg = small_config(stage="regress", epochs=2, lr=1e-3)
-        reg = train_supervised(
-            corpus.regression_records(), manifest, cfg, head="regress"
-        )
+        reg = train_supervised(corpus.regression_records(), manifest, cfg)
         test = manifest.indices(None, "test")
         top, scores = screen(
             records, test,
