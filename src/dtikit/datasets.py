@@ -3,8 +3,8 @@
 CSV columns are named through a CsvSchema so files from different sources
 load without rewriting. Rows whose SMILES fail to parse are either
 skipped with their row number recorded (default) or abort the load when
-strict. A label is BINARY (0 or 1, classification) or AFFINITY (any
-finite number, regression).
+strict; each distinct SMILES is parsed once per load. A label is BINARY
+(0 or 1, classification) or AFFINITY (any finite number, regression).
 """
 
 from __future__ import annotations
@@ -83,14 +83,16 @@ def load_interactions_detailed(
 ) -> LoadResult:
     """Load interaction records from a CSV file.
 
-    Every row's SMILES is parsed as a validation gate (oversized molecules
-    are rejected here, not truncated downstream). Bad rows are returned in
-    ``skipped`` unless ``strict``, in which case the first one raises.
+    Every row's SMILES passes a parse as a validation gate (oversized
+    molecules are rejected here, not truncated downstream); the parse runs
+    once per distinct string. Bad rows are returned in ``skipped``, each
+    with its own line, unless ``strict``, in which case the first one raises.
     """
     schema = schema or CsvSchema()
     result = LoadResult()
     drug_ids: dict[str, str] = {}
     protein_ids: dict[str, str] = {}
+    parsed: dict[str, SmilesError | None] = {}  # SMILES -> its parse error, if any
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -109,7 +111,14 @@ def load_interactions_detailed(
             try:
                 if not sequence:
                     raise LabelParseError("empty protein sequence")
-                parse_smiles(smiles, max_atoms=max_atoms)
+                if smiles not in parsed:
+                    try:
+                        parse_smiles(smiles, max_atoms=max_atoms)
+                        parsed[smiles] = None
+                    except SmilesError as exc:
+                        parsed[smiles] = exc
+                if parsed[smiles] is not None:
+                    raise parsed[smiles].with_traceback(None)  # no growing traceback
                 label = _parse_label(row[schema.label_col], schema.label_kind)
             except (SmilesError, LabelParseError) as exc:
                 if strict:

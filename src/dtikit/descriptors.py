@@ -75,31 +75,27 @@ def ecfp(graph: MolecularGraph, radius: int = 2, n_bits: int = N_BITS) -> np.nda
     return out
 
 
+# byte -> residue index, 20 for every byte that is not a canonical letter
+_RESIDUE_OF_BYTE = np.full(256, 20, dtype=np.intp)
+_RESIDUE_OF_BYTE[list(CANONICAL_RESIDUES.encode())] = np.arange(20)
+
+
 def psc(sequence: str) -> np.ndarray:
     """Protein sequence composition: 20 residue frequencies + 400 dipeptide
     frequencies, each block normalized to sum 1. Residues outside the 20
-    canonical letters are ignored by both blocks."""
+    canonical letters are ignored by both blocks and break every dipeptide
+    they sit in. Two bincounts over the bytes (non-ASCII ones non-canonical)."""
     seq = sequence.strip().upper()
     if not seq:
         raise EmptySequence("cannot featurize an empty sequence")
-    index = {r: i for i, r in enumerate(CANONICAL_RESIDUES)}
+    codes = _RESIDUE_OF_BYTE[np.frombuffer(seq.encode(errors="replace"), dtype=np.uint8)]
+    residues = np.bincount(codes, minlength=21)[:20]
+    dipeptides = np.bincount(codes[:-1] * 21 + codes[1:], minlength=441).reshape(21, 21)[:20, :20]
     out = np.zeros(PSC_DIM)
-    total = 0
-    for ch in seq:
-        i = index.get(ch)
-        if i is not None:
-            out[i] += 1.0
-            total += 1
-    if total:
-        out[:20] /= total
-    pairs = 0
-    for a, b in zip(seq, seq[1:]):
-        ia, ib = index.get(a), index.get(b)
-        if ia is not None and ib is not None:
-            out[20 + ia * 20 + ib] += 1.0
-            pairs += 1
-    if pairs:
-        out[20:] /= pairs
+    if total := residues.sum():
+        out[:20] = residues / total
+    if pairs := dipeptides.sum():
+        out[20:] = dipeptides.ravel() / pairs
     return out
 
 

@@ -100,13 +100,15 @@ def _ratio_distances(x: np.ndarray, denominator) -> np.ndarray:
     """Symmetric matrix of 1 - g / denominator(g, lo) over the Gram products
     g = x[lo:hi] @ x[lo:].T, 0 where the denominator is 0 and on the
     diagonal: the upper triangle in place one row block at a time, the
-    lower one its mirror, each diagonal block the maximum with its transpose."""
+    lower one its mirror, each diagonal block the maximum with its transpose.
+    Entries are clamped at 0, so a ratio rounded above 1 is no negative distance."""
     d = np.empty((len(x), len(x)))
     for lo, hi in _row_blocks(len(x)):
         g = np.matmul(x[lo:hi], x[lo:].T, out=d[lo:hi, lo:])
         den = denominator(g, lo)
         np.divide(g, den, out=g, where=den > 0)
         np.subtract(1.0, g, out=g, where=den > 0)
+        np.maximum(g, 0.0, out=g)
         np.maximum(d[lo:hi, lo:hi], d[lo:hi, lo:hi].T, out=d[lo:hi, lo:hi])
         d[lo:hi, :lo] = d[:lo, lo:hi].T
     np.fill_diagonal(d, 0.0)
@@ -130,7 +132,8 @@ def protein_distance_matrix(sequences: list[str]) -> np.ndarray:
     """Composition (psc) cosine distances 1 - u.v / (|u| |v|) in list order;
     ZeroVector for two or more sequences when one has no canonical residue.
     Norms are per-row np.linalg.norm as for one pair, but the matmul sums
-    u.v in another order than u @ v: entries agree to about 1e-15."""
+    u.v in another order than u @ v: entries agree to about 1e-15, and the
+    ones that round below 0 (equal compositions) are clamped to 0."""
     vecs = np.zeros((len(sequences), PSC_DIM))
     for i, s in enumerate(sequences):
         vecs[i] = psc(s)
@@ -141,10 +144,18 @@ def protein_distance_matrix(sequences: list[str]) -> np.ndarray:
 
 
 def _clusters(items: dict[str, str], distance_matrix, threshold: float) -> dict[str, int]:
-    """Single-linkage cluster label per entity id, entities taken in id order."""
+    """Single-linkage cluster label per entity id, entities taken in id order.
+    Distances and linkage run once per distinct string, numbered by first
+    appearance over the sorted ids; each id takes its string's label. Equal
+    strings are at distance 0 and link at any threshold > 0; below that each
+    id is its own cluster (the distances still run, so their errors surface)."""
     ids = sorted(items)
-    labels = single_linkage_cluster(distance_matrix([items[i] for i in ids]), threshold)
-    return {i: int(c) for i, c in zip(ids, labels)}
+    strings = list(dict.fromkeys(items[i] for i in ids))
+    dist = distance_matrix(strings)
+    if not threshold > 0:
+        return {i: c for c, i in enumerate(ids)}
+    label_of = dict(zip(strings, single_linkage_cluster(dist, threshold).tolist()))
+    return {i: label_of[items[i]] for i in ids}
 
 
 # -- manifest ---------------------------------------------------------------
@@ -414,10 +425,12 @@ def meta_unseen_split(
     prot_cluster = _clusters(
         {r.protein_id: r.sequence for r in records}, protein_distance_matrix, threshold
     )
+    distinct = dict.fromkeys(smiles_of[d] for d in sorted(smiles_of))
+    scaffold_of = {s: murcko_scaffold_key(parse_smiles(s)) for s in distinct}
     scaffold_ids: dict[str, int] = {}
     drug_cluster: dict[str, int] = {}
     for d in sorted(smiles_of):
-        key = murcko_scaffold_key(parse_smiles(smiles_of[d]))
+        key = scaffold_of[smiles_of[d]]
         scaffold_ids.setdefault(key, len(scaffold_ids))
         drug_cluster[d] = scaffold_ids[key]
 

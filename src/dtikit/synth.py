@@ -264,16 +264,17 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         protein_domains[pid] = _family_domain(spec, fam, spec.n_protein_families)
 
     drugs = {}
-    drug_graphs = {}
     drug_families = {}
     drug_domains = {}
     for j in range(spec.n_drugs):
         fam = j % spec.n_drug_families
         did = f"D{j:04d}"
         drugs[did], _ = _make_drug(rng_e, spec, fam)
-        drug_graphs[did] = parse_smiles(drugs[did])
         drug_families[did] = fam
         drug_domains[did] = _family_domain(spec, fam, spec.n_drug_families)
+
+    # ids that share a SMILES share its parsed graph
+    graph_of = {s: parse_smiles(s) for s in dict.fromkeys(drugs.values())}
 
     pid_list = sorted(proteins)
     did_list = sorted(drugs)
@@ -299,7 +300,7 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         for c in np.sort(picks):
             pid = ps[c // len(ds)]
             did = ds[c % len(ds)]
-            label = rule_label(proteins[pid], drug_graphs[did], spec.rules)
+            label = rule_label(proteins[pid], graph_of[drugs[did]], spec.rules)
             records.append(
                 InteractionRecord(did, pid, drugs[did], proteins[pid], float(label))
             )

@@ -413,17 +413,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def index_select(a, axis: int, indices) -> Tensor:
     """Gather along an axis with an integer index array; scatter-add on
-    backward.  Along axis 0 the index array may have any shape, its axes
-    taking the gathered axis's place: an embedding lookup of token ids."""
+    backward.  The index array may have any shape, its axes taking the
+    gathered axis's place (along axis 0: an embedding lookup of token ids)."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
+    axis = range(a.data.ndim)[axis]  # non-negative, so the index axes start at it
 
     def backward(g):
         if not a.requires_grad:
             return
         da = np.zeros_like(a.data)
         moved = np.moveaxis(da, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        np.add.at(moved, idx, np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim)))
         _accum(a, da)
 
     return _make(np.take(a.data, idx, axis=axis), (a,), backward)

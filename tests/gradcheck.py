@@ -254,6 +254,12 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a, b: _weighted(T.cosine_rows(a, b), w_nm[:, 0].copy()),
         [_away_from_zero(rng, (n, m)), _away_from_zero(rng, (n, m))],
     )
+    ids_nm = rng.integers(0, m, size=(2, 3))
+    w_ids_nm = rng.normal(size=(n, 2, 3))
+    cases["index_select_ids_axis1"] = (
+        lambda a: _weighted(T.index_select(a, 1, ids_nm), w_ids_nm),
+        [rng.normal(size=(n, m))],
+    )
     return cases
 
 

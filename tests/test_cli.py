@@ -4,6 +4,7 @@ The commands run in-process through cli.main, on a small corpus and model,
 with run directories shared across tests where that saves a training run.
 """
 
+import csv
 import json
 import shutil
 
@@ -88,6 +89,27 @@ class TestSplit:
                              "--strategy", strategy, "--out", str(out)])
             assert code == 0, strategy
             SplitManifest.load(out)
+
+
+    def test_shared_and_padded_sequences_split(self, workdir, tmp_path):
+        # P0001 repeats P0000's sequence and P0002 adds a non-canonical X
+        # to it: equal compositions whose cosine distance rounds below 0
+        with open(workdir["csv"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        base = next(r["sequence"] for r in rows if r["protein_id"] == "P0000")
+        for r in rows:
+            r["sequence"] = {"P0001": base, "P0002": base + "X"}.get(r["protein_id"], r["sequence"])
+        path = tmp_path / "shared.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        for strategy in ("cluster", "meta_protein"):
+            out = tmp_path / f"{strategy}.json"
+            assert cli.main(["split", "--csv", str(path), "--strategy", strategy,
+                             "--out", str(out)]) == 0, strategy
+            clusters = SplitManifest.load(out).protein_clusters
+            assert clusters["P0000"] == clusters["P0001"] == clusters["P0002"]
 
 
 class TestTrainEval:

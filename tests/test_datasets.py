@@ -1,6 +1,7 @@
 import pytest
 
 from dtikit import datasets as ds
+from dtikit.smiles import SmilesError
 
 
 CSV = """drug_id,protein_id,smiles,sequence,label
@@ -69,3 +70,34 @@ def test_oversized_molecule_rejected_at_load(tmp_path):
     result = ds.load_interactions_detailed(write(tmp_path, text), schema)
     assert not result.records
     assert "290" in result.skipped[0].reason
+
+
+def test_each_distinct_smiles_is_parsed_once(tmp_path, monkeypatch):
+    calls = []
+    parse = ds.parse_smiles
+    monkeypatch.setattr(ds, "parse_smiles", lambda s, **kw: calls.append(s) or parse(s, **kw))
+    text = (
+        "smiles,sequence,label\n"
+        "CCO,MKV,1\n"  # 2
+        "C1CC,MKV,0\n"  # 3: unclosed ring
+        "CCO,AAA,0\n"  # 4
+        "C1CC,AAA,1\n"  # 5: the same ring again
+        "C(C,MKV,1\n"  # 6: unbalanced parenthesis
+        "C1CC,MKV,1\n"  # 7: and the ring once more
+        "CCO,MKV,2\n"  # 8: good SMILES, bad label
+    )
+    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None)
+    result = ds.load_interactions_detailed(write(tmp_path, text), schema)
+    assert sorted(calls) == sorted(["CCO", "C1CC", "C(C"])
+    assert [r.drug_id for r in result.records] == ["d0000", "d0000"]
+    assert [s.row for s in result.skipped] == [3, 5, 6, 7, 8]
+    ring = result.skipped[0].reason
+    assert "ring" in ring
+    assert [s.reason for s in result.skipped[:4]] == [ring, ring, result.skipped[2].reason, ring]
+    assert result.skipped[2].reason != ring
+
+    calls.clear()
+    with pytest.raises(SmilesError) as err:
+        ds.load_interactions_detailed(write(tmp_path, text), schema, strict=True)
+    assert str(err.value) == ring  # row 3, the first bad one
+    assert calls == ["CCO", "C1CC"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtikit import descriptors as dv
+from dtikit.proteins import CANONICAL_RESIDUES
 from dtikit.smiles import parse_smiles
 
 
@@ -104,6 +105,38 @@ def test_scaffold_keeps_linkers_between_rings():
     benzene = dv.murcko_scaffold_key(parse_smiles("c1ccccc1"))
     assert linked != benzene
     assert linked.count("|") + 1 == 13  # two rings plus the bridging carbon
+
+
+def psc_reference(sequence):
+    """Per-character composition: the residue loop psc replaced."""
+    index = {r: i for i, r in enumerate(CANONICAL_RESIDUES)}
+    codes = [index.get(ch) for ch in sequence.strip().upper()]
+    out = np.zeros(dv.PSC_DIM)
+    total = pairs = 0
+    for c in codes:
+        if c is not None:
+            out[c] += 1.0
+            total += 1
+    if total:
+        out[:20] /= total
+    for a, b in zip(codes, codes[1:]):
+        if a is not None and b is not None:
+            out[20 + a * 20 + b] += 1.0
+            pairs += 1
+    if pairs:
+        out[20:] /= pairs
+    return out
+
+
+def test_psc_equals_per_character_reference():
+    # lowercase, the non-canonical X/B/*, and non-ASCII letters, some of
+    # which upper-case into canonical ones (dotless i -> I, sharp s -> SS)
+    alphabet = list(CANONICAL_RESIDUES + CANONICAL_RESIDUES.lower() + "XB*- éλıß")
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        seq = "".join(rng.choice(alphabet, size=int(rng.integers(1, 60))))
+        if seq.strip():
+            assert np.array_equal(dv.psc(seq), psc_reference(seq)), repr(seq)
 
 
 def test_psc_empty_raises():

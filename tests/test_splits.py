@@ -1,13 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dtikit import splits as sp
+from dtikit.cli import DOMAIN_SHIFT_RULES
 from dtikit.datasets import InteractionRecord
 from dtikit.descriptors import ZeroVector, ecfp, psc
 from dtikit.proteins import EmptySequence
 from dtikit.rng import substream
 from dtikit.smiles import parse_smiles
 from dtikit.synth import SyntheticSpec, synth_generate
+from dtikit.train import manifest_sha256
 
 
 # -- brute force single-linkage oracle ----------------------------------------
@@ -268,6 +273,66 @@ def build_records(n_per_family=3, n_prot_fam=4, n_drug_fam=4, pair_all=True):
     return records
 
 
+def test_protein_matrix_clamps_equal_compositions_at_zero(corpus_entities):
+    # s + "X" has the composition of s; the Gram ratio rounds above 1 for
+    # many sequences, which left distances of -2e-16 for the linkage to reject
+    _, seqs = corpus_entities
+    for s in seqs:
+        d = sp.protein_distance_matrix([s, s + "X"])
+        assert 0.0 <= d[0, 1] == d[1, 0] <= 1e-15
+    d = sp.protein_distance_matrix([s + "X" for s in seqs] + seqs)
+    assert np.all(d >= 0.0)
+
+
+# -- clusters over distinct strings ------------------------------------------------
+
+
+def per_id_clusters(items, distance_matrix, threshold):
+    """Reference: single linkage over the matrix of every id, in id order."""
+    ids = sorted(items)
+    labels = sp.single_linkage_cluster(distance_matrix([items[i] for i in ids]), threshold)
+    return {i: int(c) for i, c in zip(ids, labels)}
+
+
+def shared_string_items(strings, n_ids, seed):
+    """n_ids ids over the strings, every string used, ids named in shuffled order."""
+    rng = np.random.default_rng(seed)
+    picks = np.concatenate([np.arange(len(strings)), rng.integers(0, len(strings), n_ids)])
+    names = rng.permutation(len(picks))
+    return {f"id{names[k]:04d}": strings[p] for k, p in enumerate(picks)}
+
+
+@pytest.mark.parametrize("side", ["drug", "protein"])
+def test_clusters_over_distinct_strings_match_per_id_linkage(corpus_entities, side):
+    smiles, seqs = corpus_entities
+    strings, distance = {
+        "drug": (sorted(set(smiles)), sp.drug_distance_matrix),
+        "protein": (seqs[:20], sp.protein_distance_matrix),
+    }[side]
+    items = shared_string_items(strings, 3 * len(strings), seed=4)
+    steps = np.unique(distance(strings))
+    steps = steps[steps > 1e-9]
+    thresholds = [0.0, 0.5] + [float(np.nextafter(steps[k], 2.0)) for k in (0, len(steps) // 2)]
+    for threshold in thresholds:
+        got = sp._clusters(items, distance, threshold)
+        assert got == per_id_clusters(items, distance, threshold), threshold
+    assert len(set(sp._clusters(items, distance, 0.0).values())) == len(items)
+
+
+def test_clusters_run_the_distance_once_per_distinct_string():
+    seen = []
+
+    def distance(strings):
+        seen.append(list(strings))
+        return sp.drug_distance_matrix(strings)
+
+    items = {"b": "CCO", "a": "CCN", "c": "CCO", "d": "c1ccccc1"}
+    assert sp._clusters(items, distance, 0.5) == per_id_clusters(items, sp.drug_distance_matrix, 0.5)
+    assert seen == [["CCN", "CCO", "c1ccccc1"]]
+    with pytest.raises(EmptySequence):  # raised even where nothing links
+        sp._clusters({"p": "ACDE", "q": ""}, sp.protein_distance_matrix, 0.0)
+
+
 # -- random split --------------------------------------------------------------
 
 
@@ -383,6 +448,57 @@ def test_cluster_split_recovers_planted_families():
         prot_of.setdefault(r.protein_id[:2], set()).add(m.protein_clusters[r.protein_id])
     for fam, clusters in prot_of.items():
         assert len(clusters) == 1  # family members never split apart
+
+
+# -- pinned manifests ----------------------------------------------------------------
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def recorded_split_large_sha256():
+    """SPLIT_LARGE_SHA256 as written in the benchmark's workload file."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "SPLIT_LARGE_SHA256":
+            return ast.literal_eval(node.value)
+    raise AssertionError("SPLIT_LARGE_SHA256 not found")
+
+
+# seed-0 manifest sha256 of each split, recorded before the split work was
+# keyed on distinct strings; any change to clusters, tasks or assignments shows
+PINNED_MANIFESTS = {
+    (300, "cluster"): "c9182ab7d59afb6c67c3a6de4736a239f941b904636bd70fe8baab184fc1d17e",
+    (300, "meta_protein"): "ac67ecefe2c1c51c9cdf4c880438f7f5ab522a986a70ac7088916de3b8c5ee55",
+    (300, "meta_drug"): "932979ca8058a809e2435e60cc4220af316cae0139b895db5896a358f97de2e0",
+    (2000, "cluster"): "57dd4f218d95e8a09031acb975e16bb50fdc005e6386a096d24f926dede57ab2",
+    (2000, "meta_protein"): "538de005084c3caaa626098720046ab0f83ba58ea579c62b03caddf0657459e4",
+    (2000, "meta_drug"): "c082a55b00f71177acd1692205389ad8b7d269dfc6c94a39a511b9f8239f7441",
+    ("shift", "cluster"): "32c1eddb3bddc7993fe6de159c7f4ba682563fd2269635e2ce3ef8d697f5994f",
+}
+
+SPLITS = {
+    "cluster": lambda r: sp.cluster_cross_domain_split(r, seed=0),
+    "meta_protein": lambda r: sp.meta_unseen_split(r, kind="protein", seed=0),
+    "meta_drug": lambda r: sp.meta_unseen_split(r, kind="drug", seed=0),
+}
+
+CORPORA = {
+    300: SyntheticSpec(n_records=300),
+    2000: SyntheticSpec(),
+    "shift": SyntheticSpec(rules=DOMAIN_SHIFT_RULES, domain_shift=True),
+    "large": SyntheticSpec(n_drugs=1200, n_proteins=600, n_records=4800),
+}
+
+
+@pytest.mark.parametrize("corpus, split", sorted(PINNED_MANIFESTS, key=str))
+def test_split_manifest_is_pinned(corpus, split):
+    records = synth_generate(CORPORA[corpus], 0).records
+    assert manifest_sha256(SPLITS[split](records)) == PINNED_MANIFESTS[corpus, split]
+
+
+def test_split_large_manifest_matches_benchmark_record():
+    records = synth_generate(CORPORA["large"], 0).records
+    assert manifest_sha256(SPLITS["cluster"](records)) == recorded_split_large_sha256()
 
 
 # -- meta splits ---------------------------------------------------------------------

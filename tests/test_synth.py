@@ -1,10 +1,12 @@
 """Synthetic corpus: label recomputability, noise accounting, domains."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from dtikit import synth
 from dtikit.datasets import AFFINITY
 from dtikit.smiles import parse_smiles
 from dtikit.splits import (
@@ -177,6 +179,19 @@ class TestReproducibility:
             c.save_manifest(man_path)
             blobs.append((csv_path.read_bytes(), man_path.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_each_distinct_smiles_is_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = synth.parse_smiles
+        monkeypatch.setattr(synth, "parse_smiles", lambda s: calls.append(s) or parse(s))
+        c = synth_generate(SyntheticSpec(), seed=0)
+        assert len(c.drug_smiles) == 120
+        assert sorted(calls) == sorted(set(c.drug_smiles.values()))
+        # the CSV recorded before the parse was keyed on the SMILES
+        c.to_csv(tmp_path / "corpus.csv")
+        assert hashlib.sha256((tmp_path / "corpus.csv").read_bytes()).hexdigest() == (
+            "21030f2473d4ebd5f95622b1b835a47f047a874875a4cd7befd13ebe11faab45"
+        )
 
     def test_different_seed_differs(self, tmp_path):
         a = synth_generate(SyntheticSpec(), seed=0)
