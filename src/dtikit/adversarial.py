@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .encoder import _Linear
+from .encoder import _Scorer
 from .optim import ParameterStore
 from .tensor import Tensor, sigmoid_values
 
@@ -44,17 +44,8 @@ class DomainAdversary:
         hidden: int = 256,
     ):
         self.heads = [
-            (
-                _Linear(store, f"adversary/class{k}/hidden", feature_dim, hidden, rng),
-                _Linear(store, f"adversary/class{k}/out", hidden, 1, rng),
-            )
-            for k in range(2)
+            _Scorer(store, f"adversary/class{k}", feature_dim, hidden, rng) for k in range(2)
         ]
-
-    def discriminate(self, k: int, x: Tensor) -> Tensor:
-        """Domain logits [N] for class head k on features x[N, dim]."""
-        hidden, out = self.heads[k]
-        return T.reshape(out(hidden(x, relu=True)), (x.data.shape[0],))
 
     def domain_loss(
         self,
@@ -88,8 +79,8 @@ class DomainAdversary:
         )
         x = T.grad_reverse(T.concat([source, target], axis=0), grl_scale)
         loss = None
-        for k in range(len(self.heads)):
-            logits = self.discriminate(k, T.scale_rows(x, probs[:, k]))
+        for k, head in enumerate(self.heads):
+            logits = head(x * T.expand(Tensor(probs[:, k]), 1, x.data.shape[1]))
             term = T.tmean(T.bce_with_logits(logits, domains))
             loss = term if loss is None else loss + term
         return loss

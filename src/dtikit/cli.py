@@ -124,10 +124,22 @@ def _rebuild(cfg: RunConfig, blob: bytes):
     return encoder, proto
 
 
+def _load_manifest(path: str, records: list[InteractionRecord]) -> SplitManifest:
+    """A split manifest written for these records: it assigns or drops
+    each loaded record once, or it indexes some other reading of the CSV."""
+    manifest = SplitManifest.load(path)
+    listed = len(manifest.assignments) + len(manifest.dropped)
+    if listed != len(records):
+        raise ValueError(
+            f"split manifest {path} lists {listed} records, the CSV loads {len(records)}"
+        )
+    return manifest
+
+
 def _pool_indices(records, manifest_path: str | None, partition: str = "test"):
     if manifest_path is None:
         return list(range(len(records)))
-    manifest = SplitManifest.load(manifest_path)
+    manifest = _load_manifest(manifest_path, records)
     idxs = manifest.indices(None, partition)
     if not idxs:
         raise ValueError(f"split manifest has no {partition!r} records")
@@ -209,7 +221,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.eval_runs is not None:
         check_shot_curve((cfg.k_shot,), args.eval_runs)
     records = _load_records(args.csv, cfg.stage, args.label_col)
-    manifest = SplitManifest.load(args.split_manifest)
+    manifest = _load_manifest(args.split_manifest, records)
     start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
 
     if cfg.stage == "meta":
@@ -274,7 +286,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if cfg.stage != "meta" and (args.shots is not None or args.eval_runs is not None):
         raise ConfigError("--shots and --eval-runs apply to episodic (meta) runs only")
     records = _load_records(args.csv, cfg.stage, args.label_col)
-    manifest = SplitManifest.load(args.split_manifest)
+    manifest = _load_manifest(args.split_manifest, records)
     encoder, proto = _rebuild(cfg, blob)
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
     try:

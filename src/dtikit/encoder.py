@@ -198,6 +198,19 @@ class _Linear:
         return T.matmul(x, self.w, self.b, relu)
 
 
+class _Scorer:
+    """Two-layer scorer, one score per row: x[N, fan_in] -> relu hidden
+    layer `{path}/hidden` -> `{path}/out` -> [N].  The encoder's prediction
+    head and each domain critic are one."""
+
+    def __init__(self, store, path, fan_in, hidden, rng):
+        self.hidden = _Linear(store, f"{path}/hidden", fan_in, hidden, rng)
+        self.out = _Linear(store, f"{path}/out", hidden, 1, rng)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.reshape(self.out(self.hidden(x, relu=True)), (x.data.shape[0],))
+
+
 class _Conv:
     """Same-length convolution along the length axis followed by a relu,
     one `tensor.conv1d_relu` node.  Every convolution of the protein tower
@@ -303,10 +316,7 @@ class DTIEncoder:
 
         self.head = head
         if head is not None:
-            self.head_layers = (
-                _Linear(store, f"head/{head}/hidden", c.fused_dim, c.decoder_hidden, rng),
-                _Linear(store, f"head/{head}/out", c.decoder_hidden, 1, rng),
-            )
+            self.head_layers = _Scorer(store, f"head/{head}", c.fused_dim, c.decoder_hidden, rng)
 
     # -- towers ------------------------------------------------------------
 
@@ -384,8 +394,7 @@ class DTIEncoder:
                 for b, (d, p) in enumerate(zip(d_idx, p_idx))
             ]
         if self.head is not None:
-            hidden, final = self.head_layers
-            out.score = T.reshape(final(hidden(out.fused, relu=True)), (len(d_idx),))
+            out.score = self.head_layers(out.fused)
         return out
 
     def _fuse(self, level_vectors: list[Tensor]) -> Tensor:

@@ -36,49 +36,6 @@ class DomainError(ValueError):
     """Raised when a probability leaves the domain of the focal loss."""
 
 
-class PrototypeAttention:
-    """Affine attention of queries over supports.
-
-    A shared projection feeds two learned scale/shift pairs, one applied to
-    the queries and one to the supports; the squared relu of their product
-    scores every (query, support) pair.  In uniform mode no parameters exist
-    and every support scores equally, which reduces the head to plain
-    class-mean prototypes.
-    """
-
-    def __init__(
-        self,
-        store: ParameterStore,
-        rng: np.random.Generator,
-        feature_dim: int,
-        qk_dim: int,
-        uniform: bool = False,
-    ):
-        self.uniform = uniform
-        if uniform:
-            return
-        self.w = store.parameter(
-            "proto/shared/w", kaiming_uniform(rng, (feature_dim, qk_dim), feature_dim)
-        )
-        self.q_scale = store.parameter("proto/q_scale", np.full(qk_dim, qk_dim**-0.5))
-        self.q_shift = store.parameter("proto/q_shift", np.zeros(qk_dim))
-        self.k_scale = store.parameter("proto/k_scale", np.full(qk_dim, qk_dim**-0.5))
-        self.k_shift = store.parameter("proto/k_shift", np.zeros(qk_dim))
-
-    def _project(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-        n = x.data.shape[0]
-        z = T.silu(T.matmul(x, self.w))
-        return z * T.expand(scale, 0, n) + T.expand(shift, 0, n)
-
-    def scores(self, support: Tensor, queries: Tensor) -> Tensor:
-        """Scores [k_q, 2k] of every support row against every query row."""
-        if self.uniform:
-            return Tensor(np.zeros((queries.data.shape[0], support.data.shape[0])))
-        q = self._project(queries, self.q_scale, self.q_shift)
-        k = self._project(support, self.k_scale, self.k_shift)
-        return T.square(T.relu(T.matmul(q, T.transpose(k))))
-
-
 def focal_loss(
     correct_probs: Tensor,
     alpha: float = DEFAULT_ALPHA,
@@ -95,7 +52,15 @@ def focal_loss(
 
 
 class PrototypeHead:
-    """Owns the attention parameters and runs a whole episode."""
+    """Runs a whole episode through an affine attention of queries over
+    supports.
+
+    A shared projection feeds two learned scale/shift pairs, one applied to
+    the queries and one to the supports; the squared relu of their product
+    scores every (query, support) pair.  With `uniform_attention` no
+    parameters exist and every support scores equally, which reduces the
+    head to plain class-mean prototypes.
+    """
 
     def __init__(
         self,
@@ -107,17 +72,37 @@ class PrototypeHead:
         alpha: float = DEFAULT_ALPHA,
         gamma: float = DEFAULT_GAMMA,
     ):
-        self.attention = PrototypeAttention(
-            store, rng, feature_dim, qk_dim, uniform=uniform_attention
-        )
+        self.uniform = uniform_attention
         self.alpha = alpha
         self.gamma = gamma
+        if uniform_attention:
+            return
+        self.w = store.parameter(
+            "proto/shared/w", kaiming_uniform(rng, (feature_dim, qk_dim), feature_dim)
+        )
+        self.q_scale = store.parameter("proto/q_scale", np.full(qk_dim, qk_dim**-0.5))
+        self.q_shift = store.parameter("proto/q_shift", np.zeros(qk_dim))
+        self.k_scale = store.parameter("proto/k_scale", np.full(qk_dim, qk_dim**-0.5))
+        self.k_shift = store.parameter("proto/k_shift", np.zeros(qk_dim))
 
-    def _probability_matrix(
+    def _project(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+        n = x.data.shape[0]
+        z = T.silu(T.matmul(x, self.w))
+        return z * T.expand(scale, 0, n) + T.expand(shift, 0, n)
+
+    def _scores(self, support: Tensor, queries: Tensor) -> Tensor:
+        """Scores [k_q, 2k] of every support row against every query row."""
+        if self.uniform:
+            return Tensor(np.zeros((queries.data.shape[0], support.data.shape[0])))
+        q = self._project(queries, self.q_scale, self.q_shift)
+        k = self._project(support, self.k_scale, self.k_shift)
+        return T.square(T.relu(T.matmul(q, T.transpose(k))))
+
+    def episode_probabilities(
         self, support: Tensor, support_labels: np.ndarray, queries: Tensor
     ) -> tuple[Tensor, np.ndarray]:
-        """Class probabilities [k_q, 2] of every query and the within-class
-        support weights [k_q, 2k] that formed its prototypes.
+        """Class probabilities [k_q, 2] of the query rows [k_q, d] and the
+        within-class support weights [k_q, 2k] that formed their prototypes.
 
         The weights are normalised inside each class, so a prototype is a
         convex combination of its own class's supports.  Normalising over
@@ -142,7 +127,7 @@ class PrototypeHead:
             class_idx.append(idx)
 
         k_q = queries.data.shape[0]
-        scores = self.attention.scores(support, queries)
+        scores = self._scores(support, queries)
         weights = np.zeros(scores.data.shape)
         sims = []
         zero = np.linalg.norm(queries.data, axis=1) < ZERO_NORM_EPS
@@ -159,16 +144,6 @@ class PrototypeHead:
             )
         return T.softmax(T.concat(sims, axis=1), axis=1), weights
 
-    def episode_probabilities(
-        self,
-        support: Tensor,
-        support_labels: np.ndarray,
-        queries: Tensor,
-    ) -> tuple[Tensor, np.ndarray]:
-        """Class probabilities [k_q, 2] of the query rows [k_q, d] and the
-        within-class support weights [k_q, 2k]."""
-        return self._probability_matrix(support, support_labels, queries)
-
     def episode_loss(
         self,
         support: Tensor,
@@ -178,7 +153,7 @@ class PrototypeHead:
     ) -> tuple[Tensor, np.ndarray]:
         """Focal loss over one episode's query rows [k_q, d] plus the
         detached per-query positive probabilities for metric bookkeeping."""
-        probs, _ = self._probability_matrix(support, support_labels, queries)
+        probs, _ = self.episode_probabilities(support, support_labels, queries)
         k_q = queries.data.shape[0]
         picks = 2 * np.arange(k_q) + np.asarray(query_labels, dtype=np.intp)
         correct = T.index_select(T.reshape(probs, (2 * k_q,)), 0, picks)

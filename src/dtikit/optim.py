@@ -52,9 +52,6 @@ class ParameterStore:
     def __getitem__(self, path: str) -> Tensor:
         return self._entries[path]
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._entries
-
     def paths(self) -> list[str]:
         return list(self._entries)
 
@@ -134,24 +131,27 @@ class ParameterStore:
 def read_checkpoint(blob: bytes) -> dict[str, np.ndarray]:
     if blob[:4] != MAGIC:
         raise CheckpointError("bad magic; not a checkpoint file")
-    version, count = struct.unpack_from("<II", blob, 4)
+    view = memoryview(blob)
+    offset = 4
+
+    def take(n: int) -> memoryview:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise CheckpointError(f"checkpoint truncated at {len(blob)} of {offset + n}+ bytes")
+        offset += n
+        return view[offset - n : offset]
+
+    version, count = struct.unpack("<II", take(8))
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (plen,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        path = blob[offset : offset + plen].decode("utf-8")
-        offset += plen
-        _trainable, rank = struct.unpack_from("<BI", blob, offset)
-        offset += 5
-        shape = struct.unpack_from(f"<{rank}Q", blob, offset)
-        offset += 8 * rank
+        (plen,) = struct.unpack("<I", take(4))
+        path = str(take(plen), "utf-8")
+        _trainable, rank = struct.unpack("<BI", take(5))
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
         n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        out[path] = arr.copy()
+        out[path] = np.frombuffer(take(8 * n), dtype="<f8").reshape(shape).copy()
     if offset != len(blob):
         raise CheckpointError("trailing bytes after last entry")
     return out

@@ -10,12 +10,12 @@ The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``power``,
 ``softmax``; ``tsum`` and ``tmean`` over one axis or all; ``transpose``
 of the last two axes, ``reshape``, ``concat``, ``index_select``,
 ``expand``; ``matmul`` of any batch of rows by a weight matrix, with an
-optional bias and relu fused into the same node, the batched ``bmm`` and
-the constant ``scale_rows``; the stride-1 ``conv1d_relu`` (convolution,
-bias and relu as one node) and the non-overlapping ``maxpool1d``, each over
-one sample or a batch; the masked per-sample ``batch_stat_norm``, the
-fused multi-head ``bilinear_attention``, ``grad_reverse``,
-``bce_with_logits`` and the row-wise ``cosine_rows``.
+optional bias and relu fused into the same node, and the batched ``bmm``;
+the stride-1 ``conv1d_relu`` (convolution, bias and relu as one node) and
+the non-overlapping ``maxpool1d``, each over one sample or a batch; the
+masked per-sample ``batch_stat_norm``, the fused multi-head
+``bilinear_attention``, ``grad_reverse``, ``bce_with_logits`` and the
+row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
@@ -117,9 +117,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -129,14 +126,8 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __truediv__(self, other):
         return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -493,21 +484,6 @@ def bmm(a, b) -> Tensor:
         _accum(b, np.swapaxes(a.data, 1, 2) @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def scale_rows(x, weights) -> Tensor:
-    """Row i of x[N, C] times the constant weights[i]; the weights are data,
-    not graph nodes."""
-    x = _wrap(x)
-    w = np.asarray(weights, dtype=x.data.dtype)
-    if x.data.ndim != 2 or w.shape != x.data.shape[:1]:
-        raise ShapeMismatch(f"scale_rows: {x.data.shape} by {w.shape}")
-    w = w[:, None]
-
-    def backward(g):
-        _accum(x, g * w)
-
-    return _make(x.data * w, (x,), backward)
 
 
 # sequence / structured ops ----------------------------------------------

@@ -162,11 +162,6 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         [rng.normal(size=(k, n, m))],
     )
     matmul_bias_cases("matmul_bias_batched_rows", (k, n, m), w_knk)
-    row_weights = rng.uniform(0.1, 1.0, size=n)
-    cases["scale_rows"] = (
-        lambda a: _weighted(T.scale_rows(a, row_weights), w_nm),
-        [rng.normal(size=(n, m))],
-    )
 
     L = int(rng.integers(6, 11))
     cin = int(rng.integers(2, 4))

@@ -105,7 +105,7 @@ def pair_forward(enc, drug, protein):
     fused = fuse(enc, vectors)
     score = None
     if enc.head is not None:
-        hidden, final = enc.head_layers
+        hidden, final = enc.head_layers.hidden, enc.head_layers.out
         h = T.relu(hidden(T.reshape(fused, (1, fused.data.shape[0]))))
         score = T.reshape(final(h), (1,))
     return SimpleNamespace(fused=fused, level_vectors=vectors, attention=maps, score=score)

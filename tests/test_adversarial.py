@@ -55,7 +55,7 @@ def test_one_hot_probability_silences_the_other_head():
     src2 = Tensor(src.data.copy(), requires_grad=True)
     tgt2 = Tensor(tgt.data.copy(), requires_grad=True)
     x = T.grad_reverse(T.concat([src2, tgt2], axis=0), 1.0)
-    logits = adv.discriminate(0, x)
+    logits = adv.heads[0](x)
     head0 = T.tmean(T.bce_with_logits(logits, np.array([0.0, 0.0, 1.0, 1.0])))
     head0.backward()
     assert np.allclose(src2.grad, src.grad, atol=1e-12)
@@ -80,7 +80,7 @@ def test_reversal_flips_and_scales_feature_gradient():
             loss = None
             for k in range(2):
                 scale = Tensor(np.repeat(probs[:, k : k + 1], DIM, axis=1))
-                term = T.tmean(T.bce_with_logits(adv.discriminate(k, x * scale), domains))
+                term = T.tmean(T.bce_with_logits(adv.heads[k](x * scale), domains))
                 loss = term if loss is None else loss + term
         loss.backward()
         return np.vstack([src.grad, tgt.grad]), float(loss.data)

@@ -138,6 +138,18 @@ class TestTrainEval:
         )
         assert ours.metrics == trained.metrics
 
+    def test_eval_accepts_the_checkpoint_file(self, workdir, tmp_path):
+        """A bare best.ckpt path reads the config.json beside it."""
+        out = tmp_path / "report.json"
+        assert cli.main(["eval", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"],
+                         "--checkpoint", workdir["run"] + "/best.ckpt",
+                         "--out", str(out)]) == 0
+        trained = (workdir["root"] / "vanilla" / "report.json").read_text()
+        assert MetricReport.from_json(out.read_text()).metrics == (
+            MetricReport.from_json(trained).metrics
+        )
+
     @pytest.mark.parametrize("stage", ["vanilla", "regress", "cada", "meta"])
     def test_library_run_directory_evaluates(self, workdir, meta_run, tmp_path, stage):
         """A run directory written by the library entry point that trains the
@@ -196,6 +208,15 @@ class TestScreen:
         assert len(lines) - 1 == int(np.ceil(0.1 * 60))
         scores = [float(line.split(",")[3]) for line in lines[1:]]
         assert scores == sorted(scores, reverse=True)
+
+    def test_without_out_the_ranking_goes_to_stdout(self, workdir, tmp_path, capsys):
+        out = tmp_path / "ranked.csv"
+        args = ["screen", "--csv", workdir["csv"], "--split-manifest", workdir["split"],
+                "--classifier", workdir["run"], "--regressor", workdir["reg"]]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_swapped_runs_are_a_config_error(self, workdir, meta_run):
         """Each run must carry the head its role reads; an episodic run has
@@ -280,6 +301,53 @@ class TestExitCodes:
                          "--split-manifest", workdir["split"],
                          "--checkpoint", str(mixed)])
         assert code == 3
+
+    def test_truncated_checkpoint_is_3(self, workdir, tmp_path):
+        """A checkpoint cut short, here inside its first entry's header, is
+        a data error, not a traceback."""
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        shutil.copy(workdir["root"] / "vanilla" / "config.json", cut)
+        blob = (workdir["root"] / "vanilla" / "best.ckpt").read_bytes()
+        (cut / "best.ckpt").write_bytes(blob[:20])
+        code = cli.main(["eval", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"],
+                         "--checkpoint", str(cut / "best.ckpt")])
+        assert code == 3
+
+    @pytest.mark.parametrize("command", ["train", "eval", "screen", "export-attention"])
+    def test_manifest_of_another_csv_reading_is_3(self, workdir, tmp_path, command):
+        """Split by a binary reading of an affinity-only CSV, the manifest
+        indexes the four rows whose affinity parses as a label, not the 18
+        rows a regression loads; every command that reads a manifest
+        refuses it."""
+        with open(workdir["csv"], newline="") as fh:
+            rows = list(csv.DictReader(fh))[:18]
+        for i, affinity in ((0, "0"), (8, "1"), (10, "0"), (12, "1")):
+            rows[i]["affinity"] = affinity
+        path = tmp_path / "affinity.csv"
+        with open(path, "w", newline="") as fh:
+            names = [n for n in rows[0] if n != "label"]
+            writer = csv.DictWriter(fh, fieldnames=names, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        split = str(tmp_path / "split.json")
+        assert cli.main(["split", "--csv", str(path), "--strategy", "random",
+                         "--label-col", "affinity", "--out", split]) == 0
+        kept = SplitManifest.load(split)
+        assert len(kept.assignments) + len(kept.dropped) == 4
+        out = tmp_path / "out"
+        args = {
+            "train": ["--csv", str(path), "--stage", "regress", "--epochs", "1",
+                      "--out", str(out), *SMALL],
+            "eval": ["--csv", str(path), "--checkpoint", workdir["reg"]],
+            "screen": ["--csv", workdir["csv"], "--classifier", workdir["run"],
+                       "--regressor", workdir["reg"], "--out", str(out)],
+            "export-attention": ["--csv", workdir["csv"], "--checkpoint", workdir["run"],
+                                 "--out", str(out)],
+        }[command]
+        assert cli.main([command, "--split-manifest", split, *args]) == 3
+        assert not out.exists()
 
     def test_meta_without_checkpoint_is_3(self, workdir, tmp_path):
         split = tmp_path / "meta.json"
@@ -393,6 +461,24 @@ class TestExitCodes:
                          "--split-manifest", workdir["split"], "--stage", "vanilla",
                          "--epochs", "1", "--lr", "1e-3", "--out", str(cold), *SMALL]) == 0
         assert (run / "best.ckpt").read_bytes() != (cold / "best.ckpt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"model.use_gau": 1}', '{"train.lr": "fast"}', '{"model.preset": 3}',
+         '{"config_version": "2"}', '{"loss.focal_gamma": -1}',
+         '{"model.max_seq_len": -1}'],
+        ids=["bool-as-int", "number-as-string", "string-as-int", "version-as-string",
+             "negative-gamma", "negative-seq-len"],
+    )
+    def test_config_value_of_the_wrong_type_or_range_is_2(self, workdir, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        run = tmp_path / "run"
+        code = cli.main(["train", "--csv", workdir["csv"],
+                         "--split-manifest", workdir["split"],
+                         "--config", str(bad), "--out", str(run)])
+        assert code == 2
+        assert not run.exists()
 
     def test_non_finite_config_value_is_2(self, workdir, tmp_path):
         for text in ('{"train.lr": NaN}', '{"train.lambda_adv": Infinity}'):

@@ -60,6 +60,14 @@ def test_atom_feature_layout():
     assert np.all(feats[:, 11:17].sum(axis=1) == 1)
 
 
+def test_element_slots_and_the_other_slot():
+    """Two-letter halogens take their own slots; an element outside the
+    vocabulary, silicon here, takes the trailing "other" slot."""
+    feats = atom_features(parse_smiles("ClC(Br)[Si](C)(C)C"))
+    hot = [int(np.flatnonzero(row[:11])[0]) for row in feats]
+    assert hot == [6, 0, 7, 10, 0, 0, 0]
+
+
 def test_normalized_adjacency_ethane():
     adj = normalized_adjacency(parse_smiles("CC"))
     assert np.allclose(adj, 0.5)

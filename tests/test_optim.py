@@ -81,6 +81,19 @@ def test_checkpoint_rejects_garbage_and_mismatch():
     assert loaded == ["w"]
 
 
+def test_every_truncation_is_a_checkpoint_error():
+    """A blob cut at any byte, inside a header, a path or the values, is
+    refused as a checkpoint error."""
+    store = ParameterStore()
+    store.parameter("enc/w", np.ones((2, 3)))
+    store.parameter("b", np.array(0.5))
+    blob = store.save_bytes()
+    for cut in range(len(blob)):
+        with pytest.raises(CheckpointError):
+            read_checkpoint(blob[:cut])
+    assert set(read_checkpoint(blob)) == {"enc/w", "b"}
+
+
 def test_kaiming_uniform_bound_scales_with_fan_in():
     rng = np.random.default_rng(1)
     w = kaiming_uniform(rng, (1000,), fan_in=24)

@@ -41,6 +41,13 @@ def test_acetic_acid():
     assert orders[(1, 3)] == sm.SINGLE
 
 
+def test_bare_two_letter_halogens():
+    g = sm.parse_smiles("ClC(Br)CCl")
+    assert [a.element for a in g.atoms] == ["Cl", "C", "Br", "C", "Cl"]
+    assert [a.degree for a in g.atoms] == [1, 3, 1, 2, 1]
+    assert [a.implicit_h_count for a in g.atoms] == [0, 1, 0, 2, 0]
+
+
 def test_benzene_aromatic():
     g = sm.parse_smiles("c1ccccc1")
     assert g.n_atoms == 6
