@@ -21,6 +21,8 @@ from .tensor import Tensor, sigmoid_values
 
 SOURCE_DOMAIN = 0.0
 TARGET_DOMAIN = 1.0
+GRL_SCALE = 1.0  # full-strength gradient reversal (Ganin & Lempitsky, 2015)
+WARMUP_FRACTION = 0.1  # share of the steps over which lambda_schedule ramps up
 
 
 class EmptyDomainBatch(ValueError):
@@ -53,7 +55,7 @@ class DomainAdversary:
         target: Tensor,
         source_probs: np.ndarray,
         target_probs: np.ndarray,
-        grl_scale: float = 1.0,
+        grl_scale: float = GRL_SCALE,
     ) -> Tensor:
         """Per-class BCE of the discriminators against the domain labels,
         averaged over records and summed over classes.
@@ -94,13 +96,11 @@ def cada_total_loss(supervised: Tensor, domain: Tensor, lam_adv: float) -> Tenso
     return supervised + domain * lam_adv
 
 
-def lambda_schedule(
-    step: int, total_steps: int, lam_max: float = 1.0, warmup_fraction: float = 0.1
-) -> float:
+def lambda_schedule(step: int, total_steps: int, lam_max: float = 1.0) -> float:
     """Linear warm-up of the adversarial weight over the first
-    `warmup_fraction` of training, then constant at lam_max.  Starts one
+    WARMUP_FRACTION of training, then constant at lam_max.  Starts one
     increment above zero so the adversary trains from the first step."""
-    warmup = max(1, math.ceil(warmup_fraction * total_steps))
+    warmup = max(1, math.ceil(WARMUP_FRACTION * total_steps))
     return lam_max * min(1.0, (step + 1) / warmup)
 
 

@@ -128,11 +128,10 @@ def _load_manifest(path: str, records: list[InteractionRecord]) -> SplitManifest
     """A split manifest written for these records: it assigns or drops
     each loaded record once, or it indexes some other reading of the CSV."""
     manifest = SplitManifest.load(path)
-    listed = len(manifest.assignments) + len(manifest.dropped)
-    if listed != len(records):
-        raise ValueError(
-            f"split manifest {path} lists {listed} records, the CSV loads {len(records)}"
-        )
+    listed = sorted([*manifest.assignments, *manifest.dropped])
+    if listed != list(range(len(records))):
+        raise ValueError(f"split manifest {path} does not list each of the CSV's "
+                         f"{len(records)} loaded records once")
     return manifest
 
 
@@ -323,7 +322,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
     c_feat = Featurizer.build(records, c_cfg.encoder_config().max_seq_len)
     r_feat = Featurizer.build(records, r_cfg.encoder_config().max_seq_len)
     top, scores = screen(
-        records, idxs, (c_enc, c_feat), (r_enc, r_feat),
+        records, idxs, (c_enc, c_feat, c_cfg.batch_size), (r_enc, r_feat, r_cfg.batch_size),
         top_fraction=args.top_fraction,
     )
     lines = ["rank,drug_id,protein_id,score,label"]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .encoder import ConfigError, EncoderConfig
 
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 STAGES = ("vanilla", "cada", "meta", "regress")
 
@@ -37,18 +37,12 @@ SCHEMA = {
     "train.batch_size": ("batch_size", int),
     "train.epochs": ("epochs", int),
     "train.lambda_adv": ("lambda_adv", float),
-    "train.grl_scale": ("grl_scale", float),
-    "train.warmup_fraction": ("warmup_fraction", float),
     "meta.k_shot": ("k_shot", int),
     "meta.k_query": ("k_query", int),
     "meta.episodes_per_epoch": ("episodes_per_epoch", int),
     "meta.eval_episodes": ("eval_episodes", int),
-    "loss.focal_alpha": ("focal_alpha", float),
-    "loss.focal_gamma": ("focal_gamma", float),
-    "proto.uniform_attention": ("uniform_attention", bool),
     "model.preset": ("model_preset", str),
     "model.max_seq_len": ("max_seq_len", int),
-    "model.use_gau": ("use_gau", bool),
 }
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in SCHEMA.items()}
@@ -70,18 +64,12 @@ class RunConfig:
     batch_size: int = 64
     epochs: int = 100
     lambda_adv: float = 1.0
-    grl_scale: float = 1.0
-    warmup_fraction: float = 0.1
     k_shot: int = 5
     k_query: int = 5
     episodes_per_epoch: int = 100
     eval_episodes: int = 100
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    uniform_attention: bool = False
     model_preset: str = "paper"
     max_seq_len: int = 0  # 0 keeps the preset's value
-    use_gau: bool = True
 
     @property
     def head(self) -> str | None:
@@ -91,9 +79,7 @@ class RunConfig:
         return "regress" if self.stage == "regress" else "classify"
 
     def encoder_config(self) -> EncoderConfig:
-        overrides = {"use_gau": self.use_gau}
-        if self.max_seq_len:
-            overrides["max_seq_len"] = self.max_seq_len
+        overrides = {"max_seq_len": self.max_seq_len} if self.max_seq_len else {}
         if self.model_preset == "small":
             return EncoderConfig.small(**overrides)
         return EncoderConfig(**overrides)
@@ -121,10 +107,6 @@ def load_config(path) -> dict:
 
 
 def _coerce(key: str, value, want: type):
-    if want is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be a boolean, got {value!r}")
-        return value
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -195,15 +177,8 @@ def _validate(cfg: RunConfig) -> None:
     positive("k_query", cfg.k_query)
     positive("episodes_per_epoch", cfg.episodes_per_epoch)
     positive("eval_episodes", cfg.eval_episodes)
-    positive("focal_alpha", cfg.focal_alpha)
-    if cfg.focal_gamma < 0:
-        raise ConfigError(f"loss.focal_gamma must be non-negative, got {cfg.focal_gamma}")
     if cfg.lambda_adv < 0:
         raise ConfigError(f"train.lambda_adv must be non-negative, got {cfg.lambda_adv}")
-    if not 0 < cfg.warmup_fraction <= 1:
-        raise ConfigError(
-            f"train.warmup_fraction must be in (0, 1], got {cfg.warmup_fraction}"
-        )
     if cfg.model_preset not in PRESETS:
         raise ConfigError(f"model.preset must be one of {PRESETS}, got {cfg.model_preset!r}")
     if cfg.max_seq_len < 0:

@@ -1,10 +1,10 @@
 """Interaction dataset loading.
 
-CSV columns are named through a CsvSchema so files from different sources
-load without rewriting. Rows whose SMILES fail to parse are either
-skipped with their row number recorded (default) or abort the load when
-strict; each distinct SMILES is parsed once per load. A label is BINARY
-(0 or 1, classification) or AFFINITY (any finite number, regression).
+Label and id columns are named through a CsvSchema. Rows whose SMILES fail
+to parse, or whose id is empty or already names another structure, are
+either skipped with their row number recorded (default) or abort the load
+when strict; each distinct SMILES is parsed once per load. A label is
+BINARY (0 or 1, classification) or AFFINITY (any finite number, regression).
 """
 
 from __future__ import annotations
@@ -15,12 +15,15 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .smiles import MAX_ATOMS, SmilesError, parse_smiles
+from .smiles import SmilesError, parse_smiles
 
 log = logging.getLogger(__name__)
 
 BINARY = "binary"
 AFFINITY = "affinity"
+
+SMILES_COL = "smiles"
+SEQUENCE_COL = "sequence"
 
 
 class MissingColumn(KeyError):
@@ -29,6 +32,10 @@ class MissingColumn(KeyError):
 
 class LabelParseError(ValueError):
     pass
+
+
+class BadId(ValueError):
+    """An empty id, or one that already names another structure."""
 
 
 @dataclass(frozen=True)
@@ -43,8 +50,6 @@ class InteractionRecord:
 
 @dataclass
 class CsvSchema:
-    smiles_col: str = "smiles"
-    sequence_col: str = "sequence"
     label_col: str = "label"
     drug_id_col: str | None = "drug_id"
     protein_id_col: str | None = "protein_id"
@@ -75,11 +80,21 @@ def _parse_label(raw: str, kind: str) -> float:
     return value
 
 
+def _row_id(row: dict, col: str | None, structure: str, named: dict[str, str]) -> str | None:
+    """The row's id in column `col`, None without the column.  An id names
+    the structure (SMILES or sequence) of the first row loaded with it."""
+    if col is None:
+        return None
+    ident = (row[col] or "").strip()
+    if not ident:
+        raise BadId(f"empty {col}")
+    if named.get(ident, structure) != structure:
+        raise BadId(f"{col} {ident!r} already names {named[ident]!r}")
+    return ident
+
+
 def load_interactions_detailed(
-    path: str | Path,
-    schema: CsvSchema | None = None,
-    strict: bool = False,
-    max_atoms: int = MAX_ATOMS,
+    path: str | Path, schema: CsvSchema | None = None, strict: bool = False
 ) -> LoadResult:
     """Load interaction records from a CSV file.
 
@@ -90,13 +105,15 @@ def load_interactions_detailed(
     """
     schema = schema or CsvSchema()
     result = LoadResult()
-    drug_ids: dict[str, str] = {}
+    drug_ids: dict[str, str] = {}  # SMILES -> generated id, without an id column
     protein_ids: dict[str, str] = {}
+    smiles_of: dict[str, str] = {}  # id -> the structure it names
+    sequence_of: dict[str, str] = {}
     parsed: dict[str, SmilesError | None] = {}  # SMILES -> its parse error, if any
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        needed = [schema.smiles_col, schema.sequence_col, schema.label_col]
+        needed = [SMILES_COL, SEQUENCE_COL, schema.label_col]
         if schema.drug_id_col:
             needed.append(schema.drug_id_col)
         if schema.protein_id_col:
@@ -106,33 +123,31 @@ def load_interactions_detailed(
                 raise MissingColumn(f"column {col!r} not in {header}")
         for row in reader:
             line = reader.line_num
-            smiles = (row[schema.smiles_col] or "").strip()
-            sequence = (row[schema.sequence_col] or "").strip().upper()
+            smiles = (row[SMILES_COL] or "").strip()
+            sequence = (row[SEQUENCE_COL] or "").strip().upper()
             try:
                 if not sequence:
                     raise LabelParseError("empty protein sequence")
                 if smiles not in parsed:
                     try:
-                        parse_smiles(smiles, max_atoms=max_atoms)
+                        parse_smiles(smiles)
                         parsed[smiles] = None
                     except SmilesError as exc:
                         parsed[smiles] = exc
                 if parsed[smiles] is not None:
                     raise parsed[smiles].with_traceback(None)  # no growing traceback
                 label = _parse_label(row[schema.label_col], schema.label_kind)
-            except (SmilesError, LabelParseError) as exc:
+                drug_id = _row_id(row, schema.drug_id_col, smiles, smiles_of)
+                protein_id = _row_id(row, schema.protein_id_col, sequence, sequence_of)
+            except (SmilesError, LabelParseError, BadId) as exc:
                 if strict:
                     raise
                 result.skipped.append(SkippedRow(row=line, reason=str(exc)))
                 continue
-            if schema.drug_id_col:
-                drug_id = row[schema.drug_id_col].strip()
-            else:
-                drug_id = drug_ids.setdefault(smiles, f"d{len(drug_ids):04d}")
-            if schema.protein_id_col:
-                protein_id = row[schema.protein_id_col].strip()
-            else:
-                protein_id = protein_ids.setdefault(sequence, f"p{len(protein_ids):04d}")
+            drug_id = drug_id or drug_ids.setdefault(smiles, f"d{len(drug_ids):04d}")
+            protein_id = protein_id or protein_ids.setdefault(sequence, f"p{len(protein_ids):04d}")
+            smiles_of.setdefault(drug_id, smiles)
+            sequence_of.setdefault(protein_id, sequence)
             result.records.append(
                 InteractionRecord(
                     drug_id=drug_id,
@@ -148,10 +163,5 @@ def load_interactions_detailed(
     return result
 
 
-def load_interactions(
-    path: str | Path,
-    schema: CsvSchema | None = None,
-    strict: bool = False,
-    max_atoms: int = MAX_ATOMS,
-) -> list[InteractionRecord]:
-    return load_interactions_detailed(path, schema, strict, max_atoms).records
+def load_interactions(path: str | Path, schema: CsvSchema | None = None) -> list[InteractionRecord]:
+    return load_interactions_detailed(path, schema).records

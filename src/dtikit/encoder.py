@@ -107,7 +107,6 @@ class EncoderConfig:
     gau_hidden: int = 256
     gau_qk_dim: int = 128
     decoder_hidden: int = 512
-    use_gau: bool = True
 
     def __post_init__(self):
         if self.joint_dim % self.joint_pool:
@@ -148,8 +147,8 @@ class EncoderConfig:
 
 @dataclass
 class InteractionOutput:
-    """Everything one batched pass produces, a row per pair: `fused` and
-    each of `level_vectors` [B, fused_dim], the head's `score` [B] if any.
+    """Everything one batched pass produces, a row per pair: the fused pair
+    representation `fused` [B, fused_dim] and the head's `score` [B] if any.
 
     `attention` is empty unless the pass was asked for it; then it holds,
     per pair and per level, a detached [heads, atoms, real_protein_cols]
@@ -157,7 +156,6 @@ class InteractionOutput:
     cropped)."""
 
     fused: Tensor
-    level_vectors: list[Tensor]
     attention: list[list[np.ndarray]] = field(default_factory=list)
     score: Tensor | None = None
 
@@ -291,28 +289,21 @@ class DTIEncoder:
             }
             self.joint.append(level)
 
-        if c.use_gau:
-            d = c.fused_dim
-            self.gau = {
-                "norm_scale": store.parameter("gau/norm_scale", np.ones(d)),
-                "norm_shift": store.parameter("gau/norm_shift", np.zeros(d)),
-                "gate": _Linear(store, "gau/gate", d, c.gau_hidden, rng),
-                "value": _Linear(store, "gau/value", d, c.gau_hidden, rng),
-                "shared": _Linear(store, "gau/shared", d, c.gau_qk_dim, rng),
-                # start the squared-relu attention at unit scale, like a
-                # scaled dot product; the scales stay trainable
-                "q_scale": store.parameter(
-                    "gau/q_scale", np.full(c.gau_qk_dim, c.gau_qk_dim**-0.5)
-                ),
-                "q_shift": store.parameter("gau/q_shift", np.zeros(c.gau_qk_dim)),
-                "k_scale": store.parameter(
-                    "gau/k_scale", np.full(c.gau_qk_dim, c.gau_qk_dim**-0.5)
-                ),
-                "k_shift": store.parameter("gau/k_shift", np.zeros(c.gau_qk_dim)),
-                "out": _Linear(store, "gau/out", c.gau_hidden, d, rng),
-            }
-        else:
-            self.gau = None
+        d = c.fused_dim
+        self.gau = {
+            "norm_scale": store.parameter("gau/norm_scale", np.ones(d)),
+            "norm_shift": store.parameter("gau/norm_shift", np.zeros(d)),
+            "gate": _Linear(store, "gau/gate", d, c.gau_hidden, rng),
+            "value": _Linear(store, "gau/value", d, c.gau_hidden, rng),
+            "shared": _Linear(store, "gau/shared", d, c.gau_qk_dim, rng),
+            # start the squared-relu attention at unit scale, like a
+            # scaled dot product; the scales stay trainable
+            "q_scale": store.parameter("gau/q_scale", np.full(c.gau_qk_dim, c.gau_qk_dim**-0.5)),
+            "q_shift": store.parameter("gau/q_shift", np.zeros(c.gau_qk_dim)),
+            "k_scale": store.parameter("gau/k_scale", np.full(c.gau_qk_dim, c.gau_qk_dim**-0.5)),
+            "k_shift": store.parameter("gau/k_shift", np.zeros(c.gau_qk_dim)),
+            "out": _Linear(store, "gau/out", c.gau_hidden, d, rng),
+        }
 
         self.head = head
         if head is not None:
@@ -386,7 +377,7 @@ class DTIEncoder:
             vectors.append(T.tmean(pooled, axis=2))
             if attention:
                 maps.append(weights)
-        out = InteractionOutput(fused=self._fuse(vectors), level_vectors=vectors)
+        out = InteractionOutput(fused=self._fuse(vectors))
         if attention:
             atoms = d_mask.sum(axis=1)
             out.attention = [
@@ -399,11 +390,6 @@ class DTIEncoder:
 
     def _fuse(self, level_vectors: list[Tensor]) -> Tensor:
         """Gated attention over each pair's level vectors [B, n, d]."""
-        if self.gau is None:
-            fused = level_vectors[0]
-            for f in level_vectors[1:]:
-                fused = fused + f
-            return fused
         b, d = level_vectors[0].data.shape
         n = len(level_vectors)
         stack = T.concat([T.reshape(f, (b, 1, d)) for f in level_vectors], axis=1)
@@ -431,7 +417,7 @@ class DTIEncoder:
         mu = T.expand(T.tmean(x, axis=1), 1, d)
         centred = x - mu
         var = T.expand(T.tmean(T.square(centred), axis=1), 1, d)
-        unit = centred / T.sqrt(var + 1e-5)
+        unit = centred / T.sqrt(var + T.NORM_EPS)
         return unit * T.expand(self.gau["norm_scale"], 0, n) + T.expand(
             self.gau["norm_shift"], 0, n
         )

@@ -23,9 +23,9 @@ from .tensor import ShapeMismatch, Tensor
 
 log = logging.getLogger(__name__)
 
+# the focal loss's standard weighting and focusing values (Lin et al., 2017)
 DEFAULT_ALPHA = 0.25
 DEFAULT_GAMMA = 2.0
-ZERO_NORM_EPS = 1e-12
 
 
 class EmptyClass(ValueError):
@@ -69,12 +69,8 @@ class PrototypeHead:
         feature_dim: int,
         qk_dim: int,
         uniform_attention: bool = False,
-        alpha: float = DEFAULT_ALPHA,
-        gamma: float = DEFAULT_GAMMA,
     ):
         self.uniform = uniform_attention
-        self.alpha = alpha
-        self.gamma = gamma
         if uniform_attention:
             return
         self.w = store.parameter(
@@ -130,12 +126,12 @@ class PrototypeHead:
         scores = self._scores(support, queries)
         weights = np.zeros(scores.data.shape)
         sims = []
-        zero = np.linalg.norm(queries.data, axis=1) < ZERO_NORM_EPS
+        zero = np.linalg.norm(queries.data, axis=1) < T.ZERO_NORM_EPS
         for idx in class_idx:
             w = T.softmax(T.index_select(scores, 1, idx), axis=1)
             weights[:, idx] = w.data
             protos = T.matmul(w, T.index_select(support, 0, idx))
-            zero |= np.linalg.norm(protos.data, axis=1) < ZERO_NORM_EPS
+            zero |= np.linalg.norm(protos.data, axis=1) < T.ZERO_NORM_EPS
             sims.append(T.reshape(T.cosine_rows(queries, protos), (k_q, 1)))
         if zero.any():
             log.warning(
@@ -157,5 +153,5 @@ class PrototypeHead:
         k_q = queries.data.shape[0]
         picks = 2 * np.arange(k_q) + np.asarray(query_labels, dtype=np.intp)
         correct = T.index_select(T.reshape(probs, (2 * k_q,)), 0, picks)
-        loss = focal_loss(correct, self.alpha, self.gamma)
+        loss = focal_loss(correct)
         return loss, probs.data[:, 1].copy()

@@ -25,6 +25,11 @@ from .tensor import MissingGradient, Tensor
 MAGIC = b"DTK1"
 FORMAT_VERSION = 1
 
+# Adam's standard decay rates and denominator floor (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class CheckpointError(IOError):
     pass
@@ -62,13 +67,7 @@ class ParameterStore:
         for t in self._entries.values():
             t.grad = None
 
-    def adam_step(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update over all trainable entries.
 
         Models register only the parameters their stage actually trains, so
@@ -82,13 +81,13 @@ class ParameterStore:
             g = tensor.grad
             m = self._adam_m.setdefault(path, np.zeros_like(tensor.data))
             v = self._adam_v.setdefault(path, np.zeros_like(tensor.data))
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            mhat = m / (1.0 - beta1**t)
-            vhat = v / (1.0 - beta2**t)
-            tensor.data -= lr * mhat / (np.sqrt(vhat) + eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            mhat = m / (1.0 - ADAM_BETA1**t)
+            vhat = v / (1.0 - ADAM_BETA2**t)
+            tensor.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         self.zero_grad()
 
     # serialization --------------------------------------------------

@@ -19,7 +19,7 @@ so a (records, seed, params) triple always produces byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,20 @@ TARGET = "target"
 TRAIN = "train"
 VAL = "val"
 TEST = "test"
+
+# Split constants; every manifest records the ones its strategy used.
+CLUSTER_THRESHOLD = 0.5  # single-linkage cut of drug and protein distances
+SEEN_FRACTION = 0.7  # cold pair: share of drugs and of proteins on the training side
+MIN_ENTITIES = 10  # cold pair: fewest distinct drugs and proteins
+SOURCE_FRACTION = 0.6  # cluster: share of each side's clusters in the source domain
+VAL_FRACTION = 0.3  # cold pair and cluster: held-out records that validate
+MIN_TASK_RECORDS = 6  # meta: smaller tasks join the source pool
+SOURCE_MASS = 0.4  # meta: least share of task records in source clusters
+TARGET_TRAIN_FRACTION = 0.7  # meta: target tasks that train
+
+
+class BadManifest(ValueError):
+    """A payload that is not a split manifest."""
 
 
 class NonSymmetric(ValueError):
@@ -203,17 +217,20 @@ class SplitManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitManifest":
+        """The manifest `to_json` wrote; BadManifest for any other payload."""
         raw = json.loads(text)
-        return cls(
-            strategy=raw["strategy"],
-            seed=raw["seed"],
-            params=raw["params"],
-            assignments={int(k): (v[0], v[1]) for k, v in raw["assignments"].items()},
-            dropped=list(raw["dropped"]),
-            drug_clusters=raw["drug_clusters"],
-            protein_clusters=raw["protein_clusters"],
-            tasks=raw["tasks"],
-        )
+        try:
+            kw = {f.name: raw[f.name] for f in fields(cls)}
+            pairs = {int(k): v for k, v in kw["assignments"].items()}
+            ok = all(type(i) is int for i in kw["dropped"]) and all(
+                type(v) is list and [type(s) for s in v] == [str, str] for v in pairs.values()
+            )
+        except (AttributeError, KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise BadManifest("not a split manifest: it needs every field, integer indices "
+                              "and a [domain, partition] pair of strings per assignment")
+        return cls(**{**kw, "assignments": {k: tuple(v) for k, v in pairs.items()}})
 
     @classmethod
     def load(cls, path: str | Path) -> "SplitManifest":
@@ -234,7 +251,6 @@ def _assign_by_side(
     train_drugs: set,
     train_prots: set,
     held_domain: str,
-    val_fraction: float,
     rng: np.random.Generator,
 ) -> SplitManifest:
     """A record trains when both its drug and protein are on the training
@@ -252,7 +268,7 @@ def _assign_by_side(
         else:
             manifest.dropped.append(idx)
     order = rng.permutation(len(held))
-    n_val = int(len(held) * val_fraction)
+    n_val = int(len(held) * VAL_FRACTION)
     for pos, oi in enumerate(order):
         part = VAL if pos < n_val else TEST
         manifest.assignments[held[oi]] = (held_domain, part)
@@ -288,54 +304,41 @@ def random_split(
     return _check_complete(manifest, n)
 
 
-def cold_pair_split(
-    records: list[InteractionRecord],
-    seed: int = 0,
-    seen_fraction: float = 0.7,
-    val_fraction: float = 0.3,
-    min_entities: int = 10,
-) -> SplitManifest:
+def cold_pair_split(records: list[InteractionRecord], seed: int = 0) -> SplitManifest:
     """Hold out drugs and proteins jointly.
 
-    A seen_fraction sample of drugs and of proteins is marked seen; records
+    A SEEN_FRACTION sample of drugs and of proteins is marked seen; records
     with both entities seen train, records with both unseen split into
     val/test, and mixed records are dropped so nothing in evaluation shares
     an entity with training.
     """
     drugs = sorted({r.drug_id for r in records})
     prots = sorted({r.protein_id for r in records})
-    if len(drugs) < min_entities or len(prots) < min_entities:
+    if len(drugs) < MIN_ENTITIES or len(prots) < MIN_ENTITIES:
         raise TooFewEntities(
-            f"cold split needs >= {min_entities} distinct drugs and proteins, "
+            f"cold split needs >= {MIN_ENTITIES} distinct drugs and proteins, "
             f"got {len(drugs)} drugs / {len(prots)} proteins"
         )
     rng = substream(seed, "split.cold")
-    seen_drugs = set(rng.choice(drugs, size=int(len(drugs) * seen_fraction), replace=False))
-    seen_prots = set(rng.choice(prots, size=int(len(prots) * seen_fraction), replace=False))
+    seen_drugs = set(rng.choice(drugs, size=int(len(drugs) * SEEN_FRACTION), replace=False))
+    seen_prots = set(rng.choice(prots, size=int(len(prots) * SEEN_FRACTION), replace=False))
 
     manifest = SplitManifest(
-        "cold_pair", seed, {"seen_fraction": seen_fraction, "val_fraction": val_fraction}
+        "cold_pair", seed, {"seen_fraction": SEEN_FRACTION, "val_fraction": VAL_FRACTION}
     )
-    return _assign_by_side(manifest, records, seen_drugs, seen_prots, SOURCE, val_fraction, rng)
+    return _assign_by_side(manifest, records, seen_drugs, seen_prots, SOURCE, rng)
 
 
-def cluster_cross_domain_split(
-    records: list[InteractionRecord],
-    seed: int = 0,
-    drug_threshold: float = 0.5,
-    protein_threshold: float = 0.5,
-    source_fraction: float = 0.6,
-    val_fraction: float = 0.3,
-) -> SplitManifest:
+def cluster_cross_domain_split(records: list[InteractionRecord], seed: int = 0) -> SplitManifest:
     """Split along chemistry, not records: drug and protein clusters are
     each divided into source and target sets, source-by-source records form
     the labeled training domain, target-by-target records form the
     evaluation domain (split val/test), and straddlers are dropped."""
     drug_cluster = _clusters(
-        {r.drug_id: r.smiles for r in records}, drug_distance_matrix, drug_threshold
+        {r.drug_id: r.smiles for r in records}, drug_distance_matrix, CLUSTER_THRESHOLD
     )
     prot_cluster = _clusters(
-        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, protein_threshold
+        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, CLUSTER_THRESHOLD
     )
 
     rng = substream(seed, "split.cluster")
@@ -344,7 +347,7 @@ def cluster_cross_domain_split(
         ids = sorted(set(cluster_of.values()))
         if len(ids) < 2:
             raise InsufficientData("cross-domain split needs at least 2 clusters per side")
-        k = min(max(1, int(len(ids) * source_fraction)), len(ids) - 1)
+        k = min(max(1, int(len(ids) * SOURCE_FRACTION)), len(ids) - 1)
         chosen = set(int(c) for c in rng.permutation(ids)[:k])
         return {e for e, c in cluster_of.items() if c in chosen}
 
@@ -355,45 +358,42 @@ def cluster_cross_domain_split(
         "cluster_cross_domain",
         seed,
         {
-            "drug_threshold": drug_threshold,
-            "protein_threshold": protein_threshold,
-            "source_fraction": source_fraction,
-            "val_fraction": val_fraction,
+            "drug_threshold": CLUSTER_THRESHOLD,
+            "protein_threshold": CLUSTER_THRESHOLD,
+            "source_fraction": SOURCE_FRACTION,
+            "val_fraction": VAL_FRACTION,
         },
         drug_clusters=drug_cluster,
         protein_clusters=prot_cluster,
     )
-    return _assign_by_side(manifest, records, src_drugs, src_prots, TARGET, val_fraction, rng)
+    return _assign_by_side(manifest, records, src_drugs, src_prots, TARGET, rng)
 
 
 # -- meta splits --------------------------------------------------------------
 
 
 def _source_tasks(
-    task_records: dict[str, list[int]],
-    axis_cluster: dict[str, int],
-    min_task_records: int,
-    source_mass: float,
+    task_records: dict[str, list[int]], axis_cluster: dict[str, int]
 ) -> tuple[dict[str, bool], int]:
     """Mark each task as source or target by its novelty-axis cluster.
 
     Undersized tasks go to the source pool and carry no cluster mass; the
     rest sum their records per cluster, and clusters in descending record
-    count take source duty until at least source_mass of those records are
+    count take source duty until at least SOURCE_MASS of those records are
     covered.  Returns the source flag per task and the undersized count."""
-    undersized = {t for t, recs in task_records.items() if len(recs) < min_task_records}
+    undersized = {t for t, recs in task_records.items() if len(recs) < MIN_TASK_RECORDS}
     cluster_sizes: dict[int, int] = {}
     for tid, recs in task_records.items():
         if tid not in undersized:
             cluster = axis_cluster[tid]
             cluster_sizes[cluster] = cluster_sizes.get(cluster, 0) + len(recs)
     if not cluster_sizes:
-        raise InsufficientData(f"no task reaches {min_task_records} records")
+        raise InsufficientData(f"no task reaches {MIN_TASK_RECORDS} records")
     total = sum(cluster_sizes.values())
     src_clusters: set[int] = set()
     acc = 0
     for cluster in sorted(cluster_sizes, key=lambda c: (-cluster_sizes[c], c)):
-        if acc >= source_mass * total and src_clusters:
+        if acc >= SOURCE_MASS * total and src_clusters:
             break
         src_clusters.add(cluster)
         acc += cluster_sizes[cluster]
@@ -405,10 +405,6 @@ def meta_unseen_split(
     records: list[InteractionRecord],
     kind: str = "protein",
     seed: int = 0,
-    threshold: float = 0.5,
-    min_task_records: int = 6,
-    source_mass: float = 0.4,
-    target_train_fraction: float = 0.7,
 ) -> SplitManifest:
     """Episodic split with novel proteins (kind="protein") or novel drug
     scaffolds (kind="drug") in the target domain.
@@ -416,14 +412,14 @@ def meta_unseen_split(
     Tasks are (protein cluster, drug scaffold cluster) record groups.
     Undersized tasks are folded into the source pool for diversity. The
     novelty axis's clusters are then ranked by record mass and the heaviest
-    take source duty until source_mass is reached; tasks in the remaining
+    take source duty until SOURCE_MASS is reached; tasks in the remaining
     clusters become target tasks, split into train/test task pools.
     """
     if kind not in ("protein", "drug"):
         raise ValueError(f"kind must be 'protein' or 'drug', got {kind!r}")
     smiles_of = {r.drug_id: r.smiles for r in records}
     prot_cluster = _clusters(
-        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, threshold
+        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, CLUSTER_THRESHOLD
     )
     distinct = dict.fromkeys(smiles_of[d] for d in sorted(smiles_of))
     scaffold_of = {s: murcko_scaffold_key(parse_smiles(s)) for s in distinct}
@@ -442,18 +438,16 @@ def meta_unseen_split(
         tid = f"p{pc}-d{dc}"
         task_records.setdefault(tid, []).append(idx)
         task_axis_cluster[tid] = pc if kind == "protein" else dc
-    task_is_source, n_undersized = _source_tasks(
-        task_records, task_axis_cluster, min_task_records, source_mass
-    )
+    task_is_source, n_undersized = _source_tasks(task_records, task_axis_cluster)
 
     manifest = SplitManifest(
         f"meta_unseen_{kind}",
         seed,
         {
-            "threshold": threshold,
-            "min_task_records": min_task_records,
-            "source_mass": source_mass,
-            "target_train_fraction": target_train_fraction,
+            "threshold": CLUSTER_THRESHOLD,
+            "min_task_records": MIN_TASK_RECORDS,
+            "source_mass": SOURCE_MASS,
+            "target_train_fraction": TARGET_TRAIN_FRACTION,
         },
         drug_clusters=drug_cluster,
         protein_clusters=prot_cluster,
@@ -469,7 +463,7 @@ def meta_unseen_split(
     if not target_tasks:
         raise InsufficientData("no target tasks with enough records remain")
     order = substream(seed, "split.meta").permutation(len(target_tasks))
-    n_train = int(len(target_tasks) * target_train_fraction)
+    n_train = int(len(target_tasks) * TARGET_TRAIN_FRACTION)
     train_tasks = {target_tasks[i] for i in order[:n_train]}
     test_tasks = [t for t in target_tasks if t not in train_tasks]
     if not test_tasks:

@@ -32,8 +32,16 @@ from .smiles import MolecularGraph, parse_smiles
 MOTIF_LETTERS = "WY"
 BACKGROUND_POOL = "ACDEFGHIKLMNPQRSTV"
 LETTERS_PER_FAMILY = 3
-
-N_DRUG_GRAMMARS = 4
+# one protein family per disjoint slice of the background pool, one drug
+# family per chain grammar of `_make_drug`
+N_PROTEIN_FAMILIES = len(BACKGROUND_POOL) // LETTERS_PER_FAMILY
+N_DRUG_FAMILIES = 4
+# a carrier protein holds this many striped copies of its family's motif
+MOTIF_COPIES = 2
+PROTEIN_CARRIER_RATE = 0.65
+DRUG_CARRIER_RATE = 0.6
+# share of a domain-shifted corpus's records drawn from the source domain
+SOURCE_FRACTION = 0.6
 
 GENERATOR_VERSION = 1
 
@@ -57,32 +65,19 @@ class SyntheticSpec:
     n_drugs: int = 120
     n_proteins: int = 60
     n_records: int = 2000
-    n_protein_families: int = 6
-    n_drug_families: int = 4
     rules: tuple[MotifRule, ...] = (MotifRule("WWW", "N"),)
     noise: float = 0.05
     domain_shift: bool = False
     seq_len: tuple[int, int] = (30, 44)
     chain_len: tuple[int, int] = (4, 9)
-    motif_copies: int = 2
-    marker_copies: int = 1
-    protein_carrier_rate: float = 0.65
-    drug_carrier_rate: float = 0.6
-    source_fraction: float = 0.6
 
     def __post_init__(self):
         if not self.rules:
             raise EmptyRules("need at least one motif rule")
         if self.domain_shift and len(self.rules) < 2:
             raise EmptyRules("domain shift needs two rules for disjoint vocabularies")
-        if self.n_protein_families * LETTERS_PER_FAMILY > len(BACKGROUND_POOL):
-            raise ValueError("not enough background letters for that many families")
-        if not 1 <= self.n_drug_families <= N_DRUG_GRAMMARS:
-            raise ValueError(f"drug families must be 1..{N_DRUG_GRAMMARS}")
-        if self.motif_copies < 1 or self.marker_copies < 1:
-            raise ValueError("carriers need at least one motif and marker copy")
         longest = max(len(r.protein_motif) for r in self.rules)
-        if self.seq_len[0] // self.motif_copies <= longest:
+        if self.seq_len[0] // MOTIF_COPIES <= longest:
             raise ValueError("sequences too short to stripe the motif copies")
         for rule in self.rules:
             if any(ch not in MOTIF_LETTERS for ch in rule.protein_motif):
@@ -156,8 +151,8 @@ class SyntheticCorpus:
                 "n_drugs": self.spec.n_drugs,
                 "n_proteins": self.spec.n_proteins,
                 "n_records": self.spec.n_records,
-                "n_protein_families": self.spec.n_protein_families,
-                "n_drug_families": self.spec.n_drug_families,
+                "n_protein_families": N_PROTEIN_FAMILIES,
+                "n_drug_families": N_DRUG_FAMILIES,
                 "rules": [
                     [r.protein_motif, r.drug_marker] for r in self.spec.rules
                 ],
@@ -209,12 +204,12 @@ def _make_protein(rng, spec: SyntheticSpec, family: int) -> tuple[str, bool]:
     ]
     length = int(rng.integers(spec.seq_len[0], spec.seq_len[1] + 1))
     seq = list(rng.choice(list(alphabet), size=length))
-    carrier = bool(rng.random() < spec.protein_carrier_rate)
+    carrier = bool(rng.random() < PROTEIN_CARRIER_RATE)
     if carrier:
-        motif = _family_rule(spec, family, spec.n_protein_families).protein_motif
+        motif = _family_rule(spec, family, N_PROTEIN_FAMILIES).protein_motif
         # one copy per stripe of the sequence, so copies never overlap
-        stripe = length // spec.motif_copies
-        for c in range(spec.motif_copies):
+        stripe = length // MOTIF_COPIES
+        for c in range(MOTIF_COPIES):
             lo = c * stripe
             hi = min((c + 1) * stripe, length) - len(motif)
             pos = int(rng.integers(lo, hi + 1))
@@ -226,23 +221,22 @@ def _make_drug(rng, spec: SyntheticSpec, family: int) -> tuple[str, bool]:
     # Each family is a chain grammar the fingerprint separates well: plain
     # carbon rings of different sizes all look alike to a degree-based hash,
     # but branching density and aromaticity do not.
-    grammar = family % N_DRUG_GRAMMARS
     lo, hi = spec.chain_len
     n = int(rng.integers(lo, hi + 1))
-    if grammar == 0:
+    if family == 0:
         core = "C" * max(n, 2)
-    elif grammar == 1:
+    elif family == 1:
         core = "C" + "C(C)" * max(n // 2, 2) + "C"
-    elif grammar == 2:
+    elif family == 2:
         core = "c1ccccc1" + "C" * max(n // 3, 2)
     else:
         core = "C" + "C(C)(C)" * max(n // 2, 2) + "C"
-    carrier = bool(rng.random() < spec.drug_carrier_rate)
-    if carrier:
-        tip = _family_rule(spec, family, spec.n_drug_families).drug_marker
+    carrier = bool(rng.random() < DRUG_CARRIER_RATE)
+    if carrier:  # one marker atom at the chain's tip
+        tip = _family_rule(spec, family, N_DRUG_FAMILIES).drug_marker
     else:
         tip = "C"
-    return core + tip * spec.marker_copies, carrier
+    return core + tip, carrier
 
 
 def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
@@ -257,21 +251,21 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     protein_families = {}
     protein_domains = {}
     for i in range(spec.n_proteins):
-        fam = i % spec.n_protein_families
+        fam = i % N_PROTEIN_FAMILIES
         pid = f"P{i:04d}"
         proteins[pid], _ = _make_protein(rng_e, spec, fam)
         protein_families[pid] = fam
-        protein_domains[pid] = _family_domain(spec, fam, spec.n_protein_families)
+        protein_domains[pid] = _family_domain(spec, fam, N_PROTEIN_FAMILIES)
 
     drugs = {}
     drug_families = {}
     drug_domains = {}
     for j in range(spec.n_drugs):
-        fam = j % spec.n_drug_families
+        fam = j % N_DRUG_FAMILIES
         did = f"D{j:04d}"
         drugs[did], _ = _make_drug(rng_e, spec, fam)
         drug_families[did] = fam
-        drug_domains[did] = _family_domain(spec, fam, spec.n_drug_families)
+        drug_domains[did] = _family_domain(spec, fam, N_DRUG_FAMILIES)
 
     # ids that share a SMILES share its parsed graph
     graph_of = {s: parse_smiles(s) for s in dict.fromkeys(drugs.values())}
@@ -279,7 +273,7 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     pid_list = sorted(proteins)
     did_list = sorted(drugs)
     if spec.domain_shift:
-        n_source = int(round(spec.n_records * spec.source_fraction))
+        n_source = int(round(spec.n_records * SOURCE_FRACTION))
         pools = []
         for dom, n in (("source", n_source), ("target", spec.n_records - n_source)):
             ps = [p for p in pid_list if protein_domains[p] == dom]

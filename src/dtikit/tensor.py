@@ -57,6 +57,8 @@ class MissingGradient(RuntimeError):
 
 # additive score of a padded cell: exp() of it is exactly zero
 PAD_MASK_BIAS = -1e30
+NORM_EPS = 1e-5  # variance floor of every standardisation
+ZERO_NORM_EPS = 1e-12  # a row with a smaller norm has no direction
 _GRAD_ENABLED = True
 
 
@@ -550,7 +552,7 @@ def maxpool1d(x, window: int) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def batch_stat_norm(x, gamma, beta, mask=None, eps: float = 1e-5) -> Tensor:
+def batch_stat_norm(x, gamma, beta, mask=None) -> Tensor:
     """Per-feature normalization of x[N, C], or of each sample of x[B, N, C],
     by that sample's own row statistics.
 
@@ -570,7 +572,7 @@ def batch_stat_norm(x, gamma, beta, mask=None, eps: float = 1e-5) -> Tensor:
     mu = (x.data * m).sum(axis=-2, keepdims=True) / count
     centred = (x.data - mu) * m
     var = (centred * centred).sum(axis=-2, keepdims=True) / count
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = centred * inv
     out = (xhat * gamma.data + beta.data) * m
     rows = tuple(range(x.data.ndim - 1))
@@ -688,18 +690,18 @@ def bce_with_logits(logits, targets) -> Tensor:
     return _make(out, (z,), backward)
 
 
-def cosine_rows(a, b, eps: float = 1e-12) -> Tensor:
+def cosine_rows(a, b) -> Tensor:
     """Cosine similarity of each row pair of a[N, C] and b[N, C]; returns [N].
 
-    A row where either norm is below eps has similarity 0 and passes no
-    gradient, where composing from ``sqrt`` would give NaN gradients.
+    A row with either norm below ZERO_NORM_EPS has similarity 0 and passes
+    no gradient, where composing from ``sqrt`` would give NaN gradients.
     """
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise ShapeMismatch(f"cosine_rows: {a.data.shape} vs {b.data.shape}")
     na = np.sqrt((a.data * a.data).sum(axis=1))
     nb = np.sqrt((b.data * b.data).sum(axis=1))
-    live = ~((na < eps) | (nb < eps))  # a NaN norm stays live and propagates
+    live = ~((na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS))  # a NaN norm stays live and propagates
     denom = np.where(live, na * nb, 1.0)
     out = np.where(live, (a.data * b.data).sum(axis=1) / denom, 0.0)
 

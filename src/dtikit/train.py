@@ -54,6 +54,8 @@ from .smiles import parse_smiles
 from .splits import TARGET, TEST, TRAIN, VAL, SplitManifest, sample_episode
 from .tensor import Tensor
 
+EVAL_SEED = 1  # seeds the shot curve's episodes, the same for runs of any seed
+
 
 class NumericFailure(ArithmeticError):
     """Loss turned NaN or infinite; the run cannot be trusted past here."""
@@ -124,9 +126,7 @@ def _in_order(parts, back) -> InteractionOutput:
 
     maps = [m for o in parts for m in o.attention]
     out = InteractionOutput(
-        fused=rows([o.fused for o in parts]),
-        level_vectors=[rows(v) for v in zip(*(o.level_vectors for o in parts))],
-        attention=[maps[j] for j in back] if maps else [],
+        fused=rows([o.fused for o in parts]), attention=[maps[j] for j in back] if maps else []
     )
     if parts[0].score is not None:
         out.score = rows([o.score for o in parts])
@@ -241,9 +241,6 @@ def build_prototype_head(store: ParameterStore, cfg: RunConfig) -> PrototypeHead
         substream(cfg.seed, "model.proto"),
         feature_dim=enc_cfg.fused_dim,
         qk_dim=enc_cfg.gau_qk_dim,
-        uniform_attention=cfg.uniform_attention,
-        alpha=cfg.focal_alpha,
-        gamma=cfg.focal_gamma,
     )
 
 
@@ -400,12 +397,8 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
                     tgt_out.fused,
                     class_probabilities(output.score.data),
                     class_probabilities(tgt_out.score.data),
-                    grl_scale=cfg.grl_scale,
                 )
-                lam = lambda_schedule(
-                    epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv,
-                    cfg.warmup_fraction,
-                )
+                lam = lambda_schedule(epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv)
                 loss = cada_total_loss(supervised, domain, lam)
             _check_finite(loss).backward()
             store.adam_step(cfg.lr)
@@ -531,7 +524,6 @@ def meta_shot_curve(
     feat: Featurizer,
     shots=(1, 3, 5),
     n_runs: int = 5,
-    eval_seed: int = 1,
 ) -> dict[int, MetricReport]:
     """Pooled episodic evaluation on the held-out task pool, paired across
     shot counts.
@@ -551,7 +543,7 @@ def meta_shot_curve(
     with T.no_grad():
         fused, row = _fused_rows(encoder, feat, records, idxs, chunk=cfg.batch_size)
         for run in range(n_runs):
-            rng = substream(eval_seed, f"meta.eval.{run}")
+            rng = substream(EVAL_SEED, f"meta.eval.{run}")
             collected = {k: ([], []) for k in shots}
             for _ in range(cfg.eval_episodes):
                 tid = task_ids[int(rng.integers(len(task_ids)))]
@@ -582,16 +574,17 @@ def meta_shot_curve(
 def screen(
     records: list[InteractionRecord],
     idxs: list[int],
-    classifier: tuple[DTIEncoder, Featurizer],
-    regressor: tuple[DTIEncoder, Featurizer],
+    classifier: tuple[DTIEncoder, Featurizer, int],
+    regressor: tuple[DTIEncoder, Featurizer, int],
     top_fraction: float = 0.1,
 ):
     """Rank candidate pairs by squared interaction probability times
-    predicted affinity and return the top slice with its scores."""
-    c_enc, c_feat = classifier
-    r_enc, r_feat = regressor
-    y_c = predict(c_enc, c_feat, records, idxs)
-    y_r = predict(r_enc, r_feat, records, idxs)
+    predicted affinity and return the top slice with its scores.  Each run
+    comes as (encoder, featurizer, batch size) and infers its own batch
+    size of pairs at a time, as `evaluate` does."""
+    (c_enc, c_feat, c_batch), (r_enc, r_feat, r_batch) = classifier, regressor
+    y_c = predict(c_enc, c_feat, records, idxs, c_batch)
+    y_r = predict(r_enc, r_feat, records, idxs, r_batch)
     ranks = screen_score(y_c, y_r)
     order = np.argsort(-ranks, kind="stable")
     n_top = max(1, int(np.ceil(top_fraction * len(idxs))))

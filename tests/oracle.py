@@ -66,11 +66,6 @@ def joint_vector(enc, level, drug_out, protein_out, real_cols):
 
 
 def fuse(enc, level_vectors):
-    if enc.gau is None:
-        fused = level_vectors[0]
-        for f in level_vectors[1:]:
-            fused = fused + f
-        return fused
     gau = enc.gau
     d = enc.config.fused_dim
     n = len(level_vectors)
@@ -93,7 +88,7 @@ def fuse(enc, level_vectors):
 def pair_forward(enc, drug, protein):
     """One pair end to end.  `drug` is (atom features, normalized
     adjacency), `protein` (token ids, true residue count).  Returns the
-    fused vector, the level vectors, the per-level [heads, atoms, real
+    fused vector, the per-level [heads, atoms, real
     residues] attention maps and the encoder head's scalar output, if any."""
     d_levels = drug_levels(enc, *drug)
     p_levels = protein_levels(enc, *protein)
@@ -108,4 +103,4 @@ def pair_forward(enc, drug, protein):
         hidden, final = enc.head_layers.hidden, enc.head_layers.out
         h = T.relu(hidden(T.reshape(fused, (1, fused.data.shape[0]))))
         score = T.reshape(final(h), (1,))
-    return SimpleNamespace(fused=fused, level_vectors=vectors, attention=maps, score=score)
+    return SimpleNamespace(fused=fused, attention=maps, score=score)

@@ -453,16 +453,14 @@ def test_08d_warm_start_gains_002_auroc_at_one_shot(shot_curves):
 
 def test_09_screening_top_decile_is_090_accurate(corpus2000, vanilla_run):
     manifest, classifier = vanilla_run
-    regressor = train_supervised(
-        corpus2000.regression_records(), manifest,
-        small_config(stage="regress", epochs=8, lr=1e-3),
-    )
+    reg_cfg = small_config(stage="regress", epochs=8, lr=1e-3)
+    regressor = train_supervised(corpus2000.regression_records(), manifest, reg_cfg)
     records = corpus2000.records
     test = manifest.indices(None, "test")
     top, _ = screen(
         records, test,
-        (classifier.encoder, classifier.featurizer),
-        (regressor.encoder, regressor.featurizer),
+        (classifier.encoder, classifier.featurizer, small_config().batch_size),
+        (regressor.encoder, regressor.featurizer, reg_cfg.batch_size),
     )
     hit = float(np.mean([records[i].label for i in top]))
     assert hit >= SCREEN_ACCURACY_FLOOR, f"top-decile accuracy {hit:.4f}"

@@ -14,6 +14,7 @@ import pytest
 from dtikit import cli
 from dtikit.config import resolve_config
 from dtikit.datasets import AFFINITY, BINARY
+from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
 from dtikit.train import train_adversarial, train_meta, train_supervised
@@ -110,6 +111,32 @@ class TestSplit:
                              "--out", str(out)]) == 0, strategy
             clusters = SplitManifest.load(out).protein_clusters
             assert clusters["P0000"] == clusters["P0001"] == clusters["P0002"]
+
+    def test_rows_with_a_missing_or_conflicting_id_are_skipped(self, workdir, tmp_path, caplog):
+        """A row shorter than its header and one whose drug id already names
+        another SMILES are skipped rows, so each id clusters by one SMILES."""
+        with open(workdir["csv"], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        other = next(r["smiles"] for r in rows if r["smiles"] != rows[0]["smiles"])
+        path = tmp_path / "ids.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["smiles", "sequence", "label", "drug_id",
+                                                    "protein_id"], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+            writer.writerow({**rows[0], "smiles": other})
+            fh.write("CCO,ACDEFG,1\r\n")
+        for strategy in ("random", "cluster"):
+            out = tmp_path / f"{strategy}.json"
+            caplog.clear()
+            assert cli.main(["split", "--csv", str(path), "--strategy", strategy,
+                             "--out", str(out)]) == 0, strategy
+            manifest = SplitManifest.load(out)
+            assert len(manifest.assignments) + len(manifest.dropped) == 300
+            skipped = [r.getMessage() for r in caplog.records if "skipped row" in r.getMessage()]
+            assert len(skipped) == 2
+            assert skipped[0].startswith("skipped row 302: drug_id")
+            assert skipped[1] == "skipped row 303: empty drug_id"
 
 
 class TestTrainEval:
@@ -226,6 +253,26 @@ class TestScreen:
             code = cli.main(["screen", "--csv", workdir["csv"],
                              "--classifier", classifier, "--regressor", regressor])
             assert code == 2, classifier
+
+    def test_inference_runs_each_runs_batch_size_at_a_time(self, workdir, tmp_path, monkeypatch):
+        runs = {}
+        for stage in ("vanilla", "regress"):
+            runs[stage] = str(tmp_path / stage)
+            assert cli.main(["train", "--csv", workdir["csv"], "--split-manifest",
+                             workdir["split"], "--stage", stage, "--epochs", "1",
+                             "--batch-size", "4", "--out", runs[stage], *SMALL]) == 0
+        sizes = []
+        interact = DTIEncoder.interact
+
+        def spy(self, d_levels, d_mask, p_levels, d_idx, *args, **kw):
+            sizes.append(len(d_idx))
+            return interact(self, d_levels, d_mask, p_levels, d_idx, *args, **kw)
+
+        monkeypatch.setattr(DTIEncoder, "interact", spy)
+        assert cli.main(["screen", "--csv", workdir["csv"], "--split-manifest", workdir["split"],
+                         "--classifier", runs["vanilla"], "--regressor", runs["regress"],
+                         "--out", str(tmp_path / "ranked.csv")]) == 0
+        assert sum(sizes) == 2 * 60 and max(sizes) == 4
 
 
 class TestExportAttention:
@@ -349,6 +396,61 @@ class TestExitCodes:
         assert cli.main([command, "--split-manifest", split, *args]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda m: [], lambda m: {k: v for k, v in m.items() if k != "dropped"},
+         lambda m: {**m, "assignments": {"x": ["source", "train"]}},
+         lambda m: {**m, "assignments": {**m["assignments"], "0": ["source"]}},
+         lambda m: {**m, "assignments": {**m["assignments"], "0": "st"}},
+         lambda m: {**m, "assignments": {**m["assignments"], "0": ["source", 1]}},
+         lambda m: {**m, "dropped": [None]},
+         lambda m: {**m, "assignments": {("300" if k == "0" else k): v
+                                         for k, v in m["assignments"].items()}}],
+        ids=["not-an-object", "missing-key", "non-integer-index", "one-string",
+             "bare-string", "non-string-partition", "non-integer-dropped",
+             "index-past-the-csv"],
+    )
+    def test_malformed_manifest_is_3(self, workdir, tmp_path, command, edit):
+        with open(workdir["split"]) as fh:
+            payload = edit(json.load(fh))
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        args = {
+            "train": ["--stage", "vanilla", "--epochs", "1", "--out", str(out), *SMALL],
+            "eval": ["--checkpoint", workdir["run"], "--out", str(out)],
+        }[command]
+        code = cli.main([command, "--csv", workdir["csv"], "--split-manifest", str(split), *args])
+        assert code == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "screen", "export-attention"])
+    def test_version_2_run_directory_is_2(self, workdir, tmp_path, command, capsys):
+        """A run directory whose snapshot still carries the six settings that
+        became constants, at config_version 2, is refused by its version."""
+        old = tmp_path / "old"
+        old.mkdir()
+        shutil.copy(workdir["root"] / "vanilla" / "best.ckpt", old)
+        snapshot = json.loads((workdir["root"] / "vanilla" / "config.json").read_text())
+        snapshot.update({"config_version": 2, "train.grl_scale": 1.0,
+                         "train.warmup_fraction": 0.1, "loss.focal_alpha": 0.25,
+                         "loss.focal_gamma": 2.0, "proto.uniform_attention": False,
+                         "model.use_gau": True})
+        (old / "config.json").write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
+        out = tmp_path / "out"
+        args = {
+            "eval": ["--split-manifest", workdir["split"], "--checkpoint", str(old),
+                     "--out", str(out)],
+            "screen": ["--classifier", str(old), "--regressor", workdir["reg"],
+                       "--out", str(out)],
+            "export-attention": ["--checkpoint", str(old), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([command, "--csv", workdir["csv"], *args]) == 2
+        assert "config_version 2 not supported, expected 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_meta_without_checkpoint_is_3(self, workdir, tmp_path):
         split = tmp_path / "meta.json"
         cli.main(["split", "--csv", workdir["csv"], "--strategy",
@@ -464,11 +566,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"model.use_gau": 1}', '{"train.lr": "fast"}', '{"model.preset": 3}',
-         '{"config_version": "2"}', '{"loss.focal_gamma": -1}',
-         '{"model.max_seq_len": -1}'],
+        ['{"train.epochs": true}', '{"train.lr": "fast"}', '{"model.preset": 3}',
+         '{"config_version": "3"}', '{"model.max_seq_len": -1}'],
         ids=["bool-as-int", "number-as-string", "string-as-int", "version-as-string",
-             "negative-gamma", "negative-seq-len"],
+             "negative-seq-len"],
     )
     def test_config_value_of_the_wrong_type_or_range_is_2(self, workdir, tmp_path, text):
         bad = tmp_path / "bad.json"

@@ -88,10 +88,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="positive"):
             resolve_config({"train.lr": 0.0})
 
-    def test_bad_warmup_fraction(self):
-        with pytest.raises(ConfigError, match="warmup_fraction"):
-            resolve_config({"train.warmup_fraction": 0.0})
-
     def test_bad_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             resolve_config({"model.preset": "huge"})
@@ -160,11 +156,10 @@ class TestFileRoundTrip:
 class TestEncoderWiring:
     def test_small_preset_with_overrides(self):
         cfg = resolve_config(
-            {"model.preset": "small", "model.max_seq_len": 64, "model.use_gau": False}
+            {"model.preset": "small", "model.max_seq_len": 64}
         )
         enc = cfg.encoder_config()
         assert enc.max_seq_len == 64
-        assert enc.use_gau is False
         assert enc.embed_dim == 12
 
     def test_paper_preset_defaults(self):

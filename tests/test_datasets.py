@@ -101,3 +101,44 @@ def test_each_distinct_smiles_is_parsed_once(tmp_path, monkeypatch):
         ds.load_interactions_detailed(write(tmp_path, text), schema, strict=True)
     assert str(err.value) == ring  # row 3, the first bad one
     assert calls == ["CCO", "C1CC"]
+
+
+ID_CSV = """smiles,sequence,label,drug_id,protein_id
+CCO,MKVLAA,1,D1,P1
+CCO,ACDEFG,1
+CCN,MKVLAA,0,,P1
+CCN,MKVLAA,0,D1,P1
+CCO,GGHHII,0,D1,P1
+CCO,GGHHII,0,D2,P2
+CCN,GGHHII,1,D3,P2
+"""
+
+
+def test_rows_with_a_missing_or_conflicting_id_are_skipped(tmp_path):
+    """A short row, an empty id and an id already bound to another SMILES
+    or sequence are skipped rows; two ids may share one structure."""
+    result = ds.load_interactions_detailed(write(tmp_path, ID_CSV))
+    assert [(r.drug_id, r.protein_id) for r in result.records] == [
+        ("D1", "P1"), ("D2", "P2"), ("D3", "P2")
+    ]
+    assert [s.row for s in result.skipped] == [3, 4, 5, 6]
+    reasons = [s.reason for s in result.skipped]
+    assert "empty drug_id" in reasons[0] and "empty drug_id" in reasons[1]
+    assert "'D1' already names 'CCO'" in reasons[2]
+    assert "'P1' already names 'MKVLAA'" in reasons[3]
+
+
+def test_first_loaded_row_binds_an_id(tmp_path):
+    """A skipped row binds none of its ids: D1 first loads with CCN here."""
+    text = ID_CSV.splitlines()[0] + "\nCCO,MKVLAA,1,D1,\nCCN,MKVLAA,1,D1,P1\nCCO,MKVLAA,0,D1,P1\n"
+    result = ds.load_interactions_detailed(write(tmp_path, text))
+    assert [r.smiles for r in result.records] == ["CCN"]
+    assert [s.row for s in result.skipped] == [2, 4]
+    assert "empty protein_id" in result.skipped[0].reason
+
+
+@pytest.mark.parametrize("row", ["CCO,ACDEFG,1", "CCO,ACDEFG,1,D1,", "CCN,MKVLAA,0,D1,P1"])
+def test_strict_load_raises_on_a_bad_id(tmp_path, row):
+    text = f"smiles,sequence,label,drug_id,protein_id\nCCO,MKVLAA,1,D1,P1\n{row}\n"
+    with pytest.raises(ds.BadId):
+        ds.load_interactions_detailed(write(tmp_path, text), strict=True)

@@ -217,17 +217,6 @@ def test_attention_mass_stays_on_real_residues():
         assert maps.shape[2] == real
 
 
-def test_variant_without_fusion_unit():
-    cfg = EncoderConfig.small(use_gau=False)
-    store, enc = build(config=cfg)
-    assert not any(p.startswith("gau/") for p in store.paths())
-    drug, prot = aspirin_inputs()
-    out = forward(enc, drug, prot)
-    assert np.allclose(
-        out.fused.data, sum(v.data for v in out.level_vectors), atol=1e-12
-    )
-
-
 def test_head_registration_is_gated():
     store, _ = build(head="classify")
     assert not any(p.startswith("head/regress") for p in store.paths())

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from dtikit.fewshot import (
+    DEFAULT_ALPHA,
+    DEFAULT_GAMMA,
     DomainError,
     EmptyClass,
     PrototypeHead,
@@ -333,5 +335,5 @@ def test_episode_loss_reports_positive_probabilities():
     probs, _ = head.episode_probabilities(support, labels, queries)
     assert np.array_equal(positive, probs.data[:, 1])
     correct = probs.data[np.arange(4), q_labels.astype(int)]
-    want = focal_loss(Tensor(correct), head.alpha, head.gamma)
+    want = focal_loss(Tensor(correct), DEFAULT_ALPHA, DEFAULT_GAMMA)
     assert float(loss.data) == float(want.data) > 0

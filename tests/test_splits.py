@@ -574,7 +574,7 @@ def test_meta_split_drug_axis():
 def test_meta_split_insufficient_data():
     records = equal_mass_meta_corpus(n_clusters=2, records_per_cluster=3)
     with pytest.raises(sp.InsufficientData):
-        sp.meta_unseen_split(records, kind="protein", min_task_records=6)
+        sp.meta_unseen_split(records, kind="protein")
 
 
 # -- episodes -------------------------------------------------------------------------

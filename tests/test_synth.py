@@ -123,8 +123,8 @@ class TestGeneratedCorpus:
         labels = single_linkage_cluster(dist, 0.5)
         fams = [corpus.protein_families[p] for p in pids]
         pairs = set(zip(fams, labels.tolist()))
-        assert len(set(labels.tolist())) == corpus.spec.n_protein_families
-        assert len(pairs) == corpus.spec.n_protein_families
+        assert len(set(labels.tolist())) == synth.N_PROTEIN_FAMILIES
+        assert len(pairs) == synth.N_PROTEIN_FAMILIES
 
     def test_drug_families_recoverable_by_clustering(self, corpus):
         dids = sorted(corpus.drug_smiles)
@@ -132,8 +132,8 @@ class TestGeneratedCorpus:
         labels = single_linkage_cluster(dist, 0.5)
         fams = [corpus.drug_families[d] for d in dids]
         pairs = set(zip(fams, labels.tolist()))
-        assert len(set(labels.tolist())) == corpus.spec.n_drug_families
-        assert len(pairs) == corpus.spec.n_drug_families
+        assert len(set(labels.tolist())) == synth.N_DRUG_FAMILIES
+        assert len(pairs) == synth.N_DRUG_FAMILIES
 
 
 class TestDomainShift:
@@ -142,7 +142,7 @@ class TestDomainShift:
 
     def test_source_fraction_respected(self, shifted_corpus):
         frac = shifted_corpus.domains.count("source") / len(shifted_corpus.domains)
-        assert abs(frac - shifted_corpus.spec.source_fraction) < 0.01
+        assert abs(frac - synth.SOURCE_FRACTION) < 0.01
 
     def test_vocabularies_disjoint_across_domains(self, shifted_corpus):
         src_motif, src_marker = "WW", "N"
