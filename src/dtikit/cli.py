@@ -29,6 +29,7 @@ from .config import ConfigError, RunConfig, load_config, resolve_config
 from .datasets import AFFINITY, BINARY, CsvSchema, InteractionRecord, load_interactions
 from .splits import (
     SplitManifest,
+    check_listing,
     cluster_cross_domain_split,
     cold_pair_split,
     meta_unseen_split,
@@ -126,22 +127,18 @@ def _rebuild(cfg: RunConfig, blob: bytes):
 
 def _load_manifest(path: str, records: list[InteractionRecord]) -> SplitManifest:
     """A split manifest written for these records: it assigns or drops
-    each loaded record once, or it indexes some other reading of the CSV."""
-    manifest = SplitManifest.load(path)
-    listed = sorted([*manifest.assignments, *manifest.dropped])
-    if listed != list(range(len(records))):
-        raise ValueError(f"split manifest {path} does not list each of the CSV's "
-                         f"{len(records)} loaded records once")
-    return manifest
+    each loaded record once and assigns every task record, or it indexes
+    some other reading of the CSV."""
+    return check_listing(SplitManifest.load(path), len(records))
 
 
-def _pool_indices(records, manifest_path: str | None, partition: str = "test"):
+def _pool_indices(records, manifest_path: str | None):
+    """Every record, or the test records of the given manifest."""
     if manifest_path is None:
         return list(range(len(records)))
-    manifest = _load_manifest(manifest_path, records)
-    idxs = manifest.indices(None, partition)
+    idxs = _load_manifest(manifest_path, records).indices(None, "test")
     if not idxs:
-        raise ValueError(f"split manifest has no {partition!r} records")
+        raise ValueError("split manifest has no 'test' records")
     return idxs
 
 
@@ -319,11 +316,11 @@ def cmd_screen(args: argparse.Namespace) -> int:
     idxs = _pool_indices(records, args.split_manifest)
     c_enc, _ = _rebuild(c_cfg, c_blob)
     r_enc, _ = _rebuild(r_cfg, r_blob)
-    c_feat = Featurizer.build(records, c_cfg.encoder_config().max_seq_len)
-    r_feat = Featurizer.build(records, r_cfg.encoder_config().max_seq_len)
+    c_win, r_win = (cfg.encoder_config().max_seq_len for cfg in (c_cfg, r_cfg))
+    feats = {w: Featurizer.build([records[i] for i in idxs], w) for w in {c_win, r_win}}
     top, scores = screen(
-        records, idxs, (c_enc, c_feat, c_cfg.batch_size), (r_enc, r_feat, r_cfg.batch_size),
-        top_fraction=args.top_fraction,
+        records, idxs, (c_enc, feats[c_win], c_cfg.batch_size),
+        (r_enc, feats[r_win], r_cfg.batch_size), top_fraction=args.top_fraction,
     )
     lines = ["rank,drug_id,protein_id,score,label"]
     for rank, (i, s) in enumerate(zip(top, scores), start=1):
@@ -350,7 +347,7 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     if args.limit > 0:
         idxs = idxs[: args.limit]
     encoder, _ = _rebuild(cfg, blob)
-    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+    feat = Featurizer.build([records[i] for i in idxs], cfg.encoder_config().max_seq_len)
 
     with T.no_grad():
         out = encode_pairs(encoder, feat, records, idxs, attention=True, chunk=cfg.batch_size)

@@ -47,12 +47,8 @@ SCHEMA = {
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in SCHEMA.items()}
 
-STAGE_DEFAULTS = {
-    "vanilla": {"lr": 5e-5, "batch_size": 64, "epochs": 100},
-    "cada": {"lr": 5e-5, "batch_size": 64, "epochs": 100},
-    "regress": {"lr": 5e-5, "batch_size": 64, "epochs": 100},
-    "meta": {"lr": 1e-4, "batch_size": 32, "epochs": 50},
-}
+# the stages whose defaults depart from RunConfig's
+STAGE_DEFAULTS = {"meta": {"lr": 1e-4, "batch_size": 32, "epochs": 50}}
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def resolve_config(values: dict | None = None, overrides: dict | None = None) ->
     stage = attrs.get("stage", "vanilla")
     if stage not in STAGES:
         raise ConfigError(f"stage must be one of {STAGES}, got {stage!r}")
-    for attr, default in STAGE_DEFAULTS[stage].items():
+    for attr, default in STAGE_DEFAULTS.get(stage, {}).items():
         attrs.setdefault(attr, default)
 
     cfg = RunConfig(config_version=CONFIG_VERSION, **attrs)

@@ -45,7 +45,6 @@ class InteractionRecord:
     smiles: str
     sequence: str
     label: float
-    label_kind: str = BINARY
 
 
 @dataclass
@@ -155,7 +154,6 @@ def load_interactions_detailed(
                     smiles=smiles,
                     sequence=sequence,
                     label=label,
-                    label_kind=schema.label_kind,
                 )
             )
     for sk in result.skipped:

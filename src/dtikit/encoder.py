@@ -10,8 +10,11 @@ that the prediction head, if any, and any downstream objective consume.
 The towers run once per distinct entity of a batch: the protein tower on
 the fixed-length token windows [P, L], the drug tower on atom features and
 adjacencies zero-padded to the batch's largest molecule [D, M, M] with an
-atom mask.  `interact` lifts the entities its pairs use to the joint width
+atom mask.  `interact` lifts every tower row it is given to the joint width
 and runs the attention, the fusion unit and the head with a row per pair.
+A training step hands it the towers' outputs as they are, since its pairs
+use every row; chunked inference (`train.encode_pairs`) gathers each
+slice's rows first.
 
 Design notes that matter for correctness:
 
@@ -238,7 +241,6 @@ class DTIEncoder:
         rng: np.random.Generator,
         head: str | None,
     ):
-        self.store = store
         self.config = config
         c = config
 
@@ -357,22 +359,20 @@ class DTIEncoder:
     # -- joint stage ----------------------------------------------------------
 
     def interact(self, d_levels, d_mask, p_levels, d_idx, p_idx, attention: bool = False):
-        """Joint stage for the pairs (d_idx[b], p_idx[b]) of tower rows.
+        """Joint stage for the pairs (d_idx[b], p_idx[b]) of the given tower
+        rows.
 
-        The drugs and proteins the pairs use are lifted to the joint width
-        once each, every level's bilinear attention runs as one op, and the
-        fusion unit and the head, if any, see a row per pair.  Per-pair
-        attention maps are cropped and copied out only when `attention` is set."""
-        d_rows, d_local = np.unique(d_idx, return_inverse=True)
-        p_rows, p_local = np.unique(p_idx, return_inverse=True)
+        Every given row is lifted to the joint width once, so the caller
+        passes only the rows its pairs use; every level's bilinear attention
+        runs as one op, and the fusion unit and the head, if any, see a row
+        per pair.  Per-pair attention maps are cropped and copied out only
+        when `attention` is set."""
         vectors = []
         maps = []
         for spec, d_out, (p_out, real) in zip(self.joint, d_levels, p_levels):
-            v = spec["drug"](T.index_select(d_out, 0, d_rows), relu=True)
-            u = spec["protein"](T.index_select(p_out, 0, p_rows), relu=True)
-            joint, weights = T.bilinear_attention(
-                v, u, spec["q"], d_mask[d_rows], real[p_rows], d_local, p_local
-            )
+            v = spec["drug"](d_out, relu=True)
+            u = spec["protein"](p_out, relu=True)
+            joint, weights = T.bilinear_attention(v, u, spec["q"], d_mask, real, d_idx, p_idx)
             pooled = T.reshape(joint, (len(d_idx), -1, self.config.joint_pool))
             vectors.append(T.tmean(pooled, axis=2))
             if attention:

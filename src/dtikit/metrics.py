@@ -2,7 +2,10 @@
 
 Ranking metrics handle ties by midrank (AUROC) or threshold grouping
 (AUPRC), matching what the O(n^2) pair-counting definitions give; the test
-suite checks that equivalence against brute-force oracles.
+suite checks that equivalence against brute-force oracles.  Each takes one
+stable sort and finds its tie groups as runs of equal sorted scores.  The
+concordance index counts its pairs over blocks of rows, so its memory does
+not grow with the square of the prediction count.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+
+PAIR_BLOCK = 1 << 18  # prediction pairs per block of the concordance count
 
 
 class SingleClass(ValueError):
@@ -31,17 +37,15 @@ def _as_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank, from one stable
+    sort.  A tie group is a run of equal sorted values, so a NaN ties with
+    nothing."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    v = values[order]
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    last = np.r_[first[1:], len(v)] - 1
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
@@ -67,22 +71,11 @@ def auprc(scores, labels) -> float:
         raise SingleClass("AUPRC needs both classes present")
     order = np.argsort(-s, kind="stable")
     s, y = s[order], y[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i : j + 1].sum())
-        fp += (j - i + 1) - int(y[i : j + 1].sum())
-        recall = tp / npos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])  # each group's last row
+    tp = np.cumsum(y)[last]
+    recall = tp / npos
+    steps = np.diff(recall, prepend=0.0) * (tp / (last + 1))
+    return float(np.cumsum(steps)[-1])  # summed left to right, as the curve is walked
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
@@ -113,17 +106,23 @@ def pearson(pred, truth) -> float:
 
 def concordance_index(pred, truth) -> float:
     """Fraction of truth-ordered pairs the predictions order the same way;
-    prediction ties count half."""
+    prediction ties count half.  The pairs i < j are counted over row blocks
+    of the upper triangle, PAIR_BLOCK pairs at a time, so memory stays flat
+    in the number of predictions."""
     p, t = _as_arrays(pred, truth)
-    dt = t[:, None] - t[None, :]
-    dp = p[:, None] - p[None, :]
-    valid = np.triu(dt != 0, k=1)
-    total = int(valid.sum())
+    step = max(1, PAIR_BLOCK // max(len(t), 1))
+    total = agree = tied = 0
+    for lo in range(0, len(t), step):
+        dt = t[lo : lo + step, None] - t[None, lo:]
+        dp = p[lo : lo + step, None] - p[None, lo:]
+        valid = np.triu(dt != 0, k=1)
+        dt, dp = dt[valid], dp[valid]
+        total += len(dt)
+        agree += int(np.count_nonzero(np.sign(dp) == np.sign(dt)))
+        tied += int(np.count_nonzero(dp == 0))
     if total == 0:
         raise ConstantTruth("concordance needs at least one pair with distinct truth")
-    agree = np.sign(dp[valid]) == np.sign(dt[valid])
-    tied = dp[valid] == 0
-    return float((agree.sum() + 0.5 * tied.sum()) / total)
+    return float((agree + 0.5 * tied) / total)
 
 
 def screen_score(y_c, y_r):
@@ -147,11 +146,3 @@ class MetricReport:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        raw = json.loads(text)
-        return cls(
-            metrics={k: v["mean"] for k, v in raw.items()},
-            spread={k: v["std"] for k, v in raw.items() if "std" in v},
-        )

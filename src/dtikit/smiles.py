@@ -94,7 +94,6 @@ class Bond:
 class MolecularGraph:
     atoms: list[AtomFeature]
     bonds: list[Bond]
-    ring_closure_count: int
 
     @property
     def n_atoms(self) -> int:
@@ -203,7 +202,6 @@ def parse_smiles(smiles: str, max_atoms: int = MAX_ATOMS) -> MolecularGraph:
     branch_stack: list[int | None] = []
     prev: int | None = None
     pending_bond: int | None = None
-    ring_closures = 0
 
     def attach(idx: int) -> None:
         nonlocal pending_bond
@@ -212,7 +210,7 @@ def parse_smiles(smiles: str, max_atoms: int = MAX_ATOMS) -> MolecularGraph:
         pending_bond = None
 
     def open_or_close_ring(label: int) -> None:
-        nonlocal pending_bond, ring_closures
+        nonlocal pending_bond
         if prev is None:
             raise SmilesError("ring closure digit before any atom")
         if label in ring_open:
@@ -223,7 +221,6 @@ def parse_smiles(smiles: str, max_atoms: int = MAX_ATOMS) -> MolecularGraph:
             if pending_bond is not None and open_bond is not None and pending_bond != open_bond:
                 raise SmilesError(f"conflicting bond orders on ring closure {label}")
             bonds.append((other, prev, order))
-            ring_closures += 1
         else:
             ring_open[label] = (prev, pending_bond)
         pending_bond = None
@@ -333,4 +330,4 @@ def parse_smiles(smiles: str, max_atoms: int = MAX_ATOMS) -> MolecularGraph:
                 implicit_h_count=implicit_h,
             )
         )
-    return MolecularGraph(atoms=atoms, bonds=final_bonds, ring_closure_count=ring_closures)
+    return MolecularGraph(atoms=atoms, bonds=final_bonds)

@@ -157,18 +157,15 @@ def protein_distance_matrix(sequences: list[str]) -> np.ndarray:
     return _ratio_distances(vecs, lambda g, lo: norms[lo : lo + len(g), None] * norms[lo:])
 
 
-def _clusters(items: dict[str, str], distance_matrix, threshold: float) -> dict[str, int]:
-    """Single-linkage cluster label per entity id, entities taken in id order.
-    Distances and linkage run once per distinct string, numbered by first
-    appearance over the sorted ids; each id takes its string's label. Equal
-    strings are at distance 0 and link at any threshold > 0; below that each
-    id is its own cluster (the distances still run, so their errors surface)."""
+def _clusters(items: dict[str, str], distance_matrix) -> dict[str, int]:
+    """Single-linkage cluster label per entity id at CLUSTER_THRESHOLD,
+    entities taken in id order. Distances and linkage run once per distinct
+    string, numbered by first appearance over the sorted ids; each id takes
+    its string's label (equal strings are at distance 0, so they link)."""
     ids = sorted(items)
     strings = list(dict.fromkeys(items[i] for i in ids))
-    dist = distance_matrix(strings)
-    if not threshold > 0:
-        return {i: c for c, i in enumerate(ids)}
-    label_of = dict(zip(strings, single_linkage_cluster(dist, threshold).tolist()))
+    labels = single_linkage_cluster(distance_matrix(strings), CLUSTER_THRESHOLD)
+    label_of = dict(zip(strings, labels.tolist()))
     return {i: label_of[items[i]] for i in ids}
 
 
@@ -224,12 +221,16 @@ class SplitManifest:
             pairs = {int(k): v for k, v in kw["assignments"].items()}
             ok = all(type(i) is int for i in kw["dropped"]) and all(
                 type(v) is list and [type(s) for s in v] == [str, str] for v in pairs.values()
+            ) and all(
+                type(t) is dict and type(t["pool"]) is str and type(t["records"]) is list
+                and all(type(i) is int for i in t["records"]) for t in kw["tasks"].values()
             )
         except (AttributeError, KeyError, TypeError, ValueError):
             ok = False
         if not ok:
-            raise BadManifest("not a split manifest: it needs every field, integer indices "
-                              "and a [domain, partition] pair of strings per assignment")
+            raise BadManifest("not a split manifest: it needs every field, integer indices, "
+                              "a [domain, partition] pair of strings per assignment and "
+                              "a string pool and a list of integer records per task")
         return cls(**{**kw, "assignments": {k: tuple(v) for k, v in pairs.items()}})
 
     @classmethod
@@ -237,11 +238,13 @@ class SplitManifest:
         return cls.from_json(Path(path).read_text())
 
 
-def _check_complete(manifest: SplitManifest, n_records: int) -> SplitManifest:
-    # every record lands in exactly one partition or is explicitly dropped
-    seen = set(manifest.assignments) | set(manifest.dropped)
-    assert len(manifest.assignments) + len(manifest.dropped) == n_records
-    assert seen == set(range(n_records))
+def check_listing(manifest: SplitManifest, n_records: int) -> SplitManifest:
+    """The manifest, if it assigns or drops each of n_records records exactly
+    once and every task record is an assigned index; BadManifest if not."""
+    if sorted([*manifest.assignments, *manifest.dropped]) != list(range(n_records)):
+        raise BadManifest(f"split manifest does not list each of {n_records} records once")
+    if any(i not in manifest.assignments for t in manifest.tasks.values() for i in t["records"]):
+        raise BadManifest("split manifest has a task record it does not assign")
     return manifest
 
 
@@ -272,7 +275,7 @@ def _assign_by_side(
     for pos, oi in enumerate(order):
         part = VAL if pos < n_val else TEST
         manifest.assignments[held[oi]] = (held_domain, part)
-    return _check_complete(manifest, len(records))
+    return check_listing(manifest, len(records))
 
 
 # -- flat splits -------------------------------------------------------------
@@ -301,7 +304,7 @@ def random_split(
         else:
             part = TEST
         manifest.assignments[int(idx)] = (SOURCE, part)
-    return _check_complete(manifest, n)
+    return check_listing(manifest, n)
 
 
 def cold_pair_split(records: list[InteractionRecord], seed: int = 0) -> SplitManifest:
@@ -334,12 +337,8 @@ def cluster_cross_domain_split(records: list[InteractionRecord], seed: int = 0) 
     each divided into source and target sets, source-by-source records form
     the labeled training domain, target-by-target records form the
     evaluation domain (split val/test), and straddlers are dropped."""
-    drug_cluster = _clusters(
-        {r.drug_id: r.smiles for r in records}, drug_distance_matrix, CLUSTER_THRESHOLD
-    )
-    prot_cluster = _clusters(
-        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, CLUSTER_THRESHOLD
-    )
+    drug_cluster = _clusters({r.drug_id: r.smiles for r in records}, drug_distance_matrix)
+    prot_cluster = _clusters({r.protein_id: r.sequence for r in records}, protein_distance_matrix)
 
     rng = substream(seed, "split.cluster")
 
@@ -418,9 +417,7 @@ def meta_unseen_split(
     if kind not in ("protein", "drug"):
         raise ValueError(f"kind must be 'protein' or 'drug', got {kind!r}")
     smiles_of = {r.drug_id: r.smiles for r in records}
-    prot_cluster = _clusters(
-        {r.protein_id: r.sequence for r in records}, protein_distance_matrix, CLUSTER_THRESHOLD
-    )
+    prot_cluster = _clusters({r.protein_id: r.sequence for r in records}, protein_distance_matrix)
     distinct = dict.fromkeys(smiles_of[d] for d in sorted(smiles_of))
     scaffold_of = {s: murcko_scaffold_key(parse_smiles(s)) for s in distinct}
     scaffold_ids: dict[str, int] = {}
@@ -477,7 +474,7 @@ def meta_unseen_split(
     for idx in source_pool:
         manifest.assignments[idx] = (SOURCE, TRAIN)
     manifest.params["n_undersized_tasks"] = n_undersized
-    return _check_complete(manifest, len(records))
+    return check_listing(manifest, len(records))
 
 
 # -- episodes -----------------------------------------------------------------
@@ -485,7 +482,6 @@ def meta_unseen_split(
 
 @dataclass(frozen=True)
 class Episode:
-    task_id: str
     support: tuple[int, ...]  # record indices, k positives then k negatives
     query: tuple[int, ...]
 
@@ -519,4 +515,4 @@ def sample_episode(
             f"task {task_id}: only {len(rest)} records left for a {k_query}-query set"
         )
     query = [int(i) for i in rng.choice(rest, size=k_query, replace=False)]
-    return Episode(task_id=task_id, support=tuple(support), query=tuple(query))
+    return Episode(support=tuple(support), query=tuple(query))

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import AFFINITY, InteractionRecord
+from .datasets import InteractionRecord
 from .rng import substream
 from .smiles import MolecularGraph, parse_smiles
 
@@ -109,21 +109,10 @@ class SyntheticCorpus:
     domains: list[str]
     protein_families: dict[str, int]
     drug_families: dict[str, int]
-    protein_seqs: dict[str, str] = field(default_factory=dict)
-    drug_smiles: dict[str, str] = field(default_factory=dict)
 
     @property
     def flip_count(self) -> int:
         return int(self.flipped.sum())
-
-    def regression_records(self) -> list[InteractionRecord]:
-        """The same pairs with the continuous affinity as the label."""
-        return [
-            InteractionRecord(
-                r.drug_id, r.protein_id, r.smiles, r.sequence, float(a), label_kind=AFFINITY
-            )
-            for r, a in zip(self.records, self.affinities)
-        ]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -320,6 +309,4 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
         domains=domains,
         protein_families=protein_families,
         drug_families=drug_families,
-        protein_seqs=proteins,
-        drug_smiles=drugs,
     )

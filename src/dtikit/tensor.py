@@ -96,9 +96,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def backward(self) -> None:
         """Accumulate gradients of this (scalar) tensor into the graph."""
         if self.data.size != 1:

@@ -98,10 +98,11 @@ def encode_pairs(encoder, feat, records, idxs, attention=False, chunk=None):
 
     Every unique molecule and sequence runs through its tower once per
     call.  Without `chunk` all records share one joint stage, as a training
-    step wants.  With it, the records are taken in protein order, `chunk`
-    at a time, and each slice lifts only the entities it uses, so inference
-    never holds more lifted proteins than a training step of `chunk` pairs.
-    Per-pair attention maps are copied out only when `attention` is set.
+    step wants, and it lifts every tower row.  With it, the records are
+    taken in protein order, `chunk` at a time, and each slice gathers the
+    tower rows it uses before its joint stage, so inference never holds
+    more lifted proteins than a training step of `chunk` pairs.  Per-pair
+    attention maps are copied out only when `attention` is set.
     """
     drugs, proteins = {}, {}
     d_idx = np.array([drugs.setdefault(records[i].smiles, len(drugs)) for i in idxs])
@@ -110,11 +111,21 @@ def encode_pairs(encoder, feat, records, idxs, attention=False, chunk=None):
     p_levels = encoder.protein_levels([feat.proteins[s] for s in proteins])
     if chunk is None:
         return encoder.interact(d_levels, d_mask, p_levels, d_idx, p_idx, attention)
+
+    def joint(rows):
+        d_rows, d_local = np.unique(d_idx[rows], return_inverse=True)
+        p_rows, p_local = np.unique(p_idx[rows], return_inverse=True)
+        return encoder.interact(
+            [T.index_select(x, 0, d_rows) for x in d_levels],
+            d_mask[d_rows],
+            [(T.index_select(x, 0, p_rows), real[p_rows]) for x, real in p_levels],
+            d_local,
+            p_local,
+            attention,
+        )
+
     order = np.argsort(p_idx, kind="stable")
-    parts = [
-        encoder.interact(d_levels, d_mask, p_levels, d_idx[rows], p_idx[rows], attention)
-        for rows in np.split(order, range(chunk, len(order), chunk))
-    ]
+    parts = [joint(rows) for rows in np.split(order, range(chunk, len(order), chunk))]
     return _in_order(parts, np.argsort(order))
 
 
@@ -246,7 +257,6 @@ def build_prototype_head(store: ParameterStore, cfg: RunConfig) -> PrototypeHead
 
 @dataclass
 class TrainResult:
-    store: ParameterStore
     encoder: DTIEncoder
     featurizer: Featurizer
     history: list[EpochLog]
@@ -310,9 +320,7 @@ def _fit(cfg, manifest, out, run_epoch, store, encoder, feat, head=None) -> Trai
             best = (value, epoch, store.save_bytes())
     store.load_bytes(best[2])
     writer.finish(best[2])
-    return TrainResult(
-        store, encoder, feat, history, best[1], best[0], best[2], head=head
-    )
+    return TrainResult(encoder, feat, history, best[1], best[0], best[2], head=head)
 
 
 def train_supervised(
@@ -360,11 +368,13 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
     domain loss of the batch against min(batch_size, pool) target-val
     records, drawn from a stream that reshuffles at each epoch and whenever
     the pool runs out."""
+    train_idx, val_idx, _ = supervised_indices(manifest)
+    if not train_idx:
+        raise ValueError("split manifest has no train records")
     feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
     store, encoder = build_model(cfg)
     if start_blob is not None:
         store.load_bytes(start_blob, strict=False)
-    train_idx, val_idx, _ = supervised_indices(manifest)
     if adversarial:
         adversary = DomainAdversary(
             store,

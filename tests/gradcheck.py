@@ -25,9 +25,9 @@ def numeric_gradient(fn, arrays: list[np.ndarray], index: int, h: float = 1e-5) 
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = fn(*[T.Tensor(a) for a in arrays]).item()
+        fp = float(fn(*[T.Tensor(a) for a in arrays]).data)
         flat[i] = orig - h
-        fm = fn(*[T.Tensor(a) for a in arrays]).item()
+        fm = float(fn(*[T.Tensor(a) for a in arrays]).data)
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad

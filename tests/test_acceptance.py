@@ -9,6 +9,7 @@ criteria so the whole file stays within a coffee break on a laptop CPU.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -454,7 +455,10 @@ def test_08d_warm_start_gains_002_auroc_at_one_shot(shot_curves):
 def test_09_screening_top_decile_is_090_accurate(corpus2000, vanilla_run):
     manifest, classifier = vanilla_run
     reg_cfg = small_config(stage="regress", epochs=8, lr=1e-3)
-    regressor = train_supervised(corpus2000.regression_records(), manifest, reg_cfg)
+    affinity = [
+        replace(r, label=float(a)) for r, a in zip(corpus2000.records, corpus2000.affinities)
+    ]
+    regressor = train_supervised(affinity, manifest, reg_cfg)
     records = corpus2000.records
     test = manifest.indices(None, "test")
     top, _ = screen(

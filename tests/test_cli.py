@@ -7,19 +7,33 @@ with run directories shared across tests where that saves a training run.
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dtikit import cli
 from dtikit.config import resolve_config
-from dtikit.datasets import AFFINITY, BINARY
 from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
 from dtikit.train import train_adversarial, train_meta, train_supervised
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
+
+
+def with_target_train_task(manifest: dict, records) -> dict:
+    """The manifest payload with its first target-train task's record list
+    replaced by `records(old list)`."""
+    tasks = manifest["tasks"]
+    tid = min(t for t, info in tasks.items() if info["pool"] == "target_train")
+    task = {**tasks[tid], "records": records(tasks[tid]["records"])}
+    return {**manifest, "tasks": {**tasks, tid: task}}
+
+
+def report_means(path) -> dict:
+    """Metric name -> mean of a saved MetricReport."""
+    return {k: v["mean"] for k, v in json.loads(Path(path).read_text()).items()}
 
 
 @pytest.fixture(scope="module")
@@ -148,10 +162,12 @@ class TestTrainEval:
         cfg = json.loads((root / "config.json").read_text())
         assert cfg["stage"] == "vanilla"
         assert cfg["model.preset"] == "small"
-        # each stage reads its label column under a declared label kind
-        for stage, kind in (("vanilla", BINARY), ("regress", AFFINITY)):
+        # each stage reads its own label column: the 0/1 labels or the affinities
+        with open(workdir["csv"]) as fh:
+            rows = list(csv.DictReader(fh))
+        for stage, col in (("vanilla", "label"), ("regress", "affinity")):
             records = cli._load_records(workdir["csv"], stage, None)
-            assert {r.label_kind for r in records} == {kind}
+            assert [r.label for r in records] == [float(row[col]) for row in rows]
 
     def test_eval_reproduces_the_training_report(self, workdir, tmp_path):
         out = tmp_path / "report.json"
@@ -159,11 +175,7 @@ class TestTrainEval:
                          "--split-manifest", workdir["split"],
                          "--checkpoint", workdir["run"],
                          "--out", str(out)]) == 0
-        ours = MetricReport.from_json(out.read_text())
-        trained = MetricReport.from_json(
-            (workdir["root"] / "vanilla" / "report.json").read_text()
-        )
-        assert ours.metrics == trained.metrics
+        assert report_means(out) == report_means(workdir["root"] / "vanilla" / "report.json")
 
     def test_eval_accepts_the_checkpoint_file(self, workdir, tmp_path):
         """A bare best.ckpt path reads the config.json beside it."""
@@ -172,10 +184,7 @@ class TestTrainEval:
                          "--split-manifest", workdir["split"],
                          "--checkpoint", workdir["run"] + "/best.ckpt",
                          "--out", str(out)]) == 0
-        trained = (workdir["root"] / "vanilla" / "report.json").read_text()
-        assert MetricReport.from_json(out.read_text()).metrics == (
-            MetricReport.from_json(trained).metrics
-        )
+        assert report_means(out) == report_means(workdir["root"] / "vanilla" / "report.json")
 
     @pytest.mark.parametrize("stage", ["vanilla", "regress", "cada", "meta"])
     def test_library_run_directory_evaluates(self, workdir, meta_run, tmp_path, stage):
@@ -211,15 +220,13 @@ class TestTrainEval:
                          "--checkpoint", str(workdir["root"] / "vanilla" / "best.ckpt"),
                          "--out", str(run), *SMALL])
         assert code == 0
-        report = MetricReport.from_json((run / "report.json").read_text())
-        assert "auroc@5" in report.metrics
+        assert "auroc@5" in report_means(run / "report.json")
         out = tmp_path / "curve.json"
         assert cli.main(["eval", "--csv", workdir["csv"],
                          "--split-manifest", str(split),
                          "--checkpoint", str(run), "--shots", "1,3",
                          "--eval-runs", "2", "--out", str(out)]) == 0
-        curve = MetricReport.from_json(out.read_text())
-        assert set(curve.metrics) == {"auroc@1", "auroc@3"}
+        assert set(report_means(out)) == {"auroc@1", "auroc@3"}
 
 
 class TestScreen:
@@ -422,6 +429,28 @@ class TestExitCodes:
             "eval": ["--checkpoint", workdir["run"], "--out", str(out)],
         }[command]
         code = cli.main([command, "--csv", workdir["csv"], "--split-manifest", str(split), *args])
+        assert code == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, edit",
+        [("meta", lambda m: with_target_train_task(m, lambda recs: [*recs[:-1], 100000])),
+         ("meta", lambda m: with_target_train_task(m, lambda recs: 5)),
+         ("vanilla", lambda m: {**m, "assignments": {k: ["source", "test"]
+                                                     for k in m["assignments"]}})],
+        ids=["task-record-past-the-csv", "task-records-not-a-list", "no-train-record"],
+    )
+    def test_manifest_training_cannot_use_is_3(self, workdir, meta_run, tmp_path, stage, edit):
+        """Manifests that list every record once but crashed training with
+        exit 1: a task naming a record past the CSV, a task whose records
+        are no list, and a split with nothing to train on."""
+        source = meta_run["split"] if stage == "meta" else workdir["split"]
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(edit(json.loads(Path(source).read_text()))))
+        out = tmp_path / "out"
+        flags = ["--no-warm-start"] if stage == "meta" else []
+        code = cli.main(["train", "--csv", workdir["csv"], "--split-manifest", str(split),
+                         "--stage", stage, "--epochs", "1", *flags, "--out", str(out), *SMALL])
         assert code == 3
         assert not out.exists()
 

@@ -50,7 +50,6 @@ def test_affinity_labels(tmp_path):
     schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None, label_kind=ds.AFFINITY)
     records = ds.load_interactions(write(tmp_path, text), schema)
     assert records[0].label == pytest.approx(6.42)
-    assert records[0].label_kind == ds.AFFINITY
 
 
 def test_non_finite_affinities_are_skipped(tmp_path):

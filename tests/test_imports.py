@@ -1,5 +1,6 @@
-"""Every name a package module imports is referenced somewhere in it, and
-every tensor op has a caller outside `tensor.py` and a gradcheck case."""
+"""Every name a package module imports is referenced somewhere in it, every
+tensor op has a caller outside `tensor.py` and a gradcheck case, and no
+package module holds an `assert` statement."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,14 @@ def test_every_op_has_a_gradcheck_case():
         if op not in names and not any(n.startswith(op + "_") for n in names)
     ]
     assert not unchecked, "ops without a gradcheck case: " + ", ".join(unchecked)
+
+
+def test_no_assert_statements():
+    """Runtime checks raise, since `python -O` strips every `assert`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, "assert statements in the package: " + ", ".join(found)

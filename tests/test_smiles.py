@@ -8,7 +8,6 @@ def test_cyclopropane_hand_trace():
     g = sm.parse_smiles("C1CC1")
     assert g.n_atoms == 3
     assert len(g.bonds) == 3
-    assert g.ring_closure_count == 1
     for atom in g.atoms:
         assert atom.element == "C"
         assert atom.degree == 2

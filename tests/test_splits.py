@@ -303,7 +303,7 @@ def shared_string_items(strings, n_ids, seed):
 
 
 @pytest.mark.parametrize("side", ["drug", "protein"])
-def test_clusters_over_distinct_strings_match_per_id_linkage(corpus_entities, side):
+def test_clusters_over_distinct_strings_match_per_id_linkage(corpus_entities, side, monkeypatch):
     smiles, seqs = corpus_entities
     strings, distance = {
         "drug": (sorted(set(smiles)), sp.drug_distance_matrix),
@@ -312,11 +312,11 @@ def test_clusters_over_distinct_strings_match_per_id_linkage(corpus_entities, si
     items = shared_string_items(strings, 3 * len(strings), seed=4)
     steps = np.unique(distance(strings))
     steps = steps[steps > 1e-9]
-    thresholds = [0.0, 0.5] + [float(np.nextafter(steps[k], 2.0)) for k in (0, len(steps) // 2)]
-    for threshold in thresholds:
-        got = sp._clusters(items, distance, threshold)
+    thresholds = [0.5] + [float(np.nextafter(steps[k], 2.0)) for k in (0, len(steps) // 2)]
+    for threshold in thresholds:  # `_clusters` reads the cut at call time
+        monkeypatch.setattr(sp, "CLUSTER_THRESHOLD", threshold)
+        got = sp._clusters(items, distance)
         assert got == per_id_clusters(items, distance, threshold), threshold
-    assert len(set(sp._clusters(items, distance, 0.0).values())) == len(items)
 
 
 def test_clusters_run_the_distance_once_per_distinct_string():
@@ -327,10 +327,10 @@ def test_clusters_run_the_distance_once_per_distinct_string():
         return sp.drug_distance_matrix(strings)
 
     items = {"b": "CCO", "a": "CCN", "c": "CCO", "d": "c1ccccc1"}
-    assert sp._clusters(items, distance, 0.5) == per_id_clusters(items, sp.drug_distance_matrix, 0.5)
+    assert sp._clusters(items, distance) == per_id_clusters(items, sp.drug_distance_matrix, 0.5)
     assert seen == [["CCN", "CCO", "c1ccccc1"]]
-    with pytest.raises(EmptySequence):  # raised even where nothing links
-        sp._clusters({"p": "ACDE", "q": ""}, sp.protein_distance_matrix, 0.0)
+    with pytest.raises(EmptySequence):
+        sp._clusters({"p": "ACDE", "q": ""}, sp.protein_distance_matrix)
 
 
 # -- random split --------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dtikit import synth
-from dtikit.datasets import AFFINITY
 from dtikit.smiles import parse_smiles
 from dtikit.splits import (
     drug_distance_matrix,
@@ -114,12 +113,11 @@ class TestGeneratedCorpus:
         neg = corpus.affinities[corpus.clean_labels == 0]
         assert abs(pos.mean() - 7.0) < 0.1
         assert abs(neg.mean() - 4.0) < 0.1
-        regression = corpus.regression_records()
-        assert {r.label_kind for r in regression} == {AFFINITY}
 
     def test_protein_families_recoverable_by_clustering(self, corpus):
-        pids = sorted(corpus.protein_seqs)
-        dist = protein_distance_matrix([corpus.protein_seqs[p] for p in pids])
+        seqs = {r.protein_id: r.sequence for r in corpus.records}
+        pids = sorted(seqs)
+        dist = protein_distance_matrix([seqs[p] for p in pids])
         labels = single_linkage_cluster(dist, 0.5)
         fams = [corpus.protein_families[p] for p in pids]
         pairs = set(zip(fams, labels.tolist()))
@@ -127,8 +125,9 @@ class TestGeneratedCorpus:
         assert len(pairs) == synth.N_PROTEIN_FAMILIES
 
     def test_drug_families_recoverable_by_clustering(self, corpus):
-        dids = sorted(corpus.drug_smiles)
-        dist = drug_distance_matrix([corpus.drug_smiles[d] for d in dids])
+        smiles = {r.drug_id: r.smiles for r in corpus.records}
+        dids = sorted(smiles)
+        dist = drug_distance_matrix([smiles[d] for d in dids])
         labels = single_linkage_cluster(dist, 0.5)
         fams = [corpus.drug_families[d] for d in dids]
         pairs = set(zip(fams, labels.tolist()))
@@ -185,8 +184,9 @@ class TestReproducibility:
         parse = synth.parse_smiles
         monkeypatch.setattr(synth, "parse_smiles", lambda s: calls.append(s) or parse(s))
         c = synth_generate(SyntheticSpec(), seed=0)
-        assert len(c.drug_smiles) == 120
-        assert sorted(calls) == sorted(set(c.drug_smiles.values()))
+        smiles = {r.drug_id: r.smiles for r in c.records}  # every drug has a record
+        assert len(smiles) == 120
+        assert sorted(calls) == sorted(set(smiles.values()))
         # the CSV recorded before the parse was keyed on the SMILES
         c.to_csv(tmp_path / "corpus.csv")
         assert hashlib.sha256((tmp_path / "corpus.csv").read_bytes()).hexdigest() == (
@@ -196,7 +196,8 @@ class TestReproducibility:
     def test_different_seed_differs(self, tmp_path):
         a = synth_generate(SyntheticSpec(), seed=0)
         b = synth_generate(SyntheticSpec(), seed=1)
-        assert a.protein_seqs != b.protein_seqs
+        seqs = [{r.protein_id: r.sequence for r in c.records} for c in (a, b)]
+        assert seqs[0] != seqs[1]
 
     def test_manifest_flip_count_matches_records(self, tmp_path):
         c = synth_generate(SyntheticSpec(n_records=500), seed=3)

@@ -17,6 +17,7 @@ import oracle
 
 from dtikit import tensor as T
 from dtikit.config import ConfigError, resolve_config
+from dtikit.datasets import AFFINITY, CsvSchema, load_interactions
 from dtikit.splits import (
     SplitManifest,
     cluster_cross_domain_split,
@@ -388,10 +389,14 @@ class TestFailureModes:
 
 
 class TestScreen:
-    def test_top_slice_is_sorted_and_sized(self, vanilla, corpus, records, manifest):
+    def test_top_slice_is_sorted_and_sized(self, vanilla, corpus, records, manifest, tmp_path):
         cls_cfg, cls = vanilla
         cfg = small_config(stage="regress", epochs=2, lr=1e-3)
-        reg = train_supervised(corpus.regression_records(), manifest, cfg)
+        corpus.to_csv(tmp_path / "corpus.csv")
+        affinity = load_interactions(
+            tmp_path / "corpus.csv", CsvSchema(label_col="affinity", label_kind=AFFINITY)
+        )
+        reg = train_supervised(affinity, manifest, cfg)
         test = manifest.indices(None, "test")
         top, scores = screen(
             records, test,
