@@ -284,7 +284,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = _load_manifest(args.split_manifest, records)
     encoder, proto = _rebuild(cfg, blob)
-    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+    # only the records the report scores
+    scored = (manifest.task_records("target_test") if cfg.stage == "meta"
+              else manifest.indices(None, "test"))
+    feat = Featurizer.build([records[i] for i in scored], cfg.encoder_config().max_seq_len)
     try:
         shots = tuple(int(s) for s in args.shots.split(",")) if args.shots else (cfg.k_shot,)
     except ValueError:

@@ -196,6 +196,11 @@ class SplitManifest:
     def task_ids(self, pool: str) -> list[str]:
         return sorted(t for t, info in self.tasks.items() if info["pool"] == pool)
 
+    def task_records(self, *pools: str) -> list[int]:
+        """Sorted record indices of the tasks in any of the given pools."""
+        return sorted({i for info in self.tasks.values() if info["pool"] in pools
+                       for i in info["records"]})
+
     def to_json(self) -> str:
         payload = {
             "strategy": self.strategy,

@@ -26,6 +26,12 @@ call site instead of broadcasting away.
 Relu, alone or fused, keeps only its output: the mask its backward needs
 is ``out > 0``, which is set exactly where the input was positive.
 
+The bilinear attention takes its path from the size of one protein map:
+pairs whose gathered maps fit in ATTENTION_BLOCK_BYTES run a block at a
+time as stacked products, larger maps one map at a time through a view.
+Its softmax clamps the shifted scores at EXP_FLOOR and zeroes the padded
+cells afterwards, so exp never takes its slow path on an underflowing score.
+
 Gradients accumulate without zero-filling: a node adopts its first
 incoming gradient when dtype, shape and strides match its data, and
 otherwise copies it into a buffer laid out like the data.  An adopted
@@ -55,8 +61,14 @@ class MissingGradient(RuntimeError):
     pass
 
 
-# additive score of a padded cell: exp() of it is exactly zero
+# additive score of a padded cell: it never reaches a map's maximum, and
+# exp() of it is exactly zero
 PAD_MASK_BIAS = -1e30
+# floor of the shifted scores of the masked softmax: exp(-700) is still a
+# normal float, so exp never takes its slow underflow path
+EXP_FLOOR = -700.0
+# bytes of gathered u maps that one block of bilinear-attention pairs holds
+ATTENTION_BLOCK_BYTES = 1 << 20
 NORM_EPS = 1e-5  # variance floor of every standardisation
 ZERO_NORM_EPS = 1e-12  # a row with a smaller norm has no direction
 _GRAD_ENABLED = True
@@ -587,71 +599,139 @@ def batch_stat_norm(x, gamma, beta, mask=None) -> Tensor:
     return _make(out, (x, gamma, beta), backward)
 
 
+def _masked_softmax(s, pad, live):
+    """Softmax over the last axis of every score map s[..., K], in place.
+
+    `pad` (0 or PAD_MASK_BIAS) and `live` (1 or 0) broadcast against s and
+    mark its padded cells: the bias keeps them out of the map's maximum,
+    the clamp at EXP_FLOOR keeps exp from underflowing, and the live mask
+    zeroes them before the maps are normalised.  A live cell gets a plain
+    softmax's bits unless it lies more than -EXP_FLOOR below the maximum."""
+    s += pad
+    s -= s.max(axis=-1, keepdims=True)
+    np.maximum(s, EXP_FLOOR, out=s)
+    np.exp(s, out=s)
+    s *= live
+    s /= s.sum(axis=-1, keepdims=True)
+
+
+def _scatter_rows(rows, idx, n):
+    """The sum of rows[b] into row idx[b] of an [n, ...] array, as one GEMM
+    with a one-hot [n, B] matrix.  A row that no b names is exactly zero,
+    unless an entry of rows is not finite: 0 * inf is NaN, so that entry
+    comes out NaN in every row."""
+    return np.tensordot((idx == np.arange(n)[:, None]).astype(rows.dtype), rows, axes=1)
+
+
 def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     """Multi-head bilinear attention of row sets v[D, M, J] and u[P, L, J],
     one pair b per (v_idx[b], u_idx[b]).
 
     Head t with weights q_t[J] scores cell (m, l) of a pair as
     sum_j v[m, j] q_t[j] u[l, j].  Rows m outside v_mask[D, M] and columns
-    l at or past u_real[P] get PAD_MASK_BIAS, a softmax over the whole
-    M x L map gives the weights A_t, and the head's vector is
-    sum_m v[m] * (A_t u)[m].  Returns the heads' sum [B, J] and the weights
-    [B, heads, M, L].
+    l at or past u_real[P] are padded cells.  A softmax over the whole
+    M x L map gives the weights A_t, exactly 0 on padded cells, and the
+    head's vector is sum_m v[m] * (A_t u)[m].  Returns the heads' sum [B, J]
+    and the weights [B, heads, M, L].
 
-    The work is done one u row set at a time, for all of its pairs and all
-    heads at once, so no per-pair copy of a u map is ever made.
+    The size of one u map [L, J] picks the path.  When it fits in
+    ATTENTION_BLOCK_BYTES, the pairs are cut, in order, into blocks whose
+    gathered u maps fit in that budget (a small-preset batch is one block).
+    A block runs as stacked per-pair products, with the heads folded into
+    the v rows before the gather, and backward sums its pairs' u and v
+    gradients into their rows with one one-hot GEMM each.  A larger map
+    (every level of the paper preset) is used one u row set at a time,
+    through a view, for all of its pairs at once, so it is never copied.
+
+    No padded cell's score reaches exp, whose underflow path costs several
+    times a live cell: the shifted scores are clamped at EXP_FLOOR before
+    exp and the padded cells zeroed after it.
     """
     v, u = _wrap(v), _wrap(u)
     heads = [_wrap(q) for q in heads]
     v_idx = np.asarray(v_idx, dtype=np.intp)
     u_idx = np.asarray(u_idx, dtype=np.intp)
+    v_mask = np.asarray(v_mask, dtype=bool)
+    u_real = np.asarray(u_real)
     D, M, J = v.data.shape
     P, L, _ = u.data.shape
     if u.data.shape[2] != J or any(q.data.shape != (J,) for q in heads):
         raise ShapeMismatch(f"bilinear_attention: v {v.data.shape}, u {u.data.shape}")
-    if np.shape(v_mask) != (D, M) or np.shape(u_real) != (P,) or v_idx.shape != u_idx.shape:
+    if v_mask.shape != (D, M) or u_real.shape != (P,) or v_idx.shape != u_idx.shape:
         raise ShapeMismatch("bilinear_attention: masks or pair indices do not fit v and u")
     B, H = len(v_idx), len(heads)
-    q = np.stack([t.data for t in heads])[None, :, None, :]  # [1, H, 1, J]
-    row_bias = np.where(v_mask, 0.0, PAD_MASK_BIAS)[:, None, :, None]
-    col_bias = np.where(np.arange(L) < np.asarray(u_real)[:, None], 0.0, PAD_MASK_BIAS)
-    groups = [(p, np.flatnonzero(u_idx == p)) for p in np.unique(u_idx)]
+    q = np.array([t.data for t in heads])  # [H, J]
+    live = v_mask[v_idx][:, :, None] & (np.arange(L) < u_real[u_idx][:, None])[:, None, :]
+    live = live.astype(np.float64).reshape(B, 1, M * L)
+    pad = (live - 1.0) * -PAD_MASK_BIAS
+    # (rows, None): a block of pairs with their u maps gathered;
+    # (rows, p): every pair of u row set p, sharing its map
+    per_block = ATTENTION_BLOCK_BYTES // (L * J * u.data.itemsize)
+    if per_block:
+        blocks = [(slice(lo, lo + per_block), None) for lo in range(0, B, per_block)]
+    else:
+        blocks = [(np.flatnonzero(u_idx == p), p) for p in np.unique(u_idx)]
+
+    def u_maps(rows, p):
+        return u.data[u_idx[rows]] if p is None else u.data[p]
+
+    def v_heads(vq, vr, rows):
+        """The pairs' v rows times each head, [n, H, M, J]: taken from the
+        folded v rows on the block path, folded from their own otherwise."""
+        return vr[:, None] * q[:, None] if vq is None else vq[v_idx[rows]]
+
+    vq = v.data[:, None] * q[:, None] if per_block else None  # [D, H, M, J]
     out = np.empty((B, J))
     attn = np.empty((B, H, M, L))
     mixed = np.empty((B, M, J))  # sum_t A_t u per pair, kept for backward
-    for p, rows in groups:
-        up, vg = u.data[p], v.data[v_idx[rows]]
-        n = len(rows)
-        s = ((vg[:, None] * q).reshape(-1, J) @ up.T).reshape(n, H, M, L)
-        s += row_bias[v_idx[rows]]
-        s += col_bias[p]
-        flat = s.reshape(n, H, M * L)
-        e = np.exp(flat - flat.max(axis=2, keepdims=True))
-        a = (e / e.sum(axis=2, keepdims=True)).reshape(n, H, M, L)
-        w = (a.reshape(-1, L) @ up).reshape(n, H, M, J).sum(axis=1)
-        attn[rows] = a
+    for rows, p in blocks:
+        ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
+        s = v_heads(vq, vr, rows).reshape(-1, H * M, J) @ np.swapaxes(ub, -1, -2)
+        n = len(s)
+        _masked_softmax(s.reshape(n, H, M * L), pad[rows], live[rows])
+        s = s.reshape(n, H, M, L)
+        attn[rows] = s
+        w = s.sum(axis=1) @ ub
         mixed[rows] = w
-        out[rows] = (vg * w).sum(axis=1)
+        out[rows] = np.einsum("nmj,nmj->nj", vr, w)
 
     def backward(g):
-        dv = np.zeros_like(v.data)
-        du = np.zeros_like(u.data)
+        vq = v.data[:, None] * q[:, None] if per_block else None
+        dv = g[:, None, :] * mixed  # per pair, the A_t u part first
         dq = np.zeros((H, J))
-        for p, rows in groups:
-            up, vi = u.data[p], v_idx[rows]
-            vg, a = v.data[vi], attn[rows]
-            n = len(rows)
-            gr = g[rows][:, None, :]
-            dw = vg * gr  # gradient of every head's A_t u
-            da = (dw.reshape(-1, J) @ up.T).reshape(n, 1, M, L)
-            ds = a * (da - (a * da).sum(axis=(2, 3), keepdims=True))
-            dvq = (ds.reshape(-1, L) @ up).reshape(n, H, M, J)
-            du[p] = a.sum(axis=1).reshape(-1, L).T @ dw.reshape(-1, J)
-            du[p] += ds.reshape(-1, L).T @ (vg[:, None] * q).reshape(-1, J)
-            np.add.at(dv, vi, gr * mixed[rows] + (dvq * q).sum(axis=1))
-            dq += (dvq * vg[:, None]).sum(axis=(0, 2))
-        _accum(v, dv)
-        _accum(u, du)
+        if per_block:
+            du = np.empty((B, L, J))  # per pair
+        else:
+            du = np.empty_like(u.data)
+            du[np.setdiff1d(np.arange(P), u_idx)] = 0.0
+        for rows, p in blocks:
+            # each array goes as soon as it is spent: this loop sets the
+            # peak memory of a small-preset training step
+            ub, a, vr = u_maps(rows, p), attn[rows], v.data[v_idx[rows]]
+            n = len(a)
+            dw = vr * g[rows][:, None, :]  # gradient of every head's A_t u
+            if p is None:
+                np.matmul(np.swapaxes(a.sum(axis=1), 1, 2), dw, out=du[rows])
+            else:
+                np.matmul(a.sum(axis=1).reshape(-1, L).T, dw.reshape(-1, J), out=du[p])
+            da = dw @ np.swapaxes(ub, -1, -2)
+            del dw
+            ds = da[:, None] - np.einsum("nhml,nml->nh", a, da)[..., None, None]
+            del da
+            ds *= a
+            ds = ds.reshape(n, H * M, L)
+            dvq = (ds @ ub).reshape(n, H, M, J)
+            del ub
+            dv[rows] += np.einsum("nhmj,hj->nmj", dvq, q)
+            dq += np.einsum("nhmj,nmj->hj", dvq, vr)
+            del dvq
+            vh = v_heads(vq, vr, rows).reshape(n, H * M, J)
+            if p is None:
+                du[rows] += np.swapaxes(ds, 1, 2) @ vh
+            else:
+                du[p] += ds.reshape(-1, L).T @ vh.reshape(-1, J)
+        _accum(v, _scatter_rows(dv, v_idx, D))
+        _accum(u, _scatter_rows(du, u_idx, P) if per_block else du)
         for t, q_t in enumerate(heads):
             _accum(q_t, dq[t])
 

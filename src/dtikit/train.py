@@ -468,6 +468,8 @@ def train_meta(
     focal loss of the attention-weighted prototype classifier over its
     queries.  A warm start loads encoder weights from a supervised
     checkpoint; refusing one must be explicit, and doing both is an error.
+    The featurizer covers the target-train task records, which the
+    episodes read, and the target-test ones, which a shot curve reads.
     """
     if cfg.head is not None:
         raise ConfigError(f"episodic training wants stage 'meta', got {cfg.stage!r}")
@@ -478,7 +480,8 @@ def train_meta(
             "episodic training expects a supervised checkpoint; "
             "pass one or opt out explicitly"
         )
-    feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
+    tasks = manifest.task_records("target_train", "target_test")
+    feat = Featurizer.build([records[i] for i in tasks], cfg.encoder_config().max_seq_len)
     store, encoder = build_model(cfg)
     head = build_prototype_head(store, cfg)
     if warm_blob is not None:

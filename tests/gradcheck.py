@@ -255,7 +255,33 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a: _weighted(T.index_select(a, 1, ids_nm), w_ids_nm),
         [rng.normal(size=(n, m))],
     )
+    # the bilinear attention case above again, one u row set at a time and
+    # in blocks of two pairs
+    map_bytes = res * J * 8
+    for name, budget in (("per_u_row_set", map_bytes - 1), ("blocks_of_two", 2 * map_bytes)):
+        cases[f"bilinear_attention_{name}"] = (
+            _with_block_bytes(budget, lambda v, u, q0, q1: _weighted(
+                T.bilinear_attention(v, u, [q0, q1], v_mask, u_real, v_idx, u_idx)[0], w_pair
+            )),
+            [rng.normal(size=(3, atoms, J)), rng.normal(size=(2, res, J)),
+             rng.normal(size=J), rng.normal(size=J)],
+        )
     return cases
+
+
+def _with_block_bytes(budget: int, fn):
+    """`fn` run with bilinear attention's block budget set to `budget`; an
+    op keeps the path its forward took, so its backward needs no budget."""
+
+    def run(*args):
+        saved = T.ATTENTION_BLOCK_BYTES
+        T.ATTENTION_BLOCK_BYTES = budget
+        try:
+            return fn(*args)
+        finally:
+            T.ATTENTION_BLOCK_BYTES = saved
+
+    return run
 
 
 def run_case(name: str, case: tuple, rel_tol: float = 1e-4) -> float:

@@ -17,7 +17,7 @@ from dtikit.config import resolve_config
 from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
 from dtikit.splits import SplitManifest
-from dtikit.train import train_adversarial, train_meta, train_supervised
+from dtikit.train import Featurizer, train_adversarial, train_meta, train_supervised
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
 
@@ -29,6 +29,23 @@ def with_target_train_task(manifest: dict, records) -> dict:
     tid = min(t for t, info in tasks.items() if info["pool"] == "target_train")
     task = {**tasks[tid], "records": records(tasks[tid]["records"])}
     return {**manifest, "tasks": {**tasks, tid: task}}
+
+
+FEATURIZER_BUILD = Featurizer.build.__func__
+
+
+def featurize_spy(monkeypatch, every=None) -> list[int]:
+    """Record how many records each `Featurizer.build` is handed; with
+    `every`, build over those records instead, as if the caller had passed
+    the whole CSV."""
+    counts = []
+
+    def spy(cls, records, max_seq_len):
+        counts.append(len(records))
+        return FEATURIZER_BUILD(cls, records if every is None else every, max_seq_len)
+
+    monkeypatch.setattr(Featurizer, "build", classmethod(spy))
+    return counts
 
 
 def report_means(path) -> dict:
@@ -320,6 +337,58 @@ class TestExportAttention:
                   "--out", str(out)])
         entries = json.loads(out.read_text())
         assert sorted(entries[0]["levels"]) == ["0", "1", "2"]
+
+
+class TestFeaturizedRecords:
+    """`eval` and episodic training featurize only the records they read,
+    and their reports keep the bytes of featurizing the whole CSV."""
+
+    @pytest.fixture(scope="class")
+    def corpus600(self, workdir):
+        root = workdir["root"] / "corpus600"
+        assert cli.main(["synth", "--out", str(root), "--seed", "0", "--records", "600"]) == 0
+        data = {"csv": str(root / "corpus.csv")}
+        for strategy in ("random", "meta_protein"):
+            data[strategy] = str(root / f"{strategy}.json")
+            assert cli.main(["split", "--csv", data["csv"], "--strategy", strategy,
+                             "--out", data[strategy], "--seed", "0"]) == 0
+        data["records"] = cli._load_records(data["csv"], "vanilla", None)
+        return data
+
+    def test_eval_featurizes_only_the_test_partition(self, workdir, corpus600, tmp_path,
+                                                     monkeypatch):
+        args = ["eval", "--csv", corpus600["csv"], "--split-manifest", corpus600["random"],
+                "--checkpoint", workdir["run"], "--out"]
+        featurize_spy(monkeypatch, every=corpus600["records"])
+        assert cli.main([*args, str(tmp_path / "every.json")]) == 0
+        counts = featurize_spy(monkeypatch)
+        assert cli.main([*args, str(tmp_path / "test.json")]) == 0
+        assert counts == [120]
+        assert (tmp_path / "test.json").read_bytes() == (tmp_path / "every.json").read_bytes()
+
+    def test_episodic_runs_featurize_only_their_tasks(self, corpus600, tmp_path, monkeypatch):
+        """Training reads the target-train and target-test tasks (175 + 102
+        records), `eval` the target-test ones."""
+        short = tmp_path / "short.json"
+        short.write_text('{"meta.episodes_per_epoch": 4, "meta.eval_episodes": 4}')
+        manifest = SplitManifest.load(corpus600["meta_protein"])
+        tasks = {pool: manifest.task_records(pool) for pool in ("target_train", "target_test")}
+        assert [len(tasks["target_train"]), len(tasks["target_test"])] == [175, 102]
+        reports = {}
+        for name, every in (("every", corpus600["records"]), ("tasks", None)):
+            counts = featurize_spy(monkeypatch, every=every)
+            run = tmp_path / name
+            assert cli.main(["train", "--csv", corpus600["csv"],
+                             "--split-manifest", corpus600["meta_protein"], "--stage", "meta",
+                             "--no-warm-start", "--epochs", "1", "--eval-runs", "1",
+                             "--config", str(short), "--out", str(run), *SMALL]) == 0
+            assert cli.main(["eval", "--csv", corpus600["csv"],
+                             "--split-manifest", corpus600["meta_protein"],
+                             "--checkpoint", str(run), "--eval-runs", "1",
+                             "--out", str(run / "eval.json")]) == 0
+            reports[name] = [(run / f).read_bytes() for f in ("report.json", "eval.json")]
+        assert counts == [277, 102]
+        assert reports["tasks"] == reports["every"]
 
 
 class TestExitCodes:

@@ -265,7 +265,15 @@ def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
         for shape in ((2, 7, 3), (3, 4), (4,), (3, 3, 4), (4,))
     )
     outs = [T.matmul(x, w, b), T.matmul(x, w, b, relu=True), T.conv1d_relu(x, k, kb, (1, 1))]
-    kept = [(t, t.data.copy()) for t in (x, w, b, k, kb, *outs)]
+    # the attention's softmax runs in place, on arrays of its own
+    arrays, fixed, _ = _attention_case(rng)
+    attention_leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    joint, weights = T.bilinear_attention(
+        attention_leaves[0], attention_leaves[1], attention_leaves[2:], *fixed
+    )
+    outs.append(joint)
+    kept = [(t, t.data.copy()) for t in (x, w, b, k, kb, *attention_leaves, *outs)]
+    kept_weights = weights.copy()
 
     def like(a):
         """Normal values in an array laid out like `a`."""
@@ -287,3 +295,107 @@ def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
         assert g.tobytes() == before.tobytes()
     for t, before in kept:
         assert t.data.tobytes() == before.tobytes()
+    assert weights.tobytes() == kept_weights.tobytes()
+
+
+# -- bilinear attention --------------------------------------------------------------
+
+MAP_BYTES = 6 * 4 * 8  # one u map of the case below
+
+
+def _attention_case(rng):
+    """Arrays (v, u, three heads), masks and pair indices, and loss weights.
+
+    Four drugs of up to five atoms, drug 1 with a single real atom and drug
+    3 in no pair; four proteins of six residues, protein 0 with no pad
+    column and protein 2 in no pair; seven pairs, (0, 0) twice.  The pad
+    rows of v are large, so their scores would win any map's maximum."""
+    v_mask = np.array([[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0]],
+                      dtype=bool)
+    u_real = np.array([6, 4, 2, 5])
+    v_idx = np.array([0, 1, 2, 1, 0, 2, 0])
+    u_idx = np.array([0, 0, 1, 1, 3, 3, 0])
+    v = rng.normal(size=(4, 5, 4))
+    v[~v_mask] *= 100.0
+    arrays = [v, rng.normal(size=(4, 6, 4))] + [rng.normal(size=4) for _ in range(3)]
+    return arrays, (v_mask, u_real, v_idx, u_idx), rng.normal(size=(len(v_idx), 4))
+
+
+def _attention_run(arrays, fixed, weights):
+    """Output, weights and the gradients of v, u and the heads."""
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out, attn = T.bilinear_attention(leaves[0], leaves[1], leaves[2:], *fixed)
+    T.tsum(T.mul(out, T.Tensor(weights))).backward()
+    return [out.data, attn, leaves[0].grad, leaves[1].grad, np.stack([t.grad for t in leaves[2:]])]
+
+
+# one block, blocks of three pairs, one u row set at a time
+ATTENTION_BUDGETS = [T.ATTENTION_BLOCK_BYTES, 3 * MAP_BYTES, MAP_BYTES - 1]
+
+
+def test_bilinear_attention_paths_agree(monkeypatch):
+    """The block path, whole or cut into blocks, matches the per-u-row-set
+    path on the output, the weights and every gradient."""
+    case = _attention_case(np.random.default_rng(25))
+    results = []
+    for budget in ATTENTION_BUDGETS:
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+        results.append(_attention_run(*case))
+    *blocked, want = results
+    for got in blocked:
+        for g, w, name in zip(got, want, ("out", "weights", "dv", "du", "dq")):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), name
+    v_mask, u_real = case[1][:2]
+    for out, attn, dv, du, dq in results:
+        # rows no pair uses, pad rows of v and pad columns of u pass nothing
+        assert np.all(dv[3] == 0.0) and np.all(du[2] == 0.0)
+        assert np.all(dv[~v_mask] == 0.0)
+        assert all(np.all(du[p, r:] == 0.0) for p, r in enumerate(u_real))
+        assert np.all(dv[:3][v_mask[:3]] != 0.0) and np.all(dq != 0.0)
+
+
+@pytest.mark.parametrize("budget", ATTENTION_BUDGETS)
+def test_bilinear_attention_maps_are_a_softmax_over_live_cells(monkeypatch, budget):
+    """Pad cells are exactly 0, each (pair, head) map sums to 1, and the
+    weights match a softmax over the live cells alone."""
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+    arrays, fixed, _ = _attention_case(np.random.default_rng(26))
+    v, u, *q = arrays
+    v_mask, u_real, v_idx, u_idx = fixed
+    _, attn = T.bilinear_attention(T.Tensor(v), T.Tensor(u), [T.Tensor(t) for t in q], *fixed)
+    live = v_mask[v_idx][:, None, :, None] & (np.arange(6) < u_real[u_idx][:, None])[:, None, None]
+    live = np.broadcast_to(live, attn.shape)
+    assert np.all(attn[~live] == 0.0) and np.all(attn[live] > 0.0)
+    assert np.abs(attn.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
+    scores = np.einsum("bmj,hj,blj->bhml", v[v_idx], np.stack(q), u[u_idx])
+    scores[~live] = -np.inf
+    want = np.exp(scores - scores.max(axis=(2, 3), keepdims=True))
+    want /= want.sum(axis=(2, 3), keepdims=True)
+    assert np.abs(attn - want).max() <= 1e-12
+
+
+def test_bilinear_attention_hands_exp_no_pad_score(monkeypatch):
+    """exp is slow on scores that underflow, so it sees nothing below the
+    floor, on either path."""
+    arrays, fixed, _ = _attention_case(np.random.default_rng(28))
+    lowest = []
+    exp = np.exp
+
+    def spy(x, *args, **kw):
+        lowest.append(np.min(x))
+        return exp(x, *args, **kw)
+
+    monkeypatch.setattr(np, "exp", spy)
+    for budget in ATTENTION_BUDGETS:
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+        T.bilinear_attention(T.Tensor(arrays[0]), T.Tensor(arrays[1]),
+                             [T.Tensor(q) for q in arrays[2:]], *fixed)
+    assert len(lowest) >= len(ATTENTION_BUDGETS) and min(lowest) >= T.EXP_FLOOR
+
+
+def test_bilinear_attention_under_no_grad_keeps_no_backward():
+    arrays, fixed, _ = _attention_case(np.random.default_rng(27))
+    leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+    with T.no_grad():
+        out, _ = T.bilinear_attention(leaves[0], leaves[1], leaves[2:], *fixed)
+    assert not out.requires_grad and out._backward is None and out._parents == ()
