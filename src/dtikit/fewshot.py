@@ -9,6 +9,12 @@ query's scores into within-class weights, so each class contributes one
 prototype per query ([k_q, d]).  Queries are classified by a softmax over
 their cosine similarity to the two prototypes, and the focal loss
 concentrates training on the queries the model finds hard.
+
+The head also takes a stack of E episodes that share one support label
+vector (support [E, 2k, d], queries [E, k_q, d]), as an evaluation that
+scores many episodes at one shot count does: the projections run as one
+product over the stack's rows and the scores and prototypes as batched
+products, so E episodes cost one call.  Training steps on one episode.
 """
 
 from __future__ import annotations
@@ -82,23 +88,27 @@ class PrototypeHead:
         self.k_shift = store.parameter("proto/k_shift", np.zeros(qk_dim))
 
     def _project(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-        n = x.data.shape[0]
+        e, n, _ = x.data.shape
         z = T.silu(T.matmul(x, self.w))
-        return z * T.expand(scale, 0, n) + T.expand(shift, 0, n)
+        return z * T.expand(T.expand(scale, 0, n), 0, e) + T.expand(T.expand(shift, 0, n), 0, e)
 
     def _scores(self, support: Tensor, queries: Tensor) -> Tensor:
-        """Scores [k_q, 2k] of every support row against every query row."""
+        """Scores [E, k_q, 2k] of every support row against every query row
+        of each episode."""
         if self.uniform:
-            return Tensor(np.zeros((queries.data.shape[0], support.data.shape[0])))
+            return Tensor(np.zeros(queries.data.shape[:2] + support.data.shape[1:2]))
         q = self._project(queries, self.q_scale, self.q_shift)
         k = self._project(support, self.k_scale, self.k_shift)
-        return T.square(T.relu(T.matmul(q, T.transpose(k))))
+        return T.square(T.relu(T.bmm(q, T.transpose(k))))
 
     def episode_probabilities(
         self, support: Tensor, support_labels: np.ndarray, queries: Tensor
     ) -> tuple[Tensor, np.ndarray]:
         """Class probabilities [k_q, 2] of the query rows [k_q, d] and the
         within-class support weights [k_q, 2k] that formed their prototypes.
+        A stack of episodes, support [E, 2k, d] and queries [E, k_q, d] with
+        labels [2k] shared by all, gives probabilities [E, k_q, 2] and
+        weights [E, k_q, 2k].
 
         The weights are normalised inside each class, so a prototype is a
         convex combination of its own class's supports.  Normalising over
@@ -106,15 +116,10 @@ class PrototypeHead:
         cosine scores ignore.
         """
         labels = np.asarray(support_labels)
-        if support.data.ndim != 2 or labels.shape != (support.data.shape[0],):
-            raise ShapeMismatch(
-                f"support {support.data.shape} with {labels.shape} labels"
-            )
-        d = support.data.shape[1]
-        if queries.data.ndim != 2 or queries.data.shape[1] != d or not queries.data.shape[0]:
-            raise ShapeMismatch(
-                f"queries {queries.data.shape} for support {support.data.shape}"
-            )
+        s, q = support.data.shape, queries.data.shape
+        if (len(s) not in (2, 3) or len(q) != len(s) or labels.shape != (s[-2],)
+                or q[:-2] != s[:-2] or q[-1] != s[-1] or 0 in q[:-1]):
+            raise ShapeMismatch(f"queries {q} for support {s} with {labels.shape} labels")
         class_idx = []
         for c in (0, 1):
             idx = np.flatnonzero(labels == c)
@@ -122,23 +127,31 @@ class PrototypeHead:
                 raise EmptyClass(f"no class-{c} supports in episode")
             class_idx.append(idx)
 
-        k_q = queries.data.shape[0]
+        stacked = len(s) == 3
+        if not stacked:
+            support, queries = T.reshape(support, (1, *s)), T.reshape(queries, (1, *q))
+        e, k_q, d = queries.data.shape
         scores = self._scores(support, queries)
         weights = np.zeros(scores.data.shape)
+        rows = T.reshape(queries, (e * k_q, d))
         sims = []
-        zero = np.linalg.norm(queries.data, axis=1) < T.ZERO_NORM_EPS
+        zero = np.linalg.norm(rows.data, axis=1) < T.ZERO_NORM_EPS
         for idx in class_idx:
-            w = T.softmax(T.index_select(scores, 1, idx), axis=1)
-            weights[:, idx] = w.data
-            protos = T.matmul(w, T.index_select(support, 0, idx))
+            w = T.softmax(T.index_select(scores, 2, idx), axis=2)
+            weights[..., idx] = w.data
+            protos = T.reshape(T.bmm(w, T.index_select(support, 1, idx)), (e * k_q, d))
             zero |= np.linalg.norm(protos.data, axis=1) < T.ZERO_NORM_EPS
-            sims.append(T.reshape(T.cosine_rows(queries, protos), (k_q, 1)))
+            sims.append(T.reshape(T.cosine_rows(rows, protos), (e * k_q, 1)))
         if zero.any():
             log.warning(
-                "%d of %d queries meet a zero-norm query or prototype, similarity set to 0",
-                int(zero.sum()), k_q,
+                "%d of %d queries in %d episodes meet a zero-norm query or prototype, "
+                "similarity set to 0",
+                int(zero.sum()), e * k_q, e,
             )
-        return T.softmax(T.concat(sims, axis=1), axis=1), weights
+        probs = T.softmax(T.concat(sims, axis=1), axis=1)
+        if stacked:
+            return T.reshape(probs, (e, k_q, 2)), weights
+        return probs, weights[0]
 
     def episode_loss(
         self,

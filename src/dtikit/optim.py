@@ -12,6 +12,14 @@ The flag byte is always written as 1 and ignored on read; it stays so the
 layout, and checkpoints written when non-trainable entries still existed,
 remain readable.  Round-trips are bit-exact, which the determinism
 guarantees lean on.
+
+Adam updates one flat float64 vector.  The first ``adam_step`` copies every
+entry into it, in registration order, and rebinds each tensor's ``data`` to
+a C-contiguous view of its slice with the entry's shape; registering a
+further entry then raises ``StoreFrozen``.  The moments m and v are flat as
+well, and a step is a handful of vector operations over each span of at
+least ``ADAM_SPAN`` values (the whole vector of a small model), so its
+temporaries stay the size of a span, not of the model.
 """
 
 from __future__ import annotations
@@ -29,10 +37,16 @@ FORMAT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# values per span of an Adam step (1 MB); whole entries fill each span
+ADAM_SPAN = 1 << 17
 
 
 class CheckpointError(IOError):
     pass
+
+
+class StoreFrozen(RuntimeError):
+    """Raised when a parameter is registered after the first Adam step."""
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -43,13 +57,17 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class ParameterStore:
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._adam_m: dict[str, np.ndarray] = {}
-        self._adam_v: dict[str, np.ndarray] = {}
+        self._flat: np.ndarray | None = None  # every entry's values, from the first step on
+        self._adam_m: np.ndarray | None = None
+        self._adam_v: np.ndarray | None = None
+        self._spans: list[tuple[slice, list[Tensor]]] = []
         self._adam_t = 0
 
     def parameter(self, path: str, init: np.ndarray) -> Tensor:
         if path in self._entries:
             raise KeyError(f"duplicate parameter path {path!r}")
+        if self._flat is not None:
+            raise StoreFrozen(f"parameter {path!r} registered after the first Adam step")
         t = Tensor(np.asarray(init), requires_grad=True)
         self._entries[path] = t
         return t
@@ -67,27 +85,62 @@ class ParameterStore:
         for t in self._entries.values():
             t.grad = None
 
+    def _bind(self) -> None:
+        """Copy every entry into one flat vector, make each tensor's data a
+        view of its slice, and cut the vector into spans of whole entries."""
+        tensors = list(self._entries.values())
+        # the values and both moments as one block, which at paper sizes is
+        # mapped and unmapped whole; three vector-sized blocks, each a new
+        # model's, fragmented the heap and raised peak RSS with every run
+        state = np.zeros((3, sum(t.data.size for t in tensors)))
+        self._flat, self._adam_m, self._adam_v = state
+        self._spans = []
+        start = stop = 0
+        members = []
+        for t in tensors:
+            n = t.data.size
+            view = self._flat[stop : stop + n].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            stop += n
+            members.append(t)
+            if stop - start >= ADAM_SPAN:
+                self._spans.append((slice(start, stop), members))
+                start, members = stop, []
+        if members:
+            self._spans.append((slice(start, stop), members))
+
     def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update over all trainable entries.
 
         Models register only the parameters their stage actually trains, so
-        a missing gradient here is a wiring bug, not a soft condition.
+        a missing gradient here is a wiring bug, not a soft condition.  The
+        update keeps the per-entry expression order, so the spans give each
+        entry the bits a per-entry loop would.
         """
-        self._adam_t += 1
-        t = self._adam_t
-        for path, tensor in self.trainable():
+        for path, tensor in self._entries.items():
             if tensor.grad is None:
                 raise MissingGradient(f"no gradient for {path!r}; run backward first")
-            g = tensor.grad
-            m = self._adam_m.setdefault(path, np.zeros_like(tensor.data))
-            v = self._adam_v.setdefault(path, np.zeros_like(tensor.data))
+        if self._flat is None:
+            self._bind()
+        self._adam_t += 1
+        unbias1 = 1.0 - ADAM_BETA1**self._adam_t
+        unbias2 = 1.0 - ADAM_BETA2**self._adam_t
+        for span, members in self._spans:
+            g = np.concatenate([t.grad for t in members], axis=None)
+            m, v = self._adam_m[span], self._adam_v[span]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            mhat = m / (1.0 - ADAM_BETA1**t)
-            vhat = v / (1.0 - ADAM_BETA2**t)
-            tensor.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            g *= g
+            v += (1.0 - ADAM_BETA2) * g
+            denom = np.divide(v, unbias2, out=g)  # g's buffer takes sqrt(vhat) + eps
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step = m / unbias1
+            step *= lr
+            step /= denom
+            self._flat[span] -= step
         self.zero_grad()
 
     # serialization --------------------------------------------------

@@ -491,33 +491,47 @@ class Episode:
     query: tuple[int, ...]
 
 
-def sample_episode(
-    records: list[InteractionRecord],
-    task_id: str,
-    task_indices: list[int],
-    k: int,
-    k_query: int,
-    rng: np.random.Generator,
-) -> Episode:
+@dataclass(frozen=True)
+class EpisodeTask:
+    """One task's record indices, sorted, and its positives and negatives
+    among them: the partition every episode drawn from the task reads, built
+    once per task rather than once per draw."""
+
+    task_id: str
+    records: list[int]
+    positives: list[int]
+    negatives: list[int]
+
+    @classmethod
+    def of(cls, records: list[InteractionRecord], task_id: str, task_indices) -> "EpisodeTask":
+        ordered = sorted(task_indices)
+        return cls(
+            task_id,
+            ordered,
+            [i for i in ordered if records[i].label == 1.0],
+            [i for i in ordered if records[i].label == 0.0],
+        )
+
+
+def sample_episode(task: EpisodeTask, k: int, k_query: int, rng: np.random.Generator) -> Episode:
     """Draw a k-shot episode from one task's records.
 
     Support takes k positives and k negatives without replacement; the
     query draws k_query from the leftovers.
     """
-    pos = sorted(i for i in task_indices if records[i].label == 1.0)
-    neg = sorted(i for i in task_indices if records[i].label == 0.0)
+    pos, neg = task.positives, task.negatives
     if len(pos) < k or len(neg) < k:
         raise InsufficientClassSamples(
-            f"task {task_id}: need {k} of each class, have {len(pos)}+/{len(neg)}-"
+            f"task {task.task_id}: need {k} of each class, have {len(pos)}+/{len(neg)}-"
         )
     sup_pos = [int(i) for i in rng.choice(pos, size=k, replace=False)]
     sup_neg = [int(i) for i in rng.choice(neg, size=k, replace=False)]
     support = sup_pos + sup_neg
     taken = set(support)
-    rest = [i for i in sorted(task_indices) if i not in taken]
+    rest = [i for i in task.records if i not in taken]
     if len(rest) < k_query:
         raise InsufficientClassSamples(
-            f"task {task_id}: only {len(rest)} records left for a {k_query}-query set"
+            f"task {task.task_id}: only {len(rest)} records left for a {k_query}-query set"
         )
     query = [int(i) for i in rng.choice(rest, size=k_query, replace=False)]
     return Episode(support=tuple(support), query=tuple(query))

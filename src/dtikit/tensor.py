@@ -507,27 +507,39 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
     Padding is explicit (left, right) zeros so even kernel widths can keep
     length exactly; output length is L + pl + pr - K + 1.  The bias and the
     relu are applied in place, as in ``matmul``.
+
+    The forward product and the kernel gradient are each one GEMM over the
+    sliding windows, laid out as ``np.einsum(..., optimize=True)`` plans
+    them for ``...lck,kco->...lo`` and ``...lck,...lo->kco``.  Calling the
+    GEMMs directly skips the equation parsing and planning that einsum
+    repeats on every call and that cost more than the product at small
+    shapes, and it fixes the operand layouts, so the bits no longer depend
+    on which plan the installed numpy picks.  The output keeps that plan's
+    channel-major layout.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     K, cin, cout = w.data.shape
     if x.data.ndim not in (2, 3) or x.data.shape[-1] != cin:
         raise ShapeMismatch(f"conv1d_relu: input {x.data.shape} vs kernel {w.data.shape}")
     pl, pr = padding
-    length = x.data.shape[-2]
-    xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((pl, pr), (0, 0)))
-    lout = xp.shape[-2] - K + 1
+    *lead, length, _ = x.data.shape
+    lout = length + pl + pr - K + 1
     if lout <= 0:
         raise ShapeMismatch(f"conv1d_relu: empty output for input {x.data.shape}, kernel {K}")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)
-    # windows: [..., lout, Cin, K] -> einsum to [..., lout, Cout]
-    out = np.einsum("...lck,kco->...lo", windows, w.data, optimize=True)
+    xp = np.zeros((*lead, length + pl + pr, cin))
+    xp[..., pl : pl + length, :] = x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)  # [..., lout, Cin, K]
+    cols = np.moveaxis(windows, (-1, -2), (0, 1)).reshape(K * cin, -1)  # [K*Cin, rows]
+    out = (w.data.transpose(2, 0, 1).reshape(cout, K * cin) @ cols).reshape(cout, *lead, lout)
+    out = np.moveaxis(out, 0, -1)
     out += b.data
     np.multiply(out, out > 0, out=out)
 
     def backward(g):
         g = g * (out > 0)
         if w.requires_grad:
-            _accum(w, np.einsum("...lck,...lo->kco", windows, g, optimize=True))
+            gw = np.moveaxis(g, -1, 0).reshape(cout, -1) @ windows.reshape(-1, cin * K)
+            _accum(w, gw.reshape(cout, cin, K).transpose(2, 1, 0))
         if b.requires_grad:
             _accum(b, g.reshape(-1, cout).sum(axis=0))
         if x.requires_grad:

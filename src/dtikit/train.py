@@ -51,7 +51,7 @@ from .optim import ParameterStore
 from .proteins import encode_protein
 from .rng import substream
 from .smiles import parse_smiles
-from .splits import TARGET, TEST, TRAIN, VAL, SplitManifest, sample_episode
+from .splits import TARGET, TEST, TRAIN, VAL, EpisodeTask, SplitManifest, sample_episode
 from .tensor import Tensor
 
 EVAL_SEED = 1  # seeds the shot curve's episodes, the same for runs of any seed
@@ -426,17 +426,17 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
 
 
 def _episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query: int):
-    """Sorted ids and record lists of the tasks in `pool` with enough
-    records of each class for a full k-shot episode."""
-    tasks = {}
+    """The tasks in `pool` with enough records of each class for a full
+    k-shot episode, sorted by id and partitioned for drawing."""
+    tasks = []
     for tid in manifest.task_ids(pool):
-        idxs = list(manifest.tasks[tid]["records"])
-        pos = sum(1 for i in idxs if records[i].label == 1.0)
-        if pos >= k and len(idxs) - pos >= k and len(idxs) - 2 * k >= k_query:
-            tasks[tid] = idxs
+        task = EpisodeTask.of(records, tid, manifest.tasks[tid]["records"])
+        if (min(len(task.positives), len(task.negatives)) >= k
+                and len(task.records) - 2 * k >= k_query):
+            tasks.append(task)
     if not tasks:
         raise ValueError(f"no {pool.replace('_', '-')} task can host a full episode")
-    return sorted(tasks), tasks
+    return tasks
 
 
 def _fused_rows(encoder, feat, records, idxs, chunk=None):
@@ -486,9 +486,7 @@ def train_meta(
     head = build_prototype_head(store, cfg)
     if warm_blob is not None:
         store.load_bytes(warm_blob, strict=False)
-    task_ids, pools = _episode_tasks(
-        manifest, "target_train", records, cfg.k_shot, cfg.k_query
-    )
+    tasks = _episode_tasks(manifest, "target_train", records, cfg.k_shot, cfg.k_query)
     rng = substream(cfg.seed, "train.episodes")
 
     def run_epoch(epoch):
@@ -496,8 +494,8 @@ def train_meta(
         hits = 0
         n_queries = 0
         for _ in range(cfg.episodes_per_epoch):
-            tid = task_ids[int(rng.integers(len(task_ids)))]
-            ep = sample_episode(records, tid, pools[tid], cfg.k_shot, cfg.k_query, rng)
+            task = tasks[int(rng.integers(len(tasks)))]
+            ep = sample_episode(task, cfg.k_shot, cfg.k_query, rng)
             fused, row = _fused_rows(encoder, feat, records, list(ep.support) + list(ep.query))
             support, s_labels, queries = _episode_inputs(
                 fused, row, records, ep.support, ep.query
@@ -545,33 +543,34 @@ def meta_shot_curve(
     counts reuse the same episodes with the support truncated to the first
     k per class and identical queries.  Comparing shot counts on common
     queries measures what the extra shots add, with the query sampling
-    noise cancelled out.  Reports carry mean and spread across runs.
+    noise cancelled out.  A run draws all its episodes first (no draw
+    depends on a score) and scores each shot count's episodes as one stack,
+    in episode order.  Reports carry mean and spread across runs.
     """
     check_shot_curve(shots, n_runs)
     k_max = max(shots)
-    task_ids, pools = _episode_tasks(manifest, "target_test", records, k_max, cfg.k_query)
-    idxs = sorted({i for pool in pools.values() for i in pool})
+    tasks = _episode_tasks(manifest, "target_test", records, k_max, cfg.k_query)
+    idxs = sorted({i for task in tasks for i in task.records})
 
     per_run = {k: [] for k in shots}
     with T.no_grad():
         fused, row = _fused_rows(encoder, feat, records, idxs, chunk=cfg.batch_size)
         for run in range(n_runs):
             rng = substream(EVAL_SEED, f"meta.eval.{run}")
-            collected = {k: ([], []) for k in shots}
-            for _ in range(cfg.eval_episodes):
-                tid = task_ids[int(rng.integers(len(task_ids)))]
-                ep = sample_episode(records, tid, pools[tid], k_max, cfg.k_query, rng)
-                for k in shots:
-                    sub = list(ep.support[:k]) + list(ep.support[k_max : k_max + k])
-                    probs, _ = head.episode_probabilities(
-                        *_episode_inputs(fused, row, records, sub, ep.query)
-                    )
-                    collected[k][0].extend(probs.data[:, 1])
-                    collected[k][1].extend(records[i].label for i in ep.query)
+            episodes = [
+                sample_episode(tasks[int(rng.integers(len(tasks)))], k_max, cfg.k_query, rng)
+                for _ in range(cfg.eval_episodes)
+            ]
+            supports = np.array([[row[i] for i in ep.support] for ep in episodes])
+            queries = T.index_select(fused, 0, [[row[i] for i in ep.query] for ep in episodes])
+            labels = np.array([records[i].label for ep in episodes for i in ep.query])
             for k in shots:
-                per_run[k].append(
-                    auroc(np.array(collected[k][0]), np.array(collected[k][1]))
+                # each support is k_max positives then k_max negatives
+                cols = np.r_[:k, k_max : k_max + k]
+                probs, _ = head.episode_probabilities(
+                    T.index_select(fused, 0, supports[:, cols]), np.repeat([1.0, 0.0], k), queries
                 )
+                per_run[k].append(auroc(probs.data[..., 1].ravel(), labels))
     out = {}
     for k in shots:
         arr = np.array(per_run[k])

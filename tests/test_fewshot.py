@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dtikit import tensor as T
 from dtikit.fewshot import (
     DEFAULT_ALPHA,
     DEFAULT_GAMMA,
@@ -279,6 +280,23 @@ def test_episode_loss_gradcheck_tiny_instance():
         assert abs(numeric - analytic) <= tol, path
 
 
+def assert_directional_gradients(loss_value, leaves, rng):
+    """Central differences of `loss_value` along one random direction per
+    leaf against the gradients a backward pass left on the leaves."""
+    h = 1e-6
+    for name, leaf in leaves.items():
+        direction = rng.normal(size=leaf.data.shape)
+        base = leaf.data.copy()
+        leaf.data[...] = base + h * direction
+        up = loss_value()
+        leaf.data[...] = base - h * direction
+        down = loss_value()
+        leaf.data[...] = base
+        numeric = (up - down) / (2 * h)
+        analytic = float(np.sum(leaf.grad * direction))
+        assert abs(numeric - analytic) <= 1e-4 * max(abs(numeric), abs(analytic)) + 1e-10, name
+
+
 def test_episode_loss_gradients_with_several_shots_and_queries():
     """Directional finite differences on every leaf and attention
     parameter of a 3-shot, 4-query episode."""
@@ -293,18 +311,94 @@ def test_episode_loss_gradients_with_several_shots_and_queries():
 
     loss, _ = head.episode_loss(support, labels, queries, q_labels)
     loss.backward()
-    h = 1e-6
-    for name, leaf in leaves.items():
-        direction = rng.normal(size=leaf.data.shape)
-        base = leaf.data.copy()
-        leaf.data[...] = base + h * direction
-        up = loss_value()
-        leaf.data[...] = base - h * direction
-        down = loss_value()
-        leaf.data[...] = base
-        numeric = (up - down) / (2 * h)
-        analytic = float(np.sum(leaf.grad * direction))
-        assert abs(numeric - analytic) <= 1e-4 * max(abs(numeric), abs(analytic)) + 1e-10, name
+    assert_directional_gradients(loss_value, leaves, rng)
+
+
+# -- stacks of episodes ------------------------------------------------------------
+
+
+def stack_loss(head, support, labels, queries, q_labels):
+    """Focal loss over every query of a stack of episodes."""
+    probs, _ = head.episode_probabilities(support, labels, queries)
+    n = q_labels.size
+    picks = 2 * np.arange(n) + q_labels.ravel().astype(np.intp)
+    return focal_loss(T.index_select(T.reshape(probs, (2 * n,)), 0, picks))
+
+
+def test_stack_matches_single_episode_calls():
+    """E episodes scored as one stack against E single calls: E from 1 to
+    12, k from 1 to 5, learned and uniform attention, shuffled and ordered
+    labels, one zero query.  Only the projections run over more rows, and
+    they differ from the single calls in the last bit at most where a
+    one-query episode's product is a matrix-vector one."""
+    rng = np.random.default_rng(31)
+    for uniform in (False, True):
+        for trial in range(30):
+            d = int(rng.integers(2, 9))
+            k = int(rng.integers(1, 6))
+            k_q = int(rng.integers(1, 11))
+            e = int(rng.integers(1, 13))
+            store, head = build_head(seed=trial, d=d, uniform=uniform)
+            spread_attention(store, rng)
+            labels = np.array([1.0] * k + [0.0] * k)
+            if trial % 2:
+                labels = rng.permutation(labels)
+            support = rng.normal(size=(e, 2 * k, d))
+            queries = rng.normal(size=(e, k_q, d))
+            if trial == 0:
+                queries[-1, 0] = 0.0
+            probs, weights = head.episode_probabilities(Tensor(support), labels, Tensor(queries))
+            assert probs.data.shape == (e, k_q, 2)
+            assert weights.shape == (e, k_q, 2 * k)
+            for i in range(e):
+                p, w = head.episode_probabilities(Tensor(support[i]), labels, Tensor(queries[i]))
+                assert np.abs(probs.data[i] - p.data).max() <= 1e-13
+                assert np.abs(weights[i] - w).max() <= 1e-13
+
+
+def test_stack_gradients_with_two_episodes():
+    """Directional finite differences on every leaf and attention
+    parameter of a stack of two 3-shot, 4-query episodes."""
+    store, head = build_head(seed=23)
+    rng = np.random.default_rng(12)
+    support = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+    labels = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    queries = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    q_labels = rng.integers(0, 2, size=(2, 4)).astype(float)
+    leaves = {"support": support, "queries": queries}
+    leaves.update({path: store[path] for path in store.paths()})
+
+    def loss_value():
+        return float(stack_loss(head, support, labels, queries, q_labels).data)
+
+    stack_loss(head, support, labels, queries, q_labels).backward()
+    assert_directional_gradients(loss_value, leaves, rng)
+
+
+def test_stack_shape_checks():
+    _, head = build_head()
+    labels = np.array([1.0, 0.0])
+    support = Tensor(np.ones((3, 2, 4)))
+    for queries in (np.ones((2, 1, 4)), np.ones((3, 1, 3)), np.ones((3, 0, 4)), np.ones((1, 4))):
+        with pytest.raises(ShapeMismatch):
+            head.episode_probabilities(support, labels, Tensor(queries))
+    with pytest.raises(ShapeMismatch):
+        head.episode_probabilities(Tensor(np.ones((0, 2, 4))), labels, Tensor(np.ones((0, 1, 4))))
+    with pytest.raises(ShapeMismatch):
+        head.episode_probabilities(
+            Tensor(np.ones((1, 3, 2, 4))), labels, Tensor(np.ones((1, 3, 1, 4)))
+        )
+    with pytest.raises(EmptyClass):
+        head.episode_probabilities(support, np.ones(2), Tensor(np.ones((3, 1, 4))))
+
+
+def test_stack_logs_one_zero_norm_warning_with_totals(caplog):
+    _, head = build_head(d=3)
+    support = Tensor(np.tile([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], (4, 1, 1)))
+    with caplog.at_level(logging.WARNING, logger="dtikit.fewshot"):
+        head.episode_probabilities(support, np.array([1.0, 0.0]), Tensor(np.ones((4, 2, 3))))
+    assert len(caplog.records) == 1
+    assert "8 of 8 queries in 4 episodes meet a zero-norm" in caplog.text
 
 
 def test_uniform_head_matches_class_mean_reference():

@@ -1,6 +1,7 @@
 """Every name a package module imports is referenced somewhere in it, every
-tensor op has a caller outside `tensor.py` and a gradcheck case, and no
-package module holds an `assert` statement."""
+tensor op has a caller outside `tensor.py` and a gradcheck case, no package
+module holds an `assert` statement, and none passes a numpy call as the
+default of `setdefault`."""
 
 import ast
 from pathlib import Path
@@ -126,3 +127,34 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def _numpy_setdefaults(tree: ast.Module) -> list[int]:
+    """Lines of `.setdefault(key, default)` calls whose default is a call
+    reached through numpy (`np.zeros_like(x)`, `np.random.rand(3)`)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setdefault" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Call)):
+            continue
+        root = node.args[1].func
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_numpy_call_as_a_setdefault_default():
+    """Python evaluates `setdefault`'s default on every call and keeps it
+    at most once, so a numpy default allocates an array per call that is
+    thrown away; look the key up first instead."""
+    assert _numpy_setdefaults(ast.parse("m = d.setdefault(k, np.zeros_like(x))")) == [1]
+    assert _numpy_setdefaults(ast.parse("m = d.setdefault(k, [])")) == []
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line in _numpy_setdefaults(ast.parse(path.read_text()))
+    ]
+    assert not found, "numpy calls as setdefault defaults: " + ", ".join(found)

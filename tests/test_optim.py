@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
+from dtikit import optim
 from dtikit import tensor as T
-from dtikit.optim import CheckpointError, ParameterStore, kaiming_uniform, read_checkpoint
+from dtikit.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    CheckpointError,
+    ParameterStore,
+    StoreFrozen,
+    kaiming_uniform,
+    read_checkpoint,
+)
 
 
 def test_first_adam_step_is_closed_form():
@@ -42,6 +52,107 @@ def test_adam_converges_on_quadratic():
         t.backward()
         store.adam_step(lr=0.05)
     assert np.allclose(p.data, target, atol=1e-3)
+
+
+SHAPES = {"scalar": (), "bias": (5,), "kernel": (3, 4, 2)}
+
+
+def per_entry_adam(values, grads, m, v, t, lr):
+    """Adam as a loop over the entries, one set of moments each."""
+    for path, g in grads.items():
+        m[path] = ADAM_BETA1 * m[path] + (1.0 - ADAM_BETA1) * g
+        v[path] = ADAM_BETA2 * v[path] + (1.0 - ADAM_BETA2) * (g * g)
+        mhat = m[path] / (1.0 - ADAM_BETA1**t)
+        vhat = v[path] / (1.0 - ADAM_BETA2**t)
+        values[path] = values[path] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+@pytest.mark.parametrize(
+    "span, n_spans", [(optim.ADAM_SPAN, 1), (4, 2)], ids=["one-span", "two-spans"]
+)
+def test_flat_adam_equals_the_per_entry_loop_bit_for_bit(span, n_spans, monkeypatch):
+    """Five steps over a 0-d, a 1-d and a 3-d entry, with gradients of
+    mixed layout, against the per-entry loop, as one span and as two."""
+    monkeypatch.setattr(optim, "ADAM_SPAN", span)
+    rng = np.random.default_rng(4)
+    store = ParameterStore()
+    values = {path: rng.normal(size=shape) for path, shape in SHAPES.items()}
+    for path, init in values.items():
+        store.parameter(path, init.copy())
+    m = {path: np.zeros(shape) for path, shape in SHAPES.items()}
+    v = {path: np.zeros(shape) for path, shape in SHAPES.items()}
+    for t in range(1, 6):
+        grads = {path: rng.normal(size=shape) for path, shape in SHAPES.items()}
+        grads["kernel"] = np.asfortranarray(grads["kernel"])
+        for path, g in grads.items():
+            store[path].grad = g
+        store.adam_step(lr=0.01)
+        assert len(store._spans) == n_spans
+        per_entry_adam(values, grads, m, v, t, lr=0.01)
+        for path in SHAPES:
+            assert np.array_equal(store[path].data, values[path]), (t, path)
+            assert store[path].grad is None
+
+
+def test_entries_become_views_of_one_vector_at_the_first_step():
+    store = ParameterStore()
+    for path, shape in SHAPES.items():
+        store.parameter(path, np.ones(shape))
+    before = {path: store[path].data for path in SHAPES}
+    for path in SHAPES:
+        store[path].grad = np.ones(SHAPES[path])
+    store.adam_step(lr=0.1)
+    bases = set()
+    for path, shape in SHAPES.items():
+        data = store[path].data
+        assert data is not before[path]
+        assert data.shape == shape and data.flags.c_contiguous
+        bases.add(id(data.base))
+    assert len(bases) == 1
+
+
+def test_checkpoint_round_trips_after_steps():
+    rng = np.random.default_rng(6)
+    store = ParameterStore()
+    for path, shape in SHAPES.items():
+        store.parameter(path, rng.normal(size=shape))
+    for _ in range(3):
+        for path, shape in SHAPES.items():
+            store[path].grad = rng.normal(size=shape)
+        store.adam_step(lr=0.05)
+    blob = store.save_bytes()
+    other = ParameterStore()
+    for path, shape in SHAPES.items():
+        other.parameter(path, np.zeros(shape))
+    other.load_bytes(blob)
+    assert other.save_bytes() == blob
+    # a stepped store loads into its views of the flat vector
+    base = store["bias"].data.base
+    other["bias"].data[...] = 0.0
+    store.load_bytes(other.save_bytes())
+    assert store["bias"].data.base is base
+    assert np.array_equal(store["bias"].data, np.zeros(5))
+
+
+def test_registering_after_the_first_step_raises():
+    """The first completed step fixes the entries; a step refused for a
+    missing gradient fixes nothing."""
+    store = ParameterStore()
+    p = store.parameter("w", np.zeros(2))
+    with pytest.raises(T.MissingGradient):
+        store.adam_step(lr=0.1)
+    q = store.parameter("registered_after_a_refused_step", np.zeros(1))
+    p.grad, q.grad = np.ones(2), np.ones(1)
+    store.adam_step(lr=0.1)
+    with pytest.raises(StoreFrozen):
+        store.parameter("late", np.zeros(3))
+    assert store.paths() == ["w", "registered_after_a_refused_step"]
+
+
+def test_an_empty_store_steps_as_a_no_op():
+    store = ParameterStore()
+    store.adam_step(lr=0.1)
+    assert store.save_bytes() == ParameterStore().save_bytes()
 
 
 def test_checkpoint_round_trip_is_bit_exact():

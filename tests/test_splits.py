@@ -590,12 +590,45 @@ def episode_task(records, n=20):
 def test_sample_episode_structure():
     records = episode_task(None)
     rng = substream(0, "episode")
-    ep = sp.sample_episode(records, "t0", list(range(len(records))), k=3, k_query=5, rng=rng)
+    task = sp.EpisodeTask.of(records, "t0", range(len(records)))
+    ep = sp.sample_episode(task, k=3, k_query=5, rng=rng)
     sup_labels = [records[i].label for i in ep.support]
     assert sup_labels[:3] == [1.0, 1.0, 1.0]
     assert sup_labels[3:] == [0.0, 0.0, 0.0]
     assert len(ep.query) == 5
     assert not set(ep.support) & set(ep.query)
+
+
+def per_draw_sampler(records, task_id, task_indices, k, k_query, rng):
+    """The sampler as it was before tasks were partitioned once: split by
+    class and sort on every draw."""
+    pos = sorted(i for i in task_indices if records[i].label == 1.0)
+    neg = sorted(i for i in task_indices if records[i].label == 0.0)
+    support = [int(i) for i in rng.choice(pos, size=k, replace=False)]
+    support += [int(i) for i in rng.choice(neg, size=k, replace=False)]
+    taken = set(support)
+    rest = [i for i in sorted(task_indices) if i not in taken]
+    query = [int(i) for i in rng.choice(rest, size=k_query, replace=False)]
+    return sp.Episode(support=tuple(support), query=tuple(query))
+
+
+def test_partitioned_tasks_draw_the_per_draw_sequence():
+    """Seed 0, 200 draws over three shuffled tasks of different sizes and
+    class balances: partitioning each task once leaves the rng calls, and so
+    every episode, as drawing from the raw index lists gave."""
+    records = [
+        InteractionRecord(f"d{i}", "p0", "CC", "ACDE", float(i % 3 != 0)) for i in range(90)
+    ]
+    order = np.random.default_rng(5).permutation(90).tolist()
+    raw = {"a": order[:20], "b": order[20:55], "c": order[55:]}
+    tasks = {tid: sp.EpisodeTask.of(records, tid, idxs) for tid, idxs in raw.items()}
+    rng, ref_rng = substream(0, "episode"), substream(0, "episode")
+    for draw in range(200):
+        tid = "abc"[draw % 3]
+        k = 1 + draw % 5
+        got = sp.sample_episode(tasks[tid], k, 6, rng)
+        assert got == per_draw_sampler(records, tid, raw[tid], k, 6, ref_rng), draw
+    assert rng.random() == ref_rng.random()
 
 
 def test_sample_episode_insufficient_class():
@@ -604,4 +637,4 @@ def test_sample_episode_insufficient_class():
     ]
     rng = substream(0, "episode")
     with pytest.raises(sp.InsufficientClassSamples):
-        sp.sample_episode(records, "t0", list(range(6)), k=2, k_query=2, rng=rng)
+        sp.sample_episode(sp.EpisodeTask.of(records, "t0", range(6)), k=2, k_query=2, rng=rng)

@@ -74,6 +74,37 @@ def test_conv1d_relu_length_arithmetic():
     assert T.conv1d_relu(x, w6, b, padding=(2, 3)).shape == (10, 4)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-sample", "batch"])
+def test_conv1d_relu_products_equal_einsums_plan(lead):
+    """The forward product and the kernel gradient are `==` to
+    `np.einsum(..., optimize=True)` over the same windows, in the same
+    layout: kernel widths 1, 3, 6 and 9 at the small preset's 12 channels
+    and the paper preset's 128.  A numpy whose einsum plans these products
+    differently fails here rather than in a checkpoint's bits."""
+    rng = np.random.default_rng(3)
+    for channels, length in ((12, 48), (128, 150)):
+        for K in (1, 3, 6, 9):
+            pad = ((K - 1) // 2, K - 1 - (K - 1) // 2)
+            x = T.Tensor(rng.normal(size=(*lead, length, channels)))
+            w = T.Tensor(rng.normal(size=(K, channels, channels)), requires_grad=True)
+            b = T.Tensor(rng.normal(size=channels))
+            out = T.conv1d_relu(x, w, b, pad)
+            xp = np.pad(x.data, ((0, 0),) * len(lead) + (pad, (0, 0)))
+            windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)
+            want = np.einsum("...lck,kco->...lo", windows, w.data, optimize=True)
+            want += b.data
+            np.multiply(want, want > 0, out=want)
+            assert np.array_equal(out.data, want), K
+            assert out.data.strides == want.strides, K
+            g = rng.normal(size=out.shape)
+            T.tsum(out * T.Tensor(g)).backward()
+            # the node receives its gradient laid out like its output
+            g_seen = np.empty_like(out.data)
+            g_seen[...] = g
+            want_w = np.einsum("...lck,...lo->kco", windows, g_seen * (want > 0), optimize=True)
+            assert np.array_equal(w.grad, want_w), K
+
+
 def test_maxpool_ragged_tail():
     x = T.Tensor(np.arange(10.0).reshape(5, 2))
     out = T.maxpool1d(x, 2)

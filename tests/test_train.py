@@ -18,20 +18,26 @@ import oracle
 from dtikit import tensor as T
 from dtikit.config import ConfigError, resolve_config
 from dtikit.datasets import AFFINITY, CsvSchema, load_interactions
+from dtikit.metrics import MetricReport, auroc
+from dtikit.rng import substream
 from dtikit.splits import (
+    EpisodeTask,
     SplitManifest,
     cluster_cross_domain_split,
     meta_unseen_split,
     random_split,
+    sample_episode,
 )
 from dtikit.synth import SyntheticSpec, synth_generate
 from dtikit.train import (
+    EVAL_SEED,
     Featurizer,
     MissingCheckpoint,
     NumericFailure,
     build_model,
     encode_pairs,
     manifest_sha256,
+    meta_shot_curve,
     predict,
     screen,
     supervised_indices,
@@ -344,6 +350,45 @@ class TestAdversarial:
             train_adversarial(records, manifest, cfg)
 
 
+def per_episode_curve(records, manifest, cfg, encoder, head, feat, shots, n_runs):
+    """The shot curve with one head call per episode and shot count."""
+    k_max = max(shots)
+    tasks = {}
+    for tid in manifest.task_ids("target_test"):
+        task = EpisodeTask.of(records, tid, manifest.tasks[tid]["records"])
+        if (min(len(task.positives), len(task.negatives)) >= k_max
+                and len(task.records) - 2 * k_max >= cfg.k_query):
+            tasks[tid] = task
+    task_ids = sorted(tasks)
+    idxs = sorted({i for task in tasks.values() for i in task.records})
+    per_run = {k: [] for k in shots}
+    with T.no_grad():
+        fused = encode_pairs(encoder, feat, records, idxs, chunk=cfg.batch_size).fused
+        row = {i: j for j, i in enumerate(idxs)}
+        for run in range(n_runs):
+            rng = substream(EVAL_SEED, f"meta.eval.{run}")
+            scores, labels = {k: [] for k in shots}, []
+            for _ in range(cfg.eval_episodes):
+                task = tasks[task_ids[int(rng.integers(len(task_ids)))]]
+                ep = sample_episode(task, k_max, cfg.k_query, rng)
+                queries = T.index_select(fused, 0, [row[i] for i in ep.query])
+                labels += [records[i].label for i in ep.query]
+                for k in shots:
+                    sub = ep.support[:k] + ep.support[k_max : k_max + k]
+                    probs, _ = head.episode_probabilities(
+                        T.index_select(fused, 0, [row[i] for i in sub]),
+                        np.array([records[i].label for i in sub]),
+                        queries,
+                    )
+                    scores[k].extend(probs.data[:, 1])
+            for k in shots:
+                per_run[k].append(auroc(np.array(scores[k]), np.array(labels)))
+    return {
+        k: MetricReport(metrics={"auroc": float(np.mean(v))}, spread={"auroc": float(np.std(v))})
+        for k, v in per_run.items()
+    }
+
+
 class TestMeta:
     def test_refuses_to_start_cold_silently(self, records, meta_manifest):
         cfg = small_config(stage="meta", epochs=1)
@@ -363,6 +408,24 @@ class TestMeta:
         assert "query_accuracy" in result.history[0].train
         assert not result.history[0].val  # the episodes it scored were training ones
         assert "train_query_accuracy" in json.loads(result.history[0].to_json())
+
+    def test_stacked_shot_curve_equals_the_per_episode_loop(self, monkeypatch):
+        """Seed 0 on the 2,000-record protein-novel split: one head call
+        per run and shot count gives, report for report, the curve of one
+        call per episode and shot count."""
+        big = synth_generate(SyntheticSpec(), seed=0).records
+        split = meta_unseen_split(big, kind="protein", seed=0)
+        cfg = small_config(stage="meta", epochs=1, episodes_per_epoch=5)
+        result = train_meta(big, split, cfg, no_warm_start=True)
+        args = (big, split, cfg, result.encoder, result.head, result.featurizer)
+        want = per_episode_curve(*args, shots=(1, 3, 5), n_runs=2)
+        calls = []
+        scored = result.head.episode_probabilities
+        monkeypatch.setattr(
+            result.head, "episode_probabilities", lambda *a: calls.append(1) or scored(*a)
+        )
+        assert meta_shot_curve(*args, shots=(1, 3, 5), n_runs=2) == want
+        assert len(calls) == 2 * 3
 
     def test_supervised_pool_includes_target_train_labels(self, records, meta_manifest):
         train, _, test = supervised_indices(meta_manifest)
