@@ -1,9 +1,10 @@
 """Category-aware domain-adversarial objective.
 
 The encoder's fused pair representation is pushed through a gradient
-reversal, scaled per class by the classifier's own (detached) probability,
-and judged by one small domain discriminator per class.  Minimising the
-combined loss therefore trains the discriminators to tell source from
+reversal that negates without a scale (Ganin & Lempitsky, 2015), weighted
+per class by the classifier's own (detached) probability, and judged by one
+small domain discriminator per class.  Minimising the supervised loss plus lambda times
+the domain loss therefore trains the discriminators to tell source from
 target while the reversed gradient steers the encoder toward features the
 discriminators cannot separate, class by class.
 """
@@ -21,7 +22,7 @@ from .tensor import Tensor, sigmoid_values
 
 SOURCE_DOMAIN = 0.0
 TARGET_DOMAIN = 1.0
-GRL_SCALE = 1.0  # full-strength gradient reversal (Ganin & Lempitsky, 2015)
+HIDDEN = 256  # width of each critic's hidden layer
 WARMUP_FRACTION = 0.1  # share of the steps over which lambda_schedule ramps up
 
 
@@ -38,15 +39,9 @@ class DomainAdversary:
     the adversary disabled is bit-identical to plain supervised training.
     """
 
-    def __init__(
-        self,
-        store: ParameterStore,
-        rng: np.random.Generator,
-        feature_dim: int,
-        hidden: int = 256,
-    ):
+    def __init__(self, store: ParameterStore, rng: np.random.Generator, feature_dim: int):
         self.heads = [
-            _Scorer(store, f"adversary/class{k}", feature_dim, hidden, rng) for k in range(2)
+            _Scorer(store, f"adversary/class{k}", feature_dim, HIDDEN, rng) for k in range(2)
         ]
 
     def domain_loss(
@@ -55,7 +50,6 @@ class DomainAdversary:
         target: Tensor,
         source_probs: np.ndarray,
         target_probs: np.ndarray,
-        grl_scale: float = GRL_SCALE,
     ) -> Tensor:
         """Per-class BCE of the discriminators against the domain labels,
         averaged over records and summed over classes.
@@ -79,21 +73,13 @@ class DomainAdversary:
         domains = np.concatenate(
             [np.full(n_src, SOURCE_DOMAIN), np.full(n_tgt, TARGET_DOMAIN)]
         )
-        x = T.grad_reverse(T.concat([source, target], axis=0), grl_scale)
+        x = T.grad_reverse(T.concat([source, target], axis=0))
         loss = None
         for k, head in enumerate(self.heads):
             logits = head(x * T.expand(Tensor(probs[:, k]), 1, x.data.shape[1]))
             term = T.tmean(T.bce_with_logits(logits, domains))
             loss = term if loss is None else loss + term
         return loss
-
-
-def cada_total_loss(supervised: Tensor, domain: Tensor, lam_adv: float) -> Tensor:
-    """Eq.-style combination: supervised loss plus lam_adv times the domain
-    loss.  The reversal inside the domain term turns the single backward
-    pass into the min-max update.  Finiteness is the caller's check, on the
-    combined loss."""
-    return supervised + domain * lam_adv
 
 
 def lambda_schedule(step: int, total_steps: int, lam_max: float = 1.0) -> float:

@@ -11,7 +11,8 @@ failure mode:
 * 0: success
 * 2: configuration problem (bad key, bad value, out-of-range flag, bad
   flag combination)
-* 3: data problem (unreadable file, malformed CSV, unusable split)
+* 3: data problem (unreadable file, malformed CSV or one with no usable
+  row, unusable split)
 * 4: numeric failure (the loss left the realm of finite numbers)
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ConfigError, RunConfig, load_config, resolve_config
-from .datasets import AFFINITY, BINARY, CsvSchema, InteractionRecord, load_interactions
+from .datasets import AFFINITY, BINARY, CsvSchema, InteractionRecord, load_interactions_detailed
 from .splits import (
     SplitManifest,
     check_listing,
@@ -67,12 +68,15 @@ def _say(msg: str) -> None:
 
 
 def _load_records(path: str, stage: str, label_col: str | None) -> list[InteractionRecord]:
-    """Read the interaction CSV with the label column the stage expects."""
+    """Read the interaction CSV with the label column the stage expects;
+    a CSV with no usable row is a data problem."""
     if label_col is None:
         label_col = "affinity" if stage == "regress" else "label"
     kind = AFFINITY if stage == "regress" else BINARY
-    schema = CsvSchema(label_col=label_col, label_kind=kind)
-    return load_interactions(path, schema)
+    result = load_interactions_detailed(path, CsvSchema(label_col=label_col, label_kind=kind))
+    if not result.records:
+        raise ValueError(f"{path}: no usable row, {len(result.skipped)} skipped")
+    return result.records
 
 
 def _config_overrides(args: argparse.Namespace) -> dict:

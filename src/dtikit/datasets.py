@@ -1,10 +1,11 @@
 """Interaction dataset loading.
 
-Label and id columns are named through a CsvSchema. Rows whose SMILES fail
-to parse, or whose id is empty or already names another structure, are
-either skipped with their row number recorded (default) or abort the load
-when strict; each distinct SMILES is parsed once per load. A label is
-BINARY (0 or 1, classification) or AFFINITY (any finite number, regression).
+Every CSV carries the columns DRUG_ID_COL, PROTEIN_ID_COL, SMILES_COL and
+SEQUENCE_COL, and the label column a CsvSchema names. Rows whose SMILES fail
+to parse, whose label does not parse, or whose id is empty or already names
+another structure are skipped with their row number recorded; each distinct
+SMILES is parsed once per load. A label is BINARY (0 or 1, classification)
+or AFFINITY (any finite number, regression).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ log = logging.getLogger(__name__)
 BINARY = "binary"
 AFFINITY = "affinity"
 
+DRUG_ID_COL = "drug_id"
+PROTEIN_ID_COL = "protein_id"
 SMILES_COL = "smiles"
 SEQUENCE_COL = "sequence"
 
@@ -50,8 +53,6 @@ class InteractionRecord:
 @dataclass
 class CsvSchema:
     label_col: str = "label"
-    drug_id_col: str | None = "drug_id"
-    protein_id_col: str | None = "protein_id"
     label_kind: str = BINARY
 
 
@@ -79,11 +80,9 @@ def _parse_label(raw: str, kind: str) -> float:
     return value
 
 
-def _row_id(row: dict, col: str | None, structure: str, named: dict[str, str]) -> str | None:
-    """The row's id in column `col`, None without the column.  An id names
-    the structure (SMILES or sequence) of the first row loaded with it."""
-    if col is None:
-        return None
+def _row_id(row: dict, col: str, structure: str, named: dict[str, str]) -> str:
+    """The row's id in column `col`.  An id names the structure (SMILES or
+    sequence) of the first row loaded with it."""
     ident = (row[col] or "").strip()
     if not ident:
         raise BadId(f"empty {col}")
@@ -92,32 +91,23 @@ def _row_id(row: dict, col: str | None, structure: str, named: dict[str, str]) -
     return ident
 
 
-def load_interactions_detailed(
-    path: str | Path, schema: CsvSchema | None = None, strict: bool = False
-) -> LoadResult:
+def load_interactions_detailed(path: str | Path, schema: CsvSchema | None = None) -> LoadResult:
     """Load interaction records from a CSV file.
 
     Every row's SMILES passes a parse as a validation gate (oversized
     molecules are rejected here, not truncated downstream); the parse runs
     once per distinct string. Bad rows are returned in ``skipped``, each
-    with its own line, unless ``strict``, in which case the first one raises.
+    with its own line.
     """
     schema = schema or CsvSchema()
     result = LoadResult()
-    drug_ids: dict[str, str] = {}  # SMILES -> generated id, without an id column
-    protein_ids: dict[str, str] = {}
     smiles_of: dict[str, str] = {}  # id -> the structure it names
     sequence_of: dict[str, str] = {}
     parsed: dict[str, SmilesError | None] = {}  # SMILES -> its parse error, if any
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        needed = [SMILES_COL, SEQUENCE_COL, schema.label_col]
-        if schema.drug_id_col:
-            needed.append(schema.drug_id_col)
-        if schema.protein_id_col:
-            needed.append(schema.protein_id_col)
-        for col in needed:
+        for col in (SMILES_COL, SEQUENCE_COL, schema.label_col, DRUG_ID_COL, PROTEIN_ID_COL):
             if col not in header:
                 raise MissingColumn(f"column {col!r} not in {header}")
         for row in reader:
@@ -136,15 +126,11 @@ def load_interactions_detailed(
                 if parsed[smiles] is not None:
                     raise parsed[smiles].with_traceback(None)  # no growing traceback
                 label = _parse_label(row[schema.label_col], schema.label_kind)
-                drug_id = _row_id(row, schema.drug_id_col, smiles, smiles_of)
-                protein_id = _row_id(row, schema.protein_id_col, sequence, sequence_of)
+                drug_id = _row_id(row, DRUG_ID_COL, smiles, smiles_of)
+                protein_id = _row_id(row, PROTEIN_ID_COL, sequence, sequence_of)
             except (SmilesError, LabelParseError, BadId) as exc:
-                if strict:
-                    raise
                 result.skipped.append(SkippedRow(row=line, reason=str(exc)))
                 continue
-            drug_id = drug_id or drug_ids.setdefault(smiles, f"d{len(drug_ids):04d}")
-            protein_id = protein_id or protein_ids.setdefault(sequence, f"p{len(protein_ids):04d}")
             smiles_of.setdefault(drug_id, smiles)
             sequence_of.setdefault(protein_id, sequence)
             result.records.append(
@@ -161,5 +147,6 @@ def load_interactions_detailed(
     return result
 
 
-def load_interactions(path: str | Path, schema: CsvSchema | None = None) -> list[InteractionRecord]:
-    return load_interactions_detailed(path, schema).records
+def load_interactions(path: str | Path) -> list[InteractionRecord]:
+    """The records of a CSV in the default schema: binary labels in `label`."""
+    return load_interactions_detailed(path).records

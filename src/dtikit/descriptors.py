@@ -17,6 +17,7 @@ from .proteins import CANONICAL_RESIDUES, EmptySequence
 from .smiles import MolecularGraph
 
 N_BITS = 2048
+RADIUS = 2  # rounds of neighbourhood rehashing (ECFP4)
 PSC_DIM = 420
 EMPTY_SCAFFOLD = "acyclic"
 
@@ -50,12 +51,13 @@ def _atom_codes(graph: MolecularGraph) -> list[int]:
     return codes
 
 
-def ecfp(graph: MolecularGraph, radius: int = 2, n_bits: int = N_BITS) -> np.ndarray:
-    """Circular fingerprint as a 0/1 vector of length n_bits."""
+def ecfp(graph: MolecularGraph) -> np.ndarray:
+    """Circular fingerprint of RADIUS rounds as a 0/1 vector of length
+    N_BITS."""
     codes = _atom_codes(graph)
     neighbors = graph.neighbors()
     seen: set[int] = set(codes)
-    for _ in range(radius):
+    for _ in range(RADIUS):
         nxt = []
         for i, code in enumerate(codes):
             if not neighbors[i]:
@@ -69,9 +71,9 @@ def ecfp(graph: MolecularGraph, radius: int = 2, n_bits: int = N_BITS) -> np.nda
             nxt.append(_mix(*flat))
         codes = nxt
         seen.update(codes)
-    out = np.zeros(n_bits, dtype=np.uint8)
+    out = np.zeros(N_BITS, dtype=np.uint8)
     for code in seen:
-        out[code % n_bits] = 1
+        out[code % N_BITS] = 1
     return out
 
 

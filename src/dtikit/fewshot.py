@@ -2,19 +2,17 @@
 loss.
 
 Each episode carries 2k support pairs (k per class) and k_q queries, and the
-head scores it as one set of matrices.  A small affine attention projects
-the supports and the queries once each and scores every query against every
-support as a [k_q, 2k] matrix.  A softmax over each class's columns turns a
-query's scores into within-class weights, so each class contributes one
-prototype per query ([k_q, d]).  Queries are classified by a softmax over
-their cosine similarity to the two prototypes, and the focal loss
-concentrates training on the queries the model finds hard.
-
-The head also takes a stack of E episodes that share one support label
-vector (support [E, 2k, d], queries [E, k_q, d]), as an evaluation that
-scores many episodes at one shot count does: the projections run as one
-product over the stack's rows and the scores and prototypes as batched
-products, so E episodes cost one call.  Training steps on one episode.
+head scores a stack of E episodes that share one support label vector
+(support [E, 2k, d], queries [E, k_q, d]) as one set of matrices.  A small
+affine attention projects the supports and the queries once each, as one
+product over the stack's rows, and scores every query against every support
+of its episode as a [k_q, 2k] matrix.  A softmax over each class's columns
+turns a query's scores into within-class weights, so each class contributes
+one prototype per query.  Queries are classified by a softmax over their
+cosine similarity to the two prototypes, and the focal loss concentrates
+training on the queries the model finds hard.  Training steps on a stack of
+one episode; an evaluation that scores many episodes at one shot count
+stacks them all.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from .tensor import ShapeMismatch, Tensor
 log = logging.getLogger(__name__)
 
 # the focal loss's standard weighting and focusing values (Lin et al., 2017)
-DEFAULT_ALPHA = 0.25
-DEFAULT_GAMMA = 2.0
+ALPHA = 0.25
+GAMMA = 2
 
 
 class EmptyClass(ValueError):
@@ -42,43 +40,28 @@ class DomainError(ValueError):
     """Raised when a probability leaves the domain of the focal loss."""
 
 
-def focal_loss(
-    correct_probs: Tensor,
-    alpha: float = DEFAULT_ALPHA,
-    gamma: float = DEFAULT_GAMMA,
-) -> Tensor:
-    """Summed focal term over the correct-class probabilities: setting gamma
-    to zero recovers plain summed cross-entropy."""
+def focal_loss(correct_probs: Tensor) -> Tensor:
+    """Summed focal term -ALPHA * (1 - p)**GAMMA * log(p) over the
+    correct-class probabilities: each one's cross-entropy, weighted by how
+    far it falls short of certainty."""
     if np.any(correct_probs.data <= 0.0):
         raise DomainError("focal loss needs probabilities in (0, 1]")
-    if alpha <= 0 or gamma < 0:
-        raise DomainError(f"alpha {alpha} must be > 0 and gamma {gamma} >= 0")
-    modulated = T.power(1.0 - correct_probs, gamma) * T.log(correct_probs)
-    return T.tsum(modulated) * -alpha
+    modulated = T.square(1.0 - correct_probs) * T.log(correct_probs)  # GAMMA is 2
+    return T.tsum(modulated) * -ALPHA
 
 
 class PrototypeHead:
-    """Runs a whole episode through an affine attention of queries over
+    """Runs a stack of episodes through an affine attention of queries over
     supports.
 
     A shared projection feeds two learned scale/shift pairs, one applied to
     the queries and one to the supports; the squared relu of their product
-    scores every (query, support) pair.  With `uniform_attention` no
-    parameters exist and every support scores equally, which reduces the
-    head to plain class-mean prototypes.
+    scores every (query, support) pair.
     """
 
     def __init__(
-        self,
-        store: ParameterStore,
-        rng: np.random.Generator,
-        feature_dim: int,
-        qk_dim: int,
-        uniform_attention: bool = False,
+        self, store: ParameterStore, rng: np.random.Generator, feature_dim: int, qk_dim: int
     ):
-        self.uniform = uniform_attention
-        if uniform_attention:
-            return
         self.w = store.parameter(
             "proto/shared/w", kaiming_uniform(rng, (feature_dim, qk_dim), feature_dim)
         )
@@ -95,8 +78,6 @@ class PrototypeHead:
     def _scores(self, support: Tensor, queries: Tensor) -> Tensor:
         """Scores [E, k_q, 2k] of every support row against every query row
         of each episode."""
-        if self.uniform:
-            return Tensor(np.zeros(queries.data.shape[:2] + support.data.shape[1:2]))
         q = self._project(queries, self.q_scale, self.q_shift)
         k = self._project(support, self.k_scale, self.k_shift)
         return T.square(T.relu(T.bmm(q, T.transpose(k))))
@@ -104,11 +85,10 @@ class PrototypeHead:
     def episode_probabilities(
         self, support: Tensor, support_labels: np.ndarray, queries: Tensor
     ) -> tuple[Tensor, np.ndarray]:
-        """Class probabilities [k_q, 2] of the query rows [k_q, d] and the
-        within-class support weights [k_q, 2k] that formed their prototypes.
-        A stack of episodes, support [E, 2k, d] and queries [E, k_q, d] with
-        labels [2k] shared by all, gives probabilities [E, k_q, 2] and
-        weights [E, k_q, 2k].
+        """Class probabilities [E, k_q, 2] of a stack of E episodes' query
+        rows [E, k_q, d], and the within-class support weights [E, k_q, 2k]
+        that formed their prototypes; the supports [E, 2k, d] share the
+        labels [2k].
 
         The weights are normalised inside each class, so a prototype is a
         convex combination of its own class's supports.  Normalising over
@@ -117,8 +97,8 @@ class PrototypeHead:
         """
         labels = np.asarray(support_labels)
         s, q = support.data.shape, queries.data.shape
-        if (len(s) not in (2, 3) or len(q) != len(s) or labels.shape != (s[-2],)
-                or q[:-2] != s[:-2] or q[-1] != s[-1] or 0 in q[:-1]):
+        if (len(s) != 3 or len(q) != 3 or labels.shape != (s[1],)
+                or q[0] != s[0] or q[2] != s[2] or 0 in q[:2]):
             raise ShapeMismatch(f"queries {q} for support {s} with {labels.shape} labels")
         class_idx = []
         for c in (0, 1):
@@ -127,10 +107,7 @@ class PrototypeHead:
                 raise EmptyClass(f"no class-{c} supports in episode")
             class_idx.append(idx)
 
-        stacked = len(s) == 3
-        if not stacked:
-            support, queries = T.reshape(support, (1, *s)), T.reshape(queries, (1, *q))
-        e, k_q, d = queries.data.shape
+        e, k_q, d = q
         scores = self._scores(support, queries)
         weights = np.zeros(scores.data.shape)
         rows = T.reshape(queries, (e * k_q, d))
@@ -149,9 +126,7 @@ class PrototypeHead:
                 int(zero.sum()), e * k_q, e,
             )
         probs = T.softmax(T.concat(sims, axis=1), axis=1)
-        if stacked:
-            return T.reshape(probs, (e, k_q, 2)), weights
-        return probs, weights[0]
+        return T.reshape(probs, (e, k_q, 2)), weights
 
     def episode_loss(
         self,
@@ -160,11 +135,14 @@ class PrototypeHead:
         queries: Tensor,
         query_labels: np.ndarray,
     ) -> tuple[Tensor, np.ndarray]:
-        """Focal loss over one episode's query rows [k_q, d] plus the
-        detached per-query positive probabilities for metric bookkeeping."""
+        """Focal loss over every query row of a stack of episodes, labelled
+        [E, k_q], plus the detached positive probabilities [E, k_q] for
+        metric bookkeeping."""
         probs, _ = self.episode_probabilities(support, support_labels, queries)
-        k_q = queries.data.shape[0]
-        picks = 2 * np.arange(k_q) + np.asarray(query_labels, dtype=np.intp)
-        correct = T.index_select(T.reshape(probs, (2 * k_q,)), 0, picks)
-        loss = focal_loss(correct)
-        return loss, probs.data[:, 1].copy()
+        labels = np.asarray(query_labels, dtype=np.intp)
+        if labels.shape != probs.data.shape[:2]:
+            raise ShapeMismatch(f"query labels {labels.shape} for probabilities {probs.data.shape}")
+        n = labels.size
+        picks = 2 * np.arange(n) + labels.ravel()
+        correct = T.index_select(T.reshape(probs, (2 * n,)), 0, picks)
+        return focal_loss(correct), probs.data[..., 1].copy()

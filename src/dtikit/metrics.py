@@ -18,6 +18,7 @@ import numpy as np
 
 
 PAIR_BLOCK = 1 << 18  # prediction pairs per block of the concordance count
+ACCURACY_THRESHOLD = 0.5  # a probability at or above it predicts an interaction
 
 
 class SingleClass(ValueError):
@@ -78,9 +79,9 @@ def auprc(scores, labels) -> float:
     return float(np.cumsum(steps)[-1])  # summed left to right, as the curve is walked
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
+def accuracy(scores, labels) -> float:
     s, y = _as_arrays(scores, labels)
-    return float(((s >= threshold) == (y == 1)).mean())
+    return float(((s >= ACCURACY_THRESHOLD) == (y == 1)).mean())
 
 
 def rmse(pred, truth) -> float:

@@ -78,9 +78,6 @@ class ParameterStore:
     def paths(self) -> list[str]:
         return list(self._entries)
 
-    def trainable(self) -> list[tuple[str, Tensor]]:
-        return list(self._entries.items())
-
     def zero_grad(self) -> None:
         for t in self._entries.values():
             t.grad = None
@@ -111,7 +108,7 @@ class ParameterStore:
             self._spans.append((slice(start, stop), members))
 
     def adam_step(self, lr: float) -> None:
-        """One bias-corrected Adam update over all trainable entries.
+        """One bias-corrected Adam update over every entry.
 
         Models register only the parameters their stage actually trains, so
         a missing gradient here is a wiring bug, not a soft condition.  The

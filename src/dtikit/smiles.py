@@ -185,7 +185,7 @@ def _parse_bracket(text: str, pos: int) -> tuple[_RawAtom, int]:
     return _RawAtom(element, aromatic, charge, explicit_h, bracket=True), end + 1
 
 
-def parse_smiles(smiles: str, max_atoms: int = MAX_ATOMS) -> MolecularGraph:
+def parse_smiles(smiles: str) -> MolecularGraph:
     """Parse a SMILES string into a MolecularGraph.
 
     Raises EmptyInput, UnbalancedParen, UnclosedRing, UnknownAtomSymbol,
@@ -293,8 +293,8 @@ def parse_smiles(smiles: str, max_atoms: int = MAX_ATOMS) -> MolecularGraph:
         raise SmilesError("dangling bond symbol at end of input")
     if not raw:
         raise EmptyInput(f"no atoms in {smiles!r}")
-    if len(raw) > max_atoms:
-        raise MoleculeTooLarge(f"{len(raw)} atoms exceeds the {max_atoms} atom limit")
+    if len(raw) > MAX_ATOMS:
+        raise MoleculeTooLarge(f"{len(raw)} atoms exceeds the {MAX_ATOMS} atom limit")
 
     final_bonds: list[Bond] = []
     valence_sum = [0.0] * len(raw)

@@ -5,11 +5,10 @@ with a hand-written backward closure. The graph is dynamic; calling an op
 on tensors that require gradients records the op, and ``Tensor.backward``
 walks the recorded graph once in reverse topological order.
 
-The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``power``,
-``square``, ``log``, ``sqrt``; activations ``relu``, ``silu``,
-``softmax``; ``tsum`` and ``tmean`` over one axis or all; ``transpose``
-of the last two axes, ``reshape``, ``concat``, ``index_select``,
-``expand``; ``matmul`` of any batch of rows by a weight matrix, with an
+The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``square``,
+``log``, ``sqrt``; activations ``relu``, ``silu``, ``softmax``; ``tsum``
+and ``tmean`` over one axis or all; ``transpose`` of the last two axes,
+``reshape``, ``concat``, ``index_select``, ``expand``; ``matmul`` of any batch of rows by a weight matrix, with an
 optional bias and relu fused into the same node, and the batched ``bmm``;
 the stride-1 ``conv1d_relu`` (convolution, bias and relu as one node) and
 the non-overlapping ``maxpool1d``, each over one sample or a batch; the
@@ -257,21 +256,6 @@ def div(a, b) -> Tensor:
         _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _make(a.data / b.data, (a, b), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    """Elementwise a**exponent for a fixed python exponent."""
-    a = _wrap(a)
-    exponent = float(exponent)
-    out_data = a.data**exponent
-
-    def backward(g):
-        if exponent == 0.0:
-            _accum(a, np.zeros_like(a.data))
-        else:
-            _accum(a, g * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), backward)
 
 
 def square(a) -> Tensor:
@@ -750,13 +734,12 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     return _make(out, (v, u, *heads), backward), attn
 
 
-def grad_reverse(x, scale: float = 1.0) -> Tensor:
-    """Identity forward; backward multiplies the gradient by -scale."""
+def grad_reverse(x) -> Tensor:
+    """Identity forward; backward negates the gradient."""
     x = _wrap(x)
-    scale = float(scale)
 
     def backward(g):
-        _accum(x, -scale * g)
+        _accum(x, -g)
 
     return _make(x.data.copy(), (x,), backward)
 

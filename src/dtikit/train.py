@@ -26,12 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .adversarial import (
-    DomainAdversary,
-    cada_total_loss,
-    class_probabilities,
-    lambda_schedule,
-)
+from .adversarial import DomainAdversary, class_probabilities, lambda_schedule
 from .config import ConfigError, RunConfig
 from .datasets import InteractionRecord
 from .encoder import DTIEncoder, InteractionOutput, featurize_drug
@@ -409,7 +404,8 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
                     class_probabilities(tgt_out.score.data),
                 )
                 lam = lambda_schedule(epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv)
-                loss = cada_total_loss(supervised, domain, lam)
+                # the reversal inside the domain term makes one backward the min-max update
+                loss = supervised + domain * lam
             _check_finite(loss).backward()
             store.adam_step(cfg.lr)
             total += float(supervised.data) * len(batch)
@@ -444,14 +440,6 @@ def _fused_rows(encoder, feat, records, idxs, chunk=None):
     the row of each record index."""
     out = encode_pairs(encoder, feat, records, idxs, chunk=chunk)
     return out.fused, {i: j for j, i in enumerate(idxs)}
-
-
-def _episode_inputs(fused, row, records, support_idx, query_idx):
-    """Support matrix [2k, dim], its labels, and the query matrix
-    [k_q, dim], gathered from the fused rows."""
-    support = T.index_select(fused, 0, [row[i] for i in support_idx])
-    labels = np.array([records[i].label for i in support_idx])
-    return support, labels, T.index_select(fused, 0, [row[i] for i in query_idx])
 
 
 def train_meta(
@@ -497,16 +485,20 @@ def train_meta(
             task = tasks[int(rng.integers(len(tasks)))]
             ep = sample_episode(task, cfg.k_shot, cfg.k_query, rng)
             fused, row = _fused_rows(encoder, feat, records, list(ep.support) + list(ep.query))
-            support, s_labels, queries = _episode_inputs(
-                fused, row, records, ep.support, ep.query
+            # a stack of one episode: support [1, 2k, dim], queries [1, k_q, dim]
+            s_labels = np.array([records[i].label for i in ep.support])
+            q_labels = np.array([[records[i].label for i in ep.query]])
+            loss, positive = head.episode_loss(
+                T.index_select(fused, 0, [[row[i] for i in ep.support]]),
+                s_labels,
+                T.index_select(fused, 0, [[row[i] for i in ep.query]]),
+                q_labels,
             )
-            q_labels = np.array([records[i].label for i in ep.query])
-            loss, positive = head.episode_loss(support, s_labels, queries, q_labels)
             _check_finite(loss).backward()
             store.adam_step(cfg.lr)
             total += float(loss.data)
             hits += int(((positive >= 0.5) == (q_labels == 1.0)).sum())
-            n_queries += len(q_labels)
+            n_queries += q_labels.size
         log = EpochLog(
             epoch=epoch,
             train_loss=total / cfg.episodes_per_epoch,

@@ -7,7 +7,6 @@ from dtikit import tensor as T
 from dtikit.adversarial import (
     DomainAdversary,
     EmptyDomainBatch,
-    cada_total_loss,
     class_probabilities,
     lambda_schedule,
 )
@@ -18,9 +17,9 @@ from dtikit.tensor import Tensor
 DIM = 6
 
 
-def build(seed=0, hidden=8):
+def build(seed=0):
     store = ParameterStore()
-    adv = DomainAdversary(store, substream(seed, "init"), DIM, hidden=hidden)
+    adv = DomainAdversary(store, substream(seed, "init"), DIM)
     return store, adv
 
 
@@ -54,7 +53,7 @@ def test_one_hot_probability_silences_the_other_head():
     # zero vectors, so it cannot have contributed any feature gradient
     src2 = Tensor(src.data.copy(), requires_grad=True)
     tgt2 = Tensor(tgt.data.copy(), requires_grad=True)
-    x = T.grad_reverse(T.concat([src2, tgt2], axis=0), 1.0)
+    x = T.grad_reverse(T.concat([src2, tgt2], axis=0))
     logits = adv.heads[0](x)
     head0 = T.tmean(T.bce_with_logits(logits, np.array([0.0, 0.0, 1.0, 1.0])))
     head0.backward()
@@ -63,17 +62,20 @@ def test_one_hot_probability_silences_the_other_head():
 
 
 def test_reversal_flips_and_scales_feature_gradient():
+    """The feature gradient is the negated one of a straight-line version
+    without the reversal that scales each head's input by its class
+    probability."""
     store, adv = build(seed=3)
     rng = np.random.default_rng(2)
     base = rng.normal(size=(2, DIM))
     probs = np.array([[0.3, 0.7], [0.8, 0.2]])
     domains = np.array([0.0, 1.0])
 
-    def run(grl_scale=None):
+    def run(reversed_):
         src = Tensor(base[:1].copy(), requires_grad=True)
         tgt = Tensor(base[1:].copy(), requires_grad=True)
-        if grl_scale is not None:
-            loss = adv.domain_loss(src, tgt, probs[:1], probs[1:], grl_scale)
+        if reversed_:
+            loss = adv.domain_loss(src, tgt, probs[:1], probs[1:])
         else:
             # straight-line reimplementation without the reversal
             x = T.concat([src, tgt], axis=0)
@@ -85,10 +87,10 @@ def test_reversal_flips_and_scales_feature_gradient():
         loss.backward()
         return np.vstack([src.grad, tgt.grad]), float(loss.data)
 
-    plain_g, plain_loss = run(None)
-    rev_g, rev_loss = run(grl_scale=0.5)
+    plain_g, plain_loss = run(False)
+    rev_g, rev_loss = run(True)
     assert abs(plain_loss - rev_loss) < 1e-12  # reversal is identity forward
-    assert np.allclose(rev_g, -0.5 * plain_g, atol=1e-12)
+    assert np.allclose(rev_g, -plain_g, atol=1e-12)
 
 
 def test_minmax_directions_on_a_frozen_toy():
@@ -134,15 +136,6 @@ def test_probability_shape_is_checked():
     rng = np.random.default_rng(0)
     with pytest.raises(T.ShapeMismatch):
         adv.domain_loss(features(rng, 2), features(rng, 1), half_probs(2), half_probs(2))
-
-
-def test_total_loss_combination():
-    l_s = Tensor(np.asarray(0.3))
-    l_d = Tensor(np.asarray(0.5))
-    assert abs(float(cada_total_loss(l_s, l_d, 1.0).data) - 0.8) < 1e-12
-    assert float(cada_total_loss(l_s, l_d, 0.0).data) == pytest.approx(0.3)
-    # non-finite terms pass through to the caller's check on the total
-    assert np.isinf(cada_total_loss(Tensor(np.asarray(np.inf)), l_d, 1.0).data)
 
 
 def test_lambda_warmup_schedule():

@@ -438,6 +438,26 @@ class TestExitCodes:
                          "--checkpoint", str(cut / "best.ckpt")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["split", "train", "eval", "screen", "export-attention"])
+    def test_csv_with_no_usable_row_is_3(self, workdir, tmp_path, command, capsys):
+        """A CSV whose only row has an unclosed ring loads no record; every
+        command that reads a CSV refuses it, naming the file and the count
+        of skipped rows, and writes nothing."""
+        path = tmp_path / "unusable.csv"
+        path.write_text("drug_id,protein_id,smiles,sequence,label\nD1,P1,C1CC,MKVLAA,1\n")
+        out = tmp_path / "out"
+        args = {
+            "split": ["--strategy", "random"],
+            "train": ["--split-manifest", workdir["split"], "--stage", "vanilla",
+                      "--epochs", "1", *SMALL],
+            "eval": ["--split-manifest", workdir["split"], "--checkpoint", workdir["run"]],
+            "screen": ["--classifier", workdir["run"], "--regressor", workdir["reg"]],
+            "export-attention": ["--checkpoint", workdir["run"]],
+        }[command]
+        assert cli.main([command, "--csv", str(path), *args, "--out", str(out)]) == 3
+        assert f"error: {path}: no usable row, 1 skipped" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval", "screen", "export-attention"])
     def test_manifest_of_another_csv_reading_is_3(self, workdir, tmp_path, command):
         """Split by a binary reading of an affinity-only CSV, the manifest

@@ -1,7 +1,6 @@
 import pytest
 
 from dtikit import datasets as ds
-from dtikit.smiles import SmilesError
 
 
 CSV = """drug_id,protein_id,smiles,sequence,label
@@ -26,47 +25,41 @@ def test_lenient_load_skips_bad_rows_with_line_numbers(tmp_path):
     assert "binary" in result.skipped[1].reason
 
 
-def test_strict_load_raises(tmp_path):
-    with pytest.raises(Exception):
-        ds.load_interactions_detailed(write(tmp_path, CSV), strict=True)
-
-
 def test_missing_column(tmp_path):
     path = write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(ds.MissingColumn):
         ds.load_interactions(path)
 
 
-def test_derived_ids_follow_first_occurrence(tmp_path):
-    text = "smiles,sequence,label\nCCO,MKV,1\nCCN,MKV,0\nCCO,AAA,1\n"
-    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None)
-    records = ds.load_interactions(write(tmp_path, text), schema)
-    assert [r.drug_id for r in records] == ["d0000", "d0001", "d0000"]
-    assert [r.protein_id for r in records] == ["p0000", "p0000", "p0001"]
+@pytest.mark.parametrize("dropped", ["drug_id", "protein_id"])
+def test_id_columns_are_required(tmp_path, dropped):
+    header = ["drug_id", "protein_id", "smiles", "sequence", "label"]
+    cols = [c for c in header if c != dropped]
+    row = {"drug_id": "D1", "protein_id": "P1", "smiles": "CCO", "sequence": "MKV", "label": "1"}
+    text = ",".join(cols) + "\n" + ",".join(row[c] for c in cols) + "\n"
+    with pytest.raises(ds.MissingColumn, match=dropped):
+        ds.load_interactions(write(tmp_path, text))
 
 
 def test_affinity_labels(tmp_path):
-    text = "smiles,sequence,label\nCCO,MKV,6.42\n"
-    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None, label_kind=ds.AFFINITY)
-    records = ds.load_interactions(write(tmp_path, text), schema)
-    assert records[0].label == pytest.approx(6.42)
+    text = "drug_id,protein_id,smiles,sequence,label\nD1,P1,CCO,MKV,6.42\n"
+    schema = ds.CsvSchema(label_kind=ds.AFFINITY)
+    result = ds.load_interactions_detailed(write(tmp_path, text), schema)
+    assert result.records[0].label == pytest.approx(6.42)
 
 
 def test_non_finite_affinities_are_skipped(tmp_path):
-    text = "smiles,sequence,label\nCCO,MKV,nan\nCCN,MKV,inf\n"
-    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None, label_kind=ds.AFFINITY)
+    text = "drug_id,protein_id,smiles,sequence,label\nD1,P1,CCO,MKV,nan\nD2,P1,CCN,MKV,inf\n"
+    schema = ds.CsvSchema(label_kind=ds.AFFINITY)
     result = ds.load_interactions_detailed(write(tmp_path, text), schema)
     assert not result.records
     assert [s.row for s in result.skipped] == [2, 3]
     assert all("finite" in s.reason for s in result.skipped)
-    with pytest.raises(ds.LabelParseError):
-        ds.load_interactions_detailed(write(tmp_path, text), schema, strict=True)
 
 
 def test_oversized_molecule_rejected_at_load(tmp_path):
-    text = "smiles,sequence,label\n" + "C" * 291 + ",MKV,1\n"
-    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None)
-    result = ds.load_interactions_detailed(write(tmp_path, text), schema)
+    text = "drug_id,protein_id,smiles,sequence,label\nD1,P1," + "C" * 291 + ",MKV,1\n"
+    result = ds.load_interactions_detailed(write(tmp_path, text))
     assert not result.records
     assert "290" in result.skipped[0].reason
 
@@ -74,32 +67,25 @@ def test_oversized_molecule_rejected_at_load(tmp_path):
 def test_each_distinct_smiles_is_parsed_once(tmp_path, monkeypatch):
     calls = []
     parse = ds.parse_smiles
-    monkeypatch.setattr(ds, "parse_smiles", lambda s, **kw: calls.append(s) or parse(s, **kw))
+    monkeypatch.setattr(ds, "parse_smiles", lambda s: calls.append(s) or parse(s))
     text = (
-        "smiles,sequence,label\n"
-        "CCO,MKV,1\n"  # 2
-        "C1CC,MKV,0\n"  # 3: unclosed ring
-        "CCO,AAA,0\n"  # 4
-        "C1CC,AAA,1\n"  # 5: the same ring again
-        "C(C,MKV,1\n"  # 6: unbalanced parenthesis
-        "C1CC,MKV,1\n"  # 7: and the ring once more
-        "CCO,MKV,2\n"  # 8: good SMILES, bad label
+        "drug_id,protein_id,smiles,sequence,label\n"
+        "D1,P1,CCO,MKV,1\n"  # 2
+        "D2,P1,C1CC,MKV,0\n"  # 3: unclosed ring
+        "D1,P2,CCO,AAA,0\n"  # 4
+        "D2,P2,C1CC,AAA,1\n"  # 5: the same ring again
+        "D3,P1,C(C,MKV,1\n"  # 6: unbalanced parenthesis
+        "D2,P1,C1CC,MKV,1\n"  # 7: and the ring once more
+        "D1,P1,CCO,MKV,2\n"  # 8: good SMILES, bad label
     )
-    schema = ds.CsvSchema(drug_id_col=None, protein_id_col=None)
-    result = ds.load_interactions_detailed(write(tmp_path, text), schema)
+    result = ds.load_interactions_detailed(write(tmp_path, text))
     assert sorted(calls) == sorted(["CCO", "C1CC", "C(C"])
-    assert [r.drug_id for r in result.records] == ["d0000", "d0000"]
+    assert [r.drug_id for r in result.records] == ["D1", "D1"]
     assert [s.row for s in result.skipped] == [3, 5, 6, 7, 8]
     ring = result.skipped[0].reason
     assert "ring" in ring
     assert [s.reason for s in result.skipped[:4]] == [ring, ring, result.skipped[2].reason, ring]
     assert result.skipped[2].reason != ring
-
-    calls.clear()
-    with pytest.raises(SmilesError) as err:
-        ds.load_interactions_detailed(write(tmp_path, text), schema, strict=True)
-    assert str(err.value) == ring  # row 3, the first bad one
-    assert calls == ["CCO", "C1CC"]
 
 
 ID_CSV = """smiles,sequence,label,drug_id,protein_id
@@ -134,10 +120,3 @@ def test_first_loaded_row_binds_an_id(tmp_path):
     assert [r.smiles for r in result.records] == ["CCN"]
     assert [s.row for s in result.skipped] == [2, 4]
     assert "empty protein_id" in result.skipped[0].reason
-
-
-@pytest.mark.parametrize("row", ["CCO,ACDEFG,1", "CCO,ACDEFG,1,D1,", "CCN,MKVLAA,0,D1,P1"])
-def test_strict_load_raises_on_a_bad_id(tmp_path, row):
-    text = f"smiles,sequence,label,drug_id,protein_id\nCCO,MKVLAA,1,D1,P1\n{row}\n"
-    with pytest.raises(ds.BadId):
-        ds.load_interactions_detailed(write(tmp_path, text), strict=True)

@@ -7,17 +7,19 @@ from dtikit.proteins import CANONICAL_RESIDUES
 from dtikit.smiles import parse_smiles
 
 
-def fp(smiles, **kw):
-    return dv.ecfp(parse_smiles(smiles), **kw)
+def fp(smiles):
+    return dv.ecfp(parse_smiles(smiles))
 
 
-def test_methane_sets_exactly_one_bit():
+def test_methane_sets_exactly_one_bit(monkeypatch):
     assert fp("C").sum() == 1
-    assert fp("C", radius=4).sum() == 1  # no neighbors, every round identical
+    monkeypatch.setattr(dv, "RADIUS", 4)
+    assert fp("C").sum() == 1  # no neighbors, every round identical
 
 
-def test_radius_zero_bounded_by_distinct_invariants():
-    out = fp("CCO", radius=0)
+def test_radius_zero_bounded_by_distinct_invariants(monkeypatch):
+    monkeypatch.setattr(dv, "RADIUS", 0)
+    out = fp("CCO")
     # three atoms with three distinct invariant tuples
     assert 1 <= out.sum() <= 3
 
@@ -41,9 +43,10 @@ def test_unsubstituted_small_cycles_collide():
     assert np.array_equal(fp("C1CC1"), fp("C1CCC1"))
 
 
-def test_growing_radius_only_adds_bits():
+def test_growing_radius_only_adds_bits(monkeypatch):
     base = fp("CCOC(=O)C1CCC1")
-    r1 = fp("CCOC(=O)C1CCC1", radius=1)
+    monkeypatch.setattr(dv, "RADIUS", 1)
+    r1 = fp("CCOC(=O)C1CCC1")
     assert set(np.flatnonzero(r1)) <= set(np.flatnonzero(base))
 
 

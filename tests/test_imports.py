@@ -1,7 +1,7 @@
 """Every name a package module imports is referenced somewhere in it, every
 tensor op has a caller outside `tensor.py` and a gradcheck case, no package
-module holds an `assert` statement, and none passes a numpy call as the
-default of `setdefault`."""
+module holds an `assert` statement, none passes a numpy call as the default
+of `setdefault`, and every defaulted parameter is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ import dtikit
 from gradcheck import op_cases
 
 PACKAGE_DIR = Path(dtikit.__file__).parent
+PERFBENCH_DIR = Path(__file__).parents[1] / "perfbench"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -158,3 +159,83 @@ def test_no_numpy_call_as_a_setdefault_default():
         for line in _numpy_setdefaults(ast.parse(path.read_text()))
     ]
     assert not found, "numpy calls as setdefault defaults: " + ", ".join(found)
+
+
+# defaulted parameters no call in the package or the benchmark passes, each
+# kept for its reason
+UNPASSED_DEFAULTS = {
+    "cli.main(argv)": "the console entry point calls it without arguments",
+    "splits.random_split(fractions)": "the split the acceptance contract in "
+    "test_acceptance.py uses",
+}
+
+
+def _function_defs(body, cls=None):
+    """(enclosing class or None, def) for every function and method,
+    nested ones included."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _function_defs(node.body, node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield cls, node
+            yield from _function_defs(node.body)
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, int | None, str]]:
+    """(name a call uses, qualified name, position or None when keyword-only,
+    parameter) for each defaulted parameter of a module's functions.  A
+    method's positions start past `self` or `cls`, and a call to a class
+    reaches its `__init__`; `__call__`, reached through instances, is
+    skipped."""
+    found = []
+    for cls, fn in _function_defs(ast.parse(path.read_text()).body):
+        if fn.name == "__call__":
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][1 if cls and not static else 0:]
+        first_default = len(positional) - len(args.defaults)
+        params = [(i, name) for i, name in enumerate(positional) if i >= first_default]
+        params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        called_as = cls if fn.name == "__init__" else fn.name
+        qualname = f"{path.stem}.{cls + '.' if cls else ''}{fn.name}"
+        found += [(called_as, qualname, i, name) for i, name in params]
+    return found
+
+
+def _calls(paths) -> dict[str, list[tuple[float, set]]]:
+    """Callee name -> (the count of positional arguments, infinite when a
+    `*args` may fill every position, and the keyword names, None standing
+    for `**kw`) for each call in the files."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_pos = float("inf") if starred else len(node.args)
+            calls.setdefault(name, []).append((n_pos, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default no call overrides is a constant in disguise: each one is
+    passed by position, by keyword or through `*args`/`**kw` by some call
+    in the package or the benchmark, or is a named exception."""
+    assert PERFBENCH_DIR.is_dir(), PERFBENCH_DIR
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    calls = _calls(modules + sorted(PERFBENCH_DIR.glob("*.py")))
+    unpassed = [
+        f"{qualname}({name})"
+        for path in modules
+        for called_as, qualname, pos, name in _defaulted_parameters(path)
+        if not any(
+            name in kws or None in kws or (pos is not None and pos < n_pos)
+            for n_pos, kws in calls.get(called_as, [])
+        )
+    ]
+    assert set(UNPASSED_DEFAULTS) <= set(unpassed), "stale exceptions"
+    extra = [p for p in unpassed if p not in UNPASSED_DEFAULTS]
+    assert not extra, "defaulted parameters no call passes: " + ", ".join(extra)

@@ -170,7 +170,9 @@ def test_ranking_metrics_match_pair_counting_oracles():
 
 def test_accuracy_threshold():
     assert mx.accuracy([0.9, 0.4, 0.6, 0.1], [1, 0, 0, 0]) == 0.75
-    assert mx.accuracy([0.9, 0.4], [1, 1], threshold=0.3) == 1.0
+    # a score at the threshold predicts an interaction
+    assert mx.ACCURACY_THRESHOLD == 0.5
+    assert mx.accuracy([0.5, np.nextafter(0.5, 0.0)], [1, 0]) == 1.0
 
 
 # -- regression --------------------------------------------------------------

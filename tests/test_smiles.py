@@ -131,15 +131,13 @@ def test_parse_errors():
 
 
 def test_atom_count_cap():
-    big = "C" * 291
+    assert sm.MAX_ATOMS == 290
+    with pytest.raises(sm.MoleculeTooLarge, match="291 atoms exceeds the 290 atom limit"):
+        sm.parse_smiles("C" * 291)
     with pytest.raises(sm.MoleculeTooLarge):
-        sm.parse_smiles(big)
+        sm.parse_smiles("c1ccccc1" + "C" * 285)  # 291 atoms with a ring
     ok = sm.parse_smiles("C" * 290)
     assert ok.n_atoms == 290
-    small = sm.parse_smiles("CCCC", max_atoms=4)
-    assert small.n_atoms == 4
-    with pytest.raises(sm.MoleculeTooLarge):
-        sm.parse_smiles("CCCCC", max_atoms=4)
 
 
 def test_explicit_ring_bond_order():

@@ -52,10 +52,10 @@ def test_grad_accumulates_across_uses():
 
 def test_grad_reverse_forward_is_identity():
     x = T.Tensor(np.arange(4.0), requires_grad=True)
-    y = T.grad_reverse(x, scale=2.5)
+    y = T.grad_reverse(x)
     assert np.array_equal(y.data, x.data)
     T.tsum(y).backward()
-    assert np.allclose(x.grad, -2.5)
+    assert np.array_equal(x.grad, -np.ones(4))
 
 
 def test_softmax_rows_sum_to_one():

@@ -17,7 +17,7 @@ import oracle
 
 from dtikit import tensor as T
 from dtikit.config import ConfigError, resolve_config
-from dtikit.datasets import AFFINITY, CsvSchema, load_interactions
+from dtikit.datasets import AFFINITY, CsvSchema, load_interactions_detailed
 from dtikit.metrics import MetricReport, auroc
 from dtikit.rng import substream
 from dtikit.splits import (
@@ -351,7 +351,8 @@ class TestAdversarial:
 
 
 def per_episode_curve(records, manifest, cfg, encoder, head, feat, shots, n_runs):
-    """The shot curve with one head call per episode and shot count."""
+    """The shot curve with one head call, on a stack of one episode, per
+    episode and shot count."""
     k_max = max(shots)
     tasks = {}
     for tid in manifest.task_ids("target_test"):
@@ -371,16 +372,16 @@ def per_episode_curve(records, manifest, cfg, encoder, head, feat, shots, n_runs
             for _ in range(cfg.eval_episodes):
                 task = tasks[task_ids[int(rng.integers(len(task_ids)))]]
                 ep = sample_episode(task, k_max, cfg.k_query, rng)
-                queries = T.index_select(fused, 0, [row[i] for i in ep.query])
+                queries = T.index_select(fused, 0, [[row[i] for i in ep.query]])
                 labels += [records[i].label for i in ep.query]
                 for k in shots:
                     sub = ep.support[:k] + ep.support[k_max : k_max + k]
                     probs, _ = head.episode_probabilities(
-                        T.index_select(fused, 0, [row[i] for i in sub]),
+                        T.index_select(fused, 0, [[row[i] for i in sub]]),
                         np.array([records[i].label for i in sub]),
                         queries,
                     )
-                    scores[k].extend(probs.data[:, 1])
+                    scores[k].extend(probs.data[0, :, 1])
             for k in shots:
                 per_run[k].append(auroc(np.array(scores[k]), np.array(labels)))
     return {
@@ -456,9 +457,9 @@ class TestScreen:
         cls_cfg, cls = vanilla
         cfg = small_config(stage="regress", epochs=2, lr=1e-3)
         corpus.to_csv(tmp_path / "corpus.csv")
-        affinity = load_interactions(
+        affinity = load_interactions_detailed(
             tmp_path / "corpus.csv", CsvSchema(label_col="affinity", label_kind=AFFINITY)
-        )
+        ).records
         reg = train_supervised(affinity, manifest, cfg)
         test = manifest.indices(None, "test")
         top, scores = screen(
