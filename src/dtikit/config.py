@@ -124,12 +124,18 @@ def resolve_config(values: dict | None = None, overrides: dict | None = None) ->
     """Merge file values and command-line overrides over stage defaults.
 
     Precedence, lowest to highest: stage defaults, config file, overrides.
-    The stage itself may come from any layer, so it is settled first.
+    The overrides, named by RunConfig attribute, are merged over the file's
+    dotted keys, so one loop checks every value, the version included.
     """
-    values = dict(values or {})
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    merged = dict(values or {})
+    for attr, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if attr not in _ATTR_TO_KEY:
+            raise ConfigError(f"unknown override {attr!r}")
+        merged[_ATTR_TO_KEY[attr]] = value
 
-    version = values.pop("config_version", CONFIG_VERSION)
+    version = merged.pop("config_version", CONFIG_VERSION)
     if not isinstance(version, int) or isinstance(version, bool):
         raise ConfigError(f"config_version must be an integer, got {version!r}")
     if version != CONFIG_VERSION:
@@ -138,17 +144,11 @@ def resolve_config(values: dict | None = None, overrides: dict | None = None) ->
         )
 
     attrs = {}
-    for key, value in values.items():
+    for key, value in merged.items():
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         attr, want = SCHEMA[key]
         attrs[attr] = _coerce(key, value, want)
-
-    for attr, value in overrides.items():
-        if attr not in _ATTR_TO_KEY:
-            raise ConfigError(f"unknown override {attr!r}")
-        _, want = SCHEMA[_ATTR_TO_KEY[attr]]
-        attrs[attr] = _coerce(_ATTR_TO_KEY[attr], value, want)
 
     stage = attrs.get("stage", "vanilla")
     if stage not in STAGES:

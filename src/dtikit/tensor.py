@@ -1,9 +1,12 @@
 """Dense-tensor reverse-mode autodiff on numpy.
 
 Small by design: exactly the primitives the interaction model needs, each
-with a hand-written backward closure. The graph is dynamic; calling an op
-on tensors that require gradients records the op, and ``Tensor.backward``
-walks the recorded graph once in reverse topological order.
+with a hand-written backward closure. The graph is dynamic: an op on
+tensors that require gradients records a node stamped with its creation
+count. ``Tensor.backward`` runs the pending node with the highest stamp
+and queues its parents; a node is made after its parents, so its gradient
+is complete by then. A spent node drops its closure, its parents and,
+unless it is the root, its gradient, so buffers go as the pass moves on.
 
 The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``square``,
 ``log``, ``sqrt``; activations ``relu``, ``silu``, ``softmax``; ``tsum``
@@ -45,6 +48,9 @@ Every array is float64.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+
 import numpy as np
 
 
@@ -71,6 +77,7 @@ ATTENTION_BLOCK_BYTES = 1 << 20
 NORM_EPS = 1e-5  # variance floor of every standardisation
 ZERO_NORM_EPS = 1e-12  # a row with a smaller norm has no direction
 _GRAD_ENABLED = True
+_CREATED = itertools.count()  # creation stamps of recorded nodes
 
 
 class no_grad:
@@ -89,7 +96,8 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
+    # _seq, the creation stamp, is set on recorded nodes only
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -111,16 +119,20 @@ class Tensor:
         """Accumulate gradients of this (scalar) tensor into the graph."""
         if self.data.size != 1:
             raise NonScalarLoss(f"backward requires a scalar, got shape {self.data.shape}")
-        order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in order:
-            if node._backward is None or node.grad is None:
-                continue
+        # (-stamp, node): stamps are unique, so two nodes are never compared
+        pending = [(-self._seq, self)] if self._backward is not None else []
+        queued = set()  # stamps pushed; the root is no node's parent
+        while pending:
+            node = heapq.heappop(pending)[1]
             node._backward(node.grad)
-            # the closure and parent refs are one-shot; drop them so long
-            # training runs do not retain every intermediate buffer
-            node._backward = None
-            node._parents = ()
+            for parent in node._parents:
+                if parent._backward is not None and parent._seq not in queued:
+                    queued.add(parent._seq)
+                    heapq.heappush(pending, (-parent._seq, parent))
+            node._backward, node._parents = None, ()
+            if node is not self:
+                node.grad = None
 
     # operator sugar -------------------------------------------------
 
@@ -138,26 +150,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    order.reverse()
-    return order
 
 
 def _wrap(value) -> Tensor:
@@ -193,8 +185,9 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad or p._parents)
+        out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
+        out._seq = next(_CREATED)
     return out
 
 
@@ -406,8 +399,6 @@ def index_select(a, axis: int, indices) -> Tensor:
     axis = range(a.data.ndim)[axis]  # non-negative, so the index axes start at it
 
     def backward(g):
-        if not a.requires_grad:
-            return
         da = np.zeros_like(a.data)
         moved = np.moveaxis(da, axis, 0)
         np.add.at(moved, idx, np.moveaxis(g, range(axis, axis + idx.ndim), range(idx.ndim)))
@@ -548,8 +539,6 @@ def maxpool1d(x, window: int) -> Tensor:
     out = np.take_along_axis(blocks, arg, axis=-2)[..., 0, :]
 
     def backward(g):
-        if not x.requires_grad:
-            return
         dblocks = np.zeros_like(blocks)
         np.put_along_axis(dblocks, arg, np.expand_dims(g, -2), axis=-2)
         _accum(x, dblocks.reshape(*lead, lout * window, C)[..., :L, :])

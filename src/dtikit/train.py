@@ -145,9 +145,8 @@ def predict(encoder, feat, records, idxs, batch_size=RunConfig.batch_size) -> np
     `batch_size` pairs at a time."""
     with T.no_grad():
         out = encode_pairs(encoder, feat, records, idxs, chunk=batch_size)
-    if encoder.head == "classify":
-        return T.sigmoid_values(out.score.data)
-    return out.score.data
+    scores = _check_finite(out.score.data, "scores")
+    return T.sigmoid_values(scores) if encoder.head == "classify" else scores
 
 
 def classification_metrics(scores, labels) -> dict[str, float]:
@@ -273,10 +272,12 @@ def supervised_indices(manifest: SplitManifest):
     return train, val, test
 
 
-def _check_finite(loss: Tensor) -> Tensor:
-    if not np.isfinite(loss.data).all():
-        raise NumericFailure(f"loss is not finite: {loss.data}")
-    return loss
+def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, or NumericFailure with the count if any is not finite."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise NumericFailure(f"{bad} of {values.size} {what} not finite")
+    return values
 
 
 def _batch_loss(output, labels: np.ndarray, head: str) -> Tensor:
@@ -406,7 +407,8 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
                 lam = lambda_schedule(epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv)
                 # the reversal inside the domain term makes one backward the min-max update
                 loss = supervised + domain * lam
-            _check_finite(loss).backward()
+            _check_finite(loss.data, "loss values")
+            loss.backward()
             store.adam_step(cfg.lr)
             total += float(supervised.data) * len(batch)
         log = EpochLog(epoch=epoch, train_loss=total / len(train_idx))
@@ -494,7 +496,8 @@ def train_meta(
                 T.index_select(fused, 0, [[row[i] for i in ep.query]]),
                 q_labels,
             )
-            _check_finite(loss).backward()
+            _check_finite(loss.data, "loss values")
+            loss.backward()
             store.adam_step(cfg.lr)
             total += float(loss.data)
             hits += int(((positive >= 0.5) == (q_labels == 1.0)).sum())
@@ -562,6 +565,7 @@ def meta_shot_curve(
                 probs, _ = head.episode_probabilities(
                     T.index_select(fused, 0, supports[:, cols]), np.repeat([1.0, 0.0], k), queries
                 )
+                _check_finite(probs.data, "probabilities")
                 per_run[k].append(auroc(probs.data[..., 1].ravel(), labels))
     out = {}
     for k in shots:

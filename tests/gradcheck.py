@@ -2,9 +2,10 @@
 
 Each registered case builds a scalar loss from one primitive (plus the
 reductions needed to get a scalar). check_case compares the recorded
-backward pass against central differences. Ops that deliberately lie to
-the backward pass (gradient reversal) declare the expected relation via
-``transform`` applied to the numeric gradient.
+backward pass against central differences, and fails an operand that
+received no gradient at all. Ops that deliberately lie to the backward
+pass (gradient reversal) declare the expected relation via ``transform``
+applied to the numeric gradient.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ def check_case(fn, arrays: list[np.ndarray], rel_tol: float = 1e-4, transform=No
     loss.backward()
     worst = 0.0
     for i, t in enumerate(tensors):
-        analytic = t.grad if t.grad is not None else np.zeros_like(arrays[i])
+        # every op accumulates into each operand, zeros included: backward
+        # runs a queued node's closure on its gradient with no None check
+        assert t.grad is not None, f"no gradient reached operand {i}"
+        analytic = t.grad
         numeric = numeric_gradient(fn, arrays, i)
         if transform is not None:
             numeric = transform(numeric)

@@ -710,7 +710,8 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_is_4(self, workdir, tmp_path):
-        """A huge step drives the weights to overflow on every stage."""
+        """A huge step drives the weights to overflow on every stage, and
+        a model diverged by its last step fails its scoring too."""
         splits = {}
         for strategy in ("cluster", "meta_protein"):
             splits[strategy] = str(tmp_path / f"{strategy}.json")
@@ -726,6 +727,21 @@ class TestExitCodes:
                              "--split-manifest", split, "--stage", stage,
                              "--epochs", "2", "--lr", "1e300", *extra, *SMALL])
             assert code == 4, stage
+        # one step whose loss is finite but whose update overflows the
+        # weights: the diverged model's scores, not its loss, must stop it
+        short = tmp_path / "short_meta.json"
+        short.write_text('{"meta.episodes_per_epoch": 1, "meta.eval_episodes": 4}')
+        one_step = {
+            "vanilla": [workdir["split"], "--batch-size", "256"],
+            "regress": [workdir["split"], "--batch-size", "256"],
+            "meta": [splits["meta_protein"], "--no-warm-start", "--eval-runs", "1",
+                     "--config", str(short)],
+        }
+        for stage, (split, *extra) in one_step.items():
+            code = cli.main(["train", "--csv", workdir["csv"],
+                             "--split-manifest", split, "--stage", stage,
+                             "--epochs", "1", "--lr", "1e300", *extra, *SMALL])
+            assert code == 4, f"one-step {stage}"
 
     @pytest.mark.parametrize("noise", ["2", "nan", "-0.5"])
     def test_synth_noise_outside_unit_interval_is_2(self, tmp_path, noise):

@@ -80,6 +80,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="config_version"):
             resolve_config({"config_version": CONFIG_VERSION + 1})
 
+    def test_version_override_meets_the_version_check(self):
+        assert resolve_config({}, {"config_version": CONFIG_VERSION}) == resolve_config({})
+        with pytest.raises(ConfigError, match="config_version 2 not supported"):
+            resolve_config({}, {"config_version": 2})
+        with pytest.raises(ConfigError, match="config_version must be an integer"):
+            resolve_config({"config_version": CONFIG_VERSION}, {"config_version": "3"})
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError, match="lambda_adv"):
             resolve_config({"train.lambda_adv": -0.1})

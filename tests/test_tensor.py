@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,77 @@ def test_grad_reverse_forward_is_identity():
     assert np.array_equal(y.data, x.data)
     T.tsum(y).backward()
     assert np.array_equal(x.grad, -np.ones(4))
+
+
+# -- graph lifetime ---------------------------------------------------------------
+
+
+def _backward_peak_bytes(depth: int, n: int) -> int:
+    """Bytes traced above the start of backward over `depth` chained silu
+    ops on n floats, at the pass's peak."""
+    x = T.Tensor(np.linspace(-2.0, 2.0, n), requires_grad=True)
+    y = x
+    for _ in range(depth):
+        y = T.silu(y)
+    loss = T.tsum(y)
+    del y
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_peak_does_not_grow_with_depth():
+    """A spent node's gradient and buffers go as the pass moves on, so the
+    peak is a few arrays however long the chain."""
+    n = 50_000
+    for depth in (5, 40):
+        assert _backward_peak_bytes(depth, n) < 5 * 8 * n, depth
+
+
+def test_backward_frees_interior_gradients_and_keeps_leaves():
+    rng = np.random.default_rng(31)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    hidden = T.matmul(x, w)
+    act = T.silu(hidden)
+    loss = T.tsum(T.square(act))
+    loss.backward()
+    for node in (hidden, act):
+        assert node.grad is None and node._backward is None and node._parents == ()
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
+    assert loss.grad == 1.0
+
+
+def test_each_backward_adds_only_its_own_graph():
+    x = T.Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+    first = T.tsum(T.square(x))
+    second = T.tsum(T.mul(x, 3.0))
+    kept = T.tsum(T.silu(x))  # abandoned while still referenced
+    dropped = T.silu(x)  # abandoned, as a NumericFailure leaves a graph
+    freed = weakref.ref(dropped.data)
+    del dropped
+    assert freed() is None
+    first.backward()
+    assert np.array_equal(x.grad, 2.0 * x.data)
+    second.backward()
+    assert np.array_equal(x.grad, 2.0 * x.data + 3.0)
+    assert kept._backward is not None and kept.grad is None
+
+
+def test_fan_out_contributions_sum_in_reverse_creation_order():
+    rng = np.random.default_rng(32)
+    x = T.Tensor(rng.normal(size=1000), requires_grad=True)
+    c = rng.normal(size=1000)
+    scaled, squared, smooth = T.mul(x, T.Tensor(c)), T.square(x), T.silu(x)
+    T.tsum(T.add(T.add(scaled, squared), smooth)).backward()
+    s = T.sigmoid_values(x.data)
+    g_smooth, g_squared, g_scaled = s + x.data * s * (1.0 - s), 2.0 * x.data, c
+    assert np.array_equal(x.grad, (g_smooth + g_squared) + g_scaled)
+    assert not np.array_equal(x.grad, (g_scaled + g_squared) + g_smooth)
 
 
 def test_softmax_rows_sum_to_one():
