@@ -64,7 +64,7 @@ class DomainAdversary:
         n_src, n_tgt = source.data.shape[0], target.data.shape[0]
         if not n_src or not n_tgt:
             raise EmptyDomainBatch("need at least one record from each domain")
-        probs = np.vstack([np.asarray(source_probs), np.asarray(target_probs)])
+        probs = np.vstack([source_probs, target_probs], dtype=source.data.dtype)
         if probs.shape != (n_src + n_tgt, len(self.heads)):
             raise T.ShapeMismatch(
                 f"probs {probs.shape} for {n_src + n_tgt} records, "
@@ -92,6 +92,6 @@ def lambda_schedule(step: int, total_steps: int, lam_max: float = 1.0) -> float:
 
 def class_probabilities(logits: np.ndarray) -> np.ndarray:
     """Detached (no-interaction, interaction) probability rows [N, 2] from a
-    vector of classifier logits."""
-    p = sigmoid_values(np.asarray(logits, dtype=np.float64))
+    vector of classifier logits, in their dtype."""
+    p = sigmoid_values(logits)
     return np.stack([1.0 - p, p], axis=1)

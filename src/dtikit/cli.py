@@ -42,6 +42,7 @@ from .train import (
     NumericFailure,
     build_model,
     build_prototype_head,
+    check_finite,
     check_shot_curve,
     encode_pairs,
     evaluate,
@@ -358,6 +359,11 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
 
     with T.no_grad():
         out = encode_pairs(encoder, feat, records, idxs, attention=True, chunk=cfg.batch_size)
+    # a diverged model's maps are not finite either: exit 4, as eval does
+    if out.score is not None:
+        check_finite(out.score.data, "scores")
+    check_finite(np.concatenate([m.ravel() for maps in out.attention for m in maps]),
+                 "attention weights")
     entries = []
     for i, maps in zip(idxs, out.attention):
         rec = records[i]

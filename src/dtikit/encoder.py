@@ -100,6 +100,10 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Model sizes and the compute dtype.  The default is the `paper`
+    preset, which computes in float32 over float64 master weights and
+    checkpoints; the `small` preset is float64 throughout."""
+
     embed_dim: int = 128
     n_filters: int = 128
     kernel_sizes: tuple[int, ...] = (3, 6, 9)
@@ -110,6 +114,7 @@ class EncoderConfig:
     gau_hidden: int = 256
     gau_qk_dim: int = 128
     decoder_hidden: int = 512
+    dtype: type = np.float32
 
     def __post_init__(self):
         if self.joint_dim % self.joint_pool:
@@ -143,6 +148,7 @@ class EncoderConfig:
             gau_hidden=12,
             gau_qk_dim=6,
             decoder_hidden=16,
+            dtype=np.float64,
         )
         base.update(overrides)
         return EncoderConfig(**base)
@@ -241,7 +247,10 @@ class DTIEncoder:
         rng: np.random.Generator,
         head: str | None,
     ):
+        if store.dtype != config.dtype:
+            raise ConfigError(f"a {config.dtype.__name__} encoder needs a store of that dtype")
         self.config = config
+        self.store = store
         c = config
 
         self.embedding = store.parameter(
@@ -318,6 +327,7 @@ class DTIEncoder:
         windows of one length.  Returns one (features [P, L_i, C],
         real_counts [P]) pair per level; a real count is how many leading
         rows trace back to actual residues rather than padding."""
+        self.store.bind_compute()
         ids = np.stack([p_ids for p_ids, _ in proteins])
         real = np.array([n for _, n in proteins])
         x = T.index_select(self.embedding, 0, ids)
@@ -336,9 +346,10 @@ class DTIEncoder:
         """Run the graph tower on a batch of (atom features, normalized
         adjacency) molecules, zero-padded to the largest.  Returns the level
         features [D, M, C], pad rows zero, and the atom mask [D, M]."""
+        self.store.bind_compute()
         m = max(f.shape[0] for f, _ in drugs)
-        feats = np.zeros((len(drugs), m, ATOM_FEAT_DIM))
-        adj_norm = np.zeros((len(drugs), m, m))
+        feats = np.zeros((len(drugs), m, ATOM_FEAT_DIM), dtype=self.config.dtype)
+        adj_norm = np.zeros((len(drugs), m, m), dtype=self.config.dtype)
         mask = np.zeros((len(drugs), m), dtype=bool)
         for j, (f, a) in enumerate(drugs):
             n = f.shape[0]

@@ -109,7 +109,7 @@ class PrototypeHead:
 
         e, k_q, d = q
         scores = self._scores(support, queries)
-        weights = np.zeros(scores.data.shape)
+        weights = np.zeros(scores.data.shape, dtype=scores.data.dtype)
         rows = T.reshape(queries, (e * k_q, d))
         sims = []
         zero = np.linalg.norm(rows.data, axis=1) < T.ZERO_NORM_EPS

@@ -13,13 +13,22 @@ layout, and checkpoints written when non-trainable entries still existed,
 remain readable.  Round-trips are bit-exact, which the determinism
 guarantees lean on.
 
-Adam updates one flat float64 vector.  The first ``adam_step`` copies every
-entry into it, in registration order, and rebinds each tensor's ``data`` to
-a C-contiguous view of its slice with the entry's shape; registering a
-further entry then raises ``StoreFrozen``.  The moments m and v are flat as
+A store has a compute dtype, float64 or float32, and keeps two rows of
+values.  The master row is float64: Adam updates it, checkpoints are
+written from it and loaded into it.  The compute row holds the values the
+model computes with, in the compute dtype; for a float64 store it is the
+master row itself, with no copy and no cast.  Binding copies every entry,
+in registration order, into one flat master vector, casts that into the
+compute row, and rebinds each tensor's ``data`` to a C-contiguous view of
+its slice of the compute row; registering a further entry then raises
+``StoreFrozen``.  A float64 store binds at its first ``adam_step``, and
+any other at its first forward pass (``bind_compute``), so building or
+loading a model casts nothing.  The moments m and v are flat float64 as
 well, and a step is a handful of vector operations over each span of at
-least ``ADAM_SPAN`` values (the whole vector of a small model), so its
-temporaries stay the size of a span, not of the model.
+least ``ADAM_SPAN`` values (the whole vector of a small model), ending in
+one cast of the span's master values to the compute row, so its
+temporaries stay the size of a span, not of the model.  Gradients arrive
+in the compute dtype and are concatenated straight into float64.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ class CheckpointError(IOError):
 
 
 class StoreFrozen(RuntimeError):
-    """Raised when a parameter is registered after the first Adam step."""
+    """Raised when a parameter is registered after the store is bound."""
 
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -55,9 +64,12 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class ParameterStore:
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)  # the compute dtype
         self._entries: dict[str, Tensor] = {}
-        self._flat: np.ndarray | None = None  # every entry's values, from the first step on
+        self._master: dict[str, np.ndarray] = {}  # each entry's float64 values
+        self._flat: np.ndarray | None = None  # every master value, once bound
+        self._compute: np.ndarray | None = None  # the compute row, once bound
         self._adam_m: np.ndarray | None = None
         self._adam_v: np.ndarray | None = None
         self._spans: list[tuple[slice, list[Tensor]]] = []
@@ -67,9 +79,10 @@ class ParameterStore:
         if path in self._entries:
             raise KeyError(f"duplicate parameter path {path!r}")
         if self._flat is not None:
-            raise StoreFrozen(f"parameter {path!r} registered after the first Adam step")
-        t = Tensor(np.asarray(init), requires_grad=True)
+            raise StoreFrozen(f"parameter {path!r} registered after the store was bound")
+        t = Tensor(np.asarray(init, dtype=np.float64), requires_grad=True)
         self._entries[path] = t
+        self._master[path] = t.data
         return t
 
     def __getitem__(self, path: str) -> Tensor:
@@ -82,23 +95,36 @@ class ParameterStore:
         for t in self._entries.values():
             t.grad = None
 
+    def bind_compute(self) -> None:
+        """Bind a store whose compute dtype is not float64, once, so its
+        tensors hold compute-dtype values; the model calls this before each
+        forward pass.  A float64 store computes on its master values as
+        they are and binds at its first Adam step."""
+        if self._flat is None and self.dtype != np.float64:
+            self._bind()
+
     def _bind(self) -> None:
-        """Copy every entry into one flat vector, make each tensor's data a
-        view of its slice, and cut the vector into spans of whole entries."""
-        tensors = list(self._entries.values())
+        """Copy every entry into one flat master vector and cast it into the
+        compute row, make each tensor's data a view of its slice of the
+        compute row, and cut the vectors into spans of whole entries."""
         # the values and both moments as one block, which at paper sizes is
         # mapped and unmapped whole; three vector-sized blocks, each a new
         # model's, fragmented the heap and raised peak RSS with every run
-        state = np.zeros((3, sum(t.data.size for t in tensors)))
+        state = np.zeros((3, sum(t.data.size for t in self._entries.values())))
         self._flat, self._adam_m, self._adam_v = state
+        if self.dtype == np.float64:
+            self._compute = self._flat
+        else:
+            self._compute = np.empty(self._flat.size, dtype=self.dtype)
         self._spans = []
         start = stop = 0
         members = []
-        for t in tensors:
+        for path, t in self._entries.items():
             n = t.data.size
-            view = self._flat[stop : stop + n].reshape(t.data.shape)
-            view[...] = t.data
-            t.data = view
+            master = self._flat[stop : stop + n].reshape(t.data.shape)
+            master[...] = self._master[path]
+            self._master[path] = master
+            t.data = self._compute[stop : stop + n].reshape(t.data.shape)
             stop += n
             members.append(t)
             if stop - start >= ADAM_SPAN:
@@ -106,6 +132,12 @@ class ParameterStore:
                 start, members = stop, []
         if members:
             self._spans.append((slice(start, stop), members))
+        self._cast()
+
+    def _cast(self) -> None:
+        """Refresh a bound store's separate compute row from the masters."""
+        if self._compute is not None and self._compute is not self._flat:
+            self._compute[...] = self._flat
 
     def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update over every entry.
@@ -124,7 +156,7 @@ class ParameterStore:
         unbias1 = 1.0 - ADAM_BETA1**self._adam_t
         unbias2 = 1.0 - ADAM_BETA2**self._adam_t
         for span, members in self._spans:
-            g = np.concatenate([t.grad for t in members], axis=None)
+            g = np.concatenate([t.grad for t in members], axis=None, dtype=np.float64)
             m, v = self._adam_m[span], self._adam_v[span]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
@@ -138,15 +170,17 @@ class ParameterStore:
             step *= lr
             step /= denom
             self._flat[span] -= step
+            if self._compute is not self._flat:
+                self._compute[span] = self._flat[span]
         self.zero_grad()
 
     # serialization --------------------------------------------------
 
     def save_bytes(self) -> bytes:
         chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(self._entries))]
-        for path, tensor in self._entries.items():
+        for path, master in self._master.items():
             raw = path.encode("utf-8")
-            arr = np.asarray(tensor.data, dtype="<f8", order="C")
+            arr = np.asarray(master, dtype="<f8", order="C")
             chunks.append(struct.pack("<I", len(raw)))
             chunks.append(raw)
             chunks.append(struct.pack("<BI", 1, arr.ndim))
@@ -155,7 +189,8 @@ class ParameterStore:
         return b"".join(chunks)
 
     def load_bytes(self, blob: bytes, strict: bool = True) -> list[str]:
-        """Copy checkpoint values into matching entries; returns loaded paths.
+        """Copy checkpoint values into matching entries' master values, and
+        a bound store's compute row; returns loaded paths.
 
         ``strict`` demands that every entry in the store is present in the
         blob. Non-strict is the warm-start mode: paths present on both
@@ -163,17 +198,18 @@ class ParameterStore:
         """
         entries = read_checkpoint(blob)
         loaded = []
-        for path, tensor in self._entries.items():
+        for path, master in self._master.items():
             if path in entries:
                 arr = entries[path]
-                if arr.shape != tensor.data.shape:
+                if arr.shape != master.shape:
                     raise CheckpointError(
-                        f"shape mismatch for {path!r}: checkpoint {arr.shape}, store {tensor.data.shape}"
+                        f"shape mismatch for {path!r}: checkpoint {arr.shape}, store {master.shape}"
                     )
-                tensor.data[...] = arr
+                master[...] = arr
                 loaded.append(path)
             elif strict:
                 raise CheckpointError(f"checkpoint missing entry {path!r}")
+        self._cast()
         return loaded
 
 

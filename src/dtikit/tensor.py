@@ -43,7 +43,16 @@ on.  Keeping the data's layout keeps the bytes of adding into zeros: a
 reduction such as ``batch_stat_norm``'s column mean sums a C-ordered and an
 F-ordered array in different orders.
 
-Every array is float64.
+Every op computes and allocates in its inputs' dtype, float64 or float32:
+``Tensor`` and ``_wrap`` keep a floating array's dtype and turn anything
+else into float64, and a plain number or array on one side of an
+elementwise op takes the other side's dtype.  Mixing a float32 tensor with
+a float64 one is a caller's bug that numpy would answer with a float64
+result.  The softmax floor EXP_FLOOR is per dtype, just above the log of
+the smallest normal number: -700 for float64 (whose limit is -708.4) and
+-87 for float32 (-87.3).  PAD_MASK_BIAS (-1e30) is finite in both, and
+ZERO_NORM_EPS (1e-12) and its square are normal float32 numbers, so a
+zero row is told from a live one alike in both dtypes.
 """
 
 from __future__ import annotations
@@ -69,9 +78,9 @@ class MissingGradient(RuntimeError):
 # additive score of a padded cell: it never reaches a map's maximum, and
 # exp() of it is exactly zero
 PAD_MASK_BIAS = -1e30
-# floor of the shifted scores of the masked softmax: exp(-700) is still a
-# normal float, so exp never takes its slow underflow path
-EXP_FLOOR = -700.0
+# floor of the shifted scores of the masked softmax, per dtype: exp of it
+# is still a normal number, so exp never takes its slow underflow path
+EXP_FLOOR = {np.dtype(np.float64): -700.0, np.dtype(np.float32): -87.0}
 # bytes of gathered u maps that one block of bilinear-attention pairs holds
 ATTENTION_BLOCK_BYTES = 1 << 20
 NORM_EPS = 1e-5  # variance floor of every standardisation
@@ -100,7 +109,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else np.asarray(data, dtype=np.float64)
         self.grad = None
         self._owns_grad = False
         self.requires_grad = bool(requires_grad)
@@ -143,7 +153,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -152,10 +162,12 @@ class Tensor:
         return div(self, other)
 
 
-def _wrap(value) -> Tensor:
+def _wrap(value, like=None) -> Tensor:
+    """`value` as a tensor; a plain value takes `like`'s dtype when `like`
+    is a tensor, as the other operand of an elementwise op is."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=np.float64))
+    return Tensor(np.asarray(value, dtype=like.data.dtype if isinstance(like, Tensor) else None))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -208,7 +220,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     _check_elementwise(a, b, "add")
 
     def backward(g):
@@ -219,7 +231,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     _check_elementwise(a, b, "sub")
 
     def backward(g):
@@ -230,7 +242,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     _check_elementwise(a, b, "mul")
 
     def backward(g):
@@ -241,7 +253,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     _check_elementwise(a, b, "div")
 
     def backward(g):
@@ -501,7 +513,7 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
     lout = length + pl + pr - K + 1
     if lout <= 0:
         raise ShapeMismatch(f"conv1d_relu: empty output for input {x.data.shape}, kernel {K}")
-    xp = np.zeros((*lead, length + pl + pr, cin))
+    xp = np.zeros((*lead, length + pl + pr, cin), dtype=x.data.dtype)
     xp[..., pl : pl + length, :] = x.data
     windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)  # [..., lout, Cin, K]
     cols = np.moveaxis(windows, (-1, -2), (0, 1)).reshape(K * cin, -1)  # [K*Cin, rows]
@@ -558,7 +570,8 @@ def batch_stat_norm(x, gamma, beta, mask=None) -> Tensor:
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     if x.data.ndim not in (2, 3) or gamma.data.shape != (x.data.shape[-1],):
         raise ShapeMismatch(f"batch_stat_norm: x {x.data.shape}, gamma {gamma.data.shape}")
-    m = np.ones(x.data.shape[:-1]) if mask is None else np.asarray(mask, dtype=x.data.dtype)
+    dtype = x.data.dtype
+    m = np.ones(x.data.shape[:-1], dtype=dtype) if mask is None else np.asarray(mask, dtype=dtype)
     if m.shape != x.data.shape[:-1]:
         raise ShapeMismatch(f"batch_stat_norm: mask {m.shape} for x {x.data.shape}")
     m = m[..., None]
@@ -594,7 +607,7 @@ def _masked_softmax(s, pad, live):
     softmax's bits unless it lies more than -EXP_FLOOR below the maximum."""
     s += pad
     s -= s.max(axis=-1, keepdims=True)
-    np.maximum(s, EXP_FLOOR, out=s)
+    np.maximum(s, EXP_FLOOR[s.dtype], out=s)
     np.exp(s, out=s)
     s *= live
     s /= s.sum(axis=-1, keepdims=True)
@@ -647,7 +660,8 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     B, H = len(v_idx), len(heads)
     q = np.array([t.data for t in heads])  # [H, J]
     live = v_mask[v_idx][:, :, None] & (np.arange(L) < u_real[u_idx][:, None])[:, None, :]
-    live = live.astype(np.float64).reshape(B, 1, M * L)
+    dtype = u.data.dtype
+    live = live.astype(dtype).reshape(B, 1, M * L)
     pad = (live - 1.0) * -PAD_MASK_BIAS
     # (rows, None): a block of pairs with their u maps gathered;
     # (rows, p): every pair of u row set p, sharing its map
@@ -666,9 +680,9 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
         return vr[:, None] * q[:, None] if vq is None else vq[v_idx[rows]]
 
     vq = v.data[:, None] * q[:, None] if per_block else None  # [D, H, M, J]
-    out = np.empty((B, J))
-    attn = np.empty((B, H, M, L))
-    mixed = np.empty((B, M, J))  # sum_t A_t u per pair, kept for backward
+    out = np.empty((B, J), dtype=dtype)
+    attn = np.empty((B, H, M, L), dtype=dtype)
+    mixed = np.empty((B, M, J), dtype=dtype)  # sum_t A_t u per pair, kept for backward
     for rows, p in blocks:
         ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
         s = v_heads(vq, vr, rows).reshape(-1, H * M, J) @ np.swapaxes(ub, -1, -2)
@@ -683,9 +697,9 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     def backward(g):
         vq = v.data[:, None] * q[:, None] if per_block else None
         dv = g[:, None, :] * mixed  # per pair, the A_t u part first
-        dq = np.zeros((H, J))
+        dq = np.zeros((H, J), dtype=dtype)
         if per_block:
-            du = np.empty((B, L, J))  # per pair
+            du = np.empty((B, L, J), dtype=dtype)  # per pair
         else:
             du = np.empty_like(u.data)
             du[np.setdiff1d(np.arange(P), u_idx)] = 0.0

@@ -140,12 +140,12 @@ def _in_order(parts, back) -> InteractionOutput:
 
 
 def predict(encoder, feat, records, idxs, batch_size=RunConfig.batch_size) -> np.ndarray:
-    """Evaluation-mode scores of the encoder's head: probabilities from a
-    classifier, raw values from a regressor.  The joint stage runs
-    `batch_size` pairs at a time."""
+    """Evaluation-mode scores of the encoder's head, as float64 whatever
+    the compute dtype: probabilities from a classifier, raw values from a
+    regressor.  The joint stage runs `batch_size` pairs at a time."""
     with T.no_grad():
         out = encode_pairs(encoder, feat, records, idxs, chunk=batch_size)
-    scores = _check_finite(out.score.data, "scores")
+    scores = check_finite(np.asarray(out.score.data, dtype=np.float64), "scores")
     return T.sigmoid_values(scores) if encoder.head == "classify" else scores
 
 
@@ -230,11 +230,11 @@ class RunWriter:
 
 
 def build_model(cfg: RunConfig):
-    """A fresh store and the encoder with the stage's head."""
-    store = ParameterStore()
-    encoder = DTIEncoder(
-        store, cfg.encoder_config(), substream(cfg.seed, "model.init"), head=cfg.head
-    )
+    """A fresh store, in the preset's compute dtype, and the encoder with
+    the stage's head."""
+    enc_cfg = cfg.encoder_config()
+    store = ParameterStore(enc_cfg.dtype)
+    encoder = DTIEncoder(store, enc_cfg, substream(cfg.seed, "model.init"), head=cfg.head)
     return store, encoder
 
 
@@ -272,7 +272,7 @@ def supervised_indices(manifest: SplitManifest):
     return train, val, test
 
 
-def _check_finite(values: np.ndarray, what: str) -> np.ndarray:
+def check_finite(values: np.ndarray, what: str) -> np.ndarray:
     """`values`, or NumericFailure with the count if any is not finite."""
     bad = values.size - np.count_nonzero(np.isfinite(values))
     if bad:
@@ -284,7 +284,7 @@ def _batch_loss(output, labels: np.ndarray, head: str) -> Tensor:
     """Mean supervised loss over a batch's score vector."""
     if head == "classify":
         return T.tmean(T.bce_with_logits(output.score, labels))
-    return T.tmean(T.square(output.score - Tensor(labels)))
+    return T.tmean(T.square(output.score - labels))
 
 
 def _batches(order: np.ndarray, size: int):
@@ -407,7 +407,7 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
                 lam = lambda_schedule(epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv)
                 # the reversal inside the domain term makes one backward the min-max update
                 loss = supervised + domain * lam
-            _check_finite(loss.data, "loss values")
+            check_finite(loss.data, "loss values")
             loss.backward()
             store.adam_step(cfg.lr)
             total += float(supervised.data) * len(batch)
@@ -496,7 +496,7 @@ def train_meta(
                 T.index_select(fused, 0, [[row[i] for i in ep.query]]),
                 q_labels,
             )
-            _check_finite(loss.data, "loss values")
+            check_finite(loss.data, "loss values")
             loss.backward()
             store.adam_step(cfg.lr)
             total += float(loss.data)
@@ -565,7 +565,7 @@ def meta_shot_curve(
                 probs, _ = head.episode_probabilities(
                     T.index_select(fused, 0, supports[:, cols]), np.repeat([1.0, 0.0], k), queries
                 )
-                _check_finite(probs.data, "probabilities")
+                check_finite(probs.data, "probabilities")
                 per_run[k].append(auroc(probs.data[..., 1].ravel(), labels))
     out = {}
     for k in shots:

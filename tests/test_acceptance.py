@@ -434,6 +434,17 @@ def test_08a_vanilla_beats_085_auroc_on_random_split(corpus2000, vanilla_run):
     assert got["auroc"] >= VANILLA_AUROC_FLOOR, f"test auroc {got['auroc']:.4f}"
 
 
+def test_08a_holds_in_float32(corpus2000, float32_small):
+    """The 08a run with the small preset computing in float32 over float64
+    masters, as the paper preset does, clears the same floor."""
+    records = corpus2000.records
+    manifest = random_split(records, fractions=(0.7, 0.15, 0.15), seed=0)
+    result = train_supervised(records, manifest, small_config(stage="vanilla", epochs=12, lr=1e-3))
+    assert result.encoder.config.dtype == np.float32
+    got = evaluate(result.encoder, result.featurizer, records, manifest.indices(None, "test"))
+    assert got["auroc"] >= VANILLA_AUROC_FLOOR, f"test auroc {got['auroc']:.4f}"
+
+
 def test_08b_adversary_gains_003_auroc_across_domains(corpus2000, transfer_runs):
     manifest, plain, adapted = transfer_runs
     test = manifest.indices("target", "test")

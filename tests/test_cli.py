@@ -16,8 +16,9 @@ from dtikit import cli
 from dtikit.config import resolve_config
 from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
+from dtikit.optim import ParameterStore, read_checkpoint
 from dtikit.splits import SplitManifest
-from dtikit.train import Featurizer, train_adversarial, train_meta, train_supervised
+from dtikit.train import Featurizer, build_model, train_adversarial, train_meta, train_supervised
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
 
@@ -297,6 +298,54 @@ class TestScreen:
                          "--classifier", runs["vanilla"], "--regressor", runs["regress"],
                          "--out", str(tmp_path / "ranked.csv")]) == 0
         assert sum(sizes) == 2 * 60 and max(sizes) == 4
+
+
+class TestPaperPreset:
+    """The paper preset, which computes in float32 over float64 master
+    weights, through every command that trains or reads a run."""
+
+    def test_round_trip(self, tmp_path):
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--seed", "0", "--records", "80"]) == 0
+        corpus = str(data / "corpus.csv")
+        split = str(tmp_path / "random.json")
+        assert cli.main(["split", "--csv", corpus, "--strategy", "random",
+                         "--out", split, "--seed", "0"]) == 0
+        paper = ["--preset", "paper", "--max-seq-len", "48", "--seed", "0", "--epochs", "1"]
+        runs = {name: tmp_path / name for name in ("vanilla", "rerun", "regress")}
+        for name, run in runs.items():
+            stage = "regress" if name == "regress" else "vanilla"
+            assert cli.main(["train", "--csv", corpus, "--split-manifest", split,
+                             "--stage", stage, "--out", str(run), *paper]) == 0
+        for name in ("best.ckpt", "metrics.jsonl"):
+            assert (runs["vanilla"] / name).read_bytes() == (runs["rerun"] / name).read_bytes()
+        for line in (runs["vanilla"] / "metrics.jsonl").read_text().splitlines():
+            assert "val_auroc" in json.loads(line)
+
+        blob = (runs["vanilla"] / "best.ckpt").read_bytes()
+        assert all(v.dtype == np.float64 for v in read_checkpoint(blob).values())
+        cfg = resolve_config(json.loads((runs["vanilla"] / "config.json").read_text()), {})
+        store, _ = build_model(cfg)
+        assert store.dtype == np.float32
+        store.load_bytes(blob)
+        assert store.save_bytes() == blob
+
+        report = tmp_path / "report.json"
+        assert cli.main(["eval", "--csv", corpus, "--split-manifest", split,
+                         "--checkpoint", str(runs["vanilla"]), "--out", str(report)]) == 0
+        assert "auroc" in report_means(report)
+        ranked = tmp_path / "ranked.csv"
+        assert cli.main(["screen", "--csv", corpus, "--split-manifest", split,
+                         "--classifier", str(runs["vanilla"]),
+                         "--regressor", str(runs["regress"]), "--out", str(ranked)]) == 0
+        with open(ranked, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(np.isfinite(float(r["score"])) for r in rows)
+        maps = tmp_path / "maps.json"
+        assert cli.main(["export-attention", "--csv", corpus, "--checkpoint", str(runs["vanilla"]),
+                         "--limit", "3", "--out", str(maps)]) == 0
+        entries = json.loads(maps.read_text())
+        assert len(entries) == 3 and all(len(e["levels"]) == 3 for e in entries)
 
 
 class TestExportAttention:
@@ -742,6 +791,16 @@ class TestExitCodes:
                              "--split-manifest", split, "--stage", stage,
                              "--epochs", "1", "--lr", "1e300", *extra, *SMALL])
             assert code == 4, f"one-step {stage}"
+        # a diverged checkpoint's attention maps are not exported
+        diverged = tmp_path / "diverged"
+        shutil.copytree(workdir["run"], diverged)
+        store = ParameterStore()
+        for path, values in read_checkpoint((diverged / "best.ckpt").read_bytes()).items():
+            store.parameter(path, np.full_like(values, np.nan))
+        (diverged / "best.ckpt").write_bytes(store.save_bytes())
+        code = cli.main(["export-attention", "--checkpoint", str(diverged), "--csv",
+                         workdir["csv"], "--limit", "3", "--out", str(tmp_path / "maps.json")])
+        assert code == 4, "export-attention"
 
     @pytest.mark.parametrize("noise", ["2", "nan", "-0.5"])
     def test_synth_noise_outside_unit_interval_is_2(self, tmp_path, noise):

@@ -239,3 +239,40 @@ def test_every_defaulted_parameter_is_passed():
     assert set(UNPASSED_DEFAULTS) <= set(unpassed), "stale exceptions"
     extra = [p for p in unpassed if p not in UNPASSED_DEFAULTS]
     assert not extra, "defaulted parameters no call passes: " + ", ".join(extra)
+
+
+ALLOCATORS = ("zeros", "ones", "empty", "full")
+FLOAT64_NAMES = ("np.float64", "numpy.float64", "float", "'float64'", "'f8'", "'<f8'")
+
+
+def _pinned_float64(tree: ast.Module) -> list[int]:
+    """Lines of `np.zeros`/`ones`/`empty`/`full` calls without a `dtype=`
+    keyword, which allocate float64 whatever the inputs are, and of
+    `astype` calls to float64."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if (func.attr in ALLOCATORS and isinstance(func.value, ast.Name)
+                and func.value.id in ("np", "numpy")
+                and not any(k.arg == "dtype" for k in node.keywords)):
+            lines.append(node.lineno)
+        elif func.attr == "astype":
+            target = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "dtype"), None)
+            if target is not None and ast.unparse(target) in FLOAT64_NAMES:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_tensor_ops_pin_no_float64():
+    """Every op computes in its inputs' dtype, so `tensor.py` allocates
+    with an explicit dtype (the `_like` forms take their input's) and never
+    casts to float64."""
+    probe = ("a = np.zeros(3)\nb = np.ones(3, dtype=x.dtype)\nc = np.zeros_like(x)\n"
+             "d = x.astype(np.float64)\ne = x.astype(x.dtype)\nf = np.full((2,), 0.0)\n")
+    assert _pinned_float64(ast.parse(probe)) == [1, 4, 6]
+    path = PACKAGE_DIR / "tensor.py"
+    found = [f"tensor.py:{line}" for line in _pinned_float64(ast.parse(path.read_text()))]
+    assert not found, "float64 pinned in tensor ops: " + ", ".join(found)

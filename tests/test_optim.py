@@ -211,3 +211,75 @@ def test_kaiming_uniform_bound_scales_with_fan_in():
     bound = np.sqrt(6.0 / 24)
     assert np.abs(w).max() <= bound
     assert np.abs(w).max() > 0.8 * bound
+
+
+def test_a_float32_store_casts_nothing_before_bind_compute():
+    """Registering and loading cast nothing and freeze nothing; the first
+    `bind_compute` gives every tensor float32 data and freezes the store,
+    while checkpoints keep writing the float64 masters."""
+    rng = np.random.default_rng(11)
+    values = {path: rng.normal(size=shape) for path, shape in SHAPES.items()}
+    source = ParameterStore()
+    for path, init in values.items():
+        source.parameter(path, init)
+    blob = source.save_bytes()
+    store = ParameterStore(np.float32)
+    for path, shape in SHAPES.items():
+        store.parameter(path, np.zeros(shape))
+    store.load_bytes(blob)
+    late = store.parameter("registered_after_a_load", np.ones(2))
+    assert all(store[path].data.dtype == np.float64 for path in SHAPES)
+    store.bind_compute()
+    for path, init in values.items():
+        assert store[path].data.dtype == np.float32
+        assert np.array_equal(store[path].data, init.astype(np.float32))
+    assert late.data.dtype == np.float32
+    with pytest.raises(StoreFrozen):
+        store.parameter("late", np.zeros(1))
+    assert read_checkpoint(store.save_bytes())["bias"].tobytes() == values["bias"].tobytes()
+    bound = store["bias"].data
+    store.bind_compute()  # binds once
+    assert store["bias"].data is bound
+
+
+def test_a_float64_store_computes_on_its_masters():
+    """`bind_compute` leaves a float64 store as it is: it binds at its
+    first Adam step, as before, and its compute row is its master row."""
+    store = ParameterStore()
+    p = store.parameter("w", np.ones(3))
+    before = p.data
+    store.bind_compute()
+    assert p.data is before
+    store.parameter("still_open", np.zeros(1))
+    p.grad, store["still_open"].grad = np.ones(3), np.ones(1)
+    store.adam_step(lr=0.1)
+    assert store._compute is store._flat
+
+
+def test_float32_adam_steps_the_float64_masters():
+    """Float32 gradients step the float64 masters exactly as a float64
+    store steps on the same gradients, and each step recasts the compute
+    row; a checkpoint holds the masters, never the rounded compute values."""
+    rng = np.random.default_rng(12)
+    stores = {dtype: ParameterStore(dtype) for dtype in (np.float64, np.float32)}
+    for path, shape in SHAPES.items():
+        init = rng.normal(size=shape)
+        for store in stores.values():
+            store.parameter(path, init.copy())
+    for _ in range(3):
+        grads = {path: rng.normal(size=shape).astype(np.float32) for path, shape in SHAPES.items()}
+        for store in stores.values():
+            for path, g in grads.items():
+                store[path].grad = g.astype(store.dtype)
+            store.adam_step(lr=0.05)
+    wide, narrow = stores[np.float64], stores[np.float32]
+    assert narrow.save_bytes() == wide.save_bytes()
+    for path in SHAPES:
+        assert narrow[path].data.dtype == np.float32
+        assert np.array_equal(narrow[path].data, wide[path].data.astype(np.float32))
+    # loading refreshes the compute row of a bound store
+    zeros = ParameterStore()
+    for path, shape in SHAPES.items():
+        zeros.parameter(path, np.zeros(shape))
+    narrow.load_bytes(zeros.save_bytes())
+    assert all(not narrow[path].data.any() for path in SHAPES)

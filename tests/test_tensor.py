@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gradcheck
 from dtikit import tensor as T
 from gradcheck import op_cases, run_case
 
@@ -13,6 +14,51 @@ def test_every_primitive_matches_finite_differences():
     for trial in range(3):
         for name, case in op_cases(rng).items():
             run_case(name, case)
+
+
+# float32 against float64 on the gradcheck cases, relative to the larger of
+# 1 and the float64 values' largest magnitude: the float32 copies of the
+# operands are already rounded at 3e-8, and a case's few dozen ops grow
+# that to about 6e-7 at most, so 1e-5 leaves a margin of about 15
+F32_OP_TOL = 1e-5
+
+
+def test_every_primitive_keeps_float32(monkeypatch):
+    """Each gradcheck case run on its float64 operands and on float32
+    copies: every recorded output of the float32 run is float32, every
+    gradient handed to `_accum` has its tensor's dtype (`_accum` would
+    copy an upcast one back without a trace), and the outputs and operand
+    gradients agree with the float64 run within F32_OP_TOL.  The cases'
+    loss weights take the output's dtype, so the weighting adds no upcast."""
+    monkeypatch.setattr(
+        gradcheck, "_weighted",
+        lambda out, w: T.tsum(T.mul(out, T.Tensor(w.astype(out.data.dtype)))),
+    )
+    make, accum = T._make, T._accum
+    recorded = []
+
+    def spy_make(data, parents, backward):
+        recorded.append(np.array(data, copy=True))
+        return make(data, parents, backward)
+
+    def spy_accum(t, g):
+        assert np.asarray(g).dtype == t.data.dtype, (t.data.dtype, np.asarray(g).dtype)
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_make", spy_make)
+    monkeypatch.setattr(T, "_accum", spy_accum)
+    for name, case in op_cases(np.random.default_rng(13)).items():
+        runs = {}
+        for dtype in (np.float64, np.float32):
+            recorded.clear()
+            operands = [T.Tensor(a.astype(dtype), requires_grad=True) for a in case[1]]
+            case[0](*operands).backward()
+            runs[dtype] = list(recorded) + [t.grad for t in operands]
+        assert len(runs[np.float32]) == len(runs[np.float64]), name
+        for narrow, wide in zip(runs[np.float32], runs[np.float64]):
+            assert narrow.dtype == np.float32, name
+            scale = max(1.0, np.abs(wide).max(initial=0.0))
+            assert np.abs(narrow - wide).max(initial=0.0) <= F32_OP_TOL * scale, name
 
 
 def test_backward_requires_scalar():
@@ -480,22 +526,27 @@ def test_bilinear_attention_maps_are_a_softmax_over_live_cells(monkeypatch, budg
 
 
 def test_bilinear_attention_hands_exp_no_pad_score(monkeypatch):
-    """exp is slow on scores that underflow, so it sees nothing below the
-    floor, on either path."""
+    """exp is slow on scores that underflow, so it sees nothing below its
+    dtype's floor, on either path, in float64 and in float32."""
     arrays, fixed, _ = _attention_case(np.random.default_rng(28))
-    lowest = []
     exp = np.exp
+    for dtype in (np.float64, np.float32):
+        lowest = []
 
-    def spy(x, *args, **kw):
-        lowest.append(np.min(x))
-        return exp(x, *args, **kw)
+        def spy(x, *args, **kw):
+            lowest.append(np.min(x))
+            return exp(x, *args, **kw)
 
-    monkeypatch.setattr(np, "exp", spy)
-    for budget in ATTENTION_BUDGETS:
-        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
-        T.bilinear_attention(T.Tensor(arrays[0]), T.Tensor(arrays[1]),
-                             [T.Tensor(q) for q in arrays[2:]], *fixed)
-    assert len(lowest) >= len(ATTENTION_BUDGETS) and min(lowest) >= T.EXP_FLOOR
+        monkeypatch.setattr(np, "exp", spy)
+        one_map = 6 * 4 * np.dtype(dtype).itemsize
+        budgets = [T.ATTENTION_BLOCK_BYTES, 3 * one_map, one_map - 1]
+        for budget in budgets:
+            monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+            T.bilinear_attention(T.Tensor(arrays[0].astype(dtype)),
+                                 T.Tensor(arrays[1].astype(dtype)),
+                                 [T.Tensor(q.astype(dtype)) for q in arrays[2:]], *fixed)
+        assert len(lowest) >= len(budgets)
+        assert min(lowest) >= T.EXP_FLOOR[np.dtype(dtype)], dtype
 
 
 def test_bilinear_attention_under_no_grad_keeps_no_backward():

@@ -18,7 +18,9 @@ import oracle
 from dtikit import tensor as T
 from dtikit.config import ConfigError, resolve_config
 from dtikit.datasets import AFFINITY, CsvSchema, load_interactions_detailed
+from dtikit.encoder import DTIEncoder, EncoderConfig
 from dtikit.metrics import MetricReport, auroc
+from dtikit.optim import ParameterStore, read_checkpoint
 from dtikit.rng import substream
 from dtikit.splits import (
     EpisodeTask,
@@ -133,16 +135,31 @@ class TestSupervised:
         assert warm.best_blob != cold.best_blob
 
 
+def _in_dtype(cfg, encoder, dtype):
+    """The encoder's model computing in `dtype`: a store of that dtype and
+    an encoder of the same sizes and head, loaded with its masters."""
+    store = ParameterStore(dtype)
+    twin = DTIEncoder(store, replace(encoder.config, dtype=dtype),
+                      np.random.default_rng(0), head=cfg.head)
+    store.load_bytes(encoder.store.save_bytes())
+    return store, twin
+
+
 class TestEncodePairs:
-    """The batched path against the per-pair oracle in `oracle.py`."""
+    """The batched path against the per-pair oracle in `oracle.py`, at
+    float64, and the paper preset's float32 compute against float64."""
 
     @staticmethod
-    def _setup(records, preset, stage="vanilla"):
+    def _setup(records, preset, stage="vanilla", dtype=np.float64):
+        """The preset's model computing in `dtype`: a paper model built in
+        float32 and, for float64, loaded into a float64 store."""
         overrides = {"stage": stage, "model_preset": preset, "seed": 0}
         if preset == "small":
             overrides["max_seq_len"] = 48
         cfg = resolve_config({}, overrides)
         store, encoder = build_model(cfg)
+        if store.dtype != dtype:
+            store, encoder = _in_dtype(cfg, encoder, dtype)
         feat = Featurizer.build(records, cfg.encoder_config().max_seq_len)
         return cfg, store, encoder, feat
 
@@ -210,6 +227,42 @@ class TestEncodePairs:
             assert grad is not None, path
             assert np.max(np.abs(grad - store[path].grad)) <= 1e-10, path
 
+    # float32 against float64 from the same master weights, relative to the
+    # float64 values' largest magnitude: float32 rounds at 6e-8, and sums
+    # over 2,304-wide joint rows, 600-column maps and per-sample norm
+    # statistics grow that to about 1e-4 at most (2.6e-5 on the scores,
+    # 1.5e-4 on the worst gradient), so 1e-3 leaves a margin of about 7
+    F32_REL_TOL = 1e-3
+
+    def test_float32_step_agrees_with_float64(self, records):
+        """One paper-preset training step in the preset's float32 against
+        the same step in float64: scores, fused rows, attention maps and
+        every parameter gradient agree within F32_REL_TOL, and every
+        float32 output and gradient is float32."""
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            _, store, encoder, feat = self._setup(records, "paper", dtype=dtype)
+            idxs = self._batch(records, "paper", feat)
+            labels = np.array([records[i].label for i in idxs])
+            out = encode_pairs(encoder, feat, records, idxs, attention=True)
+            T.tmean(T.bce_with_logits(out.score, labels)).backward()
+            runs[dtype] = (out, {path: store[path].grad for path in store.paths()})
+        (out32, grads32), (out64, grads64) = runs[np.float32], runs[np.float64]
+
+        def close(a, b, what):
+            assert a.dtype == np.float32, what
+            scale = np.abs(b).max()
+            assert np.abs(a - b).max() <= self.F32_REL_TOL * scale, what
+
+        close(out32.score.data, out64.score.data, "scores")
+        close(out32.fused.data, out64.fused.data, "fused")
+        for maps32, maps64 in zip(out32.attention, out64.attention):
+            for a, b in zip(maps32, maps64):
+                close(a, b, "attention")
+        assert grads32.keys() == grads64.keys()
+        for path, grad in grads32.items():
+            close(grad, grads64[path], path)
+
     def test_each_protein_is_lifted_once_per_call(self, records, monkeypatch):
         """Towers run once per call on every distinct entity.  A training
         call lifts each protein once; a chunked inference call lifts each
@@ -260,6 +313,65 @@ class TestEncodePairs:
         assert max(lifts) <= chunk
         assert sum(lifts) <= (n_proteins + len(slices) - 1) * levels
         assert np.abs(chunked.score.data - whole.score.data).max() <= 1e-12
+
+
+class TestFloat32:
+    """Every stage computing in float32: nothing upcasts to float64, and the
+    masters and checkpoints stay float64."""
+
+    def test_every_stage_computes_in_float32_only(
+        self, records, manifest, cluster_manifest, meta_manifest, float32_small, monkeypatch
+    ):
+        made, handed = set(), set()
+        make, accum = T._make, T._accum
+
+        def spy_make(data, parents, backward):
+            made.add(np.asarray(data).dtype)
+            return make(data, parents, backward)
+
+        def spy_accum(t, g):
+            handed.add((t.data.dtype, np.asarray(g).dtype))
+            return accum(t, g)
+
+        monkeypatch.setattr(T, "_make", spy_make)
+        monkeypatch.setattr(T, "_accum", spy_accum)
+        short = dict(epochs=1, lr=1e-3)
+        vanilla = train_supervised(records, manifest, small_config(stage="vanilla", **short))
+        train_supervised(records, manifest, small_config(stage="regress", **short))
+        train_adversarial(records, cluster_manifest, small_config(epochs=1, **ACTIVE_CRITIC))
+        meta_cfg = small_config(stage="meta", epochs=1, episodes_per_epoch=3, eval_episodes=4)
+        meta = train_meta(records, meta_manifest, meta_cfg, no_warm_start=True)
+        curve = meta_shot_curve(records, meta_manifest, meta_cfg, meta.encoder, meta.head,
+                                meta.featurizer, shots=(1, 3), n_runs=1)
+        scores = predict(vanilla.encoder, vanilla.featurizer, records, manifest.indices(None, "test"))
+        assert made == {np.dtype(np.float32)}
+        assert handed == {(np.dtype(np.float32), np.dtype(np.float32))}
+        assert scores.dtype == np.float64
+        assert all(type(rep.metrics["auroc"]) is float for rep in curve.values())
+        assert all(type(v) is float for v in vanilla.history[0].val.values())
+        for entry in read_checkpoint(vanilla.best_blob).values():
+            assert entry.dtype == np.float64
+
+    def test_checkpoints_load_strictly_across_dtypes(self, records, manifest, vanilla,
+                                                    float32_small):
+        """A float32-trained checkpoint loads strictly into a float64 model
+        and a float64-trained one into a float32 model: each store writes
+        back the bytes it read, and the probabilities agree within 1e-5."""
+        cfg = small_config(stage="vanilla", epochs=1, lr=1e-3)
+        narrow = train_supervised(records, manifest, cfg)
+        idxs = manifest.indices(None, "test")
+        for (run_cfg, run), dtype in (((cfg, narrow), np.float64), (vanilla, np.float32)):
+            assert run.encoder.store.dtype != dtype
+            store, twin = _in_dtype(run_cfg, run.encoder, dtype)
+            assert store.save_bytes() == run.best_blob
+            want = predict(run.encoder, run.featurizer, records, idxs)
+            got = predict(twin, run.featurizer, records, idxs)
+            assert np.abs(got - want).max() <= 1e-5
+
+    def test_encoder_and_store_dtypes_must_match(self):
+        with pytest.raises(ConfigError, match="float32"):
+            DTIEncoder(ParameterStore(np.float64), EncoderConfig(), np.random.default_rng(0),
+                       head="classify")
 
 
 class TestArtifacts:
