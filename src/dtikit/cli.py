@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -81,20 +82,10 @@ def _load_records(path: str, stage: str, label_col: str | None) -> list[Interact
 
 
 def _config_overrides(args: argparse.Namespace) -> dict:
-    """Collect the flags that shadow config keys; unset flags stay out."""
-    pairs = {
-        "stage": getattr(args, "stage", None),
-        "seed": getattr(args, "seed", None),
-        "lambda_adv": getattr(args, "lambda_adv", None),
-        "epochs": getattr(args, "epochs", None),
-        "lr": getattr(args, "lr", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "k_shot": getattr(args, "k_shot", None),
-        "k_query": getattr(args, "k_query", None),
-        "model_preset": getattr(args, "preset", None),
-        "max_seq_len": getattr(args, "max_seq_len", None),
-    }
-    return {k: v for k, v in pairs.items() if v is not None}
+    """Collect the flags that shadow config keys, each under its RunConfig
+    attribute's name; unset flags, and fields with no flag, stay out."""
+    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return {name: v for name, v in values.items() if v is not None}
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -430,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common_model(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file of dotted keys")
         p.add_argument("--seed", type=int, help="run seed (overrides config)")
-        p.add_argument("--preset", choices=("paper", "small"), help="model size preset")
+        p.add_argument("--preset", dest="model_preset", choices=("paper", "small"),
+                       help="model size preset")
         p.add_argument("--max-seq-len", type=int, help="protein window override")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")

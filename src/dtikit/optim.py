@@ -15,20 +15,20 @@ guarantees lean on.
 
 A store has a compute dtype, float64 or float32, and keeps two rows of
 values.  The master row is float64: Adam updates it, checkpoints are
-written from it and loaded into it.  The compute row holds the values the
-model computes with, in the compute dtype; for a float64 store it is the
-master row itself, with no copy and no cast.  Binding copies every entry,
-in registration order, into one flat master vector, casts that into the
-compute row, and rebinds each tensor's ``data`` to a C-contiguous view of
-its slice of the compute row; registering a further entry then raises
-``StoreFrozen``.  A float64 store binds at its first ``adam_step``, and
-any other at its first forward pass (``bind_compute``), so building or
-loading a model casts nothing.  The moments m and v are flat float64 as
-well, and a step is a handful of vector operations over each span of at
-least ``ADAM_SPAN`` values (the whole vector of a small model), ending in
-one cast of the span's master values to the compute row, so its
-temporaries stay the size of a span, not of the model.  Gradients arrive
-in the compute dtype and are concatenated straight into float64.
+written from it and loaded into it.  The compute row is a separate array
+in the compute dtype that holds the values the model computes with.  The
+store binds once, at its first forward pass (``bind_compute``) or its
+first ``adam_step``, whichever comes first, so building or loading a model
+casts nothing.  Binding copies every entry, in registration order, into
+one flat master vector, casts that into the compute row, and rebinds each
+tensor's ``data`` to a C-contiguous view of its slice of the compute row;
+registering a further entry then raises ``StoreFrozen``.  The moments m
+and v are flat float64 as well, and a step is a handful of vector
+operations over each span of at least ``ADAM_SPAN`` values (the whole
+vector of a small model), ending in one cast of the span's master values
+to the compute row, so its temporaries stay the size of a span, not of
+the model.  Gradients arrive in the compute dtype and are concatenated
+straight into float64.
 """
 
 from __future__ import annotations
@@ -96,26 +96,19 @@ class ParameterStore:
             t.grad = None
 
     def bind_compute(self) -> None:
-        """Bind a store whose compute dtype is not float64, once, so its
-        tensors hold compute-dtype values; the model calls this before each
-        forward pass.  A float64 store computes on its master values as
-        they are and binds at its first Adam step."""
-        if self._flat is None and self.dtype != np.float64:
-            self._bind()
-
-    def _bind(self) -> None:
-        """Copy every entry into one flat master vector and cast it into the
-        compute row, make each tensor's data a view of its slice of the
-        compute row, and cut the vectors into spans of whole entries."""
+        """Bind the store once, so its tensors hold compute-dtype values;
+        the model calls this before each forward pass.  Binding copies every
+        entry into one flat master vector and casts it into the compute row,
+        makes each tensor's data a view of its slice of the compute row, and
+        cuts the vectors into spans of whole entries."""
+        if self._flat is not None:
+            return
         # the values and both moments as one block, which at paper sizes is
         # mapped and unmapped whole; three vector-sized blocks, each a new
         # model's, fragmented the heap and raised peak RSS with every run
         state = np.zeros((3, sum(t.data.size for t in self._entries.values())))
         self._flat, self._adam_m, self._adam_v = state
-        if self.dtype == np.float64:
-            self._compute = self._flat
-        else:
-            self._compute = np.empty(self._flat.size, dtype=self.dtype)
+        self._compute = np.empty(self._flat.size, dtype=self.dtype)
         self._spans = []
         start = stop = 0
         members = []
@@ -132,12 +125,7 @@ class ParameterStore:
                 start, members = stop, []
         if members:
             self._spans.append((slice(start, stop), members))
-        self._cast()
-
-    def _cast(self) -> None:
-        """Refresh a bound store's separate compute row from the masters."""
-        if self._compute is not None and self._compute is not self._flat:
-            self._compute[...] = self._flat
+        self._compute[...] = self._flat
 
     def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update over every entry.
@@ -150,8 +138,7 @@ class ParameterStore:
         for path, tensor in self._entries.items():
             if tensor.grad is None:
                 raise MissingGradient(f"no gradient for {path!r}; run backward first")
-        if self._flat is None:
-            self._bind()
+        self.bind_compute()
         self._adam_t += 1
         unbias1 = 1.0 - ADAM_BETA1**self._adam_t
         unbias2 = 1.0 - ADAM_BETA2**self._adam_t
@@ -170,8 +157,7 @@ class ParameterStore:
             step *= lr
             step /= denom
             self._flat[span] -= step
-            if self._compute is not self._flat:
-                self._compute[span] = self._flat[span]
+            self._compute[span] = self._flat[span]
         self.zero_grad()
 
     # serialization --------------------------------------------------
@@ -209,7 +195,8 @@ class ParameterStore:
                 loaded.append(path)
             elif strict:
                 raise CheckpointError(f"checkpoint missing entry {path!r}")
-        self._cast()
+        if self._compute is not None:
+            self._compute[...] = self._flat
         return loaded
 
 

@@ -635,11 +635,11 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     The size of one u map [L, J] picks the path.  When it fits in
     ATTENTION_BLOCK_BYTES, the pairs are cut, in order, into blocks whose
     gathered u maps fit in that budget (a small-preset batch is one block).
-    A block runs as stacked per-pair products, with the heads folded into
-    the v rows before the gather, and backward sums its pairs' u and v
-    gradients into their rows with one one-hot GEMM each.  A larger map
-    (every level of the paper preset) is used one u row set at a time,
+    A block runs as stacked per-pair products, and backward sums its pairs'
+    u and v gradients into their rows with one one-hot GEMM each.  A larger
+    map (every level of the paper preset) is used one u row set at a time,
     through a view, for all of its pairs at once, so it is never copied.
+    Both paths fold the heads into the gathered v rows of each block.
 
     No padded cell's score reaches exp, whose underflow path costs several
     times a live cell: the shifted scores are clamped at EXP_FLOOR before
@@ -674,18 +674,12 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     def u_maps(rows, p):
         return u.data[u_idx[rows]] if p is None else u.data[p]
 
-    def v_heads(vq, vr, rows):
-        """The pairs' v rows times each head, [n, H, M, J]: taken from the
-        folded v rows on the block path, folded from their own otherwise."""
-        return vr[:, None] * q[:, None] if vq is None else vq[v_idx[rows]]
-
-    vq = v.data[:, None] * q[:, None] if per_block else None  # [D, H, M, J]
     out = np.empty((B, J), dtype=dtype)
     attn = np.empty((B, H, M, L), dtype=dtype)
     mixed = np.empty((B, M, J), dtype=dtype)  # sum_t A_t u per pair, kept for backward
     for rows, p in blocks:
         ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
-        s = v_heads(vq, vr, rows).reshape(-1, H * M, J) @ np.swapaxes(ub, -1, -2)
+        s = (vr[:, None] * q[:, None]).reshape(-1, H * M, J) @ np.swapaxes(ub, -1, -2)
         n = len(s)
         _masked_softmax(s.reshape(n, H, M * L), pad[rows], live[rows])
         s = s.reshape(n, H, M, L)
@@ -695,7 +689,6 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
         out[rows] = np.einsum("nmj,nmj->nj", vr, w)
 
     def backward(g):
-        vq = v.data[:, None] * q[:, None] if per_block else None
         dv = g[:, None, :] * mixed  # per pair, the A_t u part first
         dq = np.zeros((H, J), dtype=dtype)
         if per_block:
@@ -724,7 +717,7 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
             dv[rows] += np.einsum("nhmj,hj->nmj", dvq, q)
             dq += np.einsum("nhmj,nmj->hj", dvq, vr)
             del dvq
-            vh = v_heads(vq, vr, rows).reshape(n, H * M, J)
+            vh = (vr[:, None] * q[:, None]).reshape(n, H * M, J)
             if p is None:
                 du[rows] += np.swapaxes(ds, 1, 2) @ vh
             else:

@@ -14,10 +14,11 @@ import pytest
 
 from dtikit import cli
 from dtikit.config import resolve_config
+from dtikit.datasets import load_interactions
 from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
 from dtikit.optim import ParameterStore, read_checkpoint
-from dtikit.splits import SplitManifest
+from dtikit.splits import SplitManifest, random_split
 from dtikit.train import Featurizer, build_model, train_adversarial, train_meta, train_supervised
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
@@ -475,17 +476,39 @@ class TestExitCodes:
         assert code == 3
 
     def test_truncated_checkpoint_is_3(self, workdir, tmp_path):
-        """A checkpoint cut short, here inside its first entry's header, is
-        a data error, not a traceback."""
+        """A checkpoint cut short, here inside its first entry's header, or
+        one with a trailing byte, is a data error, not a traceback."""
         cut = tmp_path / "cut"
         cut.mkdir()
         shutil.copy(workdir["root"] / "vanilla" / "config.json", cut)
         blob = (workdir["root"] / "vanilla" / "best.ckpt").read_bytes()
-        (cut / "best.ckpt").write_bytes(blob[:20])
-        code = cli.main(["eval", "--csv", workdir["csv"],
-                         "--split-manifest", workdir["split"],
-                         "--checkpoint", str(cut / "best.ckpt")])
-        assert code == 3
+        for bad in (blob[:20], blob + b"\x00"):
+            (cut / "best.ckpt").write_bytes(bad)
+            code = cli.main(["eval", "--csv", workdir["csv"],
+                             "--split-manifest", workdir["split"],
+                             "--checkpoint", str(cut / "best.ckpt")])
+            assert code == 3
+
+    def test_manifest_without_test_records(self, workdir, tmp_path, capsys):
+        """Training on a manifest with no test partition succeeds and
+        reports nothing held out; eval and a restricted export refuse it."""
+        split = tmp_path / "no_test.json"
+        random_split(load_interactions(workdir["csv"]), fractions=(0.8, 0.2, 0.0)).save(split)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--csv", workdir["csv"], "--split-manifest", str(split),
+                         "--stage", "vanilla", "--epochs", "1", "--out", str(out),
+                         *SMALL]) == 0
+        assert "test:" not in capsys.readouterr().out
+        assert (out / "best.ckpt").exists() and not (out / "report.json").exists()
+        assert cli.main(["eval", "--csv", workdir["csv"], "--split-manifest", str(split),
+                         "--checkpoint", workdir["run"]]) == 3
+        assert "no test records" in capsys.readouterr().err
+        attention = tmp_path / "attention.json"
+        assert cli.main(["export-attention", "--csv", workdir["csv"],
+                         "--checkpoint", workdir["run"], "--split-manifest", str(split),
+                         "--out", str(attention)]) == 3
+        assert "no 'test' records" in capsys.readouterr().err
+        assert not attention.exists()
 
     @pytest.mark.parametrize("command", ["split", "train", "eval", "screen", "export-attention"])
     def test_csv_with_no_usable_row_is_3(self, workdir, tmp_path, command, capsys):

@@ -120,3 +120,12 @@ def test_first_loaded_row_binds_an_id(tmp_path):
     assert [r.smiles for r in result.records] == ["CCN"]
     assert [s.row for s in result.skipped] == [2, 4]
     assert "empty protein_id" in result.skipped[0].reason
+
+
+def test_non_numeric_label_and_empty_sequence_are_skipped(tmp_path):
+    text = ("drug_id,protein_id,smiles,sequence,label\n"
+            "D1,P1,CCO,MKV,x\nD2,P2,CCN,,1\nD3,P1,CCC,MKV,1\n")
+    result = ds.load_interactions_detailed(write(tmp_path, text))
+    assert [r.drug_id for r in result.records] == ["D3"]
+    assert [(s.row, s.reason) for s in result.skipped] == [
+        (2, "label 'x' is not numeric"), (3, "empty protein sequence")]

@@ -179,6 +179,10 @@ def test_checkpoint_rejects_garbage_and_mismatch():
     with pytest.raises(CheckpointError):
         read_checkpoint(b"NOPE" + b"\x00" * 16)
     blob = store.save_bytes()
+    with pytest.raises(CheckpointError, match="version 2"):
+        read_checkpoint(blob[:4] + (2).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(CheckpointError, match="trailing"):
+        read_checkpoint(blob + b"\x00")
     other = ParameterStore()
     other.parameter("w", np.zeros(3))
     with pytest.raises(CheckpointError):
@@ -190,6 +194,14 @@ def test_checkpoint_rejects_garbage_and_mismatch():
         third.load_bytes(blob, strict=True)
     loaded = third.load_bytes(blob, strict=False)
     assert loaded == ["w"]
+
+
+def test_duplicate_path_raises():
+    store = ParameterStore()
+    store.parameter("w", np.zeros(2))
+    with pytest.raises(KeyError, match="duplicate"):
+        store.parameter("w", np.zeros(2))
+    assert store.paths() == ["w"]
 
 
 def test_every_truncation_is_a_checkpoint_error():
@@ -242,18 +254,43 @@ def test_a_float32_store_casts_nothing_before_bind_compute():
     assert store["bias"].data is bound
 
 
-def test_a_float64_store_computes_on_its_masters():
-    """`bind_compute` leaves a float64 store as it is: it binds at its
-    first Adam step, as before, and its compute row is its master row."""
-    store = ParameterStore()
-    p = store.parameter("w", np.ones(3))
-    before = p.data
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_every_store_binds_at_its_first_forward_pass_into_its_own_compute_row(dtype):
+    """Both compute dtypes share one lifecycle: the first `bind_compute`
+    binds and freezes the store, tensors view a compute row apart from the
+    float64 masters, a load refreshes that row and each step recasts it."""
+    rng = np.random.default_rng(13)
+    store = ParameterStore(dtype)
+    for path, shape in SHAPES.items():
+        store.parameter(path, rng.normal(size=shape))
+    assert store._compute is None
     store.bind_compute()
-    assert p.data is before
-    store.parameter("still_open", np.zeros(1))
-    p.grad, store["still_open"].grad = np.ones(3), np.ones(1)
-    store.adam_step(lr=0.1)
-    assert store._compute is store._flat
+    with pytest.raises(StoreFrozen):
+        store.parameter("late", np.zeros(1))
+    compute = store["bias"].data.base
+    assert compute is store._compute and compute is not store._flat
+    assert compute.dtype == dtype and store._flat.dtype == np.float64
+    for path in SHAPES:
+        assert not np.shares_memory(store[path].data, store._flat)
+        assert np.array_equal(store[path].data, store._master[path].astype(dtype))
+    # writing the compute row leaves the masters; a step recasts the row
+    masters = store.save_bytes()
+    store["bias"].data[...] = 7.0
+    assert store.save_bytes() == masters
+    for path, shape in SHAPES.items():
+        store[path].grad = rng.normal(size=shape).astype(dtype)
+    store.adam_step(lr=0.05)
+    assert store.save_bytes() != masters
+    assert store["bias"].data.base is compute
+    for path in SHAPES:
+        assert np.array_equal(store[path].data, store._master[path].astype(dtype))
+    # a load into the bound store refreshes its compute row
+    zeros = ParameterStore()
+    for path, shape in SHAPES.items():
+        zeros.parameter(path, np.zeros(shape))
+    store.load_bytes(zeros.save_bytes())
+    assert store["bias"].data.base is compute
+    assert not compute.any()
 
 
 def test_float32_adam_steps_the_float64_masters():

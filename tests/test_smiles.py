@@ -144,3 +144,29 @@ def test_explicit_ring_bond_order():
     g = sm.parse_smiles("C=1CCCCC=1")
     closure = [b for b in g.bonds if {b.i, b.j} == {0, 5}][0]
     assert closure.order == sm.DOUBLE
+
+
+@pytest.mark.parametrize(
+    "smiles, error, message",
+    [
+        ("[CH4", sm.SmilesError, "unterminated bracket"),
+        ("[CH4x]", sm.SmilesError, "unsupported bracket content"),
+        ("1CC1", sm.SmilesError, "before any atom"),
+        ("C11", sm.SmilesError, "bonds an atom to itself"),
+        ("C=1CC-1", sm.SmilesError, "conflicting bond orders"),
+        ("C%1", sm.SmilesError, "needs two digits"),
+        ("C-.C", sm.SmilesError, "before component separator"),
+        ("C$", sm.SmilesError, "unexpected character"),
+        ("[]", sm.UnknownAtomSymbol, "empty bracket"),
+        ("[+]", sm.UnknownAtomSymbol, "bad atom symbol"),
+        ("C*", sm.UnknownAtomSymbol, "wildcard"),
+        ("(C)C", sm.UnbalancedParen, "branch before any atom"),
+        (".", sm.EmptyInput, "no atoms"),
+    ],
+)
+def test_rejected_smiles_raise_their_own_error(smiles, error, message):
+    """Each malformed input is refused with its exact error class, not a
+    subclass and not a crash further in."""
+    with pytest.raises(sm.SmilesError, match=message) as info:
+        sm.parse_smiles(smiles)
+    assert type(info.value) is error
