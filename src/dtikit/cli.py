@@ -30,6 +30,7 @@ from . import tensor as T
 from .config import ConfigError, RunConfig, load_config, resolve_config
 from .datasets import AFFINITY, BINARY, CsvSchema, InteractionRecord, load_interactions_detailed
 from .splits import (
+    BadManifest,
     SplitManifest,
     check_listing,
     cluster_cross_domain_split,
@@ -122,10 +123,23 @@ def _rebuild(cfg: RunConfig, blob: bytes):
 
 
 def _load_manifest(path: str, records: list[InteractionRecord]) -> SplitManifest:
-    """A split manifest written for these records: it assigns or drops
-    each loaded record once and assigns every task record, or it indexes
-    some other reading of the CSV."""
-    return check_listing(SplitManifest.load(path), len(records))
+    """A split manifest written for these records, or BadManifest.  It lists
+    each loaded record once and every task record; its cluster maps cover the
+    loaded drugs and proteins, keep a cross-domain split's clusters on one
+    side and hold each meta task to its `p{pc}-d{dc}` clusters.  Random and
+    cold-pair manifests carry no maps, so only their listing is checked."""
+    manifest = check_listing(SplitManifest.load(path), len(records))
+    drugs, prots = manifest.drug_clusters, manifest.protein_clusters
+    if (drugs or prots) and any(r.drug_id not in drugs or r.protein_id not in prots
+                                for r in records):
+        raise BadManifest("split manifest has no cluster for a loaded drug or protein")
+    keys = [(f"p{prots.get(r.protein_id)}", f"d{drugs.get(r.drug_id)}") for r in records]
+    seen = {(k, dom) for i, (dom, _) in manifest.assignments.items() for k in keys[i]}
+    if manifest.strategy == "cluster_cross_domain" and len(seen) > len({k for k, _ in seen}):
+        raise BadManifest("split manifest puts one cluster in both domains")
+    if any("-".join(keys[i]) != tid for tid, t in manifest.tasks.items() for i in t["records"]):
+        raise BadManifest("split manifest has a task record outside its task's clusters")
+    return manifest
 
 
 def _pool_indices(records, manifest_path: str | None):

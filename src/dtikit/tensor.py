@@ -30,7 +30,7 @@ is ``out > 0``, which is set exactly where the input was positive.
 
 The bilinear attention takes its path from the size of one protein map:
 pairs whose gathered maps fit in ATTENTION_BLOCK_BYTES run a block at a
-time as stacked products, larger maps one map at a time through a view.
+time as stacked products, larger maps one at a time, cropped to real rows.
 Its softmax clamps the shifted scores at EXP_FLOOR and zeroes the padded
 cells afterwards, so exp never takes its slow path on an underflowing score.
 
@@ -495,14 +495,12 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
     length exactly; output length is L + pl + pr - K + 1.  The bias and the
     relu are applied in place, as in ``matmul``.
 
-    The forward product and the kernel gradient are each one GEMM over the
-    sliding windows, laid out as ``np.einsum(..., optimize=True)`` plans
-    them for ``...lck,kco->...lo`` and ``...lck,...lo->kco``.  Calling the
-    GEMMs directly skips the equation parsing and planning that einsum
-    repeats on every call and that cost more than the product at small
-    shapes, and it fixes the operand layouts, so the bits no longer depend
-    on which plan the installed numpy picks.  The output keeps that plan's
-    channel-major layout.
+    The padded batch is one matrix of rows, and tap k's product is a GEMM
+    of its rows shifted by k, summed over the taps in order: nothing copies
+    the sliding windows.  A shifted row that straddles two samples lands
+    only in a padded output row, which is cropped on the way out and given
+    zero gradient on the way back, so samples never mix.  The output is a
+    fresh C-ordered array, the layout the nodes after it hand back.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     K, cin, cout = w.data.shape
@@ -515,44 +513,53 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
         raise ShapeMismatch(f"conv1d_relu: empty output for input {x.data.shape}, kernel {K}")
     xp = np.zeros((*lead, length + pl + pr, cin), dtype=x.data.dtype)
     xp[..., pl : pl + length, :] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)  # [..., lout, Cin, K]
-    cols = np.moveaxis(windows, (-1, -2), (0, 1)).reshape(K * cin, -1)  # [K*Cin, rows]
-    out = (w.data.transpose(2, 0, 1).reshape(cout, K * cin) @ cols).reshape(cout, *lead, lout)
-    out = np.moveaxis(out, 0, -1)
-    out += b.data
+    flat = xp.reshape(-1, cin)
+    R = len(flat) - K + 1  # the rows every tap's shifted product reaches
+    acc = np.empty((len(flat), cout), dtype=x.data.dtype)  # the last K - 1 rows are cropped
+    np.matmul(flat[:R], w.data[0], out=acc[:R])
+    for k in range(1, K):
+        acc[:R] += flat[k : k + R] @ w.data[k]
+    out = acc.reshape(*lead, -1, cout)[..., :lout, :] + b.data
     np.multiply(out, out > 0, out=out)
 
     def backward(g):
-        g = g * (out > 0)
+        G = np.zeros((*xp.shape[:-1], cout), dtype=out.dtype)
+        np.multiply(g, out > 0, out=G[..., :lout, :])
+        G = G.reshape(-1, cout)[:R]
         if w.requires_grad:
-            gw = np.moveaxis(g, -1, 0).reshape(cout, -1) @ windows.reshape(-1, cin * K)
-            _accum(w, gw.reshape(cout, cin, K).transpose(2, 1, 0))
+            _accum(w, np.stack([flat[k : k + R].T @ G for k in range(K)]))
         if b.requires_grad:
-            _accum(b, g.reshape(-1, cout).sum(axis=0))
+            _accum(b, G.sum(axis=0))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
+            dflat = np.zeros_like(flat)
             for k in range(K):
-                dxp[..., k : k + lout, :] += g @ w.data[k].T
-            _accum(x, dxp[..., pl : pl + length, :])
+                dflat[k : k + R] += G @ w.data[k].T
+            _accum(x, dflat.reshape(xp.shape)[..., pl : pl + length, :])
 
     return _make(out, (x, w, b), backward)
 
 
 def maxpool1d(x, window: int) -> Tensor:
     """Non-overlapping max pool along the length axis of x[L, C] or of a
-    batch x[B, L, C]; a ragged tail forms a final window."""
+    batch x[B, L, C]; a ragged tail forms a final window.  Compared one
+    position at a time, each window keeps argmax's choice: the first
+    maximum wins a tie and a NaN wins over any number."""
     x = _wrap(x)
     *lead, L, C = x.data.shape
     lout = -(-L // window)
     padded = np.full((*lead, lout * window, C), -np.inf, dtype=x.data.dtype)
-    padded[..., :L, :] = x.data
+    padded[..., :L, :] = x.data  # the -inf tail never rises above a window's first entry
     blocks = padded.reshape(*lead, lout, window, C)
-    arg = np.expand_dims(blocks.argmax(axis=-2), -2)
-    out = np.take_along_axis(blocks, arg, axis=-2)[..., 0, :]
+    out, arg = blocks[..., 0, :].copy(), np.zeros((*lead, lout, C), dtype=np.intp)
+    for i in range(1, window):
+        cand = blocks[..., i, :]
+        rises = ~(out >= cand) & (out == out)  # a larger entry, or a NaN after a number
+        np.copyto(out, cand, where=rises)
+        np.copyto(arg, i, where=rises)
 
     def backward(g):
         dblocks = np.zeros_like(blocks)
-        np.put_along_axis(dblocks, arg, np.expand_dims(g, -2), axis=-2)
+        np.put_along_axis(dblocks, arg[..., None, :], g[..., None, :], axis=-2)
         _accum(x, dblocks.reshape(*lead, lout * window, C)[..., :L, :])
 
     return _make(out, (x,), backward)
@@ -638,8 +645,9 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     A block runs as stacked per-pair products, and backward sums its pairs'
     u and v gradients into their rows with one one-hot GEMM each.  A larger
     map (every level of the paper preset) is used one u row set at a time,
-    through a view, for all of its pairs at once, so it is never copied.
-    Both paths fold the heads into the gathered v rows of each block.
+    through a view cropped to its real columns, for all of its pairs at
+    once: it is never copied, and no padded column is scored.  Both paths
+    fold the heads into the gathered v rows of each block.
 
     No padded cell's score reaches exp, whose underflow path costs several
     times a live cell: the shifted scores are clamped at EXP_FLOOR before
@@ -659,10 +667,7 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
         raise ShapeMismatch("bilinear_attention: masks or pair indices do not fit v and u")
     B, H = len(v_idx), len(heads)
     q = np.array([t.data for t in heads])  # [H, J]
-    live = v_mask[v_idx][:, :, None] & (np.arange(L) < u_real[u_idx][:, None])[:, None, :]
     dtype = u.data.dtype
-    live = live.astype(dtype).reshape(B, 1, M * L)
-    pad = (live - 1.0) * -PAD_MASK_BIAS
     # (rows, None): a block of pairs with their u maps gathered;
     # (rows, p): every pair of u row set p, sharing its map
     per_block = ATTENTION_BLOCK_BYTES // (L * J * u.data.itemsize)
@@ -672,18 +677,21 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
         blocks = [(np.flatnonzero(u_idx == p), p) for p in np.unique(u_idx)]
 
     def u_maps(rows, p):
-        return u.data[u_idx[rows]] if p is None else u.data[p]
+        return u.data[u_idx[rows]] if p is None else u.data[p, : u_real[p]]
 
     out = np.empty((B, J), dtype=dtype)
     attn = np.empty((B, H, M, L), dtype=dtype)
     mixed = np.empty((B, M, J), dtype=dtype)  # sum_t A_t u per pair, kept for backward
     for rows, p in blocks:
         ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
+        n, width = len(vr), ub.shape[-2]
+        cols = np.arange(width) < u_real[u_idx[rows]][:, None, None]
+        live = (v_mask[v_idx[rows]][:, :, None] & cols).astype(dtype).reshape(n, 1, M * width)
         s = (vr[:, None] * q[:, None]).reshape(-1, H * M, J) @ np.swapaxes(ub, -1, -2)
-        n = len(s)
-        _masked_softmax(s.reshape(n, H, M * L), pad[rows], live[rows])
-        s = s.reshape(n, H, M, L)
-        attn[rows] = s
+        _masked_softmax(s.reshape(n, H, M * width), (live - 1.0) * -PAD_MASK_BIAS, live)
+        s = s.reshape(n, H, M, width)
+        attn[rows, ..., :width] = s
+        attn[rows, ..., width:] = 0.0
         w = s.sum(axis=1) @ ub
         mixed[rows] = w
         out[rows] = np.einsum("nmj,nmj->nj", vr, w)
@@ -691,27 +699,25 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
     def backward(g):
         dv = g[:, None, :] * mixed  # per pair, the A_t u part first
         dq = np.zeros((H, J), dtype=dtype)
-        if per_block:
-            du = np.empty((B, L, J), dtype=dtype)  # per pair
-        else:
-            du = np.empty_like(u.data)
-            du[np.setdiff1d(np.arange(P), u_idx)] = 0.0
+        # per pair; or per u row set, padded columns and unused sets zero
+        du = np.empty((B, L, J), dtype=dtype) if per_block else np.zeros_like(u.data)
         for rows, p in blocks:
             # each array goes as soon as it is spent: this loop sets the
             # peak memory of a small-preset training step
-            ub, a, vr = u_maps(rows, p), attn[rows], v.data[v_idx[rows]]
-            n = len(a)
+            ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
+            n, width = len(vr), ub.shape[-2]
+            a = attn[rows, ..., :width]
             dw = vr * g[rows][:, None, :]  # gradient of every head's A_t u
             if p is None:
                 np.matmul(np.swapaxes(a.sum(axis=1), 1, 2), dw, out=du[rows])
             else:
-                np.matmul(a.sum(axis=1).reshape(-1, L).T, dw.reshape(-1, J), out=du[p])
+                np.matmul(a.sum(axis=1).reshape(-1, width).T, dw.reshape(-1, J), out=du[p, :width])
             da = dw @ np.swapaxes(ub, -1, -2)
             del dw
             ds = da[:, None] - np.einsum("nhml,nml->nh", a, da)[..., None, None]
             del da
             ds *= a
-            ds = ds.reshape(n, H * M, L)
+            ds = ds.reshape(n, H * M, width)
             dvq = (ds @ ub).reshape(n, H, M, J)
             del ub
             dv[rows] += np.einsum("nhmj,hj->nmj", dvq, q)
@@ -721,7 +727,7 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
             if p is None:
                 du[rows] += np.swapaxes(ds, 1, 2) @ vh
             else:
-                du[p] += ds.reshape(-1, L).T @ vh.reshape(-1, J)
+                du[p, :width] += ds.reshape(-1, width).T @ vh.reshape(-1, J)
         _accum(v, _scatter_rows(dv, v_idx, D))
         _accum(u, _scatter_rows(du, u_idx, P) if per_block else du)
         for t, q_t in enumerate(heads):

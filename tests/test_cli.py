@@ -18,7 +18,7 @@ from dtikit.datasets import load_interactions
 from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
 from dtikit.optim import ParameterStore, read_checkpoint
-from dtikit.splits import SplitManifest, random_split
+from dtikit.splits import BadManifest, SplitManifest, random_split
 from dtikit.train import Featurizer, build_model, train_adversarial, train_meta, train_supervised
 
 SMALL = ["--preset", "small", "--max-seq-len", "48", "--seed", "0"]
@@ -614,6 +614,48 @@ class TestExitCodes:
                          "--stage", stage, "--epochs", "1", *flags, "--out", str(out), *SMALL])
         assert code == 3
         assert not out.exists()
+
+    def test_manifest_of_another_csv_of_the_same_size_is_3(self, workdir, tmp_path):
+        """A cluster manifest of the seed-0 corpus lists every record of the
+        seed-1 corpus of the same size once, but its cluster maps lack some
+        of that corpus's drugs and proteins, so training refuses it."""
+        split = str(tmp_path / "cluster.json")
+        assert cli.main(["split", "--csv", workdir["csv"], "--strategy", "cluster",
+                         "--out", split]) == 0
+        other = tmp_path / "other"
+        assert cli.main(["synth", "--out", str(other), "--seed", "1", "--records", "300"]) == 0
+        records = load_interactions(str(other / "corpus.csv"))
+        clusters = SplitManifest.load(split).drug_clusters
+        assert len(records) == 300 and any(r.drug_id not in clusters for r in records)
+        out = tmp_path / "out"
+        code = cli.main(["train", "--csv", str(other / "corpus.csv"), "--split-manifest", split,
+                         "--stage", "vanilla", "--epochs", "1", "--out", str(out), *SMALL])
+        assert code == 3
+        assert not out.exists()
+
+    def test_every_strategys_own_manifest_loads(self, workdir, tmp_path):
+        records = load_interactions(workdir["csv"])
+        for strategy in cli.SPLIT_STRATEGIES:
+            split = str(tmp_path / f"{strategy}.json")
+            assert cli.main(["split", "--csv", workdir["csv"], "--strategy", strategy,
+                             "--out", split]) == 0
+            assert cli._load_manifest(split, records).assignments, strategy
+
+    @pytest.mark.parametrize("strategy, edit", [
+        ("cluster", lambda m: {**m, "protein_clusters": {p: 0 for p in m["protein_clusters"]}}),
+        ("cluster", lambda m: {**m, "drug_clusters": {
+            d: c for d, c in m["drug_clusters"].items() if d != min(m["drug_clusters"])}}),
+        ("meta_protein", lambda m: {**m, "drug_clusters": {
+            d: c + 1 for d, c in m["drug_clusters"].items()}}),
+    ], ids=["cluster-on-both-sides", "drug-without-cluster", "task-outside-its-clusters"])
+    def test_manifest_whose_clusters_do_not_fit_is_3(self, workdir, tmp_path, strategy, edit):
+        records = load_interactions(workdir["csv"])
+        split = tmp_path / "split.json"
+        assert cli.main(["split", "--csv", workdir["csv"], "--strategy", strategy,
+                         "--out", str(split)]) == 0
+        split.write_text(json.dumps(edit(json.loads(split.read_text()))))
+        with pytest.raises(BadManifest):
+            cli._load_manifest(str(split), records)
 
     @pytest.mark.parametrize("command", ["eval", "screen", "export-attention"])
     def test_version_2_run_directory_is_2(self, workdir, tmp_path, command, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import gradcheck
 from dtikit import tensor as T
+from dtikit.encoder import _same_padding
 from gradcheck import op_cases, run_case
 
 
@@ -195,34 +196,116 @@ def test_conv1d_relu_length_arithmetic():
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-sample", "batch"])
-def test_conv1d_relu_products_equal_einsums_plan(lead):
-    """The forward product and the kernel gradient are `==` to
-    `np.einsum(..., optimize=True)` over the same windows, in the same
-    layout: kernel widths 1, 3, 6 and 9 at the small preset's 12 channels
-    and the paper preset's 128.  A numpy whose einsum plans these products
-    differently fails here rather than in a checkpoint's bits."""
+def test_conv1d_relu_products_equal_shifted_gemms(lead):
+    """The forward product and the kernel gradient are `==` to K shifted
+    GEMMs over the padded rows, summed in tap order, and within 1e-12 of
+    `np.einsum` over the sliding windows: kernel widths 1, 3, 6 and 9 at
+    the small preset's 12 channels and the paper preset's 128.  The output
+    is C-ordered."""
     rng = np.random.default_rng(3)
     for channels, length in ((12, 48), (128, 150)):
         for K in (1, 3, 6, 9):
-            pad = ((K - 1) // 2, K - 1 - (K - 1) // 2)
+            pad = _same_padding(K)
             x = T.Tensor(rng.normal(size=(*lead, length, channels)))
             w = T.Tensor(rng.normal(size=(K, channels, channels)), requires_grad=True)
             b = T.Tensor(rng.normal(size=channels))
             out = T.conv1d_relu(x, w, b, pad)
+            assert out.data.flags.c_contiguous, K
             xp = np.pad(x.data, ((0, 0),) * len(lead) + (pad, (0, 0)))
-            windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)
-            want = np.einsum("...lck,kco->...lo", windows, w.data, optimize=True)
-            want += b.data
+            flat = xp.reshape(-1, channels)
+            R = len(flat) - K + 1
+            acc = flat[:R] @ w.data[0]
+            for k in range(1, K):
+                acc += flat[k : k + R] @ w.data[k]
+            acc = np.concatenate([acc, np.zeros((K - 1, channels))])
+            want = acc.reshape(xp.shape)[..., :length, :] + b.data
             np.multiply(want, want > 0, out=want)
             assert np.array_equal(out.data, want), K
-            assert out.data.strides == want.strides, K
+            windows = np.lib.stride_tricks.sliding_window_view(xp, K, axis=-2)
+            plan = np.einsum("...lck,kco->...lo", windows, w.data, optimize=True) + b.data
+            np.multiply(plan, plan > 0, out=plan)
+            assert np.abs(out.data - plan).max() <= 1e-12 * np.abs(plan).max(), K
             g = rng.normal(size=out.shape)
             T.tsum(out * T.Tensor(g)).backward()
-            # the node receives its gradient laid out like its output
-            g_seen = np.empty_like(out.data)
-            g_seen[...] = g
-            want_w = np.einsum("...lck,...lo->kco", windows, g_seen * (want > 0), optimize=True)
-            assert np.array_equal(w.grad, want_w), K
+            G = np.zeros((*lead, xp.shape[-2], channels))
+            G[..., :length, :] = g * (want > 0)
+            G = G.reshape(-1, channels)[:R]
+            assert np.array_equal(w.grad, np.stack([flat[k : k + R].T @ G for k in range(K)])), K
+            plan_w = np.einsum("...lck,...lo->kco", windows, g * (want > 0), optimize=True)
+            assert np.abs(w.grad - plan_w).max() <= 1e-12 * np.abs(plan_w).max(), K
+
+
+@pytest.mark.parametrize("K", [9, 6])
+def test_conv1d_relu_keeps_each_sample_to_itself(K):
+    """A batch of three gives each sample the output and the gradients it
+    gets alone, although its neighbours hold values of 1e6, and a loss on
+    one sample gives its neighbours no input gradient: a shifted row
+    straddling two samples reaches neither an output nor a gradient."""
+    rng = np.random.default_rng(33)
+    pad = _same_padding(K)
+    xs = rng.normal(size=(3, 20, 5))
+    xs[[0, 2]] *= 1e6
+    w_data, b_data = rng.normal(size=(K, 5, 4)), rng.normal(size=4)
+    g = rng.normal(size=(3, 20, 4))
+
+    def run(x, g):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x, w_data, b_data)]
+        out = T.conv1d_relu(*leaves, pad)
+        T.tsum(T.mul(out, T.Tensor(g))).backward()
+        return out.data, [t.grad for t in leaves]
+
+    for i in range(3):
+        # the loss weighs sample i only, so the batch's gradients are its own
+        alone_out, alone_grads = run(xs[i], g[i])
+        only = np.zeros_like(g)
+        only[i] = g[i]
+        out, (dx, dw, db) = run(xs, only)
+        assert out.flags.c_contiguous
+        assert np.all(np.delete(dx, i, axis=0) == 0.0)
+        for got, want in zip((out[i], dx[i], dw, db), (alone_out, *alone_grads)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), i
+
+
+def _argmax_pool(x, window):
+    """The reference: argmax over each padded window and a gather, with
+    the gradient routed to the kept positions."""
+    *lead, L, C = x.shape
+    lout = -(-L // window)
+    padded = np.full((*lead, lout * window, C), -np.inf, dtype=x.dtype)
+    padded[..., :L, :] = x
+    blocks = padded.reshape(*lead, lout, window, C)
+    arg = np.expand_dims(blocks.argmax(axis=-2), -2)
+    return np.take_along_axis(blocks, arg, axis=-2)[..., 0, :], arg
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_maxpool_matches_argmax_bit_for_bit(dtype):
+    """Ties go to the first position, a NaN at either position wins, -inf
+    and +inf are values like any other, and the -inf padding of a ragged
+    tail never wins: the output's bits and the gradient's positions are the
+    argmax reference's, for windows of 2 and 3."""
+    rng = np.random.default_rng(34)
+    x = rng.normal(size=(2, 13, 8)).astype(dtype)
+    x[0, 0:2, 0] = 1.5  # a tie
+    x[0, 0:2, 1] = [np.nan, 2.0]
+    x[0, 0:2, 2] = [2.0, np.nan]
+    x[0, 0:2, 3] = np.nan
+    x[0, 0:2, 4] = [-np.inf, -np.inf]
+    x[0, 0:2, 5] = [-np.inf, 3.0]
+    x[0, 0:2, 6] = [np.inf, np.inf]
+    x[0, 0:2, 7] = [-1.0, np.inf]
+    x[1, 12, :4] = -np.inf  # a lone -inf against the tail's padding
+    x[1, 12, 4] = np.nan
+    for window in (2, 3):
+        want, arg = _argmax_pool(x, window)
+        t = T.Tensor(x, requires_grad=True)
+        out = T.maxpool1d(t, window)
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes(), window
+        T.tsum(T.mul(out, T.Tensor(np.ones(out.shape, dtype=dtype)))).backward()
+        hit = np.zeros((*want.shape[:-1], window, want.shape[-1]), dtype=bool)
+        np.put_along_axis(hit, arg, True, axis=-2)
+        hit = hit.reshape(*x.shape[:-2], -1, x.shape[-1])[..., : x.shape[-2], :]
+        assert np.array_equal(t.grad != 0, hit), window
 
 
 def test_maxpool_ragged_tail():
@@ -371,8 +454,8 @@ def test_fused_layers_are_bit_equal_to_the_unfused_chain():
     """`matmul` with a bias, with and without relu, on rows and on a batch of rows, and a
     width-1 `conv1d_relu` on one sample match the unfused chain to the bit,
     on outputs and on one backward's gradients.  (On a batch the
-    convolution's einsum and output layout sum the weight and bias
-    gradients over samples in another order.)  A zero row meets a zero bias
+    convolution sums the weight and bias gradients over all of the batch's
+    rows in one GEMM, an order the chain does not share.)  A zero row meets a zero bias
     entry, so one pre-activation sits exactly on the kink."""
     rng = np.random.default_rng(23)
     cin, cout = 4, 5

@@ -263,6 +263,66 @@ class TestEncodePairs:
         for path, grad in grads32.items():
             close(grad, grads64[path], path)
 
+    def test_tower_adopts_its_c_ordered_gradients(self, records, monkeypatch):
+        """In one small-preset 64-pair training step, the convolutions'
+        kernels and outputs and the norms after them adopt every gradient
+        handed to them: all are C-ordered.  The only copies into them are
+        of an input gradient cropped from a padded convolution's rows."""
+        _, _, encoder, feat = self._setup(records, "small")
+        conv, norm, accum = T.conv1d_relu, T.batch_stat_norm, T._accum
+        tower = {}  # id -> node, kept alive so no id is reused
+        copied = []
+
+        def recording(op):
+            def run(*args, **kw):
+                out = op(*args, **kw)
+                tower[id(out)] = out
+                return out
+            return run
+
+        def recording_accum(t, g):
+            first = t.requires_grad and t.grad is None
+            accum(t, g)
+            kernel = t._backward is None and t.data.ndim == 3
+            if first and (id(t) in tower or kernel) and t.grad is not g:
+                copied.append((kernel, g.flags.c_contiguous))
+
+        monkeypatch.setattr(T, "conv1d_relu", recording(conv))
+        monkeypatch.setattr(T, "batch_stat_norm", recording(norm))
+        monkeypatch.setattr(T, "_accum", recording_accum)
+        idxs = list(range(64))
+        labels = np.array([records[i].label for i in idxs])
+        T.tmean(T.bce_with_logits(encode_pairs(encoder, feat, records, idxs).score,
+                                  labels)).backward()
+        assert len(tower) > 8  # the drug tower's norms count too
+        # (kernel, C-ordered): only outputs take copies, of cropped gradients
+        assert all(c == (False, False) for c in copied)
+
+    def test_cropped_attention_step_matches_the_block_path(self, records, monkeypatch):
+        """A paper-preset step at max_seq_len 240, where each level-0 u map
+        [120, 2304] of float32 exceeds ATTENTION_BLOCK_BYTES and so runs one
+        protein at a time over its real residues only, gives the store the
+        gradients the block path gives under a 1 GB budget, within 1e-4 of
+        each gradient's largest magnitude."""
+        cfg = resolve_config({}, {"stage": "vanilla", "seed": 0, "max_seq_len": 240})
+        assert 120 * cfg.encoder_config().joint_dim * 4 > T.ATTENTION_BLOCK_BYTES
+        feat = Featurizer.build(records, 240)
+        idxs = list(range(12))
+        labels = np.array([records[i].label for i in idxs])
+        assert max(len(records[i].sequence) for i in idxs) < 240
+        runs = []
+        for budget in (T.ATTENTION_BLOCK_BYTES, 1 << 30):
+            monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+            store, encoder = build_model(cfg)
+            out = encode_pairs(encoder, feat, records, idxs)
+            T.tmean(T.bce_with_logits(out.score, labels)).backward()
+            runs.append({path: store[path].grad for path in store.paths()})
+        cropped, blocked = runs
+        assert cropped.keys() == blocked.keys()
+        for path, grad in cropped.items():
+            scale = np.abs(blocked[path]).max()
+            assert np.abs(grad - blocked[path]).max() <= 1e-4 * scale, path
+
     def test_each_protein_is_lifted_once_per_call(self, records, monkeypatch):
         """Towers run once per call on every distinct entity.  A training
         call lifts each protein once; a chunked inference call lifts each
