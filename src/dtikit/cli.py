@@ -46,7 +46,7 @@ from .train import (
     build_prototype_head,
     check_finite,
     check_shot_curve,
-    encode_pairs,
+    encode_chunks,
     evaluate,
     meta_shot_curve,
     screen,
@@ -64,10 +64,6 @@ DOMAIN_SHIFT_RULES = (MotifRule("WWW", "N"), MotifRule("YYY", "O"))
 
 
 # -- shared plumbing -----------------------------------------------------------
-
-
-def _say(msg: str) -> None:
-    print(msg)
 
 
 def _load_records(path: str, stage: str, label_col: str | None) -> list[InteractionRecord]:
@@ -96,14 +92,17 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 def _load_run(path: str) -> tuple[RunConfig, bytes]:
     """A trained run is a directory with config.json and best.ckpt; a bare
-    checkpoint file works too when its config sits next to it."""
+    checkpoint file works too when its config sits next to it.  A file that
+    cannot be read is a data problem naming the path looked for; an invalid
+    config.json is a configuration one."""
     p = Path(path)
     if p.is_dir():
         ckpt, cfg_path = p / "best.ckpt", p / "config.json"
     else:
         ckpt, cfg_path = p, p.parent / "config.json"
-    cfg = resolve_config(load_config(cfg_path), {})
-    return cfg, ckpt.read_bytes()
+    blob = ckpt.read_bytes()
+    cfg_path.open().close()  # an OSError here exits 3; load_config's would exit 2
+    return resolve_config(load_config(cfg_path), {}), blob
 
 
 def _rebuild(cfg: RunConfig, blob: bytes):
@@ -175,7 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus.to_csv(out / "corpus.csv")
     corpus.save_manifest(out / "truth.json")
-    _say(
+    print(
         f"synth: {len(corpus.records)} records, {spec.n_drugs} drugs, "
         f"{spec.n_proteins} proteins, {corpus.flip_count} labels flipped "
         f"-> {out / 'corpus.csv'}"
@@ -203,7 +202,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         key = f"{domain}/{part}"
         counts[key] = counts.get(key, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    _say(f"split: {args.strategy} over {len(records)} records ({summary}) -> {args.out}")
+    print(f"split: {args.strategy} over {len(records)} records ({summary}) -> {args.out}")
     return 0
 
 
@@ -246,12 +245,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if args.out and report is not None:
         report.save(Path(args.out) / "report.json")
-    _say(
+    print(
         f"train[{cfg.stage}]: best epoch {result.best_epoch} "
         f"(selection {result.best_metric:.4f})"
     )
     if report is not None:
-        _say("test: " + _metric_line(report))
+        print("test: " + _metric_line(report))
     return 0
 
 
@@ -307,7 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("split manifest has no test records")
     if args.out:
         report.save(args.out)
-    _say(f"eval[{cfg.stage}]: " + _metric_line(report))
+    print(f"eval[{cfg.stage}]: " + _metric_line(report))
     return 0
 
 
@@ -342,7 +341,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
-        _say(f"screen: kept {len(top)} of {len(idxs)} -> {args.out}")
+        print(f"screen: kept {len(top)} of {len(idxs)} -> {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -362,32 +361,32 @@ def cmd_export_attention(args: argparse.Namespace) -> int:
     encoder, _ = _rebuild(cfg, blob)
     feat = Featurizer.build([records[i] for i in idxs], cfg.encoder_config().max_seq_len)
 
+    entries = [None] * len(idxs)
     with T.no_grad():
-        out = encode_pairs(encoder, feat, records, idxs, attention=True, chunk=cfg.batch_size)
-    # a diverged model's maps are not finite either: exit 4, as eval does
-    if out.score is not None:
-        check_finite(out.score.data, "scores")
-    check_finite(np.concatenate([m.ravel() for maps in out.attention for m in maps]),
-                 "attention weights")
-    entries = []
-    for i, maps in zip(idxs, out.attention):
-        rec = records[i]
-        _, true_len = feat.proteins[rec.sequence]
-        entries.append(
-            {
-                "drug_id": rec.drug_id,
-                "protein_id": rec.protein_id,
-                "levels": _attention_summary(maps, true_len),
-            }
-        )
+        for rows, out in encode_chunks(encoder, feat, records, idxs, cfg.batch_size):
+            # a diverged model's maps are not finite either: exit 4, as eval does
+            if out.score is not None:
+                check_finite(out.score.data, "scores")
+            for weights in out.level_weights:
+                check_finite(weights, "attention weights")
+            for b, j in enumerate(rows):
+                rec = records[idxs[j]]
+                levels = _attention_summary([w[b] for w in out.level_weights],
+                                            len(feat.drugs[rec.smiles][0]),
+                                            feat.proteins[rec.sequence][1])
+                entries[j] = {"drug_id": rec.drug_id, "protein_id": rec.protein_id,
+                              "levels": levels}
+            del out  # before the next slice computes
     payload = json.dumps(entries, indent=1, sort_keys=True) + "\n"
     Path(args.out).write_text(payload)
-    _say(f"export-attention: {len(entries)} records -> {args.out}")
+    print(f"export-attention: {len(entries)} records -> {args.out}")
     return 0
 
 
-def _attention_summary(attention: list[np.ndarray], true_len: int) -> dict:
-    """Per-level importance profiles from the raw bilinear maps.
+def _attention_summary(attention: list[np.ndarray], n_atoms: int, true_len: int) -> dict:
+    """Per-level importance profiles from one pair's raw bilinear maps
+    [heads, M, L], cropped to its atoms and to the columns its residues
+    reach.
 
     Atom importance sums each map over heads and residue columns.  Residue
     columns live on a sequence axis pooled by 2 at every level, so each
@@ -397,9 +396,10 @@ def _attention_summary(attention: list[np.ndarray], true_len: int) -> dict:
     """
     levels = {}
     for lvl, maps in enumerate(attention):
+        stride = 2 ** (lvl + 1)
+        maps = maps[:, :n_atoms, : -(-true_len // stride)]
         atom_scores = maps.sum(axis=(0, 2))
         col_scores = maps.sum(axis=(0, 1))
-        stride = 2 ** (lvl + 1)
         residue_scores = np.repeat(col_scores / stride, stride)[:true_len]
         levels[str(lvl)] = {
             "atom_scores": _rounded(atom_scores),

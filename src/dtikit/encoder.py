@@ -13,8 +13,8 @@ adjacencies zero-padded to the batch's largest molecule [D, M, M] with an
 atom mask.  `interact` lifts every tower row it is given to the joint width
 and runs the attention, the fusion unit and the head with a row per pair.
 A training step hands it the towers' outputs as they are, since its pairs
-use every row; chunked inference (`train.encode_pairs`) gathers each
-slice's rows first.
+use every row; inference (`train.encode_chunks`) gathers each slice's rows
+first.
 
 Design notes that matter for correctness:
 
@@ -37,7 +37,7 @@ Design notes that matter for correctness:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,21 +157,14 @@ class EncoderConfig:
 @dataclass
 class InteractionOutput:
     """Everything one batched pass produces, a row per pair: the fused pair
-    representation `fused` [B, fused_dim] and the head's `score` [B] if any.
-
-    `attention` is empty unless the pass was asked for it; then it holds,
-    per pair and per level, a detached [heads, atoms, real_protein_cols]
-    array of the bilinear attention weights (pad rows and columns already
-    cropped)."""
+    representation `fused` [B, fused_dim], the head's `score` [B] if any,
+    and per level the raw bilinear attention weights [B, heads, M, L] that
+    `tensor.bilinear_attention` returns, rows over the tower's padded atoms
+    and columns over its padded residues, zero on the padded cells."""
 
     fused: Tensor
-    attention: list[list[np.ndarray]] = field(default_factory=list)
+    level_weights: list[np.ndarray]
     score: Tensor | None = None
-
-
-def _same_padding(kernel: int) -> tuple[int, int]:
-    left = (kernel - 1) // 2
-    return left, kernel - 1 - left
 
 
 class _BatchNorm:
@@ -228,10 +221,9 @@ class _Conv:
             f"{path}/w", kaiming_uniform(rng, (kernel, c_in, c_out), kernel * c_in)
         )
         self.b = store.parameter(f"{path}/b", np.zeros(c_out))
-        self.padding = _same_padding(kernel)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d_relu(x, self.w, self.b, padding=self.padding)
+        return T.conv1d_relu(x, self.w, self.b)
 
 
 class DTIEncoder:
@@ -369,32 +361,24 @@ class DTIEncoder:
 
     # -- joint stage ----------------------------------------------------------
 
-    def interact(self, d_levels, d_mask, p_levels, d_idx, p_idx, attention: bool = False):
+    def interact(self, d_levels, d_mask, p_levels, d_idx, p_idx):
         """Joint stage for the pairs (d_idx[b], p_idx[b]) of the given tower
         rows.
 
         Every given row is lifted to the joint width once, so the caller
         passes only the rows its pairs use; every level's bilinear attention
         runs as one op, and the fusion unit and the head, if any, see a row
-        per pair.  Per-pair attention maps are cropped and copied out only
-        when `attention` is set."""
+        per pair."""
         vectors = []
-        maps = []
+        weights = []
         for spec, d_out, (p_out, real) in zip(self.joint, d_levels, p_levels):
             v = spec["drug"](d_out, relu=True)
             u = spec["protein"](p_out, relu=True)
-            joint, weights = T.bilinear_attention(v, u, spec["q"], d_mask, real, d_idx, p_idx)
+            joint, w = T.bilinear_attention(v, u, spec["q"], d_mask, real, d_idx, p_idx)
             pooled = T.reshape(joint, (len(d_idx), -1, self.config.joint_pool))
             vectors.append(T.tmean(pooled, axis=2))
-            if attention:
-                maps.append(weights)
-        out = InteractionOutput(fused=self._fuse(vectors))
-        if attention:
-            atoms = d_mask.sum(axis=1)
-            out.attention = [
-                [w[b, :, : atoms[d], : real[p]].copy() for w, (_, real) in zip(maps, p_levels)]
-                for b, (d, p) in enumerate(zip(d_idx, p_idx))
-            ]
+            weights.append(w)
+        out = InteractionOutput(fused=self._fuse(vectors), level_weights=weights)
         if self.head is not None:
             out.score = self.head_layers(out.fused)
         return out

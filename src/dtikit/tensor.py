@@ -13,8 +13,8 @@ The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``square``,
 and ``tmean`` over one axis or all; ``transpose`` of the last two axes,
 ``reshape``, ``concat``, ``index_select``, ``expand``; ``matmul`` of any batch of rows by a weight matrix, with an
 optional bias and relu fused into the same node, and the batched ``bmm``;
-the stride-1 ``conv1d_relu`` (convolution, bias and relu as one node) and
-the non-overlapping ``maxpool1d``, each over one sample or a batch; the
+the same-length ``conv1d_relu`` (convolution, bias and relu as one node)
+and the non-overlapping ``maxpool1d``, each over one sample or a batch; the
 masked per-sample ``batch_stat_norm``, the fused multi-head
 ``bilinear_attention``, ``grad_reverse``, ``bce_with_logits`` and the
 row-wise ``cosine_rows``.
@@ -487,13 +487,14 @@ def bmm(a, b) -> Tensor:
 # sequence / structured ops ----------------------------------------------
 
 
-def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
-    """relu of a stride-1 1-d convolution along the length axis of x[L, Cin]
-    or of a batch x[B, L, Cin], with kernel w[K, Cin, Cout] and bias b[Cout].
+def conv1d_relu(x, w, b) -> Tensor:
+    """relu of a stride-1, same-length 1-d convolution along the length axis
+    of x[L, Cin] or of a batch x[B, L, Cin], with kernel w[K, Cin, Cout] and
+    bias b[Cout].
 
-    Padding is explicit (left, right) zeros so even kernel widths can keep
-    length exactly; output length is L + pl + pr - K + 1.  The bias and the
-    relu are applied in place, as in ``matmul``.
+    The input gets (K - 1) // 2 zeros on the left and the other K - 1 - that
+    on the right, so even kernel widths keep length exactly too.  The bias
+    and the relu are applied in place, as in ``matmul``.
 
     The padded batch is one matrix of rows, and tap k's product is a GEMM
     of its rows shifted by k, summed over the taps in order: nothing copies
@@ -506,12 +507,11 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
     K, cin, cout = w.data.shape
     if x.data.ndim not in (2, 3) or x.data.shape[-1] != cin:
         raise ShapeMismatch(f"conv1d_relu: input {x.data.shape} vs kernel {w.data.shape}")
-    pl, pr = padding
     *lead, length, _ = x.data.shape
-    lout = length + pl + pr - K + 1
-    if lout <= 0:
-        raise ShapeMismatch(f"conv1d_relu: empty output for input {x.data.shape}, kernel {K}")
-    xp = np.zeros((*lead, length + pl + pr, cin), dtype=x.data.dtype)
+    if length == 0:
+        raise ShapeMismatch(f"conv1d_relu: empty input {x.data.shape}")
+    pl = (K - 1) // 2
+    xp = np.zeros((*lead, length + K - 1, cin), dtype=x.data.dtype)
     xp[..., pl : pl + length, :] = x.data
     flat = xp.reshape(-1, cin)
     R = len(flat) - K + 1  # the rows every tap's shifted product reaches
@@ -519,12 +519,12 @@ def conv1d_relu(x, w, b, padding: tuple[int, int] = (0, 0)) -> Tensor:
     np.matmul(flat[:R], w.data[0], out=acc[:R])
     for k in range(1, K):
         acc[:R] += flat[k : k + R] @ w.data[k]
-    out = acc.reshape(*lead, -1, cout)[..., :lout, :] + b.data
+    out = acc.reshape(*lead, -1, cout)[..., :length, :] + b.data
     np.multiply(out, out > 0, out=out)
 
     def backward(g):
         G = np.zeros((*xp.shape[:-1], cout), dtype=out.dtype)
-        np.multiply(g, out > 0, out=G[..., :lout, :])
+        np.multiply(g, out > 0, out=G[..., :length, :])
         G = G.reshape(-1, cout)[:R]
         if w.requires_grad:
             _accum(w, np.stack([flat[k : k + R].T @ G for k in range(K)]))

@@ -87,65 +87,56 @@ class Featurizer:
         return cls(drugs=drugs, proteins=proteins)
 
 
-def encode_pairs(encoder, feat, records, idxs, attention=False, chunk=None):
-    """Forward outputs for records[i], i in idxs: one batched output with a
-    row per record, in order.
-
-    Every unique molecule and sequence runs through its tower once per
-    call.  Without `chunk` all records share one joint stage, as a training
-    step wants, and it lifts every tower row.  With it, the records are
-    taken in protein order, `chunk` at a time, and each slice gathers the
-    tower rows it uses before its joint stage, so inference never holds
-    more lifted proteins than a training step of `chunk` pairs.  Per-pair
-    attention maps are copied out only when `attention` is set.
-    """
+def _towers(encoder, feat, records, idxs):
+    """Both towers, once per distinct entity of records[i], i in idxs: the
+    arguments of `interact` for a row per record, in order."""
     drugs, proteins = {}, {}
     d_idx = np.array([drugs.setdefault(records[i].smiles, len(drugs)) for i in idxs])
     p_idx = np.array([proteins.setdefault(records[i].sequence, len(proteins)) for i in idxs])
     d_levels, d_mask = encoder.drug_levels([feat.drugs[s] for s in drugs])
     p_levels = encoder.protein_levels([feat.proteins[s] for s in proteins])
-    if chunk is None:
-        return encoder.interact(d_levels, d_mask, p_levels, d_idx, p_idx, attention)
+    return d_levels, d_mask, p_levels, d_idx, p_idx
 
-    def joint(rows):
+
+def encode_pairs(encoder, feat, records, idxs) -> InteractionOutput:
+    """Forward outputs for records[i], i in idxs, as a training step wants
+    them: one joint stage over every tower row, a row per record, in order."""
+    return encoder.interact(*_towers(encoder, feat, records, idxs))
+
+
+def encode_chunks(encoder, feat, records, idxs, chunk):
+    """Inference outputs for records[i], i in idxs, a slice at a time: yields
+    (positions, output), the output's rows being those positions of idxs.
+
+    The towers run once per call.  The records are taken in protein order,
+    `chunk` at a time, and each slice gathers the tower rows it uses before
+    its joint stage, so inference never holds more lifted proteins than a
+    training step of `chunk` pairs.  A consumer drops each output before it
+    asks for the next, so no two slices' attention maps are alive at once."""
+    d_levels, d_mask, p_levels, d_idx, p_idx = _towers(encoder, feat, records, idxs)
+    order = np.argsort(p_idx, kind="stable")
+    for rows in np.split(order, range(chunk, len(order), chunk)):
         d_rows, d_local = np.unique(d_idx[rows], return_inverse=True)
         p_rows, p_local = np.unique(p_idx[rows], return_inverse=True)
-        return encoder.interact(
+        yield rows, encoder.interact(
             [T.index_select(x, 0, d_rows) for x in d_levels],
             d_mask[d_rows],
             [(T.index_select(x, 0, p_rows), real[p_rows]) for x, real in p_levels],
             d_local,
             p_local,
-            attention,
         )
-
-    order = np.argsort(p_idx, kind="stable")
-    parts = [joint(rows) for rows in np.split(order, range(chunk, len(order), chunk))]
-    return _in_order(parts, np.argsort(order))
-
-
-def _in_order(parts, back) -> InteractionOutput:
-    """One output from the chunks' outputs, rows put back in record order."""
-
-    def rows(tensors):
-        return T.index_select(T.concat(tensors), 0, back)
-
-    maps = [m for o in parts for m in o.attention]
-    out = InteractionOutput(
-        fused=rows([o.fused for o in parts]), attention=[maps[j] for j in back] if maps else []
-    )
-    if parts[0].score is not None:
-        out.score = rows([o.score for o in parts])
-    return out
 
 
 def predict(encoder, feat, records, idxs, batch_size=RunConfig.batch_size) -> np.ndarray:
     """Evaluation-mode scores of the encoder's head, as float64 whatever
     the compute dtype: probabilities from a classifier, raw values from a
     regressor.  The joint stage runs `batch_size` pairs at a time."""
+    scores = np.empty(len(idxs))
     with T.no_grad():
-        out = encode_pairs(encoder, feat, records, idxs, chunk=batch_size)
-    scores = check_finite(np.asarray(out.score.data, dtype=np.float64), "scores")
+        for rows, out in encode_chunks(encoder, feat, records, idxs, batch_size):
+            scores[rows] = out.score.data
+            del out  # before the next slice computes
+    check_finite(scores, "scores")
     return T.sigmoid_values(scores) if encoder.head == "classify" else scores
 
 
@@ -280,11 +271,11 @@ def check_finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _batch_loss(output, labels: np.ndarray, head: str) -> Tensor:
+def _batch_loss(score: Tensor, labels: np.ndarray, head: str) -> Tensor:
     """Mean supervised loss over a batch's score vector."""
     if head == "classify":
-        return T.tmean(T.bce_with_logits(output.score, labels))
-    return T.tmean(T.square(output.score - labels))
+        return T.tmean(T.bce_with_logits(score, labels))
+    return T.tmean(T.square(score - labels))
 
 
 def _batches(order: np.ndarray, size: int):
@@ -386,23 +377,28 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
     steps_per_epoch = -(-len(train_idx) // cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
 
+    def forward(idxs):
+        """Fused rows and scores of records[i], i in idxs.  The output's
+        attention maps are left to the graph, which frees them at backward."""
+        out = encode_pairs(encoder, feat, records, idxs)
+        return out.fused, out.score
+
     def run_epoch(epoch):
         order = rng.permutation(np.array(train_idx))
         if adversarial:
             target = _reshuffled(pool_idx, rng_tgt)
         total = 0.0
         for b, batch in enumerate(_batches(order, cfg.batch_size)):
-            output = encode_pairs(encoder, feat, records, batch)
+            fused, score = forward(batch)
             labels = np.array([records[i].label for i in batch])
-            loss = supervised = _batch_loss(output, labels, cfg.head)
+            loss = supervised = _batch_loss(score, labels, cfg.head)
             if adversarial:
-                tgt_batch = [next(target) for _ in range(n_tgt)]
-                tgt_out = encode_pairs(encoder, feat, records, tgt_batch)
+                tgt_fused, tgt_score = forward([next(target) for _ in range(n_tgt)])
                 domain = adversary.domain_loss(
-                    output.fused,
-                    tgt_out.fused,
-                    class_probabilities(output.score.data),
-                    class_probabilities(tgt_out.score.data),
+                    fused,
+                    tgt_fused,
+                    class_probabilities(score.data),
+                    class_probabilities(tgt_score.data),
                 )
                 lam = lambda_schedule(epoch * steps_per_epoch + b, total_steps, cfg.lambda_adv)
                 # the reversal inside the domain term makes one backward the min-max update
@@ -435,13 +431,6 @@ def _episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query:
     if not tasks:
         raise ValueError(f"no {pool.replace('_', '-')} task can host a full episode")
     return tasks
-
-
-def _fused_rows(encoder, feat, records, idxs, chunk=None):
-    """Fused matrix [N, dim] of the records, each entity encoded once, and
-    the row of each record index."""
-    out = encode_pairs(encoder, feat, records, idxs, chunk=chunk)
-    return out.fused, {i: j for j, i in enumerate(idxs)}
 
 
 def train_meta(
@@ -486,14 +475,16 @@ def train_meta(
         for _ in range(cfg.episodes_per_epoch):
             task = tasks[int(rng.integers(len(tasks)))]
             ep = sample_episode(task, cfg.k_shot, cfg.k_query, rng)
-            fused, row = _fused_rows(encoder, feat, records, list(ep.support) + list(ep.query))
+            # the output's maps go with the graph; support rows come first
+            fused = encode_pairs(encoder, feat, records, ep.support + ep.query).fused
+            n = len(ep.support)
             # a stack of one episode: support [1, 2k, dim], queries [1, k_q, dim]
             s_labels = np.array([records[i].label for i in ep.support])
             q_labels = np.array([[records[i].label for i in ep.query]])
             loss, positive = head.episode_loss(
-                T.index_select(fused, 0, [[row[i] for i in ep.support]]),
+                T.index_select(fused, 0, [np.arange(n)]),
                 s_labels,
-                T.index_select(fused, 0, [[row[i] for i in ep.query]]),
+                T.index_select(fused, 0, [np.arange(n, n + len(ep.query))]),
                 q_labels,
             )
             check_finite(loss.data, "loss values")
@@ -548,8 +539,12 @@ def meta_shot_curve(
     idxs = sorted({i for task in tasks for i in task.records})
 
     per_run = {k: [] for k in shots}
+    fused = np.empty((len(idxs), encoder.config.fused_dim), dtype=encoder.config.dtype)
+    row = {i: j for j, i in enumerate(idxs)}
     with T.no_grad():
-        fused, row = _fused_rows(encoder, feat, records, idxs, chunk=cfg.batch_size)
+        for rows, out in encode_chunks(encoder, feat, records, idxs, cfg.batch_size):
+            fused[rows] = out.fused.data
+            del out  # before the next slice computes
         for run in range(n_runs):
             rng = substream(EVAL_SEED, f"meta.eval.{run}")
             episodes = [

@@ -380,6 +380,24 @@ class TestExportAttention:
         scores = np.array([0.5 - 1e-15, 0.3, 0.5, 0.2, 0.3 + 1e-15, 0.1, 0.0, 0.0, 0.0, 0.0])
         assert cli._top_fifth(scores) == [0, 2]
 
+    def test_slicing_never_shows_in_the_export(self, workdir, tmp_path):
+        """The run's batch size cuts the inference slices; at 1, every
+        protein's records spread over slices of their own, at 64 most share
+        one, and the export keeps every byte."""
+        exports = []
+        for batch_size in (1, 64):
+            run = tmp_path / f"batch{batch_size}"
+            shutil.copytree(workdir["run"], run)
+            snapshot = json.loads((run / "config.json").read_text())
+            snapshot["train.batch_size"] = batch_size
+            (run / "config.json").write_text(json.dumps(snapshot, indent=1, sort_keys=True))
+            out = tmp_path / f"attn{batch_size}.json"
+            assert cli.main(["export-attention", "--csv", workdir["csv"],
+                             "--checkpoint", str(run), "--out", str(out)]) == 0
+            exports.append(out.read_bytes())
+        assert exports[0] == exports[1]
+        assert len(json.loads(exports[0])) == 300
+
     def test_level_count_matches_model_depth(self, workdir, tmp_path):
         out = tmp_path / "attn.json"
         cli.main(["export-attention", "--csv", workdir["csv"],
@@ -528,6 +546,31 @@ class TestExitCodes:
         }[command]
         assert cli.main([command, "--csv", str(path), *args, "--out", str(out)]) == 3
         assert f"error: {path}: no usable row, 1 skipped" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "screen", "export-attention"])
+    @pytest.mark.parametrize("where", ["typo", "typo-in-run", "no-config"])
+    def test_run_path_that_reads_nothing_is_3(self, workdir, tmp_path, command, where, capsys):
+        """A mistyped run path, beside a config.json or not, and a run
+        directory without its config.json are data problems, whatever the
+        parent directory holds; the error names the path looked for."""
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        shutil.copy(Path(workdir["run"]) / "best.ckpt", bare)
+        run, missing = {
+            "typo": (tmp_path / "typo", tmp_path / "typo"),
+            "typo-in-run": (Path(workdir["run"]) / "best.ckpt.bak",) * 2,
+            "no-config": (bare, bare / "config.json"),
+        }[where]
+        out = tmp_path / "out"
+        args = {
+            "eval": ["--split-manifest", workdir["split"], "--checkpoint", str(run)],
+            "screen": ["--classifier", workdir["run"], "--regressor", str(run)],
+            "export-attention": ["--checkpoint", str(run)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([command, "--csv", workdir["csv"], *args, "--out", str(out)]) == 3
+        assert str(missing) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "screen", "export-attention"])

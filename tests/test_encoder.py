@@ -32,11 +32,11 @@ def aspirin_inputs():
     return featurize_drug(graph), (prot.ids, prot.true_length)
 
 
-def forward(enc, drug, protein, attention=False):
+def forward(enc, drug, protein):
     """The batched pass on a batch of one pair."""
     d_levels, d_mask = enc.drug_levels([drug])
     p_levels = enc.protein_levels([protein])
-    return enc.interact(d_levels, d_mask, p_levels, [0], [0], attention)
+    return enc.interact(d_levels, d_mask, p_levels, [0], [0])
 
 
 # -- featurization -------------------------------------------------------------
@@ -206,15 +206,15 @@ def test_atom_permutation_leaves_output_unchanged():
 def test_attention_mass_stays_on_real_residues():
     store, enc = build()
     drug, (ids, true_len) = aspirin_inputs()
-    out = forward(enc, drug, (ids, true_len), attention=True)
-    reals = [real[0] for _, real in enc.protein_levels([(ids, true_len)])]
-    assert len(out.attention) == 1 and len(out.attention[0]) == len(reals)
-    for level, (maps, real) in enumerate(zip(out.attention[0], reals)):
-        # maps are cropped to the real columns; if masking works, each head's
-        # softmax mass lives entirely inside the crop
-        per_head = maps.sum(axis=(1, 2))
-        assert np.allclose(per_head, 1.0, atol=1e-9), level
-        assert maps.shape[2] == real
+    out = forward(enc, drug, (ids, true_len))
+    p_levels = enc.protein_levels([(ids, true_len)])
+    assert len(out.level_weights) == len(p_levels)
+    for level, (weights, (p_out, real)) in enumerate(zip(out.level_weights, p_levels)):
+        # raw maps span every padded column; if masking works, each head's
+        # softmax mass lives entirely on the real ones
+        assert weights.shape == (1, CFG.attn_heads, len(drug[0]), p_out.data.shape[1]), level
+        assert np.allclose(weights.sum(axis=(2, 3)), 1.0, atol=1e-9), level
+        assert real[0] < weights.shape[3] and not weights[..., real[0]:].any(), level
 
 
 def test_head_registration_is_gated():

@@ -6,7 +6,6 @@ import pytest
 
 import gradcheck
 from dtikit import tensor as T
-from dtikit.encoder import _same_padding
 from gradcheck import op_cases, run_case
 
 
@@ -187,12 +186,12 @@ def test_softmax_rows_sum_to_one():
 
 def test_conv1d_relu_length_arithmetic():
     x = T.Tensor(np.zeros((10, 2)))
-    w = T.Tensor(np.zeros((3, 2, 4)))
     b = T.Tensor(np.zeros(4))
-    assert T.conv1d_relu(x, w, b, padding=(1, 1)).shape == (10, 4)
-    # even kernel keeps length with asymmetric padding
-    w6 = T.Tensor(np.zeros((6, 2, 4)))
-    assert T.conv1d_relu(x, w6, b, padding=(2, 3)).shape == (10, 4)
+    # odd and even kernels, the even one padded asymmetrically, keep length
+    for K in (1, 3, 6):
+        assert T.conv1d_relu(x, T.Tensor(np.zeros((K, 2, 4))), b).shape == (10, 4)
+    with pytest.raises(T.ShapeMismatch):
+        T.conv1d_relu(T.Tensor(np.zeros((0, 2))), T.Tensor(np.zeros((3, 2, 4))), b)
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["one-sample", "batch"])
@@ -205,11 +204,11 @@ def test_conv1d_relu_products_equal_shifted_gemms(lead):
     rng = np.random.default_rng(3)
     for channels, length in ((12, 48), (128, 150)):
         for K in (1, 3, 6, 9):
-            pad = _same_padding(K)
+            pad = ((K - 1) // 2, K - 1 - (K - 1) // 2)  # the op's same-length zeros
             x = T.Tensor(rng.normal(size=(*lead, length, channels)))
             w = T.Tensor(rng.normal(size=(K, channels, channels)), requires_grad=True)
             b = T.Tensor(rng.normal(size=channels))
-            out = T.conv1d_relu(x, w, b, pad)
+            out = T.conv1d_relu(x, w, b)
             assert out.data.flags.c_contiguous, K
             xp = np.pad(x.data, ((0, 0),) * len(lead) + (pad, (0, 0)))
             flat = xp.reshape(-1, channels)
@@ -242,7 +241,6 @@ def test_conv1d_relu_keeps_each_sample_to_itself(K):
     one sample gives its neighbours no input gradient: a shifted row
     straddling two samples reaches neither an output nor a gradient."""
     rng = np.random.default_rng(33)
-    pad = _same_padding(K)
     xs = rng.normal(size=(3, 20, 5))
     xs[[0, 2]] *= 1e6
     w_data, b_data = rng.normal(size=(K, 5, 4)), rng.normal(size=4)
@@ -250,7 +248,7 @@ def test_conv1d_relu_keeps_each_sample_to_itself(K):
 
     def run(x, g):
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x, w_data, b_data)]
-        out = T.conv1d_relu(*leaves, pad)
+        out = T.conv1d_relu(*leaves)
         T.tsum(T.mul(out, T.Tensor(g))).backward()
         return out.data, [t.grad for t in leaves]
 
@@ -498,7 +496,7 @@ def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
         T.Tensor(rng.normal(size=shape), requires_grad=True)
         for shape in ((2, 7, 3), (3, 4), (4,), (3, 3, 4), (4,))
     )
-    outs = [T.matmul(x, w, b), T.matmul(x, w, b, relu=True), T.conv1d_relu(x, k, kb, (1, 1))]
+    outs = [T.matmul(x, w, b), T.matmul(x, w, b, relu=True), T.conv1d_relu(x, k, kb)]
     # the attention's softmax runs in place, on arrays of its own
     arrays, fixed, _ = _attention_case(rng)
     attention_leaves = [T.Tensor(a, requires_grad=True) for a in arrays]

@@ -8,6 +8,7 @@ import contextlib
 import gc
 import json
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from dtikit.train import (
     MissingCheckpoint,
     NumericFailure,
     build_model,
+    encode_chunks,
     encode_pairs,
     manifest_sha256,
     meta_shot_curve,
@@ -183,7 +185,7 @@ class TestEncodePairs:
             cfg, _, encoder, feat = self._setup(records, preset, stage)
             idxs = self._batch(records, preset, feat)
             with contextlib.nullcontext() if grad else T.no_grad():
-                batched = encode_pairs(encoder, feat, records, idxs, attention=True)
+                batched = encode_pairs(encoder, feat, records, idxs)
                 single = [
                     oracle.pair_forward(
                         encoder, feat.drugs[records[i].smiles],
@@ -194,14 +196,19 @@ class TestEncodePairs:
             out = batched.score
             assert out.requires_grad == grad
             assert out.data.shape == (len(idxs),)
-            assert len(batched.attention) == len(idxs)
-            for b, r in enumerate(single):
+            assert len(batched.level_weights) == cfg.encoder_config().n_levels
+            for b, (i, r) in enumerate(zip(idxs, single)):
                 assert abs(out.data[b] - r.score.data[0]) <= 1e-10
                 assert np.abs(batched.fused.data[b] - r.fused.data).max() <= 1e-10
-                assert len(batched.attention[b]) == len(r.attention) == cfg.encoder_config().n_levels
-                for x, y in zip(batched.attention[b], r.attention):
-                    assert x.shape == y.shape
-                    assert np.abs(x - y).max() <= 1e-10
+                assert len(r.attention) == len(batched.level_weights)
+                atoms = len(feat.drugs[records[i].smiles][0])
+                for weights, y in zip(batched.level_weights, r.attention):
+                    # the oracle's map is the pair's crop; the rest is zero
+                    crop = np.s_[:, :atoms, : y.shape[2]]
+                    assert np.abs(weights[b][crop] - y).max() <= 1e-10
+                    rest = weights[b].copy()
+                    rest[crop] = 0.0
+                    assert not rest.any()
 
     def test_shared_lift_gradients_match_per_record_forward(self, records):
         """One mean-loss step of the batched path against the summed
@@ -244,7 +251,7 @@ class TestEncodePairs:
             _, store, encoder, feat = self._setup(records, "paper", dtype=dtype)
             idxs = self._batch(records, "paper", feat)
             labels = np.array([records[i].label for i in idxs])
-            out = encode_pairs(encoder, feat, records, idxs, attention=True)
+            out = encode_pairs(encoder, feat, records, idxs)
             T.tmean(T.bce_with_logits(out.score, labels)).backward()
             runs[dtype] = (out, {path: store[path].grad for path in store.paths()})
         (out32, grads32), (out64, grads64) = runs[np.float32], runs[np.float64]
@@ -256,9 +263,8 @@ class TestEncodePairs:
 
         close(out32.score.data, out64.score.data, "scores")
         close(out32.fused.data, out64.fused.data, "fused")
-        for maps32, maps64 in zip(out32.attention, out64.attention):
-            for a, b in zip(maps32, maps64):
-                close(a, b, "attention")
+        for a, b in zip(out32.level_weights, out64.level_weights, strict=True):
+            close(a, b, "attention")
         assert grads32.keys() == grads64.keys()
         for path, grad in grads32.items():
             close(grad, grads64[path], path)
@@ -325,9 +331,9 @@ class TestEncodePairs:
 
     def test_each_protein_is_lifted_once_per_call(self, records, monkeypatch):
         """Towers run once per call on every distinct entity.  A training
-        call lifts each protein once; a chunked inference call lifts each
-        slice's own proteins, never more than a slice has pairs, and the
-        chunked scores equal the unchunked ones."""
+        call lifts each protein once; an inference call yields every
+        position once, in slices of at most `chunk` pairs, lifts each
+        slice's own proteins, and its scores equal the training call's."""
         cfg, store, encoder, feat = self._setup(records, "small")
         lift_weights = {
             id(store[f"joint/level{i}/protein/w"]) for i in range(cfg.encoder_config().n_levels)
@@ -364,15 +370,83 @@ class TestEncodePairs:
         chunk = 16
         lifts.clear()
         towers.clear()
+        positions = []
+        scores = np.full(len(idxs), np.nan)
         with T.no_grad():
-            chunked = encode_pairs(encoder, feat, records, idxs, chunk=chunk)
+            for rows, out in encode_chunks(encoder, feat, records, idxs, chunk):
+                assert 0 < len(rows) <= chunk
+                positions.extend(rows)
+                scores[rows] = out.score.data
+        assert sorted(positions) == list(range(len(idxs)))
         assert towers == [n_proteins]
         in_order = sorted(sequences, key=list(dict.fromkeys(sequences)).index)
         slices = [in_order[j : j + chunk] for j in range(0, len(idxs), chunk)]
         assert lifts == [len(set(s)) for s in slices for _ in range(levels)]
         assert max(lifts) <= chunk
         assert sum(lifts) <= (n_proteins + len(slices) - 1) * levels
-        assert np.abs(chunked.score.data - whole.score.data).max() <= 1e-12
+        assert np.abs(scores - whole.score.data).max() <= 1e-12
+
+
+class TestMapLifetime:
+    """Every attention map `bilinear_attention` returns is dead once the Adam
+    step it fed has run, and before the next inference slice's joint stage
+    starts: no step or slice keeps another's maps alive."""
+
+    @pytest.fixture
+    def maps(self, monkeypatch):
+        refs = []
+        attention = T.bilinear_attention
+
+        def recording(*args):
+            joint, weights = attention(*args)
+            refs.append(weakref.ref(weights))
+            return joint, weights
+
+        monkeypatch.setattr(T, "bilinear_attention", recording)
+        return refs
+
+    @staticmethod
+    def alive(refs) -> int:
+        return sum(r() is not None for r in refs)
+
+    @pytest.mark.parametrize("stage", ["vanilla", "cada", "meta"])
+    def test_no_map_outlives_its_step(self, request, records, maps, monkeypatch, stage):
+        alive = []
+        adam_step = ParameterStore.adam_step
+
+        def checked(store, lr):
+            adam_step(store, lr)
+            alive.append(self.alive(maps))
+
+        monkeypatch.setattr(ParameterStore, "adam_step", checked)
+        if stage == "vanilla":
+            train_supervised(records, request.getfixturevalue("manifest"),
+                             small_config(stage="vanilla", epochs=1))
+        elif stage == "cada":
+            train_adversarial(records, request.getfixturevalue("cluster_manifest"),
+                              small_config(epochs=1, **ACTIVE_CRITIC))
+        else:
+            train_meta(records, request.getfixturevalue("meta_manifest"),
+                       small_config(stage="meta", epochs=1, episodes_per_epoch=4),
+                       no_warm_start=True)
+        assert len(alive) > 1 and len(maps) > 3
+        assert alive == [0] * len(alive)
+
+    def test_no_map_outlives_its_slice(self, records, maps, monkeypatch):
+        _, encoder = build_model(small_config(stage="vanilla"))
+        feat = Featurizer.build(records, 48)
+        alive = []
+        interact = DTIEncoder.interact
+
+        def checked(encoder, *args):
+            alive.append(self.alive(maps))
+            return interact(encoder, *args)
+
+        monkeypatch.setattr(DTIEncoder, "interact", checked)
+        predict(encoder, feat, records, list(range(100)), batch_size=16)
+        levels = encoder.config.n_levels
+        assert alive == [0] * 7 and len(maps) == 7 * levels
+        assert self.alive(maps) == 0
 
 
 class TestFloat32:
@@ -535,9 +609,11 @@ def per_episode_curve(records, manifest, cfg, encoder, head, feat, shots, n_runs
     task_ids = sorted(tasks)
     idxs = sorted({i for task in tasks.values() for i in task.records})
     per_run = {k: [] for k in shots}
+    fused = np.empty((len(idxs), encoder.config.fused_dim))
+    row = {i: j for j, i in enumerate(idxs)}
     with T.no_grad():
-        fused = encode_pairs(encoder, feat, records, idxs, chunk=cfg.batch_size).fused
-        row = {i: j for j, i in enumerate(idxs)}
+        for rows, out in encode_chunks(encoder, feat, records, idxs, cfg.batch_size):
+            fused[rows] = out.fused.data
         for run in range(n_runs):
             rng = substream(EVAL_SEED, f"meta.eval.{run}")
             scores, labels = {k: [] for k in shots}, []
