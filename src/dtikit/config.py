@@ -178,4 +178,5 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.model_preset not in PRESETS:
         raise ConfigError(f"model.preset must be one of {PRESETS}, got {cfg.model_preset!r}")
     if cfg.max_seq_len < 0:
-        raise ConfigError("model dimensions cannot be negative")
+        raise ConfigError(f"model.max_seq_len must be non-negative (0 keeps the preset's "
+                          f"window), got {cfg.max_seq_len}")

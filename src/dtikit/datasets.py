@@ -104,7 +104,8 @@ def load_interactions_detailed(path: str | Path, schema: CsvSchema | None = None
     smiles_of: dict[str, str] = {}  # id -> the structure it names
     sequence_of: dict[str, str] = {}
     parsed: dict[str, SmilesError | None] = {}  # SMILES -> its parse error, if any
-    with open(path, newline="") as fh:
+    # one reading on every locale, and a leading byte-order mark dropped
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (SMILES_COL, SEQUENCE_COL, schema.label_col, DRUG_ID_COL, PROTEIN_ID_COL):

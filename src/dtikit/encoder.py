@@ -63,6 +63,13 @@ ATOM_FEAT_DIM = (
     + 1  # aromatic flag
 )
 
+# the structure both presets share: one tower level per protein kernel
+# width, the bilinear attention heads of each level, and the mean-pool
+# window that takes a level's joint vector to the fused width
+KERNEL_SIZES = (3, 6, 9)
+ATTN_HEADS = 2
+JOINT_POOL = 3
+
 
 class ConfigError(ValueError):
     """Malformed, mistyped, or out-of-range configuration."""
@@ -106,33 +113,21 @@ class EncoderConfig:
 
     embed_dim: int = 128
     n_filters: int = 128
-    kernel_sizes: tuple[int, ...] = (3, 6, 9)
     max_seq_len: int = 1200
-    attn_heads: int = 2
     joint_dim: int = 2304
-    joint_pool: int = 3
     gau_hidden: int = 256
     gau_qk_dim: int = 128
     decoder_hidden: int = 512
     dtype: type = np.float32
 
     def __post_init__(self):
-        if self.joint_dim % self.joint_pool:
-            raise ConfigError(
-                f"joint_dim {self.joint_dim} must be divisible by "
-                f"joint_pool {self.joint_pool}"
-            )
-        if len(self.kernel_sizes) < 1:
-            raise ConfigError("need at least one tower level")
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.kernel_sizes)
+        if self.joint_dim % JOINT_POOL:
+            raise ConfigError(f"joint_dim {self.joint_dim} must be divisible by {JOINT_POOL}")
 
     @property
     def fused_dim(self) -> int:
         """Width of each level vector and of the fused pair representation."""
-        return self.joint_dim // self.joint_pool
+        return self.joint_dim // JOINT_POOL
 
     @staticmethod
     def small(**overrides) -> "EncoderConfig":
@@ -140,11 +135,8 @@ class EncoderConfig:
         base = dict(
             embed_dim=12,
             n_filters=12,
-            kernel_sizes=(3, 6, 9),
             max_seq_len=48,
-            attn_heads=2,
             joint_dim=24,
-            joint_pool=3,
             gau_hidden=12,
             gau_qk_dim=6,
             decoder_hidden=16,
@@ -211,6 +203,36 @@ class _Scorer:
         return T.reshape(self.out(self.hidden(x, relu=True)), (x.data.shape[0],))
 
 
+def _scale_shift(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """x[N, d] * scale[d] + shift[d]: one expand each, so each parameter's
+    gradient is one sum over the N rows."""
+    n = x.data.shape[0]
+    return x * T.expand(scale, 0, n) + T.expand(shift, 0, n)
+
+
+class _SquaredReluScores:
+    """Squared-relu attention scores, as in FLASH's gated attention unit
+    (Hua et al., 2022): query rows zq[E, n, dim] and key rows zk[E, m, dim],
+    each side under its own learned per-feature scale and shift
+    (`{path}/q_*`, `{path}/k_*`, starting at a scaled dot product's unit
+    scale), give relu(q . k)^2 [E, n, m].  The fusion unit and the
+    prototype head each own one."""
+
+    def __init__(self, store, path, dim):
+        self.sides = [
+            (store.parameter(f"{path}/{s}_scale", np.full(dim, dim**-0.5)),
+             store.parameter(f"{path}/{s}_shift", np.zeros(dim)))
+            for s in "qk"
+        ]
+
+    def __call__(self, zq: Tensor, zk: Tensor) -> Tensor:
+        q, k = [
+            T.reshape(_scale_shift(T.reshape(z, (-1, z.data.shape[2])), *side), z.data.shape)
+            for z, side in zip((zq, zk), self.sides)
+        ]
+        return T.square(T.relu(T.bmm(q, T.transpose(k))))
+
+
 class _Conv:
     """Same-length convolution along the length axis followed by a relu,
     one `tensor.conv1d_relu` node.  Every convolution of the protein tower
@@ -259,7 +281,7 @@ class DTIEncoder:
 
         self.p_levels = []
         self.d_levels = []
-        for i, k in enumerate(c.kernel_sizes):
+        for i, k in enumerate(KERNEL_SIZES):
             self.p_levels.append(
                 {
                     "ex": _Conv(store, f"protein/level{i}/ex", k, c.n_filters, c.n_filters, rng),
@@ -278,7 +300,7 @@ class DTIEncoder:
             )
 
         self.joint = []
-        for i in range(c.n_levels):
+        for i in range(len(KERNEL_SIZES)):
             level = {
                 "drug": _Linear(store, f"joint/level{i}/drug", c.n_filters, c.joint_dim, rng),
                 "protein": _Linear(store, f"joint/level{i}/protein", c.n_filters, c.joint_dim, rng),
@@ -287,7 +309,7 @@ class DTIEncoder:
                         f"joint/level{i}/head{t}/q",
                         kaiming_uniform(rng, (c.joint_dim,), c.joint_dim),
                     )
-                    for t in range(c.attn_heads)
+                    for t in range(ATTN_HEADS)
                 ],
             }
             self.joint.append(level)
@@ -299,12 +321,7 @@ class DTIEncoder:
             "gate": _Linear(store, "gau/gate", d, c.gau_hidden, rng),
             "value": _Linear(store, "gau/value", d, c.gau_hidden, rng),
             "shared": _Linear(store, "gau/shared", d, c.gau_qk_dim, rng),
-            # start the squared-relu attention at unit scale, like a
-            # scaled dot product; the scales stay trainable
-            "q_scale": store.parameter("gau/q_scale", np.full(c.gau_qk_dim, c.gau_qk_dim**-0.5)),
-            "q_shift": store.parameter("gau/q_shift", np.zeros(c.gau_qk_dim)),
-            "k_scale": store.parameter("gau/k_scale", np.full(c.gau_qk_dim, c.gau_qk_dim**-0.5)),
-            "k_shift": store.parameter("gau/k_shift", np.zeros(c.gau_qk_dim)),
+            "scores": _SquaredReluScores(store, "gau", c.gau_qk_dim),
             "out": _Linear(store, "gau/out", c.gau_hidden, d, rng),
         }
 
@@ -375,7 +392,7 @@ class DTIEncoder:
             v = spec["drug"](d_out, relu=True)
             u = spec["protein"](p_out, relu=True)
             joint, w = T.bilinear_attention(v, u, spec["q"], d_mask, real, d_idx, p_idx)
-            pooled = T.reshape(joint, (len(d_idx), -1, self.config.joint_pool))
+            pooled = T.reshape(joint, (len(d_idx), -1, JOINT_POOL))
             vectors.append(T.tmean(pooled, axis=2))
             weights.append(w)
         out = InteractionOutput(fused=self._fuse(vectors), level_weights=weights)
@@ -387,25 +404,16 @@ class DTIEncoder:
         """Gated attention over each pair's level vectors [B, n, d]."""
         b, d = level_vectors[0].data.shape
         n = len(level_vectors)
-        stack = T.concat([T.reshape(f, (b, 1, d)) for f in level_vectors], axis=1)
-        rows = self._row_norm(T.reshape(stack, (b * n, d)), b * n, d)
+        rows = self._row_norm(T.reshape(T.concat(level_vectors, axis=1), (b * n, d)), d)
         gate = T.silu(self.gau["gate"](rows))
         value = T.silu(self.gau["value"](rows))
-        shared = T.silu(self.gau["shared"](rows))
-        q = shared * T.expand(self.gau["q_scale"], 0, b * n) + T.expand(
-            self.gau["q_shift"], 0, b * n
-        )
-        k = shared * T.expand(self.gau["k_scale"], 0, b * n) + T.expand(
-            self.gau["k_shift"], 0, b * n
-        )
-        qk = self.config.gau_qk_dim
-        q, k = T.reshape(q, (b, n, qk)), T.reshape(k, (b, n, qk))
-        attn = T.square(T.relu(T.bmm(q, T.transpose(k)))) * (1.0 / n)
+        shared = T.reshape(T.silu(self.gau["shared"](rows)), (b, n, self.config.gau_qk_dim))
+        attn = self.gau["scores"](shared, shared) * (1.0 / n)
         hidden = self.config.gau_hidden
         mixed = T.bmm(attn, T.reshape(value, (b, n, hidden))) * T.reshape(gate, (b, n, hidden))
         return self.gau["out"](T.tsum(mixed, axis=1))
 
-    def _row_norm(self, x: Tensor, n: int, d: int) -> Tensor:
+    def _row_norm(self, x: Tensor, d: int) -> Tensor:
         """Per-row standardisation with a learned scale and shift.  Keeps the
         squared-relu attention well conditioned whatever scale the level
         vectors arrive at."""
@@ -413,9 +421,7 @@ class DTIEncoder:
         centred = x - mu
         var = T.expand(T.tmean(T.square(centred), axis=1), 1, d)
         unit = centred / T.sqrt(var + T.NORM_EPS)
-        return unit * T.expand(self.gau["norm_scale"], 0, n) + T.expand(
-            self.gau["norm_shift"], 0, n
-        )
+        return _scale_shift(unit, self.gau["norm_scale"], self.gau["norm_shift"])
 
 
 def featurize_drug(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:

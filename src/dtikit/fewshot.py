@@ -22,6 +22,7 @@ import logging
 import numpy as np
 
 from . import tensor as T
+from .encoder import _SquaredReluScores
 from .optim import ParameterStore, kaiming_uniform
 from .tensor import ShapeMismatch, Tensor
 
@@ -54,9 +55,9 @@ class PrototypeHead:
     """Runs a stack of episodes through an affine attention of queries over
     supports.
 
-    A shared projection feeds two learned scale/shift pairs, one applied to
-    the queries and one to the supports; the squared relu of their product
-    scores every (query, support) pair.
+    A shared projection feeds the squared-relu scorer the encoder's fusion
+    unit also uses, queries on its query side and supports on its key side,
+    so it scores every (query, support) pair.
     """
 
     def __init__(
@@ -65,22 +66,7 @@ class PrototypeHead:
         self.w = store.parameter(
             "proto/shared/w", kaiming_uniform(rng, (feature_dim, qk_dim), feature_dim)
         )
-        self.q_scale = store.parameter("proto/q_scale", np.full(qk_dim, qk_dim**-0.5))
-        self.q_shift = store.parameter("proto/q_shift", np.zeros(qk_dim))
-        self.k_scale = store.parameter("proto/k_scale", np.full(qk_dim, qk_dim**-0.5))
-        self.k_shift = store.parameter("proto/k_shift", np.zeros(qk_dim))
-
-    def _project(self, x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-        e, n, _ = x.data.shape
-        z = T.silu(T.matmul(x, self.w))
-        return z * T.expand(T.expand(scale, 0, n), 0, e) + T.expand(T.expand(shift, 0, n), 0, e)
-
-    def _scores(self, support: Tensor, queries: Tensor) -> Tensor:
-        """Scores [E, k_q, 2k] of every support row against every query row
-        of each episode."""
-        q = self._project(queries, self.q_scale, self.q_shift)
-        k = self._project(support, self.k_scale, self.k_shift)
-        return T.square(T.relu(T.bmm(q, T.transpose(k))))
+        self.scores = _SquaredReluScores(store, "proto", qk_dim)
 
     def episode_probabilities(
         self, support: Tensor, support_labels: np.ndarray, queries: Tensor
@@ -108,7 +94,9 @@ class PrototypeHead:
             class_idx.append(idx)
 
         e, k_q, d = q
-        scores = self._scores(support, queries)
+        scores = self.scores(
+            T.silu(T.matmul(queries, self.w)), T.silu(T.matmul(support, self.w))
+        )
         weights = np.zeros(scores.data.shape, dtype=scores.data.dtype)
         rows = T.reshape(queries, (e * k_q, d))
         sims = []

@@ -135,7 +135,7 @@ def screen_score(y_c, y_r):
 @dataclass
 class MetricReport:
     metrics: dict[str, float] = field(default_factory=dict)
-    spread: dict[str, float] = field(default_factory=dict)  # std across seeds, when applicable
+    spread: dict[str, float] = field(default_factory=dict)  # std over one seed's shot-curve runs
 
     def to_json(self) -> str:
         payload: dict[str, dict] = {}

@@ -224,7 +224,10 @@ class SplitManifest:
         try:
             kw = {f.name: raw[f.name] for f in fields(cls)}
             pairs = {int(k): v for k, v in kw["assignments"].items()}
-            ok = all(type(i) is int for i in kw["dropped"]) and all(
+            maps = (kw["drug_clusters"], kw["protein_clusters"])
+            ok = type(kw["params"]) is dict and all(
+                type(m) is dict and all(type(c) is int for c in m.values()) for m in maps
+            ) and all(type(i) is int for i in kw["dropped"]) and all(
                 type(v) is list and [type(s) for s in v] == [str, str] for v in pairs.values()
             ) and all(
                 type(t) is dict and type(t["pool"]) is str and type(t["records"]) is list
@@ -234,8 +237,9 @@ class SplitManifest:
             ok = False
         if not ok:
             raise BadManifest("not a split manifest: it needs every field, integer indices, "
-                              "a [domain, partition] pair of strings per assignment and "
-                              "a string pool and a list of integer records per task")
+                              "a [domain, partition] pair of strings per assignment, object "
+                              "params, cluster maps of integers, and a string pool and a list "
+                              "of integer records per task")
         return cls(**{**kw, "assignments": {k: tuple(v) for k, v in pairs.items()}})
 
     @classmethod

@@ -187,14 +187,13 @@ def _family_domain(spec: SyntheticSpec, family: int, n_families: int) -> str:
     return "source" if family < half else "target"
 
 
-def _make_protein(rng, spec: SyntheticSpec, family: int) -> tuple[str, bool]:
+def _make_protein(rng, spec: SyntheticSpec, family: int) -> str:
     alphabet = BACKGROUND_POOL[
         family * LETTERS_PER_FAMILY : (family + 1) * LETTERS_PER_FAMILY
     ]
     length = int(rng.integers(spec.seq_len[0], spec.seq_len[1] + 1))
     seq = list(rng.choice(list(alphabet), size=length))
-    carrier = bool(rng.random() < PROTEIN_CARRIER_RATE)
-    if carrier:
+    if rng.random() < PROTEIN_CARRIER_RATE:
         motif = _family_rule(spec, family, N_PROTEIN_FAMILIES).protein_motif
         # one copy per stripe of the sequence, so copies never overlap
         stripe = length // MOTIF_COPIES
@@ -203,10 +202,10 @@ def _make_protein(rng, spec: SyntheticSpec, family: int) -> tuple[str, bool]:
             hi = min((c + 1) * stripe, length) - len(motif)
             pos = int(rng.integers(lo, hi + 1))
             seq[pos : pos + len(motif)] = list(motif)
-    return "".join(seq), carrier
+    return "".join(seq)
 
 
-def _make_drug(rng, spec: SyntheticSpec, family: int) -> tuple[str, bool]:
+def _make_drug(rng, spec: SyntheticSpec, family: int) -> str:
     # Each family is a chain grammar the fingerprint separates well: plain
     # carbon rings of different sizes all look alike to a degree-based hash,
     # but branching density and aromaticity do not.
@@ -220,12 +219,11 @@ def _make_drug(rng, spec: SyntheticSpec, family: int) -> tuple[str, bool]:
         core = "c1ccccc1" + "C" * max(n // 3, 2)
     else:
         core = "C" + "C(C)(C)" * max(n // 2, 2) + "C"
-    carrier = bool(rng.random() < DRUG_CARRIER_RATE)
-    if carrier:  # one marker atom at the chain's tip
+    if rng.random() < DRUG_CARRIER_RATE:  # one marker atom at the chain's tip
         tip = _family_rule(spec, family, N_DRUG_FAMILIES).drug_marker
     else:
         tip = "C"
-    return core + tip, carrier
+    return core + tip
 
 
 def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
@@ -242,7 +240,7 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     for i in range(spec.n_proteins):
         fam = i % N_PROTEIN_FAMILIES
         pid = f"P{i:04d}"
-        proteins[pid], _ = _make_protein(rng_e, spec, fam)
+        proteins[pid] = _make_protein(rng_e, spec, fam)
         protein_families[pid] = fam
         protein_domains[pid] = _family_domain(spec, fam, N_PROTEIN_FAMILIES)
 
@@ -252,7 +250,7 @@ def synth_generate(spec: SyntheticSpec, seed: int) -> SyntheticCorpus:
     for j in range(spec.n_drugs):
         fam = j % N_DRUG_FAMILIES
         did = f"D{j:04d}"
-        drugs[did], _ = _make_drug(rng_e, spec, fam)
+        drugs[did] = _make_drug(rng_e, spec, fam)
         drug_families[did] = fam
         drug_domains[did] = _family_domain(spec, fam, N_DRUG_FAMILIES)
 

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from dtikit import tensor as T
+from dtikit.encoder import JOINT_POOL
 from dtikit.tensor import Tensor
 
 
@@ -61,7 +62,7 @@ def joint_vector(enc, level, drug_out, protein_out, real_cols):
         head = T.tsum(v * T.matmul(attn, u), axis=0)
         joint = head if joint is None else joint + head
         maps.append(attn.data[:, :real_cols].copy())
-    pooled = T.tmean(T.reshape(joint, (-1, enc.config.joint_pool)), axis=1)
+    pooled = T.tmean(T.reshape(joint, (-1, JOINT_POOL)), axis=1)
     return pooled, np.stack(maps)
 
 
@@ -78,8 +79,9 @@ def fuse(enc, level_vectors):
     gate = T.silu(gau["gate"](x))
     value = T.silu(gau["value"](x))
     shared = T.silu(gau["shared"](x))
-    q = shared * T.expand(gau["q_scale"], 0, n) + T.expand(gau["q_shift"], 0, n)
-    k = shared * T.expand(gau["k_scale"], 0, n) + T.expand(gau["k_shift"], 0, n)
+    p = enc.store
+    q = shared * T.expand(p["gau/q_scale"], 0, n) + T.expand(p["gau/q_shift"], 0, n)
+    k = shared * T.expand(p["gau/k_scale"], 0, n) + T.expand(p["gau/k_shift"], 0, n)
     attn = T.square(T.relu(T.matmul(q, T.transpose(k)))) * (1.0 / n)
     pooled = T.tsum(T.matmul(attn, value) * gate, axis=0)
     return T.reshape(gau["out"](T.reshape(pooled, (1, pooled.data.shape[0]))), (d,))

@@ -71,11 +71,8 @@ def small_config(**kw):
 TINY_ENCODER = dict(
     embed_dim=6,
     n_filters=5,
-    kernel_sizes=(3, 5, 7),
     max_seq_len=16,
-    attn_heads=2,
     joint_dim=12,
-    joint_pool=3,
     gau_hidden=8,
     gau_qk_dim=4,
     decoder_hidden=6,

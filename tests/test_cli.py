@@ -14,7 +14,7 @@ import pytest
 
 from dtikit import cli
 from dtikit.config import resolve_config
-from dtikit.datasets import load_interactions
+from dtikit.datasets import load_interactions, load_interactions_detailed
 from dtikit.encoder import DTIEncoder
 from dtikit.metrics import MetricReport
 from dtikit.optim import ParameterStore, read_checkpoint
@@ -170,6 +170,24 @@ class TestSplit:
             assert len(skipped) == 2
             assert skipped[0].startswith("skipped row 302: drug_id")
             assert skipped[1] == "skipped row 303: empty drug_id"
+
+
+    def test_a_byte_order_mark_changes_nothing(self, workdir, tmp_path):
+        """A CSV saved with a UTF-8 byte-order mark loads the same records
+        and skipped rows as the plain file, and splits to the same bytes."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(Path(workdir["csv"]).read_bytes() + b"D9,P9,C1CC,MKVLAA,1\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        loaded = [load_interactions_detailed(p) for p in (plain, marked)]
+        assert len(loaded[0].skipped) == 1
+        assert loaded[0] == loaded[1]
+        manifests = []
+        for path in (plain, marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert cli.main(["split", "--csv", str(path), "--strategy", "cluster",
+                             "--out", str(out)]) == 0
+            manifests.append(out.read_bytes())
+        assert manifests[0] == manifests[1]
 
 
 class TestTrainEval:
@@ -616,11 +634,12 @@ class TestExitCodes:
          lambda m: {**m, "assignments": {**m["assignments"], "0": "st"}},
          lambda m: {**m, "assignments": {**m["assignments"], "0": ["source", 1]}},
          lambda m: {**m, "dropped": [None]},
+         lambda m: {**m, "params": []},
          lambda m: {**m, "assignments": {("300" if k == "0" else k): v
                                          for k, v in m["assignments"].items()}}],
         ids=["not-an-object", "missing-key", "non-integer-index", "one-string",
              "bare-string", "non-string-partition", "non-integer-dropped",
-             "index-past-the-csv"],
+             "params-not-an-object", "index-past-the-csv"],
     )
     def test_malformed_manifest_is_3(self, workdir, tmp_path, command, edit):
         with open(workdir["split"]) as fh:
@@ -634,6 +653,30 @@ class TestExitCodes:
         }[command]
         code = cli.main([command, "--csv", workdir["csv"], "--split-manifest", str(split), *args])
         assert code == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "screen", "export-attention"])
+    @pytest.mark.parametrize("clusters", [[], "x", {"D0000": "a"}],
+                             ids=["list", "string", "string-cluster"])
+    def test_manifest_whose_cluster_maps_are_no_maps_is_3(
+            self, workdir, tmp_path, command, clusters, capsys):
+        """Cluster maps that are no object of integer clusters make the file
+        no split manifest, before a list can reach the cluster checks and
+        crash them with exit 1."""
+        payload = json.loads(Path(workdir["split"]).read_text())
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(
+            {**payload, "drug_clusters": clusters, "protein_clusters": clusters}))
+        out = tmp_path / "out"
+        args = {
+            "train": ["--stage", "vanilla", "--epochs", "1", *SMALL],
+            "screen": ["--classifier", workdir["run"], "--regressor", workdir["reg"]],
+            "export-attention": ["--checkpoint", workdir["run"]],
+        }[command]
+        code = cli.main([command, "--csv", workdir["csv"], "--split-manifest", str(split),
+                         *args, "--out", str(out)])
+        assert code == 3
+        assert "cluster maps of integers" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -91,6 +91,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="lambda_adv"):
             resolve_config({"train.lambda_adv": -0.1})
 
+    def test_negative_window_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"model\.max_seq_len must be non-negative .* -3"):
+            resolve_config({"model.max_seq_len": -3})
+
     def test_zero_lr_rejected(self):
         with pytest.raises(ConfigError, match="positive"):
             resolve_config({"train.lr": 0.0})
@@ -120,7 +124,7 @@ class TestValidation:
 
     def test_encoder_geometry_error_is_the_config_error(self):
         with pytest.raises(ConfigError, match="divisible"):
-            EncoderConfig(joint_dim=10, joint_pool=3)
+            EncoderConfig(joint_dim=10)
 
 
 class TestFileRoundTrip:

@@ -5,6 +5,7 @@ import numpy as np
 from dtikit import tensor as T
 from dtikit.encoder import (
     ATOM_FEAT_DIM,
+    ATTN_HEADS,
     DTIEncoder,
     EncoderConfig,
     atom_features,
@@ -212,7 +213,7 @@ def test_attention_mass_stays_on_real_residues():
     for level, (weights, (p_out, real)) in enumerate(zip(out.level_weights, p_levels)):
         # raw maps span every padded column; if masking works, each head's
         # softmax mass lives entirely on the real ones
-        assert weights.shape == (1, CFG.attn_heads, len(drug[0]), p_out.data.shape[1]), level
+        assert weights.shape == (1, ATTN_HEADS, len(drug[0]), p_out.data.shape[1]), level
         assert np.allclose(weights.sum(axis=(2, 3)), 1.0, atol=1e-9), level
         assert real[0] < weights.shape[3] and not weights[..., real[0]:].any(), level
 

@@ -1,14 +1,18 @@
 """Every name a package module imports is referenced somewhere in it, every
 tensor op has a caller outside `tensor.py` and a gradcheck case, no package
 module holds an `assert` statement, none passes a numpy call as the default
-of `setdefault`, and every defaulted parameter is passed by some call."""
+of `setdefault`, every defaulted parameter is passed by some call, every
+`EncoderConfig` field differs between the two presets, and `tensor.py`
+pins no float64."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 import dtikit
+from dtikit.encoder import EncoderConfig
 from gradcheck import op_cases
 
 PACKAGE_DIR = Path(dtikit.__file__).parent
@@ -239,6 +243,16 @@ def test_every_defaulted_parameter_is_passed():
     assert set(UNPASSED_DEFAULTS) <= set(unpassed), "stale exceptions"
     extra = [p for p in unpassed if p not in UNPASSED_DEFAULTS]
     assert not extra, "defaulted parameters no call passes: " + ", ".join(extra)
+
+
+def test_no_encoder_field_is_a_constant_in_disguise():
+    """The presets are the only producers of an `EncoderConfig`, so a
+    field with the same value in both is a constant in disguise: it
+    belongs in `encoder.py` as a module constant."""
+    paper, small = EncoderConfig(), EncoderConfig.small()
+    same = [f.name for f in fields(EncoderConfig)
+            if getattr(paper, f.name) == getattr(small, f.name)]
+    assert not same, "fields both presets set alike: " + ", ".join(same)
 
 
 ALLOCATORS = ("zeros", "ones", "empty", "full")

@@ -6,6 +6,7 @@ preset, so the whole module stays in the tens of seconds.
 
 import contextlib
 import gc
+import hashlib
 import json
 import warnings
 import weakref
@@ -17,9 +18,10 @@ import pytest
 import oracle
 
 from dtikit import tensor as T
+from dtikit.adversarial import DomainAdversary
 from dtikit.config import ConfigError, resolve_config
 from dtikit.datasets import AFFINITY, CsvSchema, load_interactions_detailed
-from dtikit.encoder import DTIEncoder, EncoderConfig
+from dtikit.encoder import KERNEL_SIZES, DTIEncoder, EncoderConfig
 from dtikit.metrics import MetricReport, auroc
 from dtikit.optim import ParameterStore, read_checkpoint
 from dtikit.rng import substream
@@ -38,6 +40,7 @@ from dtikit.train import (
     MissingCheckpoint,
     NumericFailure,
     build_model,
+    build_prototype_head,
     encode_chunks,
     encode_pairs,
     manifest_sha256,
@@ -196,7 +199,7 @@ class TestEncodePairs:
             out = batched.score
             assert out.requires_grad == grad
             assert out.data.shape == (len(idxs),)
-            assert len(batched.level_weights) == cfg.encoder_config().n_levels
+            assert len(batched.level_weights) == len(KERNEL_SIZES)
             for b, (i, r) in enumerate(zip(idxs, single)):
                 assert abs(out.data[b] - r.score.data[0]) <= 1e-10
                 assert np.abs(batched.fused.data[b] - r.fused.data).max() <= 1e-10
@@ -336,7 +339,7 @@ class TestEncodePairs:
         slice's own proteins, and its scores equal the training call's."""
         cfg, store, encoder, feat = self._setup(records, "small")
         lift_weights = {
-            id(store[f"joint/level{i}/protein/w"]) for i in range(cfg.encoder_config().n_levels)
+            id(store[f"joint/level{i}/protein/w"]) for i in range(len(KERNEL_SIZES))
         }
         lifts = []
         towers = []
@@ -444,8 +447,7 @@ class TestMapLifetime:
 
         monkeypatch.setattr(DTIEncoder, "interact", checked)
         predict(encoder, feat, records, list(range(100)), batch_size=16)
-        levels = encoder.config.n_levels
-        assert alive == [0] * 7 and len(maps) == 7 * levels
+        assert alive == [0] * 7 and len(maps) == 7 * len(KERNEL_SIZES)
         assert self.alive(maps) == 0
 
 
@@ -506,6 +508,35 @@ class TestFloat32:
         with pytest.raises(ConfigError, match="float32"):
             DTIEncoder(ParameterStore(np.float64), EncoderConfig(), np.random.default_rng(0),
                        head="classify")
+
+
+class TestFreshModelBytes:
+    """The checkpoint bytes of a freshly built seed-0 model.  No BLAS runs,
+    only init draws, so a pin guards each variant's parameter paths, their
+    order, their shapes and the draw order: what lets an older checkpoint
+    load strictly into today's model."""
+
+    PINNED = {
+        "small-classify": "dca772823f45167502140a8370066541ead29363067f1d45326b33ef161b041f",
+        "small-regress": "b6dd314ea900b4bb148a8bec6fca045c447d4768da2502fbd5cdc0f58f5316a4",
+        "small-meta": "bbaf3d4cd9c83bfefdcedf756253b48c53a78a7e2b9f72f012f1c98b9683bc12",
+        "small-cada": "296fb3cc9a4ed1802472082fe30822ce15bd49c3427da92e7f41a9d7b90ae569",
+        "paper-classify": "6d7c3f55479cd3710529ed23dd55af39d4a7c4d0869eb542083c3369b55bc07c",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PINNED))
+    def test_layout_is_pinned(self, variant):
+        preset, stage = variant.split("-")
+        stage = {"classify": "vanilla"}.get(stage, stage)
+        cfg = resolve_config({}, {"model_preset": preset, "stage": stage, "seed": 0})
+        store, _ = build_model(cfg)
+        if stage == "meta":
+            build_prototype_head(store, cfg)
+        elif stage == "cada":
+            DomainAdversary(store, substream(0, "model.adversary"),
+                            feature_dim=cfg.encoder_config().fused_dim)
+        digest = hashlib.sha256(store.save_bytes()).hexdigest()
+        assert digest == self.PINNED[variant]
 
 
 class TestArtifacts:
