@@ -214,6 +214,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # the stage may come from --config, so argparse cannot check these
     if args.checkpoint and args.no_warm_start:
         raise ConfigError("--checkpoint and --no-warm-start contradict each other")
+    if cfg.stage == "meta" and not (args.checkpoint or args.no_warm_start):
+        raise ConfigError("--stage meta needs --checkpoint, or --no-warm-start to start from scratch")
     if args.checkpoint and cfg.stage == "cada":
         raise ConfigError("--stage cada trains from scratch and takes no --checkpoint")
     if args.lambda_adv is not None and cfg.stage != "cada":

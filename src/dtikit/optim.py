@@ -23,12 +23,10 @@ casts nothing.  Binding copies every entry, in registration order, into
 one flat master vector, casts that into the compute row, and rebinds each
 tensor's ``data`` to a C-contiguous view of its slice of the compute row;
 registering a further entry then raises ``StoreFrozen``.  The moments m
-and v are flat float64 as well, and a step is a handful of vector
-operations over each span of at least ``ADAM_SPAN`` values (the whole
-vector of a small model), ending in one cast of the span's master values
-to the compute row, so its temporaries stay the size of a span, not of
-the model.  Gradients arrive in the compute dtype and are concatenated
-straight into float64.
+and v are flat float64 as well, and a step is one pass of a handful of
+vector operations over the whole block, ending in one cast of the master
+row to the compute row.  Gradients arrive in the compute dtype and are
+concatenated straight into float64.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ FORMAT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# values per span of an Adam step (1 MB); whole entries fill each span
-ADAM_SPAN = 1 << 17
 
 
 class CheckpointError(IOError):
@@ -72,7 +68,6 @@ class ParameterStore:
         self._compute: np.ndarray | None = None  # the compute row, once bound
         self._adam_m: np.ndarray | None = None
         self._adam_v: np.ndarray | None = None
-        self._spans: list[tuple[slice, list[Tensor]]] = []
         self._adam_t = 0
 
     def parameter(self, path: str, init: np.ndarray) -> Tensor:
@@ -99,8 +94,7 @@ class ParameterStore:
         """Bind the store once, so its tensors hold compute-dtype values;
         the model calls this before each forward pass.  Binding copies every
         entry into one flat master vector and casts it into the compute row,
-        makes each tensor's data a view of its slice of the compute row, and
-        cuts the vectors into spans of whole entries."""
+        and makes each tensor's data a view of its slice of the compute row."""
         if self._flat is not None:
             return
         # the values and both moments as one block, which at paper sizes is
@@ -109,22 +103,14 @@ class ParameterStore:
         state = np.zeros((3, sum(t.data.size for t in self._entries.values())))
         self._flat, self._adam_m, self._adam_v = state
         self._compute = np.empty(self._flat.size, dtype=self.dtype)
-        self._spans = []
-        start = stop = 0
-        members = []
+        start = 0
         for path, t in self._entries.items():
-            n = t.data.size
-            master = self._flat[stop : stop + n].reshape(t.data.shape)
+            stop = start + t.data.size
+            master = self._flat[start:stop].reshape(t.data.shape)
             master[...] = self._master[path]
             self._master[path] = master
-            t.data = self._compute[stop : stop + n].reshape(t.data.shape)
-            stop += n
-            members.append(t)
-            if stop - start >= ADAM_SPAN:
-                self._spans.append((slice(start, stop), members))
-                start, members = stop, []
-        if members:
-            self._spans.append((slice(start, stop), members))
+            t.data = self._compute[start:stop].reshape(t.data.shape)
+            start = stop
         self._compute[...] = self._flat
 
     def adam_step(self, lr: float) -> None:
@@ -132,32 +118,33 @@ class ParameterStore:
 
         Models register only the parameters their stage actually trains, so
         a missing gradient here is a wiring bug, not a soft condition.  The
-        update keeps the per-entry expression order, so the spans give each
-        entry the bits a per-entry loop would.
+        update keeps the per-entry expression order, so the one pass gives
+        each entry the bits a per-entry loop would.
         """
         for path, tensor in self._entries.items():
             if tensor.grad is None:
                 raise MissingGradient(f"no gradient for {path!r}; run backward first")
         self.bind_compute()
+        if not self._entries:
+            return  # bound and frozen, with nothing to step
         self._adam_t += 1
         unbias1 = 1.0 - ADAM_BETA1**self._adam_t
         unbias2 = 1.0 - ADAM_BETA2**self._adam_t
-        for span, members in self._spans:
-            g = np.concatenate([t.grad for t in members], axis=None, dtype=np.float64)
-            m, v = self._adam_m[span], self._adam_v[span]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            g *= g
-            v += (1.0 - ADAM_BETA2) * g
-            denom = np.divide(v, unbias2, out=g)  # g's buffer takes sqrt(vhat) + eps
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            step = m / unbias1
-            step *= lr
-            step /= denom
-            self._flat[span] -= step
-            self._compute[span] = self._flat[span]
+        g = np.concatenate([t.grad for t in self._entries.values()], axis=None, dtype=np.float64)
+        m, v = self._adam_m, self._adam_v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        g *= g
+        v += (1.0 - ADAM_BETA2) * g
+        denom = np.divide(v, unbias2, out=g)  # g's buffer takes sqrt(vhat) + eps
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step = m / unbias1
+        step *= lr
+        step /= denom
+        self._flat -= step
+        self._compute[...] = self._flat
         self.zero_grad()
 
     # serialization --------------------------------------------------

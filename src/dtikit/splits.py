@@ -297,7 +297,9 @@ def random_split(
 ) -> SplitManifest:
     """Shuffled split; val and test take their floored share, the remainder
     stays in train."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    # written so that a NaN fraction fails: every comparison with NaN is false
+    if not (len(fractions) == 3 and all(f >= 0 for f in fractions)
+            and abs(sum(fractions) - 1.0) <= 1e-9):
         raise BadFractions(f"fractions must be three non-negatives summing to 1, got {fractions}")
     n = len(records)
     order = substream(seed, "split.random").permutation(n)

@@ -193,16 +193,13 @@ class EpochLog:
 class RunWriter:
     """Collects the per-run artifacts; inert when no directory is given."""
 
-    def __init__(self, out, cfg: RunConfig, manifest: SplitManifest | None):
+    def __init__(self, out, cfg: RunConfig, manifest: SplitManifest):
         self.out = Path(out) if out is not None else None
         if self.out is None:
             return
         self.out.mkdir(parents=True, exist_ok=True)
         (self.out / "config.json").write_text(cfg.snapshot_json())
-        if manifest is not None:
-            (self.out / "split_manifest.sha256").write_text(
-                manifest_sha256(manifest) + "\n"
-            )
+        (self.out / "split_manifest.sha256").write_text(manifest_sha256(manifest) + "\n")
         (self.out / "metrics.jsonl").write_text("")
 
     def epoch(self, log: EpochLog) -> None:

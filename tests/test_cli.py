@@ -769,19 +769,11 @@ class TestExitCodes:
         assert "config_version 2 not supported, expected 3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_meta_without_checkpoint_is_3(self, workdir, tmp_path):
-        split = tmp_path / "meta.json"
-        cli.main(["split", "--csv", workdir["csv"], "--strategy",
-                  "meta_protein", "--out", str(split)])
-        code = cli.main(["train", "--csv", workdir["csv"],
-                         "--split-manifest", str(split), "--stage", "meta",
-                         "--epochs", "1", *SMALL])
-        assert code == 3
-
     @pytest.mark.parametrize(
         "flags",
         [
             ["--stage", "meta", "--checkpoint", "CKPT", "--no-warm-start"],
+            ["--stage", "meta"],
             ["--stage", "cada", "--checkpoint", "CKPT"],
             ["--config", "CADA", "--checkpoint", "CKPT"],
             ["--stage", "vanilla", "--no-warm-start"],
@@ -795,7 +787,7 @@ class TestExitCodes:
             ["--stage", "regress", "--k-query", "3"],
             ["--config", "CADA", "--k-shot", "3"],
         ],
-        ids=["meta-both", "cada-checkpoint", "config-cada-checkpoint",
+        ids=["meta-both", "meta-neither", "cada-checkpoint", "config-cada-checkpoint",
              "vanilla-no-warm-start", "regress-no-warm-start",
              "vanilla-eval-runs", "regress-eval-runs", "config-cada-eval-runs",
              "vanilla-lambda", "meta-lambda", "cada-k-shot", "regress-k-query",

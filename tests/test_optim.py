@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dtikit import optim
 from dtikit import tensor as T
 from dtikit.optim import (
     ADAM_BETA1,
@@ -67,13 +66,9 @@ def per_entry_adam(values, grads, m, v, t, lr):
         values[path] = values[path] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
-@pytest.mark.parametrize(
-    "span, n_spans", [(optim.ADAM_SPAN, 1), (4, 2)], ids=["one-span", "two-spans"]
-)
-def test_flat_adam_equals_the_per_entry_loop_bit_for_bit(span, n_spans, monkeypatch):
+def test_flat_adam_equals_the_per_entry_loop_bit_for_bit():
     """Five steps over a 0-d, a 1-d and a 3-d entry, with gradients of
-    mixed layout, against the per-entry loop, as one span and as two."""
-    monkeypatch.setattr(optim, "ADAM_SPAN", span)
+    mixed layout, against the per-entry loop."""
     rng = np.random.default_rng(4)
     store = ParameterStore()
     values = {path: rng.normal(size=shape) for path, shape in SHAPES.items()}
@@ -87,7 +82,6 @@ def test_flat_adam_equals_the_per_entry_loop_bit_for_bit(span, n_spans, monkeypa
         for path, g in grads.items():
             store[path].grad = g
         store.adam_step(lr=0.01)
-        assert len(store._spans) == n_spans
         per_entry_adam(values, grads, m, v, t, lr=0.01)
         for path in SHAPES:
             assert np.array_equal(store[path].data, values[path]), (t, path)

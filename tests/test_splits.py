@@ -358,6 +358,9 @@ def test_random_split_bad_fractions():
         sp.random_split(records, (0.5, 0.2, 0.2))
     with pytest.raises(sp.BadFractions):
         sp.random_split(records, (1.2, -0.1, -0.1))
+    for fractions in [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)]:
+        with pytest.raises(sp.BadFractions):
+            sp.random_split(records, fractions)
 
 
 def test_random_split_manifest_bytes_are_reproducible():
