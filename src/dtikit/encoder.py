@@ -107,8 +107,8 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Model sizes and the compute dtype.  The default is the `paper`
-    preset, which computes in float32 over float64 master weights and
+    """Model sizes and the dtype.  The default is the `paper` preset, whose
+    weights, Adam moments and compute are float32, with float64
     checkpoints; the `small` preset is float64 throughout."""
 
     embed_dim: int = 128

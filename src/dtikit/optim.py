@@ -13,20 +13,19 @@ layout, and checkpoints written when non-trainable entries still existed,
 remain readable.  Round-trips are bit-exact, which the determinism
 guarantees lean on.
 
-A store has a compute dtype, float64 or float32, and keeps two rows of
-values.  The master row is float64: Adam updates it, checkpoints are
-written from it and loaded into it.  The compute row is a separate array
-in the compute dtype that holds the values the model computes with.  The
-store binds once, at its first forward pass (``bind_compute``) or its
-first ``adam_step``, whichever comes first, so building or loading a model
-casts nothing.  Binding copies every entry, in registration order, into
-one flat master vector, casts that into the compute row, and rebinds each
-tensor's ``data`` to a C-contiguous view of its slice of the compute row;
-registering a further entry then raises ``StoreFrozen``.  The moments m
-and v are flat float64 as well, and a step is one pass of a handful of
-vector operations over the whole block, ending in one cast of the master
-row to the compute row.  Gradients arrive in the compute dtype and are
-concatenated straight into float64.
+A store has a dtype, float64 or float32, which is the model's: the
+parameters are their own masters.  The store binds once, at its first
+forward pass (``bind_compute``) or its first ``adam_step``, whichever comes
+first, so registering or loading an entry casts nothing: its values stay
+float64 until then.  Binding allocates one ``[3, N]`` block in the store's
+dtype (the values and the Adam moments m and v), copies every entry, in
+registration order, into the values row, and rebinds each tensor's
+``data`` to a C-contiguous view of its slice of that row; registering a
+further entry then raises ``StoreFrozen``.  A step concatenates the
+gradients into the store's dtype and is one pass of a handful of vector
+operations over the whole block.  A float32 store's values widen exactly
+into a checkpoint; a float64 checkpoint loaded into one rounds once, at
+the bind or, once bound, at the load.
 """
 
 from __future__ import annotations
@@ -61,11 +60,9 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class ParameterStore:
     def __init__(self, dtype=np.float64):
-        self.dtype = np.dtype(dtype)  # the compute dtype
+        self.dtype = np.dtype(dtype)  # the model's dtype
         self._entries: dict[str, Tensor] = {}
-        self._master: dict[str, np.ndarray] = {}  # each entry's float64 values
-        self._flat: np.ndarray | None = None  # every master value, once bound
-        self._compute: np.ndarray | None = None  # the compute row, once bound
+        self._flat: np.ndarray | None = None  # every value, once bound
         self._adam_m: np.ndarray | None = None
         self._adam_v: np.ndarray | None = None
         self._adam_t = 0
@@ -77,7 +74,6 @@ class ParameterStore:
             raise StoreFrozen(f"parameter {path!r} registered after the store was bound")
         t = Tensor(np.asarray(init, dtype=np.float64), requires_grad=True)
         self._entries[path] = t
-        self._master[path] = t.data
         return t
 
     def __getitem__(self, path: str) -> Tensor:
@@ -91,27 +87,24 @@ class ParameterStore:
             t.grad = None
 
     def bind_compute(self) -> None:
-        """Bind the store once, so its tensors hold compute-dtype values;
-        the model calls this before each forward pass.  Binding copies every
-        entry into one flat master vector and casts it into the compute row,
-        and makes each tensor's data a view of its slice of the compute row."""
+        """Bind the store once, so its tensors hold values in its dtype; the
+        model calls this before each forward pass.  Binding copies every
+        entry into one flat row and makes each tensor's data a view of its
+        slice of that row."""
         if self._flat is not None:
             return
         # the values and both moments as one block, which at paper sizes is
         # mapped and unmapped whole; three vector-sized blocks, each a new
         # model's, fragmented the heap and raised peak RSS with every run
-        state = np.zeros((3, sum(t.data.size for t in self._entries.values())))
-        self._flat, self._adam_m, self._adam_v = state
-        self._compute = np.empty(self._flat.size, dtype=self.dtype)
+        n = sum(t.data.size for t in self._entries.values())
+        self._flat, self._adam_m, self._adam_v = np.zeros((3, n), dtype=self.dtype)
         start = 0
-        for path, t in self._entries.items():
+        for t in self._entries.values():
             stop = start + t.data.size
-            master = self._flat[start:stop].reshape(t.data.shape)
-            master[...] = self._master[path]
-            self._master[path] = master
-            t.data = self._compute[start:stop].reshape(t.data.shape)
+            view = self._flat[start:stop].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
             start = stop
-        self._compute[...] = self._flat
 
     def adam_step(self, lr: float) -> None:
         """One bias-corrected Adam update over every entry.
@@ -130,7 +123,7 @@ class ParameterStore:
         self._adam_t += 1
         unbias1 = 1.0 - ADAM_BETA1**self._adam_t
         unbias2 = 1.0 - ADAM_BETA2**self._adam_t
-        g = np.concatenate([t.grad for t in self._entries.values()], axis=None, dtype=np.float64)
+        g = np.concatenate([t.grad for t in self._entries.values()], axis=None, dtype=self.dtype)
         m, v = self._adam_m, self._adam_v
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
@@ -144,16 +137,15 @@ class ParameterStore:
         step *= lr
         step /= denom
         self._flat -= step
-        self._compute[...] = self._flat
         self.zero_grad()
 
     # serialization --------------------------------------------------
 
     def save_bytes(self) -> bytes:
         chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(self._entries))]
-        for path, master in self._master.items():
+        for path, t in self._entries.items():
             raw = path.encode("utf-8")
-            arr = np.asarray(master, dtype="<f8", order="C")
+            arr = np.asarray(t.data, dtype="<f8", order="C")
             chunks.append(struct.pack("<I", len(raw)))
             chunks.append(raw)
             chunks.append(struct.pack("<BI", 1, arr.ndim))
@@ -162,28 +154,31 @@ class ParameterStore:
         return b"".join(chunks)
 
     def load_bytes(self, blob: bytes, strict: bool = True) -> list[str]:
-        """Copy checkpoint values into matching entries' master values, and
-        a bound store's compute row; returns loaded paths.
+        """Copy checkpoint values into matching entries, which a bound
+        store's tensors read at once; returns loaded paths.
 
         ``strict`` demands that every entry in the store is present in the
         blob. Non-strict is the warm-start mode: paths present on both
-        sides load, the rest keep their initialization.
+        sides load, the rest keep their initialization.  A value that is
+        not finite in the store's dtype is refused, and a refused load
+        changes nothing.
         """
         entries = read_checkpoint(blob)
-        loaded = []
-        for path, master in self._master.items():
-            if path in entries:
-                arr = entries[path]
-                if arr.shape != master.shape:
-                    raise CheckpointError(
-                        f"shape mismatch for {path!r}: checkpoint {arr.shape}, store {master.shape}"
-                    )
-                master[...] = arr
-                loaded.append(path)
-            elif strict:
-                raise CheckpointError(f"checkpoint missing entry {path!r}")
-        if self._compute is not None:
-            self._compute[...] = self._flat
+        limit = np.finfo(self.dtype).max
+        for path, t in self._entries.items():
+            arr = entries.get(path)
+            if arr is None:
+                if strict:
+                    raise CheckpointError(f"checkpoint missing entry {path!r}")
+            elif arr.shape != t.data.shape:
+                raise CheckpointError(
+                    f"shape mismatch for {path!r}: checkpoint {arr.shape}, store {t.data.shape}"
+                )
+            elif not (np.abs(arr) <= limit).all():
+                raise CheckpointError(f"entry {path!r} holds a value that is not finite in {self.dtype}")
+        loaded = [path for path in self._entries if path in entries]
+        for path in loaded:
+            self._entries[path].data[...] = entries[path]
         return loaded
 
 

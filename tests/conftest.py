@@ -8,8 +8,8 @@ from dtikit.encoder import EncoderConfig
 
 @pytest.fixture
 def float32_small(monkeypatch):
-    """The small preset computing in float32 over float64 masters, as the
-    paper preset does."""
+    """The small preset with float32 weights, moments and compute, as the
+    paper preset has."""
     small = EncoderConfig.small
     monkeypatch.setattr(
         EncoderConfig, "small", staticmethod(lambda **kw: small(**{"dtype": np.float32, **kw}))

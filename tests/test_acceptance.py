@@ -432,8 +432,8 @@ def test_08a_vanilla_beats_085_auroc_on_random_split(corpus2000, vanilla_run):
 
 
 def test_08a_holds_in_float32(corpus2000, float32_small):
-    """The 08a run with the small preset computing in float32 over float64
-    masters, as the paper preset does, clears the same floor."""
+    """The 08a run with the small preset training and computing in
+    float32, as the paper preset does, clears the same floor."""
     records = corpus2000.records
     manifest = random_split(records, fractions=(0.7, 0.15, 0.15), seed=0)
     result = train_supervised(records, manifest, small_config(stage="vanilla", epochs=12, lr=1e-3))

@@ -50,6 +50,14 @@ def featurize_spy(monkeypatch, every=None) -> list[int]:
     return counts
 
 
+def write_checkpoint(path: Path, entries: dict) -> None:
+    """Write arrays, keyed by entry path, as a checkpoint file."""
+    store = ParameterStore()
+    for name, values in entries.items():
+        store.parameter(name, values)
+    path.write_bytes(store.save_bytes())
+
+
 def report_means(path) -> dict:
     """Metric name -> mean of a saved MetricReport."""
     return {k: v["mean"] for k, v in json.loads(Path(path).read_text()).items()}
@@ -320,8 +328,8 @@ class TestScreen:
 
 
 class TestPaperPreset:
-    """The paper preset, which computes in float32 over float64 master
-    weights, through every command that trains or reads a run."""
+    """The paper preset, which trains and computes in float32 and writes
+    float64 checkpoints, through every command that trains or reads a run."""
 
     def test_round_trip(self, tmp_path):
         data = tmp_path / "data"
@@ -365,6 +373,12 @@ class TestPaperPreset:
                          "--limit", "3", "--out", str(maps)]) == 0
         entries = json.loads(maps.read_text())
         assert len(entries) == 3 and all(len(e["levels"]) == 3 for e in entries)
+        # a value finite in float64 but beyond float32's range is a data error
+        huge = read_checkpoint(blob)
+        huge[next(iter(huge))].flat[0] = 1e39
+        write_checkpoint(runs["rerun"] / "best.ckpt", huge)
+        assert cli.main(["eval", "--csv", corpus, "--split-manifest", split,
+                         "--checkpoint", str(runs["rerun"])]) == 3
 
 
 class TestExportAttention:
@@ -524,6 +538,33 @@ class TestExitCodes:
                              "--split-manifest", workdir["split"],
                              "--checkpoint", str(cut / "best.ckpt")])
             assert code == 3
+
+    def test_a_checkpoint_value_the_model_cannot_hold_is_3(self, workdir, meta_run, tmp_path,
+                                                           capsys):
+        """A NaN checkpoint entry is a data error naming the entry, for every
+        command that loads a checkpoint, not a model whose scores fail."""
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(workdir["run"], corrupt)
+        entries = read_checkpoint((corrupt / "best.ckpt").read_bytes())
+        bad = next(iter(entries))
+        entries[bad].flat[0] = np.nan
+        write_checkpoint(corrupt / "best.ckpt", entries)
+        commands = {
+            "eval": ["eval", "--csv", workdir["csv"], "--split-manifest", workdir["split"],
+                     "--checkpoint", str(corrupt)],
+            "screen": ["screen", "--csv", workdir["csv"], "--classifier", str(corrupt),
+                       "--regressor", workdir["reg"], "--out", str(tmp_path / "ranked.csv")],
+            "export-attention": ["export-attention", "--checkpoint", str(corrupt), "--csv",
+                                 workdir["csv"], "--limit", "3",
+                                 "--out", str(tmp_path / "maps.json")],
+            "meta warm start": ["train", "--csv", workdir["csv"],
+                                "--split-manifest", meta_run["split"], "--stage", "meta",
+                                "--checkpoint", str(corrupt / "best.ckpt"), "--epochs", "1",
+                                "--out", str(tmp_path / "meta"), *SMALL],
+        }
+        for name, argv in commands.items():
+            assert cli.main(argv) == 3, name
+            assert repr(bad) in capsys.readouterr().err, name
 
     def test_manifest_without_test_records(self, workdir, tmp_path, capsys):
         """Training on a manifest with no test partition succeeds and
@@ -934,13 +975,13 @@ class TestExitCodes:
                              "--split-manifest", split, "--stage", stage,
                              "--epochs", "1", "--lr", "1e300", *extra, *SMALL])
             assert code == 4, f"one-step {stage}"
-        # a diverged checkpoint's attention maps are not exported
+        # the attention maps of a checkpoint whose weights load but overflow
+        # the forward pass are not exported
         diverged = tmp_path / "diverged"
         shutil.copytree(workdir["run"], diverged)
-        store = ParameterStore()
-        for path, values in read_checkpoint((diverged / "best.ckpt").read_bytes()).items():
-            store.parameter(path, np.full_like(values, np.nan))
-        (diverged / "best.ckpt").write_bytes(store.save_bytes())
+        entries = read_checkpoint((diverged / "best.ckpt").read_bytes())
+        write_checkpoint(diverged / "best.ckpt",
+                         {path: np.full_like(values, 1e200) for path, values in entries.items()})
         code = cli.main(["export-attention", "--checkpoint", str(diverged), "--csv",
                          workdir["csv"], "--limit", "3", "--out", str(tmp_path / "maps.json")])
         assert code == 4, "export-attention"

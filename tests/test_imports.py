@@ -2,8 +2,8 @@
 tensor op has a caller outside `tensor.py` and a gradcheck case, no package
 module holds an `assert` statement, none passes a numpy call as the default
 of `setdefault`, every defaulted parameter is passed by some call, every
-`EncoderConfig` field differs between the two presets, and `tensor.py`
-pins no float64."""
+`EncoderConfig` field differs between the two presets, and neither
+`tensor.py` nor the parameter store's bind and step pins float64."""
 
 import ast
 from dataclasses import fields
@@ -259,7 +259,7 @@ ALLOCATORS = ("zeros", "ones", "empty", "full")
 FLOAT64_NAMES = ("np.float64", "numpy.float64", "float", "'float64'", "'f8'", "'<f8'")
 
 
-def _pinned_float64(tree: ast.Module) -> list[int]:
+def _pinned_float64(tree: ast.AST) -> list[int]:
     """Lines of `np.zeros`/`ones`/`empty`/`full` calls without a `dtype=`
     keyword, which allocate float64 whatever the inputs are, and of
     `astype` calls to float64."""
@@ -290,3 +290,21 @@ def test_tensor_ops_pin_no_float64():
     path = PACKAGE_DIR / "tensor.py"
     found = [f"tensor.py:{line}" for line in _pinned_float64(ast.parse(path.read_text()))]
     assert not found, "float64 pinned in tensor ops: " + ", ".join(found)
+
+
+def test_the_store_binds_and_steps_in_its_own_dtype():
+    """`ParameterStore.bind_compute` and `adam_step` allocate and
+    concatenate in the store's dtype: neither pins float64, by an allocator
+    without `dtype=`, an `astype` or a `dtype=` keyword.  Float64 is left to
+    registration and the checkpoint I/O."""
+    tree = ast.parse((PACKAGE_DIR / "optim.py").read_text())
+    store = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "ParameterStore")
+    methods = [node for node in store.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("bind_compute", "adam_step")]
+    assert len(methods) == 2
+    found = [f"{func.name}:{line}" for func in methods for line in _pinned_float64(func)]
+    found += [f"{func.name}:{node.lineno}" for func in methods for node in ast.walk(func)
+              if isinstance(node, ast.keyword) and node.arg == "dtype"
+              and ast.unparse(node.value) in FLOAT64_NAMES]
+    assert not found, "float64 pinned in the store's bind or step: " + ", ".join(found)

@@ -142,7 +142,7 @@ class TestSupervised:
 
 def _in_dtype(cfg, encoder, dtype):
     """The encoder's model computing in `dtype`: a store of that dtype and
-    an encoder of the same sizes and head, loaded with its masters."""
+    an encoder of the same sizes and head, loaded with its weights."""
     store = ParameterStore(dtype)
     twin = DTIEncoder(store, replace(encoder.config, dtype=dtype),
                       np.random.default_rng(0), head=cfg.head)
@@ -237,7 +237,7 @@ class TestEncodePairs:
             assert grad is not None, path
             assert np.max(np.abs(grad - store[path].grad)) <= 1e-10, path
 
-    # float32 against float64 from the same master weights, relative to the
+    # float32 against float64 from the same weights, relative to the
     # float64 values' largest magnitude: float32 rounds at 6e-8, and sums
     # over 2,304-wide joint rows, 600-column maps and per-sample norm
     # statistics grow that to about 1e-4 at most (2.6e-5 on the scores,
@@ -452,8 +452,8 @@ class TestMapLifetime:
 
 
 class TestFloat32:
-    """Every stage computing in float32: nothing upcasts to float64, and the
-    masters and checkpoints stay float64."""
+    """Every stage training in float32: nothing upcasts to float64, and
+    checkpoints stay float64."""
 
     def test_every_stage_computes_in_float32_only(
         self, records, manifest, cluster_manifest, meta_manifest, float32_small, monkeypatch
