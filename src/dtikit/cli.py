@@ -292,6 +292,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg, blob = _load_run(args.checkpoint)
     if cfg.stage != "meta" and (args.shots is not None or args.eval_runs is not None):
         raise ConfigError("--shots and --eval-runs apply to episodic (meta) runs only")
+    try:
+        shots = tuple(int(s) for s in args.shots.split(",")) if args.shots else (cfg.k_shot,)
+    except ValueError:
+        raise ConfigError(f"--shots wants a comma list of integers, got {args.shots!r}") from None
+    # before any data is read; an unset --eval-runs keeps the report's valid default
+    check_shot_curve(shots, 1 if args.eval_runs is None else args.eval_runs)
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = _load_manifest(args.split_manifest, records)
     encoder, proto = _rebuild(cfg, blob)
@@ -299,10 +305,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scored = (manifest.task_records("target_test") if cfg.stage == "meta"
               else manifest.indices(None, "test"))
     feat = Featurizer.build([records[i] for i in scored], cfg.encoder_config().max_seq_len)
-    try:
-        shots = tuple(int(s) for s in args.shots.split(",")) if args.shots else (cfg.k_shot,)
-    except ValueError:
-        raise ConfigError(f"--shots wants a comma list of integers, got {args.shots!r}") from None
     report = _test_report(records, manifest, cfg, encoder, proto, feat, shots, args.eval_runs)
     if report is None:
         raise ValueError("split manifest has no test records")

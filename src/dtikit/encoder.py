@@ -230,7 +230,7 @@ class _SquaredReluScores:
             T.reshape(_scale_shift(T.reshape(z, (-1, z.data.shape[2])), *side), z.data.shape)
             for z, side in zip((zq, zk), self.sides)
         ]
-        return T.square(T.relu(T.bmm(q, T.transpose(k))))
+        return T.square(T.bmm(q, T.transpose(k), relu=True))
 
 
 class _Conv:
@@ -345,7 +345,7 @@ class DTIEncoder:
         levels = []
         for spec in self.p_levels:
             ex = spec["ex_bn"](spec["ex"](x))
-            x = T.maxpool1d(ex, 2)
+            x = T.maxpool1d(ex)
             real = -(-real // 2)
             out = spec["out_bn"](spec["out"](x))
             levels.append((out, real))
@@ -371,8 +371,8 @@ class DTIEncoder:
             h = lin(h, relu=True)
         levels = []
         for spec in self.d_levels:
-            h = spec["ex_bn"](T.relu(T.bmm(adj, spec["ex"](h))), mask)
-            out = spec["out_bn"](T.relu(T.bmm(adj, spec["out"](h))), mask)
+            h = spec["ex_bn"](T.bmm(adj, spec["ex"](h), relu=True), mask)
+            out = spec["out_bn"](T.bmm(adj, spec["out"](h), relu=True), mask)
             levels.append(out)
         return levels, mask
 

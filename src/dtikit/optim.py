@@ -14,18 +14,18 @@ remain readable.  Round-trips are bit-exact, which the determinism
 guarantees lean on.
 
 A store has a dtype, float64 or float32, which is the model's: the
-parameters are their own masters.  The store binds once, at its first
-forward pass (``bind_compute``) or its first ``adam_step``, whichever comes
-first, so registering or loading an entry casts nothing: its values stay
-float64 until then.  Binding allocates one ``[3, N]`` block in the store's
-dtype (the values and the Adam moments m and v), copies every entry, in
-registration order, into the values row, and rebinds each tensor's
-``data`` to a C-contiguous view of its slice of that row; registering a
-further entry then raises ``StoreFrozen``.  A step concatenates the
-gradients into the store's dtype and is one pass of a handful of vector
-operations over the whole block.  A float32 store's values widen exactly
-into a checkpoint; a float64 checkpoint loaded into one rounds once, at
-the bind or, once bound, at the load.
+parameters are their own masters, cast to it at registration, and a
+checkpoint load writes into them, so a model saves the values it computes
+with whether or not it has run.  The store binds once, at its first forward
+pass (``bind_compute``) or its first ``adam_step``, whichever comes first.
+Binding allocates one ``[3, N]`` block in the store's dtype (the values and
+the Adam moments m and v), copies every entry, in registration order, into
+the values row, and rebinds each tensor's ``data`` to a C-contiguous view of
+its slice of that row; registering a further entry then raises
+``StoreFrozen``.  A step concatenates the gradients into the store's dtype
+and is one pass of a handful of vector operations over the whole block.  A
+float32 store's values widen exactly into a checkpoint; a float64 checkpoint
+loaded into one rounds once, at the load.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class ParameterStore:
             raise KeyError(f"duplicate parameter path {path!r}")
         if self._flat is not None:
             raise StoreFrozen(f"parameter {path!r} registered after the store was bound")
-        t = Tensor(np.asarray(init, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.asarray(init, dtype=self.dtype), requires_grad=True)
         self._entries[path] = t
         return t
 
@@ -87,10 +87,9 @@ class ParameterStore:
             t.grad = None
 
     def bind_compute(self) -> None:
-        """Bind the store once, so its tensors hold values in its dtype; the
-        model calls this before each forward pass.  Binding copies every
-        entry into one flat row and makes each tensor's data a view of its
-        slice of that row."""
+        """Bind the store once; the model calls this before each forward
+        pass.  Binding copies every entry into one flat row and makes each
+        tensor's data a view of its slice of that row."""
         if self._flat is not None:
             return
         # the values and both moments as one block, which at paper sizes is

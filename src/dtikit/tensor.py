@@ -9,15 +9,15 @@ is complete by then. A spent node drops its closure, its parents and,
 unless it is the root, its gradient, so buffers go as the pass moves on.
 
 The ops: elementwise ``add``, ``sub``, ``mul``, ``div``, ``square``,
-``log``, ``sqrt``; activations ``relu``, ``silu``, ``softmax``; ``tsum``
-and ``tmean`` over one axis or all; ``transpose`` of the last two axes,
-``reshape``, ``concat``, ``index_select``, ``expand``; ``matmul`` of any batch of rows by a weight matrix, with an
-optional bias and relu fused into the same node, and the batched ``bmm``;
-the same-length ``conv1d_relu`` (convolution, bias and relu as one node)
-and the non-overlapping ``maxpool1d``, each over one sample or a batch; the
-masked per-sample ``batch_stat_norm``, the fused multi-head
-``bilinear_attention``, ``grad_reverse``, ``bce_with_logits`` and the
-row-wise ``cosine_rows``.
+``log``, ``sqrt``; activations ``silu``, ``softmax``; ``tsum`` and ``tmean``
+over one axis or all; ``transpose`` of the last two axes, ``reshape``,
+``concat``, ``index_select``, ``expand``; ``matmul`` of any batch of rows by
+a weight matrix, with an optional bias and relu fused into the same node,
+and the batched ``bmm`` with an optional relu; the same-length
+``conv1d_relu`` (convolution, bias and relu as one node) and ``maxpool1d``
+over row pairs, each over one sample or a batch; the masked per-sample
+``batch_stat_norm``, the fused multi-head ``bilinear_attention``,
+``grad_reverse``, ``bce_with_logits`` and the row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
@@ -25,8 +25,9 @@ side. Anything else must go through an explicit ``expand``, or be a bias
 inside ``matmul`` or ``conv1d_relu``, so that shape bugs surface at the
 call site instead of broadcasting away.
 
-Relu, alone or fused, keeps only its output: the mask its backward needs
-is ``out > 0``, which is set exactly where the input was positive.
+Relu exists only fused into ``matmul``, ``bmm`` or ``conv1d_relu``, and
+keeps only its node's output: the mask its backward needs is ``out > 0``,
+set exactly where the input was positive.
 
 The bilinear attention takes its path from the size of one protein map:
 pairs whose gathered maps fit in ATTENTION_BLOCK_BYTES run a block at a
@@ -294,16 +295,6 @@ def sqrt(a) -> Tensor:
 # activations ------------------------------------------------------------
 
 
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    out = a.data * (a.data > 0)
-
-    def backward(g):
-        _accum(a, g * (out > 0))  # the output is positive exactly where the input was
-
-    return _make(out, (a,), backward)
-
-
 def sigmoid_values(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic on plain arrays: exp only ever sees
     non-positive arguments."""
@@ -470,18 +461,26 @@ def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
     return _make(out.reshape(shape[:-1] + (n,)), parents, backward)
 
 
-def bmm(a, b) -> Tensor:
-    """Batched matrix product a[B, M, K] @ b[B, K, N]."""
+def bmm(a, b, relu: bool = False) -> Tensor:
+    """Batched matrix product a[B, M, K] @ b[B, K, N], through an in-place
+    relu when asked, as ``matmul``; backward skips a constant operand."""
     a, b = _wrap(a), _wrap(b)
     if (a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0]
             or a.data.shape[2] != b.data.shape[1]):
         raise ShapeMismatch(f"bmm: {a.data.shape} @ {b.data.shape}")
+    out = a.data @ b.data
+    if relu:
+        np.multiply(out, out > 0, out=out)
 
     def backward(g):
-        _accum(a, g @ np.swapaxes(b.data, 1, 2))
-        _accum(b, np.swapaxes(a.data, 1, 2) @ g)
+        if relu:
+            g = g * (out > 0)
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, 1, 2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.data, 1, 2) @ g)
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(out, (a, b), backward)
 
 
 # sequence / structured ops ----------------------------------------------
@@ -539,28 +538,27 @@ def conv1d_relu(x, w, b) -> Tensor:
     return _make(out, (x, w, b), backward)
 
 
-def maxpool1d(x, window: int) -> Tensor:
-    """Non-overlapping max pool along the length axis of x[L, C] or of a
-    batch x[B, L, C]; a ragged tail forms a final window.  Compared one
-    position at a time, each window keeps argmax's choice: the first
-    maximum wins a tie and a NaN wins over any number."""
+def maxpool1d(x) -> Tensor:
+    """Max pool of row pairs along the length axis of x[L, C] or of a batch
+    x[B, L, C]; an odd last row is its own window.  As with argmax, the
+    first row wins a tie and a NaN wins over a number.  Backward routes
+    through one mask of where the second row won, and a losing row gets
+    +0.0 where a product with the mask would give -0.0."""
     x = _wrap(x)
-    *lead, L, C = x.data.shape
-    lout = -(-L // window)
-    padded = np.full((*lead, lout * window, C), -np.inf, dtype=x.data.dtype)
-    padded[..., :L, :] = x.data  # the -inf tail never rises above a window's first entry
-    blocks = padded.reshape(*lead, lout, window, C)
-    out, arg = blocks[..., 0, :].copy(), np.zeros((*lead, lout, C), dtype=np.intp)
-    for i in range(1, window):
-        cand = blocks[..., i, :]
-        rises = ~(out >= cand) & (out == out)  # a larger entry, or a NaN after a number
-        np.copyto(out, cand, where=rises)
-        np.copyto(arg, i, where=rises)
+    out = x.data[..., ::2, :].copy()  # each window's first row
+    second = x.data[..., 1::2, :]
+    n = second.shape[-2]
+    first = out[..., :n, :]
+    wins = ~(first >= second) & (first == first)  # a larger row, or a NaN after a number
+    np.copyto(first, second, where=wins)
 
     def backward(g):
-        dblocks = np.zeros_like(blocks)
-        np.put_along_axis(dblocks, arg[..., None, :], g[..., None, :], axis=-2)
-        _accum(x, dblocks.reshape(*lead, lout * window, C)[..., :L, :])
+        dx = np.empty_like(x.data)
+        dx[..., ::2, :] = g
+        np.copyto(dx[..., : 2 * n : 2, :], 0.0, where=wins)
+        dx[..., 1::2, :] = 0.0
+        np.copyto(dx[..., 1::2, :], g[..., :n, :], where=wins)
+        _accum(x, dx)
 
     return _make(out, (x,), backward)
 

@@ -97,7 +97,6 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     cases["square"] = (lambda a: _weighted(T.square(a), w_nm), [rng.normal(size=(n, m))])
     cases["log"] = (lambda a: _weighted(T.log(a), w_nm), [rng.uniform(0.2, 3.0, size=(n, m))])
     cases["sqrt"] = (lambda a: _weighted(T.sqrt(a), w_nm), [rng.uniform(0.2, 3.0, size=(n, m))])
-    cases["relu"] = (lambda a: _weighted(T.relu(a), w_nm), [_away_from_zero(rng, (n, m))])
     cases["silu"] = (lambda a: _weighted(T.silu(a), w_nm), [rng.normal(size=(n, m))])
     cases["softmax"] = (
         lambda a: _weighted(T.softmax(a, axis=1), w_nm),
@@ -157,6 +156,10 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
         lambda a, b: _weighted(T.bmm(a, b), w_knk),
         [rng.normal(size=(k, n, m)), rng.normal(size=(k, m, k))],
     )
+    cases["bmm_relu"] = (
+        lambda a, b: _weighted(T.bmm(a, b, relu=True), w_knk),
+        _clear_of_kink(rng, [(k, n, m), (k, m, k)], lambda a, b: a @ b),
+    )
     cases["transpose_batched"] = (
         lambda a: _weighted(T.transpose(a), np.swapaxes(w_knm, 1, 2).copy()),
         [rng.normal(size=(k, n, m))],
@@ -184,10 +187,10 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     ramp = np.linspace(0, 0.013, L * cin).reshape(L, cin)
     pool_in = rng.normal(size=(L, cin)) + ramp
     w_pool = rng.normal(size=(-(-L // 2), cin))
-    cases["maxpool1d"] = (lambda x: _weighted(T.maxpool1d(x, 2), w_pool), [pool_in])
+    cases["maxpool1d"] = (lambda x: _weighted(T.maxpool1d(x), w_pool), [pool_in])
     w_pool2 = rng.normal(size=(2, -(-L // 2), cin))
     cases["maxpool1d_batched"] = (
-        lambda x: _weighted(T.maxpool1d(x, 2), w_pool2),
+        lambda x: _weighted(T.maxpool1d(x), w_pool2),
         [rng.normal(size=(2, L, cin)) + ramp],
     )
     vocab = 6

@@ -19,6 +19,12 @@ from dtikit.encoder import JOINT_POOL
 from dtikit.tensor import Tensor
 
 
+def mask_relu(z):
+    """relu as its own small op, a product with the 0/1 mask of z > 0: to
+    the bit, forward and backward, the relu that products fuse."""
+    return T.mul(z, Tensor((z.data > 0).astype(z.data.dtype)))
+
+
 def protein_levels(enc, ids, true_length):
     x = T.index_select(enc.embedding, 0, ids)
     for conv in enc.p_stem:
@@ -26,7 +32,7 @@ def protein_levels(enc, ids, true_length):
     real = min(true_length, ids.shape[0])
     levels = []
     for spec in enc.p_levels:
-        x = T.maxpool1d(spec["ex_bn"](spec["ex"](x)), 2)
+        x = T.maxpool1d(spec["ex_bn"](spec["ex"](x)))
         real = -(-real // 2)
         out = spec["out_bn"](spec["out"](x))
         levels.append((out, real))
@@ -37,18 +43,18 @@ def drug_levels(enc, feats, adj_norm):
     adj = Tensor(adj_norm)
     h = Tensor(feats)
     for lin in enc.d_stem:
-        h = T.relu(lin(h))
+        h = mask_relu(lin(h))
     levels = []
     for spec in enc.d_levels:
-        h = spec["ex_bn"](T.relu(T.matmul(adj, spec["ex"](h))))
-        levels.append(spec["out_bn"](T.relu(T.matmul(adj, spec["out"](h)))))
+        h = spec["ex_bn"](mask_relu(T.matmul(adj, spec["ex"](h))))
+        levels.append(spec["out_bn"](mask_relu(T.matmul(adj, spec["out"](h)))))
     return levels
 
 
 def joint_vector(enc, level, drug_out, protein_out, real_cols):
     spec = enc.joint[level]
-    v = T.relu(spec["drug"](drug_out))
-    u = T.relu(spec["protein"](protein_out))
+    v = mask_relu(spec["drug"](drug_out))
+    u = mask_relu(spec["protein"](protein_out))
     m, l = v.data.shape[0], u.data.shape[0]
     mask = np.zeros(l)
     mask[real_cols:] = T.PAD_MASK_BIAS
@@ -82,7 +88,7 @@ def fuse(enc, level_vectors):
     p = enc.store
     q = shared * T.expand(p["gau/q_scale"], 0, n) + T.expand(p["gau/q_shift"], 0, n)
     k = shared * T.expand(p["gau/k_scale"], 0, n) + T.expand(p["gau/k_shift"], 0, n)
-    attn = T.square(T.relu(T.matmul(q, T.transpose(k)))) * (1.0 / n)
+    attn = T.square(mask_relu(T.matmul(q, T.transpose(k)))) * (1.0 / n)
     pooled = T.tsum(T.matmul(attn, value) * gate, axis=0)
     return T.reshape(gau["out"](T.reshape(pooled, (1, pooled.data.shape[0]))), (d,))
 
@@ -103,6 +109,6 @@ def pair_forward(enc, drug, protein):
     score = None
     if enc.head is not None:
         hidden, final = enc.head_layers.hidden, enc.head_layers.out
-        h = T.relu(hidden(T.reshape(fused, (1, fused.data.shape[0]))))
+        h = mask_relu(hidden(T.reshape(fused, (1, fused.data.shape[0]))))
         score = T.reshape(final(h), (1,))
     return SimpleNamespace(fused=fused, attention=maps, score=score)

@@ -513,6 +513,16 @@ class TestExitCodes:
                          "--strategy", "random", "--out", str(tmp_path / "m.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [["--shots", "0"], ["--shots", "x"], ["--eval-runs", "0"]],
+                             ids=["zero-shot", "non-integer-shot", "zero-runs"])
+    def test_bad_shot_curve_flag_is_2_before_any_data_is_read(self, meta_run, tmp_path, flags):
+        """eval checks its shot curve flags right after the run's stage, so
+        a missing CSV behind them is never opened."""
+        code = cli.main(["eval", "--csv", str(tmp_path / "nope.csv"),
+                         "--split-manifest", meta_run["split"],
+                         "--checkpoint", meta_run["run"], *flags])
+        assert code == 2
+
     def test_checkpoint_from_another_stage_is_3(self, workdir, tmp_path):
         """A regress checkpoint has no classify head, so rebuilding the
         vanilla model from it must fail instead of evaluating a random head."""

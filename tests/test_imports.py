@@ -1,9 +1,11 @@
 """Every name a package module imports is referenced somewhere in it, every
 tensor op has a caller outside `tensor.py` and a gradcheck case, no package
 module holds an `assert` statement, none passes a numpy call as the default
-of `setdefault`, every defaulted parameter is passed by some call, every
+of `setdefault`, every defaulted parameter is passed by some call, no
+tensor op parameter has one literal value across the package's calls, every
 `EncoderConfig` field differs between the two presets, and neither
-`tensor.py` nor the parameter store's bind and step pins float64."""
+`tensor.py` nor the parameter store's registration, bind and step pins
+float64."""
 
 import ast
 from dataclasses import fields
@@ -66,16 +68,24 @@ def test_no_unused_imports():
     assert not unused, "imported but never referenced: " + ", ".join(unused)
 
 
-def _tensor_names_used(tree: ast.Module) -> set[str]:
-    """Names a module takes from `dtikit.tensor`: `T.op` attributes on the
-    module's alias and names imported from it."""
-    aliases, used = set(), set()
+def _tensor_imports(tree: ast.Module) -> tuple[set[str], dict[str, str]]:
+    """A module's names for `dtikit.tensor` itself, and bound name -> name
+    in `tensor.py` for each name it imports from it."""
+    aliases, imported = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module == "tensor":
-                used.update(alias.name for alias in node.names)
+                imported.update((a.asname or a.name, a.name) for a in node.names)
             elif node.module is None:
                 aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    return aliases, imported
+
+
+def _tensor_names_used(tree: ast.Module) -> set[str]:
+    """Names a module takes from `dtikit.tensor`: `T.op` attributes on the
+    module's alias and names imported from it."""
+    aliases, imported = _tensor_imports(tree)
+    used = set(imported.values())
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
@@ -245,6 +255,75 @@ def test_every_defaulted_parameter_is_passed():
     assert not extra, "defaulted parameters no call passes: " + ", ".join(extra)
 
 
+def _op_calls():
+    """(op, call) for each call of a tensor op in the package: through the
+    module's alias (`T.op(...)`), through a name imported from it, or,
+    inside `tensor.py`, by the op's own name."""
+    ops = _recorded_ops()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases, names = _tensor_imports(tree)
+        if path.name == "tensor.py":
+            names = {op: op for op in ops}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and names.get(func.id) in ops:
+                yield names[func.id], node
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in aliases and func.attr in ops):
+                yield func.attr, node
+
+
+def _literal(node):
+    """The value of a literal expression node, or a fresh object for
+    anything else, which equals no other value."""
+    try:
+        return ("literal", ast.literal_eval(node))
+    except ValueError:
+        return object()
+
+
+def test_no_op_parameter_has_one_value_in_use():
+    """An op parameter that every package call sets to the same literal is
+    a constant in disguise: the op should do that one thing.  A call that
+    omits a defaulted parameter passes its default, and one that spreads
+    `*args` or `**kw` over a parameter passes no known value."""
+    signatures = {}
+    for node in ast.parse((PACKAGE_DIR / "tensor.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            signatures[node.name] = (
+                [(i, a.arg, d) for i, (a, d) in enumerate(zip(positional, defaults))]
+                + [(None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+            )
+    values = {}
+    for op, call in _op_calls():
+        known = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                     len(call.args))
+        keywords = {k.arg: k.value for k in call.keywords}
+        for pos, name, default in signatures[op]:
+            if name in keywords:
+                value = _literal(keywords[name])
+            elif pos is not None and pos < known:
+                value = _literal(call.args[pos])
+            elif known < len(call.args) or None in keywords or default is None:
+                value = object()
+            else:
+                value = _literal(default)
+            values.setdefault((op, name), []).append(value)
+    assert len(values) > 20, "no op calls found; the scan is broken"
+    constant = [
+        f"{op}({name}={seen[0][1]!r})"
+        for (op, name), seen in sorted(values.items())
+        if isinstance(seen[0], tuple) and all(v == seen[0] for v in seen)
+    ]
+    assert not constant, "op parameters with one value in use: " + ", ".join(constant)
+
+
 def test_no_encoder_field_is_a_constant_in_disguise():
     """The presets are the only producers of an `EncoderConfig`, so a
     field with the same value in both is a constant in disguise: it
@@ -293,18 +372,18 @@ def test_tensor_ops_pin_no_float64():
 
 
 def test_the_store_binds_and_steps_in_its_own_dtype():
-    """`ParameterStore.bind_compute` and `adam_step` allocate and
-    concatenate in the store's dtype: neither pins float64, by an allocator
-    without `dtype=`, an `astype` or a `dtype=` keyword.  Float64 is left to
-    registration and the checkpoint I/O."""
+    """`ParameterStore.parameter`, `bind_compute` and `adam_step` cast,
+    allocate and concatenate in the store's dtype: none pins float64, by an
+    allocator without `dtype=`, an `astype` or a `dtype=` keyword.  Float64
+    is left to the checkpoint I/O."""
     tree = ast.parse((PACKAGE_DIR / "optim.py").read_text())
     store = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "ParameterStore")
     methods = [node for node in store.body if isinstance(node, ast.FunctionDef)
-               and node.name in ("bind_compute", "adam_step")]
-    assert len(methods) == 2
+               and node.name in ("parameter", "bind_compute", "adam_step")]
+    assert len(methods) == 3
     found = [f"{func.name}:{line}" for func in methods for line in _pinned_float64(func)]
     found += [f"{func.name}:{node.lineno}" for func in methods for node in ast.walk(func)
               if isinstance(node, ast.keyword) and node.arg == "dtype"
               and ast.unparse(node.value) in FLOAT64_NAMES]
-    assert not found, "float64 pinned in the store's bind or step: " + ", ".join(found)
+    assert not found, "float64 pinned in the store's methods: " + ", ".join(found)

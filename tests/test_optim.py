@@ -219,30 +219,30 @@ def test_kaiming_uniform_bound_scales_with_fan_in():
     assert np.abs(w).max() > 0.8 * bound
 
 
-def test_registering_and_loading_cast_nothing_before_the_bind():
-    """A float32 store keeps float64 values through registration and a
-    load, and stays open to new entries; the first `bind_compute` rounds
-    each value once, and checkpoints then hold the float32 values."""
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("loaded", [False, True], ids=["registered", "loaded"])
+def test_a_forward_pass_leaves_the_checkpoint_bytes_as_they_were(dtype, loaded):
+    """Registration casts each init to the store's dtype, and a load of a
+    float64 checkpoint writes into those values, rounding once: the bytes
+    a store saves before its first forward pass are the values the model
+    computes with, and the pass, which binds the store, leaves them as
+    they were."""
     rng = np.random.default_rng(11)
     values = {path: rng.normal(size=shape) for path, shape in SHAPES.items()}
     source = ParameterStore()
     for path, init in values.items():
         source.parameter(path, init)
-    blob = source.save_bytes()
-    store = ParameterStore(np.float32)
-    for path, shape in SHAPES.items():
-        store.parameter(path, np.zeros(shape))
-    store.load_bytes(blob)
-    late = store.parameter("registered_after_a_load", np.ones(2))
-    assert all(store[path].data.dtype == np.float64 for path in store.paths())
-    assert read_checkpoint(store.save_bytes())["bias"].tobytes() == values["bias"].tobytes()
-    store.bind_compute()
+    store = ParameterStore(dtype)
     for path, init in values.items():
-        assert store[path].data.dtype == np.float32
-        assert np.array_equal(store[path].data, init.astype(np.float32))
-    assert late.data.dtype == np.float32
-    widened = values["bias"].astype(np.float32).astype(np.float64)
-    assert read_checkpoint(store.save_bytes())["bias"].tobytes() == widened.tobytes()
+        store.parameter(path, np.zeros(init.shape) if loaded else init)
+    if loaded:
+        store.load_bytes(source.save_bytes())
+    assert all(store[path].data.dtype == dtype for path in store.paths())
+    before = store.save_bytes()
+    store.bind_compute()  # all that a forward pass does to the store
+    assert store.save_bytes() == before
+    for path, arr in read_checkpoint(before).items():
+        assert arr.tobytes() == values[path].astype(dtype).astype(np.float64).tobytes(), path
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])

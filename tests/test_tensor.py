@@ -7,6 +7,7 @@ import pytest
 import gradcheck
 from dtikit import tensor as T
 from gradcheck import op_cases, run_case
+from oracle import mask_relu
 
 
 def test_every_primitive_matches_finite_differences():
@@ -88,7 +89,7 @@ def test_scalar_mixing_is_allowed():
 def test_no_grad_suppresses_graph():
     x = T.Tensor(np.ones(4), requires_grad=True)
     with T.no_grad():
-        y = T.relu(T.mul(x, 3.0))
+        y = T.silu(T.mul(x, 3.0))
     assert not y.requires_grad and y._backward is None
 
 
@@ -264,24 +265,32 @@ def test_conv1d_relu_keeps_each_sample_to_itself(K):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), i
 
 
-def _argmax_pool(x, window):
-    """The reference: argmax over each padded window and a gather, with
-    the gradient routed to the kept positions."""
+def _argmax_pool(x):
+    """The reference: argmax over each window of two rows, the ragged
+    tail padded with -inf, and a gather; with the scatter of an output
+    gradient to the kept rows into zeros."""
     *lead, L, C = x.shape
-    lout = -(-L // window)
-    padded = np.full((*lead, lout * window, C), -np.inf, dtype=x.dtype)
+    lout = -(-L // 2)
+    padded = np.full((*lead, lout * 2, C), -np.inf, dtype=x.dtype)
     padded[..., :L, :] = x
-    blocks = padded.reshape(*lead, lout, window, C)
+    blocks = padded.reshape(*lead, lout, 2, C)
     arg = np.expand_dims(blocks.argmax(axis=-2), -2)
-    return np.take_along_axis(blocks, arg, axis=-2)[..., 0, :], arg
+
+    def scatter(g):
+        d = np.zeros_like(blocks)
+        np.put_along_axis(d, arg, g[..., None, :], axis=-2)
+        return d.reshape(*lead, lout * 2, C)[..., :L, :]
+
+    return np.take_along_axis(blocks, arg, axis=-2)[..., 0, :], scatter
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_maxpool_matches_argmax_bit_for_bit(dtype):
-    """Ties go to the first position, a NaN at either position wins, -inf
-    and +inf are values like any other, and the -inf padding of a ragged
-    tail never wins: the output's bits and the gradient's positions are the
-    argmax reference's, for windows of 2 and 3."""
+    """Ties go to the first row, a NaN in either row wins, -inf and +inf
+    are values like any other, and an odd last row is its own window: the
+    output's bits are the argmax reference's, and so are the gradient's,
+    the +0.0 of every losing row under a negative gradient included.  The
+    gradient is laid out like the input, so the leaf adopts it."""
     rng = np.random.default_rng(34)
     x = rng.normal(size=(2, 13, 8)).astype(dtype)
     x[0, 0:2, 0] = 1.5  # a tie
@@ -294,21 +303,21 @@ def test_maxpool_matches_argmax_bit_for_bit(dtype):
     x[0, 0:2, 7] = [-1.0, np.inf]
     x[1, 12, :4] = -np.inf  # a lone -inf against the tail's padding
     x[1, 12, 4] = np.nan
-    for window in (2, 3):
-        want, arg = _argmax_pool(x, window)
-        t = T.Tensor(x, requires_grad=True)
-        out = T.maxpool1d(t, window)
-        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes(), window
-        T.tsum(T.mul(out, T.Tensor(np.ones(out.shape, dtype=dtype)))).backward()
-        hit = np.zeros((*want.shape[:-1], window, want.shape[-1]), dtype=bool)
-        np.put_along_axis(hit, arg, True, axis=-2)
-        hit = hit.reshape(*x.shape[:-2], -1, x.shape[-1])[..., : x.shape[-2], :]
-        assert np.array_equal(t.grad != 0, hit), window
+    want, scatter = _argmax_pool(x)
+    t = T.Tensor(x, requires_grad=True)
+    out = T.maxpool1d(t)
+    assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+    g = rng.normal(size=out.shape).astype(dtype)
+    with np.errstate(invalid="ignore"):  # the loss sums infinities of both signs
+        loss = T.tsum(T.mul(out, T.Tensor(g)))
+    loss.backward()
+    assert t.grad.tobytes() == scatter(g).tobytes()
+    assert not t._owns_grad
 
 
 def test_maxpool_ragged_tail():
     x = T.Tensor(np.arange(10.0).reshape(5, 2))
-    out = T.maxpool1d(x, 2)
+    out = T.maxpool1d(x)
     assert out.shape == (3, 2)
     assert np.array_equal(out.data[-1], x.data[-1])
 
@@ -423,7 +432,7 @@ def test_accum_never_writes_into_a_borrowed_gradient(monkeypatch):
     # shared array, after which x fans out into two more contributions
     loss = T.add(
         T.add(T.tsum(T.mul(T.add(x, x), c[0])), T.tsum(T.mul(T.add(x, w), c[1]))),
-        T.add(T.tsum(T.mul(T.mul(x, 3.0), c[2])), T.tsum(T.mul(T.relu(x), c[3]))),
+        T.add(T.tsum(T.mul(T.mul(x, 3.0), c[2])), T.tsum(T.mul(mask_relu(x), c[3]))),
     )
     loss.backward()
     assert len(seen) > 10
@@ -444,7 +453,7 @@ def _unfused_layer(x, w, b, relu):
     rows = T.reshape(x, (-1, w.shape[0]))
     z = T.add(T.matmul(rows, w), T.expand(b, 0, rows.shape[0]))
     if relu:
-        z = T.relu(z)
+        z = mask_relu(z)
     return T.reshape(z, x.shape[:-1] + (w.shape[1],))
 
 
@@ -480,6 +489,28 @@ def test_fused_layers_are_bit_equal_to_the_unfused_chain():
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (lead, relu, fused)
+
+
+def test_bmm_relu_is_bit_equal_to_bmm_then_relu():
+    """`bmm` with relu matches the product followed by a separate relu to
+    the bit, on the output and on the gradients, with and without a
+    constant left operand such as the drug tower's adjacency, which gets
+    no gradient.  A zero row puts pre-activations exactly on the kink."""
+    rng = np.random.default_rng(25)
+    a_data, b_data = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 4, 6))
+    a_data[:, 0] = 0.0
+    weights = T.Tensor(rng.normal(size=(3, 5, 6)))
+    for a_grad in (True, False):
+        results = []
+        for op in (lambda a, b: T.bmm(a, b, relu=True), lambda a, b: mask_relu(T.bmm(a, b))):
+            a = T.Tensor(a_data.copy(), requires_grad=a_grad)
+            b = T.Tensor(b_data.copy(), requires_grad=True)
+            out = op(a, b)
+            T.tsum(T.mul(out, weights)).backward()
+            results.append([out.data, a.grad, b.grad])
+        assert np.any(results[1][0] == 0.0)
+        for got, want in zip(*results):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), a_grad
 
 
 def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
