@@ -40,6 +40,7 @@ from .splits import (
 )
 from .synth import MotifRule, SyntheticSpec, TooManyRecords, synth_generate
 from .train import (
+    EVAL_RUNS,
     Featurizer,
     NumericFailure,
     build_model,
@@ -47,6 +48,7 @@ from .train import (
     check_finite,
     check_shot_curve,
     encode_chunks,
+    episode_tasks,
     evaluate,
     meta_shot_curve,
     screen,
@@ -229,6 +231,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         check_shot_curve((cfg.k_shot,), args.eval_runs)
     records = _load_records(args.csv, cfg.stage, args.label_col)
     manifest = _load_manifest(args.split_manifest, records)
+    if cfg.stage == "meta" and manifest.indices(None, "test"):
+        # the report's episodes, refused before training rather than after
+        episode_tasks(manifest, "target_test", records, cfg.k_shot, cfg.k_query)
     start = Path(args.checkpoint).read_bytes() if args.checkpoint else None
 
     if cfg.stage == "meta":
@@ -266,7 +271,7 @@ def _test_report(records, manifest, cfg, encoder, proto, feat, shots, eval_runs)
     if cfg.stage == "meta":
         curve = meta_shot_curve(
             records, manifest, cfg, encoder, proto, feat, shots=shots,
-            n_runs=5 if eval_runs is None else eval_runs,
+            n_runs=EVAL_RUNS if eval_runs is None else eval_runs,
         )
         return MetricReport(
             metrics={f"auroc@{k}": curve[k].metrics["auroc"] for k in shots},
@@ -476,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--label-col", help="label column name")
-    p.add_argument("--eval-runs", type=int, help="episodic evaluation repeats (meta; default 5)")
+    p.add_argument("--eval-runs", type=int,
+                   help=f"episodic evaluation repeats (meta; default {EVAL_RUNS})")
     common_model(p)
     p.set_defaults(func=cmd_train)
 
@@ -487,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run directory or checkpoint file")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--shots", help="comma list of shot counts (meta runs)")
-    p.add_argument("--eval-runs", type=int, help="episodic evaluation repeats (meta; default 5)")
+    p.add_argument("--eval-runs", type=int,
+                   help=f"episodic evaluation repeats (meta; default {EVAL_RUNS})")
     p.add_argument("--label-col", help="label column name")
     p.set_defaults(func=cmd_eval)
 

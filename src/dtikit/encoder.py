@@ -336,7 +336,7 @@ class DTIEncoder:
         windows of one length.  Returns one (features [P, L_i, C],
         real_counts [P]) pair per level; a real count is how many leading
         rows trace back to actual residues rather than padding."""
-        self.store.bind_compute()
+        self.store.bind()
         ids = np.stack([p_ids for p_ids, _ in proteins])
         real = np.array([n for _, n in proteins])
         x = T.index_select(self.embedding, 0, ids)
@@ -355,7 +355,7 @@ class DTIEncoder:
         """Run the graph tower on a batch of (atom features, normalized
         adjacency) molecules, zero-padded to the largest.  Returns the level
         features [D, M, C], pad rows zero, and the atom mask [D, M]."""
-        self.store.bind_compute()
+        self.store.bind()
         m = max(f.shape[0] for f, _ in drugs)
         feats = np.zeros((len(drugs), m, ATOM_FEAT_DIM), dtype=self.config.dtype)
         adj_norm = np.zeros((len(drugs), m, m), dtype=self.config.dtype)

@@ -17,7 +17,7 @@ A store has a dtype, float64 or float32, which is the model's: the
 parameters are their own masters, cast to it at registration, and a
 checkpoint load writes into them, so a model saves the values it computes
 with whether or not it has run.  The store binds once, at its first forward
-pass (``bind_compute``) or its first ``adam_step``, whichever comes first.
+pass (``bind``) or its first ``adam_step``, whichever comes first.
 Binding allocates one ``[3, N]`` block in the store's dtype (the values and
 the Adam moments m and v), copies every entry, in registration order, into
 the values row, and rebinds each tensor's ``data`` to a C-contiguous view of
@@ -86,7 +86,7 @@ class ParameterStore:
         for t in self._entries.values():
             t.grad = None
 
-    def bind_compute(self) -> None:
+    def bind(self) -> None:
         """Bind the store once; the model calls this before each forward
         pass.  Binding copies every entry into one flat row and makes each
         tensor's data a view of its slice of that row."""
@@ -116,7 +116,7 @@ class ParameterStore:
         for path, tensor in self._entries.items():
             if tensor.grad is None:
                 raise MissingGradient(f"no gradient for {path!r}; run backward first")
-        self.bind_compute()
+        self.bind()
         if not self._entries:
             return  # bound and frozen, with nothing to step
         self._adam_t += 1

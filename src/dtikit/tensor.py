@@ -23,7 +23,9 @@ Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
 side. Anything else must go through an explicit ``expand``, or be a bias
 inside ``matmul`` or ``conv1d_relu``, so that shape bugs surface at the
-call site instead of broadcasting away.
+call site instead of broadcasting away.  The four binary elementwise ops
+share one body: backward forms an operand's gradient only when that
+operand requires one, and sums it back to a 0-d operand.
 
 Relu exists only fused into ``matmul``, ``bmm`` or ``conv1d_relu``, and
 keeps only its node's output: the mask its backward needs is ``out > 0``,
@@ -204,64 +206,42 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _check_elementwise(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise ShapeMismatch(f"{opname}: {a.data.shape} vs {b.data.shape}")
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    # only scalar-vs-array mixing is permitted, so the sole reduction
-    # ever needed is a full sum back to the 0-d operand
-    if shape == ():
-        return np.asarray(g.sum())
-    return g
-
-
 # elementwise ------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _elementwise(a, b, name: str, out, grads) -> Tensor:
+    """The node of `out(a, b)`, a binary ufunc, whose backward gives each
+    operand that requires a gradient `grad(g, a, b)` from `grads`, one per
+    operand in order, summed back to a 0-d operand."""
     a, b = _wrap(a, b), _wrap(b, a)
-    _check_elementwise(a, b, "add")
+    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+        raise ShapeMismatch(f"{name}: {a.data.shape} vs {b.data.shape}")
 
     def backward(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(g, b.data.shape))
+        for t, grad in zip((a, b), grads):
+            if t.requires_grad:
+                d = grad(g, a.data, b.data)
+                _accum(t, np.asarray(d.sum()) if t.data.ndim == 0 else d)
 
-    return _make(a.data + b.data, (a, b), backward)
+    return _make(out(a.data, b.data), (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    return _elementwise(a, b, "add", np.add, (lambda g, x, y: g, lambda g, x, y: g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
-    _check_elementwise(a, b, "sub")
-
-    def backward(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
+    return _elementwise(a, b, "sub", np.subtract, (lambda g, x, y: g, lambda g, x, y: -g))
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
-    _check_elementwise(a, b, "mul")
-
-    def backward(g):
-        _accum(a, _reduce_to(g * b.data, a.data.shape))
-        _accum(b, _reduce_to(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
+    return _elementwise(a, b, "mul", np.multiply, (lambda g, x, y: g * y, lambda g, x, y: g * x))
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
-    _check_elementwise(a, b, "div")
-
-    def backward(g):
-        _accum(a, _reduce_to(g / b.data, a.data.shape))
-        _accum(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), backward)
+    return _elementwise(
+        a, b, "div", np.divide, (lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    )
 
 
 def square(a) -> Tensor:

@@ -50,6 +50,7 @@ from .splits import TARGET, TEST, TRAIN, VAL, EpisodeTask, SplitManifest, sample
 from .tensor import Tensor
 
 EVAL_SEED = 1  # seeds the shot curve's episodes, the same for runs of any seed
+EVAL_RUNS = 5  # the shot curve's runs when no caller names a count
 
 
 class NumericFailure(ArithmeticError):
@@ -416,7 +417,7 @@ def _train_pairs(records, manifest, cfg, out, start_blob, adversarial):
 # -- episodic stage -----------------------------------------------------------
 
 
-def _episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query: int):
+def episode_tasks(manifest: SplitManifest, pool: str, records, k: int, k_query: int):
     """The tasks in `pool` with enough records of each class for a full
     k-shot episode, sorted by id and partitioned for drawing."""
     tasks = []
@@ -462,7 +463,7 @@ def train_meta(
     head = build_prototype_head(store, cfg)
     if warm_blob is not None:
         store.load_bytes(warm_blob, strict=False)
-    tasks = _episode_tasks(manifest, "target_train", records, cfg.k_shot, cfg.k_query)
+    tasks = episode_tasks(manifest, "target_train", records, cfg.k_shot, cfg.k_query)
     rng = substream(cfg.seed, "train.episodes")
 
     def run_epoch(epoch):
@@ -517,7 +518,7 @@ def meta_shot_curve(
     head: PrototypeHead,
     feat: Featurizer,
     shots=(1, 3, 5),
-    n_runs: int = 5,
+    n_runs: int = EVAL_RUNS,
 ) -> dict[int, MetricReport]:
     """Pooled episodic evaluation on the held-out task pool, paired across
     shot counts.
@@ -532,7 +533,7 @@ def meta_shot_curve(
     """
     check_shot_curve(shots, n_runs)
     k_max = max(shots)
-    tasks = _episode_tasks(manifest, "target_test", records, k_max, cfg.k_query)
+    tasks = episode_tasks(manifest, "target_test", records, k_max, cfg.k_query)
     idxs = sorted({i for task in tasks for i in task.records})
 
     per_run = {k: [] for k in shots}

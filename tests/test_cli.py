@@ -900,6 +900,29 @@ class TestExitCodes:
         assert code == 2
         assert not run.exists()
 
+    def test_meta_train_whose_test_pool_hosts_no_episode_is_3_before_training(
+        self, tmp_path, capsys
+    ):
+        """This split's target-train pool hosts 5-shot episodes and its
+        target-test pool none, so the report could never be written: the
+        run stops before it trains or writes a file."""
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(data), "--seed", "1", "--records", "300"]) == 0
+        csv = str(data / "corpus.csv")
+        split = str(tmp_path / "meta_protein.json")
+        assert cli.main(["split", "--csv", csv, "--strategy", "meta_protein", "--seed", "1",
+                         "--out", split]) == 0
+        short = tmp_path / "short.json"
+        short.write_text('{"meta.episodes_per_epoch": 4, "meta.eval_episodes": 4}')
+        run = tmp_path / "run"
+        capsys.readouterr()
+        code = cli.main(["train", "--csv", csv, "--split-manifest", split, "--stage", "meta",
+                         "--no-warm-start", "--epochs", "2", "--config", str(short),
+                         "--out", str(run), *SMALL])
+        assert code == 3
+        assert "no target-test task can host a full episode" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_meta_report_defaults_to_five_eval_runs(self, workdir, monkeypatch):
         seen = {}
 

@@ -94,16 +94,21 @@ def _tensor_names_used(tree: ast.Module) -> set[str]:
 
 
 def _recorded_ops() -> set[str]:
-    """Public functions of `tensor.py` that record a graph node via `_make`."""
+    """Public functions of `tensor.py` that record a graph node, by calling
+    `_make` or, for the binary elementwise ops, `_elementwise`."""
     tree = ast.parse((PACKAGE_DIR / "tensor.py").read_text())
+    public = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     ops = {
         node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
-                for n in ast.walk(node))
+        for node in public
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("_make", "_elementwise")
+               for n in ast.walk(node))
     }
     assert len(ops) > 20, "no ops found; the `_make` scan is broken"
+    missed = {node.name for node in public
+              if node.returns is not None and ast.unparse(node.returns) == "Tensor"} - ops
+    assert not missed, "Tensor-returning functions the scan misses: " + ", ".join(sorted(missed))
     return ops
 
 
@@ -372,7 +377,7 @@ def test_tensor_ops_pin_no_float64():
 
 
 def test_the_store_binds_and_steps_in_its_own_dtype():
-    """`ParameterStore.parameter`, `bind_compute` and `adam_step` cast,
+    """`ParameterStore.parameter`, `bind` and `adam_step` cast,
     allocate and concatenate in the store's dtype: none pins float64, by an
     allocator without `dtype=`, an `astype` or a `dtype=` keyword.  Float64
     is left to the checkpoint I/O."""
@@ -380,7 +385,7 @@ def test_the_store_binds_and_steps_in_its_own_dtype():
     store = next(node for node in tree.body
                  if isinstance(node, ast.ClassDef) and node.name == "ParameterStore")
     methods = [node for node in store.body if isinstance(node, ast.FunctionDef)
-               and node.name in ("parameter", "bind_compute", "adam_step")]
+               and node.name in ("parameter", "bind", "adam_step")]
     assert len(methods) == 3
     found = [f"{func.name}:{line}" for func in methods for line in _pinned_float64(func)]
     found += [f"{func.name}:{node.lineno}" for func in methods for node in ast.walk(func)

@@ -239,25 +239,24 @@ def test_a_forward_pass_leaves_the_checkpoint_bytes_as_they_were(dtype, loaded):
         store.load_bytes(source.save_bytes())
     assert all(store[path].data.dtype == dtype for path in store.paths())
     before = store.save_bytes()
-    store.bind_compute()  # all that a forward pass does to the store
+    store.bind()  # all that a forward pass does to the store
     assert store.save_bytes() == before
     for path, arr in read_checkpoint(before).items():
         assert arr.tobytes() == values[path].astype(dtype).astype(np.float64).tobytes(), path
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
-def test_every_store_binds_at_its_first_forward_pass_into_its_own_compute_row(dtype):
-    """Both dtypes share one lifecycle: the first `bind_compute` copies
-    every entry into the compute row, row 0 of one [3, N] block in the
-    store's dtype; each tensor views its slice of that row, and the store
-    is frozen; a load into the bound store and a step change what the
-    tensors read."""
+def test_every_store_binds_at_its_first_forward_pass_into_row_0_of_one_block(dtype):
+    """Both dtypes share one lifecycle: the first `bind` copies every entry
+    into row 0 of one [3, N] block in the store's dtype; each tensor views
+    its slice of that row, and the store is frozen; a load into the bound
+    store and a step change what the tensors read."""
     rng = np.random.default_rng(13)
     values = {path: rng.normal(size=shape) for path, shape in SHAPES.items()}
     store = ParameterStore(dtype)
     for path, init in values.items():
         store.parameter(path, init)
-    store.bind_compute()
+    store.bind()
     with pytest.raises(StoreFrozen):
         store.parameter("late", np.zeros(1))
     block = store["bias"].data.base
@@ -268,7 +267,7 @@ def test_every_store_binds_at_its_first_forward_pass_into_its_own_compute_row(dt
         assert np.shares_memory(data, block[0]) and not np.shares_memory(data, block[1:])
         assert np.array_equal(data, init.astype(dtype))
     bound = {path: store[path].data for path in SHAPES}
-    store.bind_compute()  # binds once
+    store.bind()  # binds once
     zeros = ParameterStore()
     for path, shape in SHAPES.items():
         zeros.parameter(path, np.zeros(shape))
@@ -335,7 +334,7 @@ def test_a_value_the_store_cannot_hold_is_a_checkpoint_error(dtype):
     bad = [np.nan, np.inf, -np.inf] + ([1e39, -1e39] if dtype == np.float32 else [])
     for bind in (False, True):
         if bind:
-            store.bind_compute()
+            store.bind()
         for value in bad:
             source["head/b"].data[...] = [0.5, value]
             with pytest.raises(CheckpointError, match="'head/b'"):

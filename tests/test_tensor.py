@@ -86,6 +86,29 @@ def test_scalar_mixing_is_allowed():
     assert np.allclose(x.grad, 0.5)
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div], ids=lambda op: op.__name__)
+@pytest.mark.parametrize(
+    "constant", [2.5, np.array(2.5), np.full((2, 3), 2.5)], ids=["float", "0-d", "array"]
+)
+def test_only_an_operand_that_takes_a_gradient_gets_one(monkeypatch, op, constant):
+    """With a constant on either side of a binary op, backward hands
+    `_accum` the gradient-taking operand's gradient and never forms the
+    constant's."""
+    seen = []
+
+    def recording_accum(t, g, accum=T._accum):
+        seen.append(t)
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_accum", recording_accum)
+    for left in (True, False):
+        x = T.Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+        seen.clear()
+        T.tsum(op(x, constant) if left else op(constant, x)).backward()
+        assert all(t.requires_grad for t in seen), f"constant on the {'right' if left else 'left'}"
+        assert any(t is x for t in seen)
+
+
 def test_no_grad_suppresses_graph():
     x = T.Tensor(np.ones(4), requires_grad=True)
     with T.no_grad():

@@ -8,15 +8,21 @@ import contextlib
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+from kernel_rerun import openblas_core
 
+import dtikit
 from dtikit import tensor as T
 from dtikit.adversarial import DomainAdversary
 from dtikit.config import ConfigError, resolve_config
@@ -541,6 +547,43 @@ class TestFreshModelBytes:
                             feature_dim=cfg.encoder_config().fused_dim)
         digest = hashlib.sha256(store.save_bytes()).hexdigest()
         assert digest == self.PINNED[variant]
+
+
+def _second_kernel(host: str) -> str:
+    """An OpenBLAS kernel other than `host` that this CPU can run: Haswell
+    where /proc/cpuinfo lists avx2 and fma, else Sandybridge where it lists
+    avx; skips the calling test when there is none."""
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text().splitlines() if cpuinfo.exists() else []
+    flags = next((set(line.split(":", 1)[1].split()) for line in lines
+                  if line.startswith("flags")), set())
+    if host != "Haswell" and {"avx2", "fma"} <= flags:
+        return "Haswell"
+    if host != "Sandybridge" and "avx" in flags:
+        return "Sandybridge"
+    pytest.skip(f"this CPU runs no OpenBLAS kernel besides {host} that the test can force")
+
+
+def test_reruns_are_byte_identical_under_a_second_blas_kernel():
+    """Rerun identity, and test 07's zero-weight adversarial run matching
+    the vanilla one, hold in a child process whose OpenBLAS runs a second
+    kernel, forced through OPENBLAS_CORETYPE in the child's environment
+    alone: the three checkpoints are byte-equal."""
+    host = openblas_core()
+    if host is None:
+        pytest.skip("numpy's OpenBLAS does not report its kernel")
+    kernel = _second_kernel(host)
+    src = str(Path(dtikit.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("kernel_rerun.py"))],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    child = json.loads(proc.stdout)
+    assert child["core"] == kernel
+    assert len(child["sha256"]) == 3 and len(set(child["sha256"])) == 1, child["sha256"]
 
 
 class TestArtifacts:
