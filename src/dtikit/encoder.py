@@ -10,11 +10,12 @@ that the prediction head, if any, and any downstream objective consume.
 The towers run once per distinct entity of a batch: the protein tower on
 the fixed-length token windows [P, L], the drug tower on atom features and
 adjacencies zero-padded to the batch's largest molecule [D, M, M] with an
-atom mask.  `interact` lifts every tower row it is given to the joint width
-and runs the attention, the fusion unit and the head with a row per pair.
-A training step hands it the towers' outputs as they are, since its pairs
-use every row; inference (`train.encode_chunks`) gathers each slice's rows
-first.
+atom mask.  `interact` lifts every drug row it is given to the joint width,
+hands the protein rows and their lift to the bilinear attention, which
+lifts each protein once (on the paper preset its real rows only), and runs
+the fusion unit and the head with a row per pair.  A training step hands it
+the towers' outputs as they are, since its pairs use every row; inference
+(`train.encode_chunks`) gathers each slice's rows first.
 
 Design notes that matter for correctness:
 
@@ -382,16 +383,19 @@ class DTIEncoder:
         """Joint stage for the pairs (d_idx[b], p_idx[b]) of the given tower
         rows.
 
-        Every given row is lifted to the joint width once, so the caller
-        passes only the rows its pairs use; every level's bilinear attention
-        runs as one op, and the fusion unit and the head, if any, see a row
-        per pair."""
+        Every given drug row is lifted to the joint width once, and every
+        given protein once inside the level's bilinear attention, one op per
+        level, so the caller passes only the rows its pairs use.  The lift
+        keeps its `joint/level{i}/protein` parameters.  The fusion unit and
+        the head, if any, see a row per pair."""
         vectors = []
         weights = []
         for spec, d_out, (p_out, real) in zip(self.joint, d_levels, p_levels):
             v = spec["drug"](d_out, relu=True)
-            u = spec["protein"](p_out, relu=True)
-            joint, w = T.bilinear_attention(v, u, spec["q"], d_mask, real, d_idx, p_idx)
+            lift = spec["protein"]
+            joint, w = T.bilinear_attention(
+                v, p_out, lift.w, lift.b, spec["q"], d_mask, real, d_idx, p_idx
+            )
             pooled = T.reshape(joint, (len(d_idx), -1, JOINT_POOL))
             vectors.append(T.tmean(pooled, axis=2))
             weights.append(w)

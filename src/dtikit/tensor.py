@@ -16,8 +16,9 @@ a weight matrix, with an optional bias and relu fused into the same node,
 and the batched ``bmm`` with an optional relu; the same-length
 ``conv1d_relu`` (convolution, bias and relu as one node) and ``maxpool1d``
 over row pairs, each over one sample or a batch; the masked per-sample
-``batch_stat_norm``, the fused multi-head ``bilinear_attention``,
-``grad_reverse``, ``bce_with_logits`` and the row-wise ``cosine_rows``.
+``batch_stat_norm``, the fused multi-head ``bilinear_attention`` with the
+relu lift of its protein rows inside, ``grad_reverse``, ``bce_with_logits``
+and the row-wise ``cosine_rows``.
 
 Shape discipline is strict. Elementwise ops demand identical shapes, the
 only exception being a true scalar (python number or 0-d array) on either
@@ -27,13 +28,15 @@ call site instead of broadcasting away.  The four binary elementwise ops
 share one body: backward forms an operand's gradient only when that
 operand requires one, and sums it back to a 0-d operand.
 
-Relu exists only fused into ``matmul``, ``bmm`` or ``conv1d_relu``, and
-keeps only its node's output: the mask its backward needs is ``out > 0``,
-set exactly where the input was positive.
+Relu exists only fused into ``matmul``, ``bmm``, ``conv1d_relu`` or the
+protein lift of ``bilinear_attention``, and keeps only its node's output:
+the mask its backward needs is ``out > 0``, set exactly where the input
+was positive.
 
 The bilinear attention takes its path from the size of one protein map:
 pairs whose gathered maps fit in ATTENTION_BLOCK_BYTES run a block at a
-time as stacked products, larger maps one at a time, cropped to real rows.
+time as stacked products over one lift of every protein row, larger maps
+one protein at a time, lifting and scoring its real rows only.
 Its softmax clamps the shifted scores at EXP_FLOOR and zeroes the padded
 cells afterwards, so exp never takes its slow path on an underflowing score.
 
@@ -606,62 +609,89 @@ def _scatter_rows(rows, idx, n):
     return np.tensordot((idx == np.arange(n)[:, None]).astype(rows.dtype), rows, axes=1)
 
 
-def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
-    """Multi-head bilinear attention of row sets v[D, M, J] and u[P, L, J],
-    one pair b per (v_idx[b], u_idx[b]).
+def _lift(x2, w, b):
+    """relu(x2 @ w + b) of rows x2[N, C] as a fresh [N, J] array, by
+    ``matmul``'s expressions: the bias and the relu applied in place."""
+    out = x2 @ w
+    out += b
+    np.multiply(out, out > 0, out=out)
+    return out
+
+
+def _lift_backward(du, u, x2, w):
+    """The gradients of x2, w and b in ``_lift`` given the gradient du of
+    its output u, by ``matmul``'s expressions; du takes the relu mask in
+    place, so it must be the caller's own array."""
+    np.multiply(du, u > 0, out=du)
+    return du @ w.T, x2.T @ du, du.sum(axis=0)
+
+
+def bilinear_attention(v, x, w, b, heads, v_mask, u_real, v_idx, u_idx):
+    """Multi-head bilinear attention of row sets v[D, M, J] and the lifted
+    rows u = relu(x @ w + b) of x[P, L, C], with w[C, J] and b[J], one pair
+    b per (v_idx[b], u_idx[b]).
 
     Head t with weights q_t[J] scores cell (m, l) of a pair as
     sum_j v[m, j] q_t[j] u[l, j].  Rows m outside v_mask[D, M] and columns
     l at or past u_real[P] are padded cells.  A softmax over the whole
     M x L map gives the weights A_t, exactly 0 on padded cells, and the
     head's vector is sum_m v[m] * (A_t u)[m].  Returns the heads' sum [B, J]
-    and the weights [B, heads, M, L].
+    and the weights [B, heads, M, L].  A pad row of x gets zero gradient.
 
     The size of one u map [L, J] picks the path.  When it fits in
-    ATTENTION_BLOCK_BYTES, the pairs are cut, in order, into blocks whose
-    gathered u maps fit in that budget (a small-preset batch is one block).
-    A block runs as stacked per-pair products, and backward sums its pairs'
-    u and v gradients into their rows with one one-hot GEMM each.  A larger
-    map (every level of the paper preset) is used one u row set at a time,
-    through a view cropped to its real columns, for all of its pairs at
-    once: it is never copied, and no padded column is scored.  Both paths
-    fold the heads into the gathered v rows of each block.
+    ATTENTION_BLOCK_BYTES, every row of x is lifted by one GEMM and the
+    pairs are cut, in order, into blocks whose gathered u maps fit in that
+    budget (a small-preset batch is one block).  A block runs as stacked
+    per-pair products, backward sums its pairs' u and v gradients into
+    their rows with one one-hot GEMM each, and the u gradient goes back
+    through the lift as in ``matmul``.  A larger map (every level of the
+    paper preset) is lifted one protein at a time, its real rows only, kept
+    for backward and used for all of that protein's pairs at once: no
+    padded row is lifted and no padded column scored.  Backward forms each
+    protein's u gradient from its pairs, masks it in place and takes it
+    through the lift, so no [P, L, J] array is built on this path.  Both
+    paths fold the heads into the gathered v rows of each block.
 
     No padded cell's score reaches exp, whose underflow path costs several
     times a live cell: the shifted scores are clamped at EXP_FLOOR before
     exp and the padded cells zeroed after it.
     """
-    v, u = _wrap(v), _wrap(u)
+    v, x, w, b = _wrap(v), _wrap(x), _wrap(w), _wrap(b)
     heads = [_wrap(q) for q in heads]
     v_idx = np.asarray(v_idx, dtype=np.intp)
     u_idx = np.asarray(u_idx, dtype=np.intp)
     v_mask = np.asarray(v_mask, dtype=bool)
     u_real = np.asarray(u_real)
     D, M, J = v.data.shape
-    P, L, _ = u.data.shape
-    if u.data.shape[2] != J or any(q.data.shape != (J,) for q in heads):
-        raise ShapeMismatch(f"bilinear_attention: v {v.data.shape}, u {u.data.shape}")
+    P, L, C = x.data.shape
+    if w.data.shape != (C, J) or b.data.shape != (J,) or any(q.data.shape != (J,) for q in heads):
+        raise ShapeMismatch(f"bilinear_attention: v {v.data.shape}, "
+                            f"x {x.data.shape} @ {w.data.shape} + {b.data.shape}")
     if v_mask.shape != (D, M) or u_real.shape != (P,) or v_idx.shape != u_idx.shape:
-        raise ShapeMismatch("bilinear_attention: masks or pair indices do not fit v and u")
+        raise ShapeMismatch("bilinear_attention: masks or pair indices do not fit v and x")
     B, H = len(v_idx), len(heads)
     q = np.array([t.data for t in heads])  # [H, J]
-    dtype = u.data.dtype
+    dtype = x.data.dtype
     # (rows, None): a block of pairs with their u maps gathered;
-    # (rows, p): every pair of u row set p, sharing its map
-    per_block = ATTENTION_BLOCK_BYTES // (L * J * u.data.itemsize)
+    # (rows, p): every pair of protein p, sharing its lifted real rows
+    per_block = ATTENTION_BLOCK_BYTES // (L * J * x.data.itemsize)
     if per_block:
         blocks = [(slice(lo, lo + per_block), None) for lo in range(0, B, per_block)]
+        x2 = x.data.reshape(-1, C)
+        u = _lift(x2, w.data, b.data).reshape(P, L, J)
     else:
         blocks = [(np.flatnonzero(u_idx == p), p) for p in np.unique(u_idx)]
-
-    def u_maps(rows, p):
-        return u.data[u_idx[rows]] if p is None else u.data[p, : u_real[p]]
+        lifts = {}  # protein -> its lifted real rows [u_real[p], J]
 
     out = np.empty((B, J), dtype=dtype)
     attn = np.empty((B, H, M, L), dtype=dtype)
     mixed = np.empty((B, M, J), dtype=dtype)  # sum_t A_t u per pair, kept for backward
     for rows, p in blocks:
-        ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
+        if p is None:
+            ub = u[u_idx[rows]]
+        else:
+            ub = lifts[p] = _lift(x.data[p, : u_real[p]], w.data, b.data)
+        vr = v.data[v_idx[rows]]
         n, width = len(vr), ub.shape[-2]
         cols = np.arange(width) < u_real[u_idx[rows]][:, None, None]
         live = (v_mask[v_idx[rows]][:, :, None] & cols).astype(dtype).reshape(n, 1, M * width)
@@ -670,28 +700,32 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
         s = s.reshape(n, H, M, width)
         attn[rows, ..., :width] = s
         attn[rows, ..., width:] = 0.0
-        w = s.sum(axis=1) @ ub
-        mixed[rows] = w
-        out[rows] = np.einsum("nmj,nmj->nj", vr, w)
+        mix = s.sum(axis=1) @ ub
+        mixed[rows] = mix
+        out[rows] = np.einsum("nmj,nmj->nj", vr, mix)
 
     def backward(g):
         dv = g[:, None, :] * mixed  # per pair, the A_t u part first
         dq = np.zeros((H, J), dtype=dtype)
-        # per pair; or per u row set, padded columns and unused sets zero
-        du = np.empty((B, L, J), dtype=dtype) if per_block else np.zeros_like(u.data)
+        if per_block:
+            du = np.empty((B, L, J), dtype=dtype)  # per pair
+        else:
+            # pad rows and proteins in no pair keep a zero gradient
+            dx, dw, db = np.zeros_like(x.data), np.zeros_like(w.data), np.zeros_like(b.data)
         for rows, p in blocks:
-            # each array goes as soon as it is spent: this loop sets the
-            # peak memory of a small-preset training step
-            ub, vr = u_maps(rows, p), v.data[v_idx[rows]]
+            # each array goes as soon as it is spent, a protein's lift too:
+            # this loop sets the peak memory of a training step
+            ub = u[u_idx[rows]] if p is None else lifts[p]
+            vr = v.data[v_idx[rows]]
             n, width = len(vr), ub.shape[-2]
             a = attn[rows, ..., :width]
-            dw = vr * g[rows][:, None, :]  # gradient of every head's A_t u
+            dmix = vr * g[rows][:, None, :]  # gradient of every head's A_t u
             if p is None:
-                np.matmul(np.swapaxes(a.sum(axis=1), 1, 2), dw, out=du[rows])
+                np.matmul(np.swapaxes(a.sum(axis=1), 1, 2), dmix, out=du[rows])
             else:
-                np.matmul(a.sum(axis=1).reshape(-1, width).T, dw.reshape(-1, J), out=du[p, :width])
-            da = dw @ np.swapaxes(ub, -1, -2)
-            del dw
+                du = a.sum(axis=1).reshape(-1, width).T @ dmix.reshape(-1, J)
+            da = dmix @ np.swapaxes(ub, -1, -2)
+            del dmix
             ds = da[:, None] - np.einsum("nhml,nml->nh", a, da)[..., None, None]
             del da
             ds *= a
@@ -705,13 +739,24 @@ def bilinear_attention(v, u, heads, v_mask, u_real, v_idx, u_idx):
             if p is None:
                 du[rows] += np.swapaxes(ds, 1, 2) @ vh
             else:
-                du[p, :width] += ds.reshape(-1, width).T @ vh.reshape(-1, J)
+                du += ds.reshape(-1, width).T @ vh.reshape(-1, J)
+                del ds, vh
+                dx_p, dw_p, db_p = _lift_backward(du, lifts.pop(p), x.data[p, :width], w.data)
+                dx[p, :width] = dx_p
+                dw += dw_p
+                db += db_p
         _accum(v, _scatter_rows(dv, v_idx, D))
-        _accum(u, _scatter_rows(du, u_idx, P) if per_block else du)
+        if per_block:
+            du = _scatter_rows(du, u_idx, P).reshape(-1, J)
+            dx, dw, db = _lift_backward(du, u.reshape(-1, J), x2, w.data)
+            dx = dx.reshape(x.data.shape)
+        _accum(x, dx)
+        _accum(w, dw)
+        _accum(b, db)
         for t, q_t in enumerate(heads):
             _accum(q_t, dq[t])
 
-    return _make(out, (v, u, *heads), backward), attn
+    return _make(out, (v, x, w, b, *heads), backward), attn
 
 
 def grad_reverse(x) -> Tensor:

@@ -222,19 +222,24 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     )
 
     # bilinear attention: 3 drugs of up to 4 atoms, 2 proteins of 5
-    # residues with 5 and 3 real, 5 pairs sharing both sides, 2 heads
-    atoms, res, J = 4, 5, 3
+    # residues with 5 and 3 real, 5 pairs sharing both sides, 2 heads; the
+    # proteins' rows x[2, 5, 2] are lifted to the joint width 3 inside the
+    # op, pad rows included, with every lifted value clear of the relu kink
+    atoms, res, C, J = 4, 5, 2, 3
     v_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
     u_real = np.array([5, 3])
     v_idx, u_idx = np.array([0, 1, 2, 1, 0]), np.array([0, 0, 1, 1, 1])
     w_pair = rng.normal(size=(len(v_idx), J))
-    cases["bilinear_attention"] = (
-        lambda v, u, q0, q1: _weighted(
-            T.bilinear_attention(v, u, [q0, q1], v_mask, u_real, v_idx, u_idx)[0], w_pair
-        ),
-        [rng.normal(size=(3, atoms, J)), rng.normal(size=(2, res, J)),
-         rng.normal(size=J), rng.normal(size=J)],
-    )
+
+    def attention(v, x, w, b, q0, q1):
+        joint = T.bilinear_attention(v, x, w, b, [q0, q1], v_mask, u_real, v_idx, u_idx)[0]
+        return _weighted(joint, w_pair)
+
+    def attention_arrays():
+        lift = _clear_of_kink(rng, [(2, res, C), (C, J), (J,)], lambda x, w, b: x @ w + b)
+        return [rng.normal(size=(3, atoms, J)), *lift, rng.normal(size=J), rng.normal(size=J)]
+
+    cases["bilinear_attention"] = (attention, attention_arrays())
 
     cases["grad_reverse"] = (
         lambda x: _weighted(T.grad_reverse(x), w_nm),
@@ -261,11 +266,7 @@ def op_cases(rng: np.random.Generator) -> dict[str, tuple]:
     map_bytes = res * J * 8
     for name, budget in (("per_u_row_set", map_bytes - 1), ("blocks_of_two", 2 * map_bytes)):
         cases[f"bilinear_attention_{name}"] = (
-            _with_block_bytes(budget, lambda v, u, q0, q1: _weighted(
-                T.bilinear_attention(v, u, [q0, q1], v_mask, u_real, v_idx, u_idx)[0], w_pair
-            )),
-            [rng.normal(size=(3, atoms, J)), rng.normal(size=(2, res, J)),
-             rng.normal(size=J), rng.normal(size=J)],
+            _with_block_bytes(budget, attention), attention_arrays()
         )
     return cases
 

@@ -551,15 +551,19 @@ def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
         for shape in ((2, 7, 3), (3, 4), (4,), (3, 3, 4), (4,))
     )
     outs = [T.matmul(x, w, b), T.matmul(x, w, b, relu=True), T.conv1d_relu(x, k, kb)]
-    # the attention's softmax runs in place, on arrays of its own
+    # the attention's softmax and its lift's relu mask run in place, on
+    # arrays of its own, on both paths: one block, and one protein at a time
     arrays, fixed, _ = _attention_case(rng)
     attention_leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
-    joint, weights = T.bilinear_attention(
-        attention_leaves[0], attention_leaves[1], attention_leaves[2:], *fixed
-    )
-    outs.append(joint)
+    attention_weights = []
+    for budget in (T.ATTENTION_BLOCK_BYTES, MAP_BYTES - 1):
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+        joint, weights = T.bilinear_attention(
+            *attention_leaves[:4], attention_leaves[4:], *fixed
+        )
+        outs.append(joint)
+        attention_weights.append((weights, weights.copy()))
     kept = [(t, t.data.copy()) for t in (x, w, b, k, kb, *attention_leaves, *outs)]
-    kept_weights = weights.copy()
 
     def like(a):
         """Normal values in an array laid out like `a`."""
@@ -581,21 +585,24 @@ def test_fused_backward_never_writes_into_a_gradient_or_an_input(monkeypatch):
         assert g.tobytes() == before.tobytes()
     for t, before in kept:
         assert t.data.tobytes() == before.tobytes()
-    assert weights.tobytes() == kept_weights.tobytes()
+    for weights, before in attention_weights:
+        assert weights.tobytes() == before.tobytes()
 
 
 # -- bilinear attention --------------------------------------------------------------
 
-MAP_BYTES = 6 * 4 * 8  # one u map of the case below
+MAP_BYTES = 6 * 4 * 8  # one lifted u map of the case below
 
 
 def _attention_case(rng):
-    """Arrays (v, u, three heads), masks and pair indices, and loss weights.
+    """Arrays (v, x, w, b, three heads), masks and pair indices, and loss
+    weights.
 
     Four drugs of up to five atoms, drug 1 with a single real atom and drug
-    3 in no pair; four proteins of six residues, protein 0 with no pad
-    column and protein 2 in no pair; seven pairs, (0, 0) twice.  The pad
-    rows of v are large, so their scores would win any map's maximum."""
+    3 in no pair; four proteins of six residues, protein 0 with no pad row
+    and protein 2 in no pair, lifted from width 3 to width 4; seven pairs,
+    (0, 0) twice.  The pad rows of v and x are large, so their scores would
+    win any map's maximum."""
     v_mask = np.array([[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 1, 1, 0]],
                       dtype=bool)
     u_real = np.array([6, 4, 2, 5])
@@ -603,25 +610,30 @@ def _attention_case(rng):
     u_idx = np.array([0, 0, 1, 1, 3, 3, 0])
     v = rng.normal(size=(4, 5, 4))
     v[~v_mask] *= 100.0
-    arrays = [v, rng.normal(size=(4, 6, 4))] + [rng.normal(size=4) for _ in range(3)]
+    x = rng.normal(size=(4, 6, 3))
+    x[np.arange(6) >= u_real[:, None]] *= 100.0
+    arrays = [v, x, rng.normal(size=(3, 4)), rng.normal(size=4)]
+    arrays += [rng.normal(size=4) for _ in range(3)]
     return arrays, (v_mask, u_real, v_idx, u_idx), rng.normal(size=(len(v_idx), 4))
 
 
 def _attention_run(arrays, fixed, weights):
-    """Output, weights and the gradients of v, u and the heads."""
+    """Output, weights and the gradients of v, x, w, b and the heads."""
     leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
-    out, attn = T.bilinear_attention(leaves[0], leaves[1], leaves[2:], *fixed)
+    out, attn = T.bilinear_attention(*leaves[:4], leaves[4:], *fixed)
     T.tsum(T.mul(out, T.Tensor(weights))).backward()
-    return [out.data, attn, leaves[0].grad, leaves[1].grad, np.stack([t.grad for t in leaves[2:]])]
+    return [out.data, attn, *(t.grad for t in leaves[:4]),
+            np.stack([t.grad for t in leaves[4:]])]
 
 
-# one block, blocks of three pairs, one u row set at a time
+# one block, blocks of three pairs, one protein at a time
 ATTENTION_BUDGETS = [T.ATTENTION_BLOCK_BYTES, 3 * MAP_BYTES, MAP_BYTES - 1]
 
 
 def test_bilinear_attention_paths_agree(monkeypatch):
-    """The block path, whole or cut into blocks, matches the per-u-row-set
-    path on the output, the weights and every gradient."""
+    """The block path, whole or cut into blocks, matches the per-protein
+    path on the output, the weights and every gradient, the lift's
+    included; on every path the pad rows of x get exactly zero gradient."""
     case = _attention_case(np.random.default_rng(25))
     results = []
     for budget in ATTENTION_BUDGETS:
@@ -629,15 +641,16 @@ def test_bilinear_attention_paths_agree(monkeypatch):
         results.append(_attention_run(*case))
     *blocked, want = results
     for got in blocked:
-        for g, w, name in zip(got, want, ("out", "weights", "dv", "du", "dq")):
+        for g, w, name in zip(got, want, ("out", "weights", "dv", "dx", "dw", "db", "dq")):
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), name
     v_mask, u_real = case[1][:2]
-    for out, attn, dv, du, dq in results:
-        # rows no pair uses, pad rows of v and pad columns of u pass nothing
-        assert np.all(dv[3] == 0.0) and np.all(du[2] == 0.0)
+    for out, attn, dv, dx, dw, db, dq in results:
+        # rows no pair uses, pad rows of v and pad rows of x pass nothing
+        assert np.all(dv[3] == 0.0) and np.all(dx[2] == 0.0)
         assert np.all(dv[~v_mask] == 0.0)
-        assert all(np.all(du[p, r:] == 0.0) for p, r in enumerate(u_real))
+        assert all(np.all(dx[p, r:] == 0.0) for p, r in enumerate(u_real))
         assert np.all(dv[:3][v_mask[:3]] != 0.0) and np.all(dq != 0.0)
+        assert np.any(dx[[0, 1, 3]] != 0.0) and np.any(dw != 0.0) and np.any(db != 0.0)
 
 
 @pytest.mark.parametrize("budget", ATTENTION_BUDGETS)
@@ -646,9 +659,10 @@ def test_bilinear_attention_maps_are_a_softmax_over_live_cells(monkeypatch, budg
     weights match a softmax over the live cells alone."""
     monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
     arrays, fixed, _ = _attention_case(np.random.default_rng(26))
-    v, u, *q = arrays
+    v, x, w, b, *q = arrays
     v_mask, u_real, v_idx, u_idx = fixed
-    _, attn = T.bilinear_attention(T.Tensor(v), T.Tensor(u), [T.Tensor(t) for t in q], *fixed)
+    _, attn = T.bilinear_attention(*map(T.Tensor, arrays[:4]), [T.Tensor(t) for t in q], *fixed)
+    u = np.maximum(x @ w + b, 0.0)
     live = v_mask[v_idx][:, None, :, None] & (np.arange(6) < u_real[u_idx][:, None])[:, None, None]
     live = np.broadcast_to(live, attn.shape)
     assert np.all(attn[~live] == 0.0) and np.all(attn[live] > 0.0)
@@ -677,9 +691,8 @@ def test_bilinear_attention_hands_exp_no_pad_score(monkeypatch):
         budgets = [T.ATTENTION_BLOCK_BYTES, 3 * one_map, one_map - 1]
         for budget in budgets:
             monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
-            T.bilinear_attention(T.Tensor(arrays[0].astype(dtype)),
-                                 T.Tensor(arrays[1].astype(dtype)),
-                                 [T.Tensor(q.astype(dtype)) for q in arrays[2:]], *fixed)
+            leaves = [T.Tensor(a.astype(dtype)) for a in arrays]
+            T.bilinear_attention(*leaves[:4], leaves[4:], *fixed)
         assert len(lowest) >= len(budgets)
         assert min(lowest) >= T.EXP_FLOOR[np.dtype(dtype)], dtype
 
@@ -688,5 +701,5 @@ def test_bilinear_attention_under_no_grad_keeps_no_backward():
     arrays, fixed, _ = _attention_case(np.random.default_rng(27))
     leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
     with T.no_grad():
-        out, _ = T.bilinear_attention(leaves[0], leaves[1], leaves[2:], *fixed)
+        out, _ = T.bilinear_attention(*leaves[:4], leaves[4:], *fixed)
     assert not out.requires_grad and out._backward is None and out._parents == ()

@@ -339,45 +339,71 @@ class TestEncodePairs:
             assert np.abs(grad - blocked[path]).max() <= 1e-4 * scale, path
 
     def test_each_protein_is_lifted_once_per_call(self, records, monkeypatch):
-        """Towers run once per call on every distinct entity.  A training
-        call lifts each protein once; an inference call yields every
-        position once, in slices of at most `chunk` pairs, lifts each
-        slice's own proteins, and its scores equal the training call's."""
+        """Towers run once per call on every distinct entity, and each
+        level's lift multiplies each protein's rows once per call: on the
+        block path all P x L rows, on the per-protein path (level 0 of the
+        paper preset at max_seq_len 240) only each protein's real rows.  An
+        inference call yields every position once, in slices of at most
+        `chunk` pairs, lifts each slice's own proteins, and its scores
+        equal the training call's."""
+        lifted = []  # (weight, rows) of each lift product
+        towers = []  # (proteins, real rows per level) of each tower call
+        lift = T._lift
+
+        def counting_lift(x2, w, b):
+            lifted.append((w, len(x2)))
+            return lift(x2, w, b)
+
+        def counting_towers(encoder):
+            protein_levels = encoder.protein_levels
+
+            def run(proteins):
+                levels = protein_levels(proteins)
+                towers.append((len(proteins), [list(real) for _, real in levels]))
+                return levels
+
+            monkeypatch.setattr(encoder, "protein_levels", run)
+
+        def rows_per_level(store):
+            """The lifted rows of each call of each level's lift."""
+            weights = [store[f"joint/level{i}/protein/w"].data for i in range(len(KERNEL_SIZES))]
+            return [[n for w, n in lifted if w is weight] for weight in weights]
+
+        monkeypatch.setattr(T, "_lift", counting_lift)
+        # level 0's [120, 2304] float32 maps run one protein at a time,
+        # levels 1 and 2 ([60, 2304] and [30, 2304]) as one block
+        cfg = resolve_config({}, {"stage": "vanilla", "seed": 0, "max_seq_len": 240})
+        assert 120 * cfg.encoder_config().joint_dim * 4 > T.ATTENTION_BLOCK_BYTES
+        assert 60 * cfg.encoder_config().joint_dim * 4 <= T.ATTENTION_BLOCK_BYTES
+        store, encoder = build_model(cfg)
+        counting_towers(encoder)
+        feat = Featurizer.build(records, 240)
+        for grad in (True, False):
+            lifted.clear()
+            towers.clear()
+            with contextlib.nullcontext() if grad else T.no_grad():
+                encode_pairs(encoder, feat, records, list(range(12)))
+            [(n_proteins, reals)] = towers
+            assert n_proteins > 1 and len(reals[0]) == n_proteins and max(reals[0]) < 120
+            assert rows_per_level(store) == [reals[0], [n_proteins * 60], [n_proteins * 30]]
+
         cfg, store, encoder, feat = self._setup(records, "small")
-        lift_weights = {
-            id(store[f"joint/level{i}/protein/w"]) for i in range(len(KERNEL_SIZES))
-        }
-        lifts = []
-        towers = []
-        matmul = T.matmul
-        protein_levels = encoder.protein_levels
-
-        def counting_matmul(x, w, b=None, relu=False):
-            if id(w) in lift_weights:
-                lifts.append(x.data.shape[0])
-            return matmul(x, w, b, relu)
-
-        def counting_towers(proteins):
-            towers.append(len(proteins))
-            return protein_levels(proteins)
-
-        monkeypatch.setattr(T, "matmul", counting_matmul)
-        monkeypatch.setattr(encoder, "protein_levels", counting_towers)
+        counting_towers(encoder)
+        lengths = [cfg.encoder_config().max_seq_len >> (i + 1) for i in range(len(KERNEL_SIZES))]
         idxs = list(range(120)) + [5, 0]
         sequences = [records[i].sequence for i in idxs]
         n_proteins = len(set(sequences))
         assert n_proteins < len(idxs)
-        levels = len(lift_weights)
         for grad in (True, False):
-            lifts.clear()
+            lifted.clear()
             towers.clear()
             with contextlib.nullcontext() if grad else T.no_grad():
                 whole = encode_pairs(encoder, feat, records, idxs)
-            assert towers == [n_proteins]
-            assert lifts == [n_proteins] * levels
+            assert [n for n, _ in towers] == [n_proteins]
+            assert rows_per_level(store) == [[n_proteins * length] for length in lengths]
 
         chunk = 16
-        lifts.clear()
+        lifted.clear()
         towers.clear()
         positions = []
         scores = np.full(len(idxs), np.nan)
@@ -387,74 +413,105 @@ class TestEncodePairs:
                 positions.extend(rows)
                 scores[rows] = out.score.data
         assert sorted(positions) == list(range(len(idxs)))
-        assert towers == [n_proteins]
+        assert [n for n, _ in towers] == [n_proteins]
         in_order = sorted(sequences, key=list(dict.fromkeys(sequences)).index)
         slices = [in_order[j : j + chunk] for j in range(0, len(idxs), chunk)]
-        assert lifts == [len(set(s)) for s in slices for _ in range(levels)]
-        assert max(lifts) <= chunk
-        assert sum(lifts) <= (n_proteins + len(slices) - 1) * levels
+        lifts = [len(set(s)) for s in slices]
+        assert max(lifts) <= chunk and sum(lifts) <= n_proteins + len(slices) - 1
+        assert rows_per_level(store) == [[n * length for n in lifts] for length in lengths]
         assert np.abs(scores - whole.score.data).max() <= 1e-12
 
 
 class TestMapLifetime:
-    """Every attention map `bilinear_attention` returns is dead once the Adam
-    step it fed has run, and before the next inference slice's joint stage
-    starts: no step or slice keeps another's maps alive."""
+    """Every attention map `bilinear_attention` returns, and every lift of
+    protein rows it makes, is dead once the Adam step it fed has run, and
+    before the next inference slice's joint stage starts: no step or slice
+    keeps another's maps or lifts alive.  Each test runs on the block path
+    and, under a zero block budget, one protein at a time."""
+
+    BUDGETS = (T.ATTENTION_BLOCK_BYTES, 0)
 
     @pytest.fixture
-    def maps(self, monkeypatch):
-        refs = []
-        attention = T.bilinear_attention
+    def kept(self, monkeypatch):
+        refs = {"maps": [], "lifts": []}
+        attention, lift = T.bilinear_attention, T._lift
 
         def recording(*args):
             joint, weights = attention(*args)
-            refs.append(weakref.ref(weights))
+            refs["maps"].append(weakref.ref(weights))
             return joint, weights
 
+        def recording_lift(*args):
+            rows = lift(*args)
+            refs["lifts"].append(weakref.ref(rows))
+            return rows
+
         monkeypatch.setattr(T, "bilinear_attention", recording)
+        monkeypatch.setattr(T, "_lift", recording_lift)
         return refs
 
     @staticmethod
-    def alive(refs) -> int:
-        return sum(r() is not None for r in refs)
+    def alive(kept) -> int:
+        return sum(r() is not None for refs in kept.values() for r in refs)
+
+    @staticmethod
+    def on_path(kept, monkeypatch, budget) -> None:
+        """Forget the references so far and take the path of `budget`."""
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", budget)
+        for refs in kept.values():
+            refs.clear()
+
+    @staticmethod
+    def lifts_per_map(kept, budget) -> bool:
+        """One lift per map on the block path, more one protein at a time."""
+        n_maps, n_lifts = len(kept["maps"]), len(kept["lifts"])
+        return n_lifts == n_maps if budget else n_lifts > n_maps
 
     @pytest.mark.parametrize("stage", ["vanilla", "cada", "meta"])
-    def test_no_map_outlives_its_step(self, request, records, maps, monkeypatch, stage):
+    def test_no_map_outlives_its_step(self, request, records, kept, monkeypatch, stage):
         alive = []
         adam_step = ParameterStore.adam_step
 
         def checked(store, lr):
             adam_step(store, lr)
-            alive.append(self.alive(maps))
+            alive.append(self.alive(kept))
 
         monkeypatch.setattr(ParameterStore, "adam_step", checked)
-        if stage == "vanilla":
-            train_supervised(records, request.getfixturevalue("manifest"),
-                             small_config(stage="vanilla", epochs=1))
-        elif stage == "cada":
-            train_adversarial(records, request.getfixturevalue("cluster_manifest"),
-                              small_config(epochs=1, **ACTIVE_CRITIC))
-        else:
-            train_meta(records, request.getfixturevalue("meta_manifest"),
-                       small_config(stage="meta", epochs=1, episodes_per_epoch=4),
-                       no_warm_start=True)
-        assert len(alive) > 1 and len(maps) > 3
-        assert alive == [0] * len(alive)
+        for budget in self.BUDGETS:
+            self.on_path(kept, monkeypatch, budget)
+            alive.clear()
+            if stage == "vanilla":
+                train_supervised(records, request.getfixturevalue("manifest"),
+                                 small_config(stage="vanilla", epochs=1))
+            elif stage == "cada":
+                train_adversarial(records, request.getfixturevalue("cluster_manifest"),
+                                  small_config(epochs=1, **ACTIVE_CRITIC))
+            else:
+                train_meta(records, request.getfixturevalue("meta_manifest"),
+                           small_config(stage="meta", epochs=1, episodes_per_epoch=4),
+                           no_warm_start=True)
+            assert len(alive) > 1 and len(kept["maps"]) > 3
+            assert self.lifts_per_map(kept, budget)
+            assert alive == [0] * len(alive)
 
-    def test_no_map_outlives_its_slice(self, records, maps, monkeypatch):
+    def test_no_map_outlives_its_slice(self, records, kept, monkeypatch):
         _, encoder = build_model(small_config(stage="vanilla"))
         feat = Featurizer.build(records, 48)
         alive = []
         interact = DTIEncoder.interact
 
         def checked(encoder, *args):
-            alive.append(self.alive(maps))
+            alive.append(self.alive(kept))
             return interact(encoder, *args)
 
         monkeypatch.setattr(DTIEncoder, "interact", checked)
-        predict(encoder, feat, records, list(range(100)), batch_size=16)
-        assert alive == [0] * 7 and len(maps) == 7 * len(KERNEL_SIZES)
-        assert self.alive(maps) == 0
+        for budget in self.BUDGETS:
+            self.on_path(kept, monkeypatch, budget)
+            alive.clear()
+            predict(encoder, feat, records, list(range(100)), batch_size=16)
+            assert alive == [0] * 7 and len(kept["maps"]) == 7 * len(KERNEL_SIZES)
+            assert self.lifts_per_map(kept, budget)
+            assert self.alive(kept) == 0
 
 
 class TestFloat32:
